@@ -9,8 +9,7 @@ Monte Carlo simulator that serves as the independent statistical oracle.
 """
 
 from .constant_ratio import (ExpPolySum, complex_rate, d2_closed, d4_closed,
-                             iterate_integral, mean_pose_closed,
-                             variance_d2_closed)
+                             mean_pose_closed, variance_d2_closed)
 from .exceptions import (BrownianUnicycleError, ConfigError, EnvelopeRefusal,
                          EnvelopeWarning, IntegrandEvaluationError,
                          NumericalConsistencyError, ProfileDomainError,
@@ -42,7 +41,7 @@ __all__ = [
     "count_phase_step_vectors", "cov_xtheta", "cov_ytheta", "d2_closed",
     "d4_closed", "d4_moment", "damped_cos2", "damped_sin2",
     "deterministic_pose", "displacement_heading_moment",
-    "displacement_moment", "integrate_ordered", "iterate_integral",
+    "displacement_moment", "integrate_ordered",
     "mean_heading", "mean_pose_closed", "mean_squared_distance", "mean_x",
     "mean_y", "orientation_distribution", "phase_step_vectors", "ratio",
     "run_experiment", "second_moments", "simulate_trial",

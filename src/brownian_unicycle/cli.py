@@ -143,11 +143,9 @@ def d2(ctx, out_path):
         value = constant_ratio.d2_closed(_closed_form_mu0(cfg), cfg.noise, s)
         err, method = 0.0, "closed-form"
     else:
-        res = general_moments.displacement_moment(1, 1, cfg.profile, cfg.noise,
-                                                  s, cfg.settings)
-        value = low_moments.mean_squared_distance(cfg.profile, cfg.noise, s,
-                                                  cfg.settings)
-        err, method = res.err_estimate, "quadrature"
+        value, err = low_moments.mean_squared_distance_with_error(
+            cfg.profile, cfg.noise, s, cfg.settings)
+        method = "quadrature"
     record = {"quantity": "d2", "s": s, "value": value,
               "err_estimate": err, "method": method}
     _emit_json(record, out_path)
@@ -163,13 +161,14 @@ def d4(ctx, out_path):
     if ctx.obj["closed_form"]:
         mu0 = _closed_form_mu0(cfg)
         value = constant_ratio.d4_closed(mu0, cfg.noise, s)
-        variance = value - constant_ratio.d2_closed(mu0, cfg.noise, s) ** 2
+        d2_value = constant_ratio.d2_closed(mu0, cfg.noise, s)
         method = "closed-form"
     else:
         value = fourth_moment.d4_moment(cfg.profile, cfg.noise, s, cfg.settings)
-        variance = fourth_moment.variance_d2(cfg.profile, cfg.noise, s,
-                                             cfg.settings)
+        d2_value = low_moments.mean_squared_distance(cfg.profile, cfg.noise, s,
+                                                     cfg.settings)
         method = "quadrature"
+    variance = fourth_moment.variance_from_moments(value, d2_value)
     record = {"quantity": "d4", "s": s, "value": value,
               "variance_d2": variance, "method": method}
     _emit_json(record, out_path)

@@ -10,12 +10,13 @@ Schema (sections ``sim``, ``quadrature`` and ``output`` are optional):
       "noise":      {"k_r": 0.01, "k_theta": 0.01},
       "sim":        {"s_final": 1.0, "steps": 10000,
                      "trials": 100000, "master_seed": 0},
-      "quadrature": {"nodes_per_level": 24, "max_dim_deterministic": 5,
-                     "qmc_samples": 8192, "rel_tol": 1e-9},
+      "quadrature": {"nodes_per_level": 24, "rel_tol": 1e-9},
       "output":     {"dir": "results"}
     }
 
-Loading is strict about unknown profile kinds and invalid values; every
+Loading is strict about unknown profile kinds and invalid values, and
+ignores unknown keys of the ``quadrature`` section (such as the
+``max_dim_deterministic`` and ``qmc_samples`` of older configs); every
 failure is reported as :class:`ConfigError` so the CLI can map it to its
 exit code. ``dump_config`` emits a document that loads back to an
 equivalent configuration.
@@ -87,8 +88,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         quad_doc = doc.get("quadrature", {})
         settings = QuadratureSettings(
             nodes_per_level=int(quad_doc.get("nodes_per_level", 24)),
-            max_dim_deterministic=int(quad_doc.get("max_dim_deterministic", 5)),
-            qmc_samples=int(quad_doc.get("qmc_samples", 8192)),
             rel_tol=float(quad_doc.get("rel_tol", 1e-9)),
         )
         output_dir = doc.get("output", {}).get("dir")
@@ -124,8 +123,6 @@ def dump_config(cfg: ExperimentConfig) -> dict:
         },
         "quadrature": {
             "nodes_per_level": cfg.settings.nodes_per_level,
-            "max_dim_deterministic": cfg.settings.max_dim_deterministic,
-            "qmc_samples": cfg.settings.qmc_samples,
             "rel_tol": cfg.settings.rel_tol,
         },
     }

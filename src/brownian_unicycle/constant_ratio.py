@@ -148,11 +148,6 @@ def _byparts_integral(coeff: complex, rate: complex, power: int):
     return out
 
 
-def iterate_integral(f: ExpPolySum, scale: float) -> ExpPolySum:
-    """One nesting level: the prefix integral of ``f`` from 0 to ``t``."""
-    return f.integral(scale)
-
-
 def d2_closed(mu0: float, params: NoiseParams, s: float) -> float:
     """Mean squared distance, ``k_r s + 2 Re[(e^{zs} - 1 - zs)/z^2]``.
 
@@ -190,18 +185,22 @@ def mean_pose_closed(mu0: float, params: NoiseParams, theta0: float,
     return cmath.exp(1j * theta0) * value
 
 
-def _kernel_chain(mu0: float, k_theta: float, decay, phase, s: float) -> ExpPolySum:
+def _kernel_chain(rates, s: float) -> ExpPolySum:
+    """Nested integral of ``prod_j exp(rates[j] * t_j)`` over the ordered
+    region ``t_1 <= ... <= t_beta``, as a function of its upper end.
+
+    Evaluation points must lie in ``[0, s]``.
+    """
     f = ExpPolySum.unit()
-    for d, g in zip(decay, phase):
-        rate = complex(-0.5 * k_theta * d, mu0 * g)
-        f = iterate_integral(f.shifted_rate(rate), scale=s)
+    for rate in rates:
+        f = f.shifted_rate(rate).integral(s)
     return f
 
 
 def d4_closed(mu0: float, params: NoiseParams, s: float) -> float:
     """Mean fourth power of the distance, constructed symbolically.
 
-    Applies :func:`iterate_integral` to the six-term kernel table of
+    Applies :meth:`ExpPolySum.integral` to the six-term kernel table of
     :mod:`fourth_moment` with each cosine written as the real part of a
     complex-exponential chain; no quadrature is involved, so the result
     is exact up to floating error and the series truncation floor.
@@ -214,7 +213,8 @@ def d4_closed(mu0: float, params: NoiseParams, s: float) -> float:
             total += weight
             continue
         for decay, phase in kernels:
-            total += weight * _kernel_chain(mu0, kt, decay, phase, s)(s).real
+            rates = [complex(-0.5 * kt * d, mu0 * g) for d, g in zip(decay, phase)]
+            total += weight * _kernel_chain(rates, s)(s).real
     return total
 
 

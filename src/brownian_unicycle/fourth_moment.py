@@ -11,7 +11,8 @@ kernel ``(decay, phase)`` contributes
 
     exp(-k_theta/2 * sum_j decay[j] * t_j) * cos(sum_j phase[j] * heading(t_j))
 
-inside one nested ordered integral of dimension ``len(decay)``. The two
+inside one nested ordered integral of dimension ``len(decay)``. Only the
+integration engine is shared with the general enumeration. The two
 conjugate three-dimensional classes are already combined into their real
 cosine form, and the dimension-0 class is the pure ``2 k_r^2 s^2`` term.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from .exceptions import NumericalConsistencyError
 from .low_moments import mean_squared_distance
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_ordered
+from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_chains
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
 DISTANCE4_KERNELS = (
@@ -57,33 +58,35 @@ VARIANCE_SLACK = 1e-10
 
 def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
               settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Mean fourth power of the distance from the start point."""
+    """Mean fourth power of the distance from the start point.
+
+    Each kernel is the real part of a chain of per-point factors
+    ``exp(-k_theta/2 * decay[j] * t + i * phase[j] * heading(t))``,
+    integrated by the chain rule of :mod:`quadrature`.
+    """
     kt = params.k_theta
     total = 0.0
-    for kr_power, s_power, prefactor, kernels in DISTANCE4_KERNELS:
+    weights, kernels = [], []
+    for kr_power, s_power, prefactor, table_kernels in DISTANCE4_KERNELS:
         weight = prefactor * params.k_r ** kr_power * s ** s_power
-        if not kernels:
+        if not table_kernels:
             total += weight
             continue
-        beta = len(kernels[0][0])
+        weights += [weight] * len(table_kernels)
+        kernels += table_kernels
 
-        def f(ts, kernels=kernels):
-            # Headings evaluated once per node layer and shared by all
-            # kernels of this dimension.
-            th = [mean_heading(profile, t) for t in ts]
-            acc = 0.0
-            for decay, phase in kernels:
-                expo = 0.0
-                angle = 0.0
-                for d, g, t, h in zip(decay, phase, ts, th):
-                    expo = expo + (-0.5 * kt * d) * t
-                    angle = angle + g * h
-                acc = acc + np.exp(expo) * np.cos(angle)
-            return acc
+    def evaluate(rule):
+        th = mean_heading(profile, rule.t)
+        out = []
+        for decay, phase in kernels:
+            factors = [np.exp((-0.5 * kt * d) * rule.t + 1j * g * th)
+                       for d, g in zip(decay, phase)]
+            out.append(rule.chain(factors[0], [f[:, None] for f in factors[1:]],
+                                  1.0))
+        return np.array(out)
 
-        value, _ = integrate_ordered(f, beta, s, settings)
-        total += weight * value.real
-    return total
+    value, _ = integrate_chains(evaluate, weights, s, settings)
+    return total + value.real
 
 
 def variance_d2(profile: SpeedRatioProfile, params: NoiseParams, s: float,
@@ -93,8 +96,12 @@ def variance_d2(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     Raises :class:`NumericalConsistencyError` if cancellation drives the
     result below ``-VARIANCE_SLACK`` instead of clamping silently.
     """
-    d4 = d4_moment(profile, params, s, settings)
-    d2 = mean_squared_distance(profile, params, s, settings)
+    return variance_from_moments(d4_moment(profile, params, s, settings),
+                                 mean_squared_distance(profile, params, s, settings))
+
+
+def variance_from_moments(d4: float, d2: float) -> float:
+    """``d4 - d2**2``, refusing results below ``-VARIANCE_SLACK``."""
     out = d4 - d2 * d2
     if out < -VARIANCE_SLACK:
         raise NumericalConsistencyError(

@@ -38,7 +38,7 @@ import numpy as np
 
 from .exceptions import (EnvelopeWarning, NumericalConsistencyError,
                          TermKeyError)
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_ordered
+from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_chains
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
 #: Guaranteed cost envelope; larger requests work but warn.
@@ -233,74 +233,75 @@ def _phase_weights(p: int, q: int, c: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _HeadingMemo:
-    """Caches deterministic headings per quadrature grid within one call.
+def _gap_polynomial(g: int, w: int, kt: float, dt):
+    """Gaussian-moment factor of one gap carrying fluctuation power g.
 
-    Grids are identified by the identity of the coordinate tuple; keeping
-    a reference to the tuple pins its id for the lifetime of the memo.
+    ``sum_a g! / (a! (g-2a)! 2^a) * (i w sqrt(kt))^(g-2a) * dt^(g-a)``; the
+    integer prefactors count the ways to pair off 2a of the g fluctuation
+    factors, each pair contributing the gap variance ``dt`` and each
+    unpaired factor ``i w sqrt(kt dt)``.
     """
-
-    def __init__(self, profile: SpeedRatioProfile) -> None:
-        self._profile = profile
-        self._store: dict[int, tuple] = {}
-
-    def headings(self, ts):
-        key = id(ts)
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit[1]
-        if len(self._store) > 64:
-            self._store.clear()
-        th = tuple(mean_heading(self._profile, t) for t in ts)
-        self._store[key] = (ts, th)
-        return th
-
-
-def _hermite_like_sum(g: int, w: int, kt: float, dt):
-    """Inner Gaussian-moment sum for one gap carrying fluctuation power g.
-
-    ``sum_a g! (i w sqrt(kt dt))^(g-2a) / (a! (g-2a)! 2^a)``; the integer
-    prefactors count the ways to pair off 2a of the g fluctuation factors.
-    """
-    base = 1j * w * np.sqrt(kt * dt)
+    base = 1j * w * np.sqrt(kt)
     acc = 0.0
     for a in range(g // 2 + 1):
         coef = factorial(g) // (factorial(a) * factorial(g - 2 * a) * 2 ** a)
-        acc = acc + coef * base ** (g - 2 * a)
+        acc = acc + coef * base ** (g - 2 * a) * dt ** (g - a)
     return acc
 
 
-def _term_integrand(profile, params, s, weights, gamma, memo):
-    kt = params.k_theta
-    beta = len(weights)
-    tail = gamma[beta]
-    theta0 = profile.theta0
+class _GapFactors:
+    """The gap factors of one moment, sampled on one chain rule.
 
-    def f(ts):
-        th = memo.headings(ts)
-        t_prev = 0.0
-        th_prev = theta0
-        expo = 0.0
-        herm = None
-        for b in range(beta):
-            dt = ts[b] - t_prev
-            wb = weights[b]
-            expo = expo + 1j * (wb * (th[b] - th_prev)) - (0.5 * wb * wb * kt) * dt
-            g = gamma[b]
+    The gap from ``u`` to ``t`` with phase weight ``w`` and fluctuation
+    power ``g`` contributes
+
+        exp(i w (heading(t) - heading(u)) - w^2 k_theta (t - u) / 2)
+        * _gap_polynomial(g, w, k_theta, t - u),
+
+    the first gap starting at ``u = 0``. Headings are evaluated once per
+    rule, each distinct ``(w, g)`` factor once, and each distinct prefix
+    of ``(w, g)`` steps once, shared by all terms that start with it.
+    """
+
+    def __init__(self, rule, profile: SpeedRatioProfile, kt: float) -> None:
+        self.rule = rule
+        self._kt = kt
+        th_t = mean_heading(profile, rule.t)
+        th_u = mean_heading(profile, rule.u)
+        # (heading change, length) of the gaps 0 -> t_j and u_jm -> t_j.
+        self._first_gaps = (th_t - profile.theta0, rule.t)
+        self._inner_gaps = (th_t[:, None] - th_u, rule.t[:, None] - rule.u)
+        self._tail_gap = rule.s - rule.u[-1]
+        self._factors: dict[tuple[int, int, bool], np.ndarray] = {}
+        self._prefixes: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
+
+    def _factor(self, w: int, g: int, first: bool) -> np.ndarray:
+        key = (w, g, first)
+        out = self._factors.get(key)
+        if out is None:
+            dtheta, dt = self._first_gaps if first else self._inner_gaps
+            out = np.exp(1j * w * dtheta - (0.5 * w * w * self._kt) * dt)
             if g:
-                dt_pos = np.maximum(dt, 0.0)
-                factor = dt_pos ** (0.5 * g) * _hermite_like_sum(g, wb, kt, dt_pos)
-                herm = factor if herm is None else herm * factor
-            t_prev = ts[b]
-            th_prev = th[b]
-        out = np.exp(expo)
-        if herm is not None:
-            out = out * herm
-        if tail:
-            out = out * np.maximum(s - ts[-1], 0.0) ** (tail // 2)
+                out = out * _gap_polynomial(g, w, self._kt, dt)
+            self._factors[key] = out
         return out
 
-    return f
+    def _prefix(self, steps: tuple[tuple[int, int], ...]) -> np.ndarray:
+        """Node values of ``F_b`` for the first ``b = len(steps)`` gaps."""
+        out = self._prefixes.get(steps)
+        if out is None:
+            if len(steps) == 1:
+                out = self._factor(*steps[0], True)
+            else:
+                out = self.rule.level(self._prefix(steps[:-1]),
+                                      self._factor(*steps[-1], False))
+            self._prefixes[steps] = out
+        return out
+
+    def term(self, weights: tuple[int, ...], gamma: tuple[int, ...]) -> complex:
+        """Nested integral of one term; ``gamma[-1]`` is the tail power."""
+        f = self._prefix(tuple(zip(weights, gamma)))
+        return self.rule.close(f, self._tail_gap ** (gamma[-1] // 2))
 
 
 def _check_envelope(p: int, q: int, r: int) -> None:
@@ -322,17 +323,19 @@ def displacement_heading_moment(p: int, q: int, r: int,
     Every term is one nested ordered integral (dimension ``beta``) scaled
     by an exact integer coefficient; dimension-0 terms use the
     empty-integral-equals-1 convention with the trailing gap factor
-    ``s**(gamma_last/2)`` applied analytically.
+    ``s**(gamma_last/2)`` applied analytically. The integrals are chains
+    of gap factors, summed on the chain rule of :mod:`quadrature`; the
+    error estimate is that of the summed chains (coarse/fine difference
+    plus roundoff floor).
     """
     spec = MomentSpec(p, q, r)
     _check_envelope(p, q, r)
     kr, kt = params.k_r, params.k_theta
     phase0 = cmath.exp(1j * (p - q) * profile.theta0)
-    memo = _HeadingMemo(profile)
     r_fact = factorial(r)
 
     total = 0.0 + 0.0j
-    err_total = 0.0
+    scales, chains = [], []
     n_terms = 0
     for key in term_keys(p, q):
         beta = key.dimension
@@ -353,13 +356,17 @@ def displacement_heading_moment(p: int, q: int, r: int,
                 if scale == 0:
                     continue
                 if beta == 0:
-                    val, ierr = complex(s ** (gamma[-1] // 2)), 0.0
+                    total += scale * s ** (gamma[-1] // 2)
                 else:
-                    f = _term_integrand(profile, params, s, weights, gamma, memo)
-                    val, ierr = integrate_ordered(f, beta, s, settings)
-                total += scale * val
-                err_total += abs(scale) * ierr
-    return MomentResult(total, err_total, n_terms)
+                    scales.append(scale)
+                    chains.append((weights, gamma))
+
+    def evaluate(rule):
+        factors = _GapFactors(rule, profile, kt)
+        return np.array([factors.term(*chain) for chain in chains])
+
+    value, err = integrate_chains(evaluate, scales, s, settings)
+    return MomentResult(total + value, err, n_terms)
 
 
 def displacement_moment(p: int, q: int, profile: SpeedRatioProfile,

@@ -128,6 +128,14 @@ def mean_squared_distance(profile: SpeedRatioProfile, params: NoiseParams,
     ``k_r*s + 2 * iint exp(-k_theta (t2-t1)/2) cos(heading(t2) - heading(t1))``
     over the ordered pair ``t1 <= t2``.
     """
+    return mean_squared_distance_with_error(profile, params, s, settings)[0]
+
+
+def mean_squared_distance_with_error(profile: SpeedRatioProfile,
+                                     params: NoiseParams, s: float,
+                                     settings: QuadratureSettings = DEFAULT_SETTINGS
+                                     ) -> tuple[float, float]:
+    """:func:`mean_squared_distance` and the error estimate of its integral."""
     kt = params.k_theta
 
     def f(ts):
@@ -135,5 +143,5 @@ def mean_squared_distance(profile: SpeedRatioProfile, params: NoiseParams,
         dth = mean_heading(profile, t2) - mean_heading(profile, t1)
         return np.exp(-0.5 * kt * (t2 - t1)) * np.cos(dth)
 
-    value, _ = integrate_ordered(f, 2, s, settings)
-    return params.k_r * s + 2.0 * value.real
+    value, err = integrate_ordered(f, 2, s, settings)
+    return params.k_r * s + 2.0 * value.real, 2.0 * err

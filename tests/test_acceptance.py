@@ -13,6 +13,7 @@ the exact constant-ratio closed forms.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -165,7 +166,8 @@ def table_samples():
                 a_var = variance_d2(RAMP, params, 1.0)
             sim = SimConfig(profile=profile, params=params, s_final=1.0,
                             steps=10_000, trials=100_000, master_seed=42)
-            out[(table, level)] = (collect_samples(sim), a_mean, a_var)
+            out[(table, level)] = (collect_samples(sim, threads=os.cpu_count()),
+                                   a_mean, a_var)
     return out
 
 

@@ -1,10 +1,11 @@
 """Config round-trips and the CLI contract (exit codes, schemas, determinism)."""
 
 import json
+import math
 
 import pytest
 
-from brownian_unicycle import d2_closed, NoiseParams
+from brownian_unicycle import d2_closed, fourth_moment, NoiseParams
 from brownian_unicycle.cli import main
 from brownian_unicycle.config import (config_from_dict, dump_config,
                                       load_config)
@@ -161,6 +162,36 @@ def test_d2_methods_agree(config_path, capsys):
     assert quadrature["method"] == "quadrature"
     assert closed["method"] == "closed-form"
     assert quadrature["value"] == pytest.approx(closed["value"], rel=1e-8)
+
+
+def test_d2_reports_error_of_its_own_integral(config_path, capsys):
+    assert main(["--config", config_path, "d2"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    exact = d2_closed(5.0, NoiseParams(0.01, 0.01), 1.0)
+    assert math.isfinite(record["err_estimate"])
+    assert abs(record["value"] - exact) <= record["err_estimate"] + 1e-13
+
+
+@pytest.mark.parametrize("flags", [(), ("--closed-form",)])
+def test_d4_computes_fourth_moment_once(config_path, capsys, monkeypatch, flags):
+    calls = []
+    d4_moment = fourth_moment.d4_moment
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return d4_moment(*args, **kwargs)
+
+    monkeypatch.setattr(fourth_moment, "d4_moment", counting)
+    assert main(["--config", config_path, *flags, "d4"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert len(calls) == (0 if flags else 1)
+    assert record["variance_d2"] == pytest.approx(0.0012, abs=1e-4)
+
+
+def test_d4_refuses_negative_variance(config_path, capsys, monkeypatch):
+    monkeypatch.setattr(fourth_moment, "d4_moment", lambda *a, **k: 0.0)
+    assert main(["--config", config_path, "d4"]) == 4
+    capsys.readouterr()
 
 
 def test_d4_closed_form(config_path, capsys):

@@ -7,9 +7,8 @@ import pytest
 
 from brownian_unicycle import (ExpPolySum, NoiseParams, SpeedRatioProfile,
                                complex_rate, d2_closed, d4_closed, d4_moment,
-                               iterate_integral, mean_pose_closed,
-                               mean_squared_distance, mean_x, mean_y,
-                               variance_d2_closed)
+                               mean_pose_closed, mean_squared_distance, mean_x,
+                               mean_y, variance_d2_closed)
 from brownian_unicycle.constant_ratio import (_cexpm1, _kernel_chain,
                                               closed_form_rate_family)
 from brownian_unicycle.fourth_moment import DISTANCE4_KERNELS
@@ -22,20 +21,20 @@ from brownian_unicycle.fourth_moment import DISTANCE4_KERNELS
 def test_integral_of_exponential():
     lam = 0.7 - 1.3j
     f = ExpPolySum.unit().shifted_rate(lam)
-    g = iterate_integral(f, scale=1.0)
+    g = f.integral(scale=1.0)
     for t in (0.3, 1.0):
         assert g(t) == pytest.approx((cmath.exp(lam * t) - 1.0) / lam, rel=1e-14)
 
 
 def test_integral_of_constant():
-    g = iterate_integral(ExpPolySum.unit(), scale=1.0)
+    g = ExpPolySum.unit().integral(scale=1.0)
     assert g(0.8) == pytest.approx(0.8, rel=1e-15)
 
 
 def test_double_integral_reproduces_d2_kernel():
     z = complex_rate(5.0, 0.01)
-    f = iterate_integral(ExpPolySum.unit().shifted_rate(z), scale=1.0)
-    g = iterate_integral(f, scale=1.0)
+    f = ExpPolySum.unit().shifted_rate(z).integral(scale=1.0)
+    g = f.integral(scale=1.0)
     expected = (cmath.exp(z) - 1.0 - z) / (z * z)
     assert g(1.0) == pytest.approx(expected, rel=1e-13)
 
@@ -189,6 +188,7 @@ def test_construction_stays_in_declared_rate_family():
 
     for _, _, _, kernels in DISTANCE4_KERNELS:
         for decay, phase in kernels:
-            chain = _kernel_chain(mu0, kt, decay, phase, s=1.0)
+            rates = [complex(-0.5 * kt * d, mu0 * g) for d, g in zip(decay, phase)]
+            chain = _kernel_chain(rates, s=1.0)
             for rate in chain.rates():
                 assert in_family(rate), rate

@@ -16,8 +16,13 @@ from brownian_unicycle import (EnvelopeWarning, NoiseParams,
                                cov_ytheta, deterministic_pose,
                                displacement_heading_moment,
                                displacement_moment, mean_squared_distance,
+                               integrate_ordered, mean_heading,
                                phase_step_vectors, second_moments, term_keys,
                                theta_power_compositions)
+from brownian_unicycle import quadrature
+from brownian_unicycle.constant_ratio import _kernel_chain
+from brownian_unicycle.general_moments import _GapFactors, _phase_weights
+from brownian_unicycle.quadrature import integrate_chains
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
@@ -252,3 +257,174 @@ def test_negative_orders_rejected():
         displacement_moment(-1, 0, CONST, NoiseParams(0.1, 0.1), 1.0)
     with pytest.raises(ValueError):
         cartesian_moment(0, -1, 0, CONST, NoiseParams(0.1, 0.1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the chain engine against independent oracles
+
+
+def _gap_chain(profile, params, s, weights, gamma, settings=QuadratureSettings()):
+    """One term's nested integral on the refined chain rule."""
+    def evaluate(rule):
+        factors = _GapFactors(rule, profile, params.k_theta)
+        return np.array([factors.term(weights, gamma)])
+    return integrate_chains(evaluate, [1.0], s, settings)
+
+
+def _tensor_term(profile, params, s, weights, gamma):
+    """The same term on the tensor rule, with each gap's Gaussian moments in
+    the per-sample form ``dt^(g/2) * sum_a c_a (i w sqrt(k_theta dt))^(g-2a)``."""
+    kt = params.k_theta
+
+    def f(ts):
+        out = np.maximum(s - ts[-1], 0.0) ** (gamma[-1] // 2)
+        t_prev, th_prev = 0.0, profile.theta0
+        for w, g, t in zip(weights, gamma, ts):
+            th = mean_heading(profile, t)
+            dt = np.maximum(t - t_prev, 0.0)
+            herm = sum(math.factorial(g)
+                       // (math.factorial(a) * math.factorial(g - 2 * a) * 2 ** a)
+                       * (1j * w * np.sqrt(kt * dt)) ** (g - 2 * a)
+                       for a in range(g // 2 + 1))
+            out = out * (np.exp(1j * w * (th - th_prev) - 0.5 * w * w * kt * dt)
+                         * dt ** (0.5 * g) * herm)
+            t_prev, th_prev = t, th
+        return out
+
+    return integrate_ordered(f, len(weights), s)
+
+
+def _exact_term(mu0, k, s, weights):
+    """Heading-power-free term for ``mu = mu0``, ``theta0 = 0``: the gap factor
+    is ``exp(lam_b (t_b - t_{b-1}))``, so the point rates are
+    ``lam_b - lam_{b+1}`` with ``lam_{beta+1} = 0``."""
+    lam = [complex(-0.5 * w * w * k, w * mu0) for w in weights] + [0j]
+    return _kernel_chain([lam[b] - lam[b + 1] for b in range(len(weights))], s)(s)
+
+
+def _exact_moment(p, q, mu0, k, s):
+    """``<u^p w^q>`` for ``mu = mu0``, ``k_r = k_theta = k``, by exact chains."""
+    total = 0j
+    for key in term_keys(p, q):
+        base = k ** key.n * coefficient(key) * s ** key.m
+        for c in phase_step_vectors(key):
+            weights = _phase_weights(p, q, c)
+            total += base * (_exact_term(mu0, k, s, weights) if weights else 1.0)
+    return total
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP], ids=["const", "ramp"])
+@pytest.mark.parametrize("weights,gamma", [
+    ((1,), (0, 0)),
+    ((1,), (1, 2)),
+    ((0, -1), (2, 0, 0)),
+    ((1, 2, 1), (0, 1, 0, 2)),
+    ((2, 1, -1, 1), (1, 0, 1, 0, 2)),
+    ((2, 1, 0, -1, -2), (0, 0, 0, 0, 0, 0)),
+    ((1, -1, 1, 0, -1), (0, 2, 0, 0, 1, 0)),
+])
+def test_chain_matches_tensor_rule(profile, weights, gamma):
+    params = NoiseParams(0.5, 0.5)
+    ref, ref_err = _tensor_term(profile, params, 0.9, weights, gamma)
+    value, err = _gap_chain(profile, params, 0.9, weights, gamma)
+    assert ref_err <= 1e-13 * abs(ref)
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.filterwarnings("ignore::brownian_unicycle.EnvelopeWarning")
+@pytest.mark.parametrize("p,q", [(6, 0), (4, 3), (5, 3), (3, 6), (10, 0)])
+@pytest.mark.parametrize("k", [0.01, 1.0])
+def test_chain_matches_exact_chain_beyond_dimension_five(p, q, k):
+    # Terms of dimension p + q - n - m: every dimension from 6 to 10 occurs.
+    profile = SpeedRatioProfile.constant(5.0, s_max=1.0)
+    params = NoiseParams(k, k)
+    for key in term_keys(p, q):
+        if key.dimension < 6:
+            continue
+        vectors = phase_step_vectors(key)
+        for c in (vectors[0], vectors[-1]):
+            weights = _phase_weights(p, q, c)
+            exact = _exact_term(5.0, k, 1.0, weights)
+            # The integral of the modulus: the rotation can cancel a chain to
+            # far below it, and roundoff scales with it.
+            modulus = _exact_term(0.0, k, 1.0, weights).real
+            value, _ = _gap_chain(profile, params, 1.0, weights,
+                                  (0,) * (len(weights) + 1))
+            assert abs(value - exact) <= 1e-12 * abs(exact) + 1e-16 * modulus, \
+                (key, c)
+    res = displacement_moment(p, q, profile, params, 1.0)
+    assert abs(res.value - _exact_moment(p, q, 5.0, k, 1.0)) <= res.err_estimate
+
+
+def test_six_zero_zero_small_noise_within_error_estimate():
+    profile = SpeedRatioProfile.constant(5.0, s_max=1.0)
+    for s in (0.9, 0.95, 1.0):
+        params = NoiseParams(0.01, 0.01)
+        res = displacement_moment(6, 0, profile, params, s)
+        exact = _exact_moment(6, 0, 5.0, 0.01, s)
+        assert abs(res.value - exact) <= res.err_estimate
+        assert res.err_estimate <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("k", [0.01, 1.0])
+def test_refinement_error_estimate_fast_rotation(monkeypatch, k):
+    # At mu0 = 40 the running phases turn by up to 240 rad over the unit
+    # length: the 48/64 pair disagrees, so the pair must double.
+    node_counts = set()
+    chain_rule = quadrature.chain_rule
+
+    def spy(n, s):
+        node_counts.add(n)
+        return chain_rule(n, s)
+
+    monkeypatch.setattr(quadrature, "chain_rule", spy)
+    profile = SpeedRatioProfile.constant(40.0, s_max=1.0)
+    res = displacement_moment(4, 2, profile, NoiseParams(k, k), 1.0)
+    exact = _exact_moment(4, 2, 40.0, k, 1.0)
+    assert max(node_counts) > 64
+    assert abs(res.value - exact) <= res.err_estimate
+    assert res.err_estimate <= 1e-9 * abs(exact)
+
+
+def _table_d2_reference(profile, k, s):
+    """``<D^2>`` with one Gauss rule per pair of table panels: the heading is
+    smooth inside a panel, so this converges spectrally."""
+    x, w = np.polynomial.legendre.leggauss(40)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+
+    def kernel(t1, t2):
+        dth = mean_heading(profile, t2) - mean_heading(profile, t1)
+        return np.exp(-0.5 * k * (t2 - t1)) * np.cos(dth)
+
+    knots = [t for t in profile.knots_s if t < s] + [s]
+    acc = 0.0
+    for i in range(len(knots) - 1):
+        a, b = knots[i], knots[i + 1]
+        t1, w1 = a + (b - a) * x, (b - a) * w
+        # t1 <= t2 inside panel i, then t2 in every later panel.
+        t2 = t1[:, None] + (b - t1[:, None]) * x[None, :]
+        acc += (kernel(t1[:, None], t2) * w1[:, None] * (b - t1[:, None]) * w).sum()
+        for j in range(i + 1, len(knots) - 1):
+            c, d = knots[j], knots[j + 1]
+            acc += w1 @ kernel(t1[:, None], c + (d - c) * x[None, :]) @ ((d - c) * w)
+    return k * s + 2.0 * acc
+
+
+def test_error_estimate_bounds_true_error_on_table_profile():
+    # The table heading is only continuously differentiable: convergence is
+    # algebraic and refinement runs to the node cap.
+    table = SpeedRatioProfile.table(
+        [(i / 20, 5.0 + 3.0 * math.sin(2.0 * math.pi * i / 20)) for i in range(21)])
+    for k, s in ((0.5, 1.0), (0.01, 0.83)):
+        res = displacement_moment(1, 1, table, NoiseParams(k, k), s)
+        ref = _table_d2_reference(table, k, s)
+        assert abs(res.value - ref) <= res.err_estimate
+        assert res.err_estimate <= 1e-6 * ref
+
+
+def test_repeated_calls_bit_identical():
+    params = NoiseParams(0.2, 0.3)
+    for profile in (CONST, RAMP):
+        a = displacement_heading_moment(3, 1, 1, profile, params, 0.9)
+        b = displacement_heading_moment(3, 1, 1, profile, params, 0.9)
+        assert a == b

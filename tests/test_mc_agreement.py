@@ -7,6 +7,8 @@ Agreement is asserted within four standard errors per real/imaginary
 component.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ def regime(request):
     params = NoiseParams(level, level)
     config = SimConfig(profile=PROFILE, params=params, s_final=1.0,
                        steps=STEPS, trials=TRIALS, master_seed=1234)
-    samples = collect_samples(config)
+    samples = collect_samples(config, threads=os.cpu_count())
     u = samples["x"] + 1j * samples["y"]
     theta_fluct = samples["theta"] - mean_heading(PROFILE, 1.0)
     return params, u, theta_fluct

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from brownian_unicycle import (IntegrandEvaluationError, QuadratureSettings,
                                SpeedRatioProfile, integrate_ordered,
                                mean_heading)
+from brownian_unicycle.quadrature import MAX_TENSOR_DIM, integrate_chains
 
 
 def ordered_monomial_integral(powers, s) -> Fraction:
@@ -129,35 +130,82 @@ def test_complex_integrand_supported():
     assert value.imag == pytest.approx(1.0 - math.cos(1.0), rel=1e-13)
 
 
-def test_qmc_fallback_volume_and_product():
-    settings_ = QuadratureSettings(max_dim_deterministic=5, qmc_samples=4096)
-    s = 1.0
-    value, err = integrate_ordered(lambda ts: 1.0, 6, s, settings_)
-    assert value.real == pytest.approx(1.0 / 720.0, rel=1e-12)
+def _single_chain(first, gaps, tail=1.0):
+    """``evaluate`` for integrate_chains from per-point factor functions."""
+    def evaluate(rule):
+        return np.array([rule.chain(first(rule.t),
+                                    [g(rule.t)[:, None] for g in gaps],
+                                    tail)])
+    return evaluate
 
-    def f(ts):
-        out = 1.0
-        for t in ts:
-            out = out * t
+
+def test_chain_volume_and_product():
+    s = 1.0
+    ones = lambda t: np.ones_like(t)
+    value, err = integrate_chains(_single_chain(ones, [ones] * 5), [1.0], s)
+    assert value.real == pytest.approx(1.0 / 720.0, rel=1e-12)
+    assert err < 1e-12 * value.real
+
+    ident = lambda t: t
+    value, err = integrate_chains(_single_chain(ident, [ident] * 5), [1.0], s)
+    # The product is symmetric, so the ordered integral is the cube mean
+    # (s/2)^6 times the ordered-region volume.
+    exact = (0.5 ** 6) / 720.0
+    assert value.real == pytest.approx(exact, rel=1e-12)
+    assert abs(value.real - exact) <= err
+
+
+def test_chain_deterministic_for_fixed_settings():
+    ex = np.exp
+    evaluate = _single_chain(ex, [ex] * 5)
+    a = integrate_chains(evaluate, [1.0], 1.0)
+    b = integrate_chains(evaluate, [1.0], 1.0)
+    assert a == b
+    # exp(sum t) is symmetric: beta! times the ordered integral is (e - 1)^6.
+    assert a[0].real * math.factorial(6) == pytest.approx((math.e - 1.0) ** 6,
+                                                         rel=1e-12)
+
+
+@pytest.mark.parametrize("profile", [
+    SpeedRatioProfile.constant(5.0, s_max=1.0),
+    SpeedRatioProfile.polynomial((0.0, 10.0), s_max=1.0)], ids=["const", "ramp"])
+@pytest.mark.parametrize("beta", [1, 2, 3, 4, 5])
+def test_chain_matches_tensor_rule_on_gap_kernels(profile, beta):
+    # Gap factors exp(i w (heading(t) - heading(u)) - (t - u)) (t - u) with
+    # weights 1, -2, 1, ..., and a tail (s - t_beta)^2.
+    s = 0.9
+    weights = [(1, -2)[b % 2] for b in range(beta)]
+
+    def gap(w, dtheta, dt):
+        return np.exp(1j * w * dtheta - dt) * dt
+
+    def tensor_integrand(ts):
+        out = (s - ts[-1]) ** 2
+        t_prev, th_prev = 0.0, profile.theta0
+        for w, t in zip(weights, ts):
+            th = mean_heading(profile, t)
+            out = out * gap(w, th - th_prev, t - t_prev)
+            t_prev, th_prev = t, th
         return out
 
-    value, err = integrate_ordered(f, 6, s, settings_)
-    # Sorting leaves the product invariant, so the exact value is the
-    # cube mean (s/2)^6 times the ordered-region volume.
-    exact = (0.5 ** 6) / 720.0
-    assert value.real == pytest.approx(exact, rel=3e-3)
-    assert err < 1e-2 * exact
+    def evaluate(rule):
+        th_t = mean_heading(profile, rule.t)
+        th_u = mean_heading(profile, rule.u)
+        first = gap(weights[0], th_t - profile.theta0, rule.t)
+        gaps = [gap(w, th_t[:, None] - th_u, rule.t[:, None] - rule.u)
+                for w in weights[1:]]
+        return np.array([rule.chain(first, gaps, (s - rule.u[-1]) ** 2)])
+
+    ref, ref_err = integrate_ordered(tensor_integrand, beta, s)
+    value, err = integrate_chains(evaluate, [1.0], s)
+    assert ref_err <= 1e-13 * abs(ref)
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+    assert abs(value - ref) <= err + ref_err
 
 
-def test_qmc_deterministic_for_fixed_settings():
-    settings_ = QuadratureSettings(max_dim_deterministic=3, qmc_samples=1024)
-
-    def f(ts):
-        return np.exp(sum(ts))
-
-    a = integrate_ordered(f, 4, 1.0, settings_)
-    b = integrate_ordered(f, 4, 1.0, settings_)
-    assert a == b
+def test_tensor_rule_refuses_high_dimensions():
+    with pytest.raises(ValueError):
+        integrate_ordered(lambda ts: 1.0, MAX_TENSOR_DIM + 1, 1.0)
 
 
 def test_non_finite_integrand_reports_point():
