@@ -10,10 +10,10 @@ Monte Carlo simulator that serves as the independent statistical oracle.
 
 from .constant_ratio import (ExpPolySum, complex_rate, d2_closed, d4_closed,
                              mean_pose_closed, variance_d2_closed)
-from .exceptions import (BrownianUnicycleError, ConfigError, EnvelopeRefusal,
-                         EnvelopeWarning, IntegrandEvaluationError,
-                         NumericalConsistencyError, ProfileDomainError,
-                         TermKeyError)
+from .exceptions import (AccuracyWarning, BrownianUnicycleError, ConfigError,
+                         EnvelopeRefusal, EnvelopeWarning,
+                         IntegrandEvaluationError, NumericalConsistencyError,
+                         ProfileDomainError, TermKeyError)
 from .fourth_moment import d4_moment, variance_d2
 from .general_moments import (MomentResult, MomentSpec, TermKey,
                               cartesian_moment, coefficient,
@@ -32,7 +32,7 @@ from .trajectory import (NoiseParams, SpeedRatioProfile, damped_cos2,
                          damped_sin2, deterministic_pose, mean_heading, ratio)
 
 __all__ = [
-    "BrownianUnicycleError", "ConfigError", "EnvelopeRefusal",
+    "AccuracyWarning", "BrownianUnicycleError", "ConfigError", "EnvelopeRefusal",
     "EnvelopeWarning", "ExpPolySum", "IntegrandEvaluationError",
     "MomentResult", "MomentSpec", "NoiseParams", "NumericalConsistencyError",
     "ProfileDomainError", "QuadratureSettings", "SimConfig",

@@ -38,3 +38,7 @@ class EnvelopeRefusal(BrownianUnicycleError):
 
 class EnvelopeWarning(UserWarning):
     """A moment request exceeds the guaranteed cost envelope."""
+
+
+class AccuracyWarning(UserWarning):
+    """A result's error estimate stayed above the requested ``rel_tol``."""

@@ -259,8 +259,10 @@ class _GapFactors:
         * _gap_polynomial(g, w, k_theta, t - u),
 
     the first gap starting at ``u = 0``. Headings are evaluated once per
-    rule, each distinct ``(w, g)`` factor once, and each distinct prefix
-    of ``(w, g)`` steps once, shared by all terms that start with it.
+    rule, each distinct inner ``(w, g)`` factor becomes one Volterra
+    operator of the rule, each tail power one tail row, and each distinct
+    prefix of ``(w, g)`` steps is evaluated once, shared by all terms that
+    start with it (a first-gap factor is the prefix of one step).
     """
 
     def __init__(self, rule, profile: SpeedRatioProfile, kt: float) -> None:
@@ -272,18 +274,29 @@ class _GapFactors:
         self._first_gaps = (th_t - profile.theta0, rule.t)
         self._inner_gaps = (th_t[:, None] - th_u, rule.t[:, None] - rule.u)
         self._tail_gap = rule.s - rule.u[-1]
-        self._factors: dict[tuple[int, int, bool], np.ndarray] = {}
+        self._operators: dict[tuple[int, int], np.ndarray] = {}
+        self._tails: dict[int, np.ndarray] = {}
         self._prefixes: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
 
-    def _factor(self, w: int, g: int, first: bool) -> np.ndarray:
-        key = (w, g, first)
-        out = self._factors.get(key)
+    def _factor(self, w: int, g: int, gaps) -> np.ndarray:
+        dtheta, dt = gaps
+        out = np.exp(1j * w * dtheta - (0.5 * w * w * self._kt) * dt)
+        if g:
+            out = out * _gap_polynomial(g, w, self._kt, dt)
+        return out
+
+    def _operator(self, w: int, g: int) -> np.ndarray:
+        out = self._operators.get((w, g))
         if out is None:
-            dtheta, dt = self._first_gaps if first else self._inner_gaps
-            out = np.exp(1j * w * dtheta - (0.5 * w * w * self._kt) * dt)
-            if g:
-                out = out * _gap_polynomial(g, w, self._kt, dt)
-            self._factors[key] = out
+            out = self.rule.operator(self._factor(w, g, self._inner_gaps))
+            self._operators[(w, g)] = out
+        return out
+
+    def _tail(self, power: int) -> np.ndarray:
+        out = self._tails.get(power)
+        if out is None:
+            out = self.rule.tail_vector(self._tail_gap ** power)
+            self._tails[power] = out
         return out
 
     def _prefix(self, steps: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -291,17 +304,16 @@ class _GapFactors:
         out = self._prefixes.get(steps)
         if out is None:
             if len(steps) == 1:
-                out = self._factor(*steps[0], True)
+                out = self._factor(*steps[0], self._first_gaps)
             else:
-                out = self.rule.level(self._prefix(steps[:-1]),
-                                      self._factor(*steps[-1], False))
+                out = self._operator(*steps[-1]) @ self._prefix(steps[:-1])
             self._prefixes[steps] = out
         return out
 
     def term(self, weights: tuple[int, ...], gamma: tuple[int, ...]) -> complex:
         """Nested integral of one term; ``gamma[-1]`` is the tail power."""
         f = self._prefix(tuple(zip(weights, gamma)))
-        return self.rule.close(f, self._tail_gap ** (gamma[-1] // 2))
+        return complex(self._tail(gamma[-1] // 2) @ f)
 
 
 def _check_envelope(p: int, q: int, r: int) -> None:
@@ -383,28 +395,36 @@ def cartesian_moment(i: int, j: int, k: int, profile: SpeedRatioProfile,
     """Compute ``<x^i y^j theta_tilde^k>`` by binomial expansion.
 
     ``x = (u + w)/2`` and ``y = (u - w)/(2i)`` turn the request into a
-    linear combination of displacement-heading moments. The assembled
-    result must be real; its imaginary residue is checked against
+    linear combination of displacement-heading moments
+    ``<u^p w^(i+j-p) theta_tilde^k>``, one per ``p``; since ``w`` is the
+    conjugate of ``u``, those with ``p < i+j-p`` are the conjugates of
+    their mirror images and are not computed again. The assembled result
+    must be real; its imaginary residue is checked against
     ``1e-8 * |value|`` (plus a roundoff floor tied to the term magnitudes
     and the quadrature error estimate) and then discarded.
     """
     if min(i, j, k) < 0:
         raise ValueError("moment orders must be non-negative")
     _check_envelope(i, j, k)
+    power = i + j
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EnvelopeWarning)
+        moments = {p: displacement_heading_moment(p, power - p, k, profile,
+                                                  params, s, settings)
+                   for p in range((power + 1) // 2, power + 1)}
     pref = 0.5 ** (i + j) * (-1j) ** j
     total = 0.0 + 0.0j
     err = 0.0
     magnitude = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EnvelopeWarning)
-        for a in range(i + 1):
-            for b in range(j + 1):
-                coef = pref * comb(i, a) * comb(j, b) * (-1) ** (j - b)
-                res = displacement_heading_moment(
-                    a + b, i + j - a - b, k, profile, params, s, settings)
-                total += coef * res.value
-                err += abs(coef) * res.err_estimate
-                magnitude += abs(coef) * abs(res.value)
+    for a in range(i + 1):
+        for b in range(j + 1):
+            coef = pref * comb(i, a) * comb(j, b) * (-1) ** (j - b)
+            p = a + b
+            res = moments[max(p, power - p)]
+            value = res.value if 2 * p >= power else res.value.conjugate()
+            total += coef * value
+            err += abs(coef) * res.err_estimate
+            magnitude += abs(coef) * abs(value)
     tol = 1e-8 * abs(total) + 1e-13 * magnitude + err
     if abs(total.imag) > tol:
         raise NumericalConsistencyError(

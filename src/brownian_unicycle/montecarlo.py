@@ -99,7 +99,10 @@ def _chunk_states(config: SimConfig, grid: np.ndarray, lo: int, hi: int):
     draws = np.empty((hi - lo, n, 2))
     for c in range(hi - lo):
         _trial_generator(config.master_seed, lo + c).standard_normal(out=draws[c])
-    theta = grid + np.cumsum(draws[:, :, 0] * scale_theta, axis=1)
+    # In place: one (trials, steps) array instead of three temporaries.
+    theta = np.multiply(draws[:, :, 0], scale_theta)
+    np.cumsum(theta, axis=1, out=theta)
+    theta += grid
     lengths = ds + draws[:, :, 1] * scale_shift
     x = (lengths * np.cos(theta)).sum(axis=1)
     y = (lengths * np.sin(theta)).sum(axis=1)

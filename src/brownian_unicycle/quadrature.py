@@ -27,12 +27,19 @@ values on Chebyshev-Lobatto nodes of ``[0, s]``; the integral for node
 ``t_j`` uses a Gauss-Legendre rule on ``[0, t_j]`` whose points read
 ``F_{b-1}`` through barycentric interpolation (Berrut & Trefethen, SIAM
 Rev. 46, 2004), as in Chebfun's ``volt`` (Driscoll, Bornemann &
-Trefethen, BIT 48, 2008). The interpolation matrix, with the Gauss
-weights folded in, is built once per node count, so one level costs one
-real matrix-vector product and the whole chain ``O(beta * n**3)`` flops
-instead of ``G**beta`` integrand points. Convergence is spectral for the
-smooth headings of constant and polynomial profiles and algebraic for
-table profiles, whose heading is only continuously differentiable.
+Trefethen, BIT 48, 2008). The interpolation array ``W[j, m, k]``, with
+the Gauss weights folded in, is built once per node count. A gap factor
+becomes the discrete Volterra operator ``M_K[j, k] = s * sum_m K(u_jm,
+t_j) W[j, m, k]``, one batched product of ``n**3`` flops built once per
+distinct factor and rule (``n**2`` for a factor of the later point
+alone, through the cached integration matrix ``sum_m W[j, m, k]``).
+After that every level is ``M_K @ F`` and every close a dot product with
+a tail row, ``n**2`` flops each: a moment with ``D`` distinct gap
+factors and ``L`` distinct chain prefixes costs ``O(D n**3 + L n**2)``
+instead of ``G**beta`` integrand points per term. Convergence is
+spectral for the smooth headings of constant and polynomial profiles and
+algebraic for table profiles, whose heading is only continuously
+differentiable.
 
 All reductions run in a fixed order; results are bit-stable for a given
 settings object.
@@ -40,12 +47,13 @@ settings object.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import IntegrandEvaluationError
+from .exceptions import AccuracyWarning, IntegrandEvaluationError
 
 #: Largest dimension the tensor rule accepts; higher-dimensional integrals
 #: of this package are products of gap factors and go through the chain.
@@ -187,36 +195,46 @@ class ChainRule:
     and ``u`` the ``n`` Gauss points of each node's interval: row ``j``
     lies in ``[0, t[j]]``, so ``u[-1]`` is the Gauss rule of ``[0, s]``.
     Callers sample their factors at these points and pass the samples to
-    :meth:`chain`, or to :meth:`level` and :meth:`close` to share the
-    levels of a common prefix between chains. Construct through
-    :func:`chain_rule`, which caches the ``s``-independent matrix.
+    :meth:`chain`, or turn them into :meth:`operator` matrices and
+    :meth:`tail_vector` rows to share operators and the levels of a
+    common prefix between chains. Construct through :func:`chain_rule`,
+    which caches the ``s``-independent arrays.
     """
 
-    def __init__(self, s: float, x, u, weighted) -> None:
+    def __init__(self, s: float, x, u, weighted, integration) -> None:
         self.s = s
         self.t = s * x
         self.u = s * u
         self._weighted = weighted
+        self._integration = integration
 
-    def _weighted_values(self, f, rows):
-        """``W_jm * F(u_jm)`` on ``rows`` of the (n*n, n) matrix, from the
-        node values ``f`` of ``F``."""
-        n = self.t.size
-        # Real matrix times the (re, im) pairs of f: no complex copy of it.
-        pairs = np.ascontiguousarray(f, dtype=complex).view(np.float64).reshape(n, 2)
-        return (rows @ pairs).view(np.complex128).reshape(-1, n)
+    def operator(self, kernel) -> np.ndarray:
+        """Matrix of ``F -> int_0^t K(u, t) F(u) du`` on the node values.
 
-    def level(self, f, kernel):
-        """Node values of ``int_0^t K(u, t) F(u) du`` from those of ``F``.
-
-        ``kernel`` holds ``K(u_jm, t_j)``, broadcastable to ``(n, n)``.
+        ``kernel`` holds ``K(u_jm, t_j)`` with shape ``(n, n)``, or
+        ``(n, 1)`` for a factor of the later point alone. Entry ``[j, k]``
+        is ``s * sum_m K(u_jm, t_j) W[j, m, k]``: one batched product with
+        the weighted interpolation array, real against the (re, im) pairs
+        of the kernel, and ``kernel * (s * sum_m W[j, m, k])`` for a
+        factor of ``t`` alone.
         """
-        return self.s * (kernel * self._weighted_values(f, self._weighted)).sum(axis=1)
+        n = self.t.size
+        kernel = np.asarray(kernel)
+        if kernel.shape[-1:] != (n,):  # (n, 1): constant along each row
+            return (self.s * kernel) * self._integration
+        pairs = np.ascontiguousarray(kernel, dtype=complex).view(np.float64)
+        pairs = pairs.reshape(n, n, 2)
+        out = (self._weighted.transpose(0, 2, 1) @ pairs).view(np.complex128)
+        out = out.reshape(n, n)
+        out *= self.s
+        return out
 
-    def close(self, f, tail) -> complex:
-        """``int_0^s F(u) tail(s - u) du``; ``tail`` holds ``tail(s - u[-1, m])``."""
-        last = self._weighted_values(f, self._weighted[-self.t.size:])[0]
-        return self.s * complex((tail * last).sum())
+    def tail_vector(self, tail) -> np.ndarray:
+        """Row ``v`` with ``v @ f = int_0^s F(u) tail(s - u) du`` for node
+        values ``f`` of ``F``; ``tail`` holds ``tail(s - u[-1, m])``, or is
+        a scalar."""
+        n = self.t.size
+        return self.s * (np.broadcast_to(tail, (n,)) @ self._weighted[-1])
 
     def chain(self, first, gaps, tail) -> complex:
         """Nested integral of one product of gap factors.
@@ -225,21 +243,27 @@ class ChainRule:
         ----------
         first : array, shape ``(n,)``
             ``K_1(0, t_j)``.
-        gaps : sequence of arrays, each broadcastable to ``(n, n)``
-            ``K_b(u_jm, t_j)`` for ``b = 2..beta``; a factor of the later
-            point alone may be passed with shape ``(n, 1)``.
+        gaps : sequence of arrays, each of shape ``(n, n)`` or ``(n, 1)``
+            ``K_b(u_jm, t_j)`` for ``b = 2..beta``, as for :meth:`operator`.
         tail : array, shape ``(n,)``, or scalar
             ``tail(s - u[-1, m])``.
         """
         f = first
         for kernel in gaps:
-            f = self.level(f, kernel)
-        return self.close(f, tail)
+            f = self.operator(kernel) @ f
+        return complex(self.tail_vector(tail) @ f)
 
 
 @lru_cache(maxsize=8)
 def _unit_chain(n: int):
-    """Nodes, Gauss points and weighted interpolation matrix on ``[0, 1]``."""
+    """Nodes, Gauss points, weighted interpolation array and integration
+    matrix on ``[0, 1]``.
+
+    ``weighted[j, m, k]`` is the Gauss weight of point ``u[j, m]`` on
+    ``[0, x[j]]`` times the barycentric weight of node ``k`` at that
+    point, so ``weighted[j] @ f`` is the rule's sample of ``F`` at each
+    point; ``integration[j] @ f`` integrates ``F`` over ``[0, x[j]]``.
+    """
     k = np.arange(n)
     x = 0.5 * (1.0 - np.cos(np.pi * k / (n - 1)))
     bary = (-1.0) ** k
@@ -256,9 +280,11 @@ def _unit_chain(n: int):
     weighted[hit] = exact[hit]
     weighted /= weighted.sum(axis=1, keepdims=True)
     weighted *= (x[:, None] * gw[None, :]).reshape(-1, 1)
-    for arr in (x, u, weighted):
+    weighted = weighted.reshape(n, n, n)
+    integration = weighted.sum(axis=1)
+    for arr in (x, u, weighted, integration):
         arr.setflags(write=False)
-    return x, u, weighted
+    return x, u, weighted, integration
 
 
 def chain_rule(n: int, s: float) -> ChainRule:
@@ -276,7 +302,9 @@ def integrate_chains(evaluate, scales, s: float,
     ``s == 0``. The sum runs on the coarse/fine pair ``CHAIN_BASE_PAIR``;
     while the two sums differ by more than ``settings.rel_tol`` relative
     to the fine one, and by more than the roundoff floor, both node
-    counts double, up to ``CHAIN_MAX_NODES``.
+    counts double, up to ``CHAIN_MAX_NODES``. Stopping there with the
+    difference still above both issues an :class:`AccuracyWarning`; the
+    value is returned all the same.
 
     Returns
     -------
@@ -311,8 +339,14 @@ def integrate_chains(evaluate, scales, s: float,
             # Against the last fine rule, half the nodes: under algebraic
             # convergence the 3/4-node pair alone understates the error.
             diff = max(diff, abs(fine - previous))
-        if (diff <= max(settings.rel_tol * abs(fine), floor)
-                or fine_n >= CHAIN_MAX_NODES):
+        if diff <= max(settings.rel_tol * abs(fine), floor):
+            return fine, diff + floor
+        if fine_n >= CHAIN_MAX_NODES:
+            warnings.warn(
+                f"chain refinement stopped at {fine_n} nodes with the error "
+                f"estimate {diff + floor:.3e} above rel_tol = "
+                f"{settings.rel_tol:.1e} times the chain sum {abs(fine):.3e}",
+                AccuracyWarning, stacklevel=3)
             return fine, diff + floor
         previous = fine
         coarse_n, fine_n = 2 * coarse_n, 2 * fine_n

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brownian_unicycle import (EnvelopeWarning, NoiseParams,
+from brownian_unicycle import (AccuracyWarning, EnvelopeWarning, NoiseParams,
                                QuadratureSettings, SpeedRatioProfile, TermKey,
                                TermKeyError, cartesian_moment, coefficient,
                                count_phase_step_vectors, cov_xtheta,
@@ -19,7 +19,7 @@ from brownian_unicycle import (EnvelopeWarning, NoiseParams,
                                integrate_ordered, mean_heading,
                                phase_step_vectors, second_moments, term_keys,
                                theta_power_compositions)
-from brownian_unicycle import quadrature
+from brownian_unicycle import general_moments, quadrature
 from brownian_unicycle.constant_ratio import _kernel_chain
 from brownian_unicycle.general_moments import _GapFactors, _phase_weights
 from brownian_unicycle.quadrature import integrate_chains
@@ -244,6 +244,30 @@ def test_cartesian_distance_identity():
     assert total == pytest.approx(d2, rel=1e-9)
 
 
+@pytest.mark.parametrize("i,j,k", [(2, 2, 0), (1, 2, 1)])
+def test_cartesian_mirrors_conjugate_moments(monkeypatch, i, j, k):
+    # Reference: the binomial loop with one moment per (a, b).
+    params = NoiseParams(0.3, 0.4)
+    pref = 0.5 ** (i + j) * (-1j) ** j
+    loop = sum(pref * math.comb(i, a) * math.comb(j, b) * (-1) ** (j - b)
+               * displacement_heading_moment(a + b, i + j - a - b, k, RAMP,
+                                             params, 1.0).value
+               for a in range(i + 1) for b in range(j + 1))
+    calls = []
+    moment = general_moments.displacement_heading_moment
+
+    def counting(p, q, r, *args):
+        calls.append((p, q, r))
+        return moment(p, q, r, *args)
+
+    monkeypatch.setattr(general_moments, "displacement_heading_moment", counting)
+    value = cartesian_moment(i, j, k, RAMP, params, 1.0)
+    assert abs(value - loop.real) <= 1e-13 * abs(loop)
+    power = i + j
+    assert sorted(calls) == [(p, power - p, k)
+                             for p in range((power + 1) // 2, power + 1)]
+
+
 def test_envelope_warning():
     params = NoiseParams(0.0, 0.1)
     tiny = SpeedRatioProfile.constant(1.0, s_max=0.01)
@@ -416,10 +440,36 @@ def test_error_estimate_bounds_true_error_on_table_profile():
     table = SpeedRatioProfile.table(
         [(i / 20, 5.0 + 3.0 * math.sin(2.0 * math.pi * i / 20)) for i in range(21)])
     for k, s in ((0.5, 1.0), (0.01, 0.83)):
-        res = displacement_moment(1, 1, table, NoiseParams(k, k), s)
+        with pytest.warns(AccuracyWarning):
+            res = displacement_moment(1, 1, table, NoiseParams(k, k), s)
         ref = _table_d2_reference(table, k, s)
         assert abs(res.value - ref) <= res.err_estimate
         assert res.err_estimate <= 1e-6 * ref
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP], ids=["const", "ramp"])
+def test_smooth_profiles_meet_rel_tol_without_warning(profile):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        res = displacement_moment(2, 2, profile, NoiseParams(1.0, 1.0), 1.0)
+    assert res.err_estimate <= 1e-9 * abs(res.value)
+
+
+def test_one_operator_per_gap_factor_and_rule(monkeypatch):
+    builds = {}
+    operator = quadrature.ChainRule.operator
+
+    def spy(rule, kernel):
+        builds[rule.t.size] = builds.get(rule.t.size, 0) + 1
+        return operator(rule, kernel)
+
+    monkeypatch.setattr(quadrature.ChainRule, "operator", spy)
+    displacement_moment(4, 4, RAMP, NoiseParams(1.0, 1.0), 1.0)
+    # Every gap after the first is an operator; with r = 0 its (w, g) is (w, 0).
+    inner = {w for key in term_keys(4, 4) for c in phase_step_vectors(key)
+             for w in _phase_weights(4, 4, c)[1:]}
+    assert sorted(builds) == [48, 64]
+    assert max(builds.values()) <= len(inner)
 
 
 def test_repeated_calls_bit_identical():

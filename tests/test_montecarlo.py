@@ -7,7 +7,7 @@ import pytest
 
 from brownian_unicycle import (NoiseParams, SimConfig, SpeedRatioProfile,
                                collect_samples, d2_closed, deterministic_pose,
-                               run_experiment, simulate_trial,
+                               montecarlo, run_experiment, simulate_trial,
                                statistics_from_samples)
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
@@ -23,6 +23,22 @@ def test_trial_is_deterministic():
     a = simulate_trial(cfg, 7)
     b = simulate_trial(cfg, 7)
     assert a == b
+
+
+def test_batch_matches_out_of_place_heading_formula():
+    # Reference: the heading as grid + cumsum of freshly scaled draws.
+    cfg = _config(trials=5, steps=50)
+    n = cfg.steps
+    ds = cfg.s_final / n
+    draws = np.stack([montecarlo._trial_generator(cfg.master_seed, t)
+                      .standard_normal((n, 2)) for t in range(cfg.trials)])
+    theta = montecarlo._heading_grid(cfg) + np.cumsum(
+        draws[:, :, 0] * math.sqrt(cfg.params.k_theta * ds), axis=1)
+    lengths = ds + draws[:, :, 1] * math.sqrt(cfg.params.k_r * ds)
+    samples = collect_samples(cfg)
+    assert np.array_equal(samples["theta"], theta[:, -1])
+    assert np.array_equal(samples["x"], (lengths * np.cos(theta)).sum(axis=1))
+    assert np.array_equal(samples["y"], (lengths * np.sin(theta)).sum(axis=1))
 
 
 def test_trials_are_independent_of_execution_order():

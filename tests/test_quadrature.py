@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from brownian_unicycle import (IntegrandEvaluationError, QuadratureSettings,
                                SpeedRatioProfile, integrate_ordered,
                                mean_heading)
-from brownian_unicycle.quadrature import MAX_TENSOR_DIM, integrate_chains
+from brownian_unicycle.quadrature import (MAX_TENSOR_DIM, chain_rule,
+                                          integrate_chains)
 
 
 def ordered_monomial_integral(powers, s) -> Fraction:
@@ -201,6 +202,24 @@ def test_chain_matches_tensor_rule_on_gap_kernels(profile, beta):
     assert ref_err <= 1e-13 * abs(ref)
     assert abs(value - ref) <= 1e-12 * abs(ref)
     assert abs(value - ref) <= err + ref_err
+
+
+@pytest.mark.parametrize("n", [48, 128])
+@pytest.mark.parametrize("columns", [None, 1], ids=["gap", "later_point"])
+def test_operator_matches_weighted_interpolation(n, columns):
+    # Reference: one level as a product with the (n*n, n) weighted
+    # interpolation matrix, then the kernel-weighted row sums.
+    rng = np.random.default_rng(n)
+    rule = chain_rule(n, 0.7)
+    shape = (n, columns or n)
+    kernel = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tail = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sampled = (rule._weighted.reshape(n * n, n) @ f).reshape(n, n)
+    level = rule.s * (kernel * sampled).sum(1)
+    close = rule.s * (tail * sampled[-1]).sum()
+    assert np.abs(rule.operator(kernel) @ f - level).max() <= 1e-13 * np.abs(level).max()
+    assert abs(rule.tail_vector(tail) @ f - close) <= 1e-13 * abs(close)
 
 
 def test_tensor_rule_refuses_high_dimensions():
