@@ -223,18 +223,3 @@ def variance_d2_closed(mu0: float, params: NoiseParams, s: float) -> float:
     d2 = d2_closed(mu0, params, s)
     return d4_closed(mu0, params, s) - d2 * d2
 
-
-def closed_form_rate_family(mu0: float, k_theta: float) -> set[complex]:
-    """The complex rates the fourth-moment construction may produce.
-
-    Zero plus ``z``, ``-3 k_theta/2 + i mu0`` and ``-2 k_theta + 2 i mu0``
-    with negations and conjugations. Any rate outside this family found
-    during construction would indicate a new analytic ingredient.
-    """
-    base = (complex_rate(mu0, k_theta),
-            complex(-1.5 * k_theta, mu0),
-            complex(-2.0 * k_theta, 2.0 * mu0))
-    family = {0j}
-    for z in base:
-        family |= {z, -z, z.conjugate(), -z.conjugate()}
-    return family

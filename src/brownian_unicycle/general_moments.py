@@ -21,17 +21,25 @@ running phase weight changes across the ordered sample points. The
 ``beta + 1`` inter-sample gaps; the last part must be even because an odd
 residual Gaussian power averages to zero.
 
-Coefficients are evaluated in exact integer arithmetic and converted to
-float once per term; term results accumulate in a fixed lexicographic
-order over (n, l, m, c, gamma) so runs are bit-reproducible.
+The terms are regrouped, not evaluated one by one: a key's vectors are
+all orderings of one multiset of steps, and each gap factor depends only
+on the running weight, that is on the multiset of steps taken before it.
+So the nested integrals of all terms are summed as a walk over used
+steps (:class:`_Walk`), whose states every key shares. Coefficients are
+evaluated in exact integer arithmetic and converted to float once per
+key; the walk visits its states in a fixed order (level, weight, step
+counts), adds predecessors in step order and closes keys in the order of
+``term_keys``, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import Iterator
 
 import numpy as np
@@ -44,6 +52,12 @@ from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 #: Guaranteed cost envelope; larger requests work but warn.
 MAX_TOTAL_POWER = 8
 MAX_HEADING_POWER = 4
+
+#: Roundoff of a moment beyond the chain rule's floor, per unit of the bound
+#: ``_Walk.moduli`` on the integral of its integrand's modulus: sixteen
+#: times the largest share (0.004 eps) seen on 640 random constant-ratio
+#: moments against 50-digit values.
+MODULUS_ROUNDOFF = float(np.finfo(float).eps) / 16
 
 
 @dataclass(frozen=True)
@@ -221,18 +235,6 @@ def theta_power_compositions(r: int, beta: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _phase_weights(p: int, q: int, c: tuple[int, ...]) -> tuple[int, ...]:
-    """Running phase weights w_b = p - q + (partial sum of c), b < beta."""
-    if not c:
-        return ()
-    w = p - q
-    out = [w]
-    for step in c[:-1]:
-        w += step
-        out.append(w)
-    return tuple(out)
-
-
 def _gap_polynomial(g: int, w: int, kt: float, dt):
     """Gaussian-moment factor of one gap carrying fluctuation power g.
 
@@ -249,6 +251,40 @@ def _gap_polynomial(g: int, w: int, kt: float, dt):
     return acc
 
 
+class _Gaps:
+    """Factors of one family of gaps, from one complex exponential.
+
+    The rotation ``exp(i dtheta)`` is evaluated once; the phase of weight
+    ``w`` is its ``|w|``-th power by repeated squaring (conjugated for
+    ``w < 0``; a complex ``**`` costs about ten products), and the decay
+    ``exp(-w^2 k_theta dt / 2)`` is a real exponential.
+    """
+
+    def __init__(self, dtheta, dt, kt: float) -> None:
+        self._rotation = np.exp(1j * dtheta)
+        self._dt = dt
+        self._kt = kt
+
+    def factors(self, w: int, powers: int) -> list[np.ndarray]:
+        """``exp(i w dtheta - w^2 k_theta dt / 2)
+        * _gap_polynomial(g, w, k_theta, dt) / g!`` for ``g < powers``."""
+        phase, square, k = None, self._rotation, abs(w)
+        while k:
+            if k & 1:
+                phase = square if phase is None else phase * square
+            k >>= 1
+            if k:
+                square = square * square
+        if phase is None:
+            phase = np.ones(self._dt.shape)
+        elif w < 0:
+            phase = phase.conj()
+        if w and self._kt:
+            phase = phase * np.exp((-0.5 * w * w * self._kt) * self._dt)
+        return [phase * (_gap_polynomial(g, w, self._kt, self._dt) / factorial(g))
+                if g else phase for g in range(powers)]
+
+
 class _GapFactors:
     """The gap factors of one moment, sampled on one chain rule.
 
@@ -256,64 +292,182 @@ class _GapFactors:
     power ``g`` contributes
 
         exp(i w (heading(t) - heading(u)) - w^2 k_theta (t - u) / 2)
-        * _gap_polynomial(g, w, k_theta, t - u),
+        * _gap_polynomial(g, w, k_theta, t - u) / g!,
 
-    the first gap starting at ``u = 0``. Headings are evaluated once per
-    rule, each distinct inner ``(w, g)`` factor becomes one Volterra
-    operator of the rule, each tail power one tail row, and each distinct
-    prefix of ``(w, g)`` steps is evaluated once, shared by all terms that
-    start with it (a first-gap factor is the prefix of one step).
+    the first gap starting at ``u = 0``; ``g`` runs up to the moment's
+    heading power ``r``. Headings are evaluated once per rule. The inner
+    factors of one weight become Volterra operators of the rule on the
+    weight's first use, each tail power one tail row.
     """
 
-    def __init__(self, rule, profile: SpeedRatioProfile, kt: float) -> None:
+    def __init__(self, rule, profile: SpeedRatioProfile, kt: float,
+                 r: int) -> None:
         self.rule = rule
-        self._kt = kt
+        self._powers = r + 1
         th_t = mean_heading(profile, rule.t)
         th_u = mean_heading(profile, rule.u)
-        # (heading change, length) of the gaps 0 -> t_j and u_jm -> t_j.
-        self._first_gaps = (th_t - profile.theta0, rule.t)
-        self._inner_gaps = (th_t[:, None] - th_u, rule.t[:, None] - rule.u)
+        self._first = _Gaps(th_t - profile.theta0, rule.t, kt)
+        self._inner = _Gaps(th_t[:, None] - th_u, rule.t[:, None] - rule.u, kt)
         self._tail_gap = rule.s - rule.u[-1]
-        self._operators: dict[tuple[int, int], np.ndarray] = {}
+        self._operators: dict[int, list[np.ndarray]] = {}
         self._tails: dict[int, np.ndarray] = {}
-        self._prefixes: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
 
-    def _factor(self, w: int, g: int, gaps) -> np.ndarray:
-        dtheta, dt = gaps
-        out = np.exp(1j * w * dtheta - (0.5 * w * w * self._kt) * dt)
-        if g:
-            out = out * _gap_polynomial(g, w, self._kt, dt)
-        return out
+    def first(self, w: int) -> list[np.ndarray]:
+        """Node values of the first gap's factors, ``0 -> t_j``, by ``g``."""
+        return self._first.factors(w, self._powers)
 
-    def _operator(self, w: int, g: int) -> np.ndarray:
-        out = self._operators.get((w, g))
+    def operators(self, w: int) -> list[np.ndarray]:
+        """The Volterra operators of the inner factors of weight ``w``, by
+        ``g``."""
+        out = self._operators.get(w)
         if out is None:
-            out = self.rule.operator(self._factor(w, g, self._inner_gaps))
-            self._operators[(w, g)] = out
+            mirror = self._operators.get(-w)
+            if mirror is not None:
+                # The factors of -w are the conjugates of those of w.
+                out = [op.conj() for op in mirror]
+            else:
+                out = list(self.rule.operator(
+                    np.stack(self._inner.factors(w, self._powers))))
+            self._operators[w] = out
         return out
 
-    def _tail(self, power: int) -> np.ndarray:
+    def tail(self, power: int) -> np.ndarray:
         out = self._tails.get(power)
         if out is None:
             out = self.rule.tail_vector(self._tail_gap ** power)
             self._tails[power] = out
         return out
 
-    def _prefix(self, steps: tuple[tuple[int, int], ...]) -> np.ndarray:
-        """Node values of ``F_b`` for the first ``b = len(steps)`` gaps."""
-        out = self._prefixes.get(steps)
-        if out is None:
-            if len(steps) == 1:
-                out = self._factor(*steps[0], self._first_gaps)
-            else:
-                out = self._operator(*steps[-1]) @ self._prefix(steps[:-1])
-            self._prefixes[steps] = out
-        return out
 
-    def term(self, weights: tuple[int, ...], gamma: tuple[int, ...]) -> complex:
-        """Nested integral of one term; ``gamma[-1]`` is the tail power."""
-        f = self._prefix(tuple(zip(weights, gamma)))
-        return complex(self._tail(gamma[-1] // 2) @ f)
+def _step_counts(key: TermKey) -> tuple[int, int, int, int]:
+    return (key.count_minus2, key.count_minus1, key.count_plus1,
+            key.count_plus2)
+
+
+def _without(u: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return u[:i] + (u[i] - 1,) + u[i + 1:]
+
+
+class _Walk:
+    """All chains of one moment, summed as a walk over used phase steps.
+
+    A state ``u`` counts the phase steps already taken; every chain whose
+    first ``|u|`` steps are some ordering of them has the running weight
+    ``w(u) = p - q + sum(u)`` on its next gap. With ``h`` the heading power
+    spent so far, the node values
+
+        F[0, h] = first(p - q, h),
+        F[u, h] = sum_g M[w(u), g] @ sum_{v in u} F[u - v, h - g]
+
+    (``1/g!`` folded into each factor) sum all those chain prefixes at
+    once. A close ``(u, h)`` is ``tail(r - h) @ F[u, h]``: for a key with
+    step counts ``c`` and ``u = c - v``, the sum of its chains whose last
+    step is ``v``, with tail power ``r - h`` (the last step sets no gap).
+
+    Only states below some close are visited. They run level by level
+    (``|u|``), then by weight, then by counts; the states of one level
+    sharing a weight go through each of their operators as one matrix
+    product, and every sum over predecessors adds them in step order
+    ``-2, -1, 1, 2``. Results are therefore bit-reproducible.
+    """
+
+    def __init__(self, w0: int, r: int,
+                 closes: list[tuple[tuple[int, ...], int]]) -> None:
+        self._w0 = w0
+        self._r = r
+        states = set()
+        todo = [u for u, _ in closes]
+        while todo:
+            u = todo.pop()
+            if u not in states:
+                states.add(u)
+                todo += [_without(u, i) for i in range(4) if u[i]]
+        # (level, weight, counts) of every state, in walk order.
+        order = sorted((sum(u), w0 + 2 * (u[3] - u[0]) + u[2] - u[1], u)
+                       for u in states)
+        index = {u: i for i, (*_, u) in enumerate(order)}
+        size = len(order)
+        self._size = size
+
+        def preds(u):
+            # Padded to four with the index of an all-zero state.
+            out = [index[_without(u, i)] for i in range(4) if u[i]]
+            return out + [size] * (4 - len(out))
+
+        # Runs of states with one (level, weight) after the empty one.
+        self._groups = []
+        lo = 1
+        for (_, w), run in itertools.groupby(order[1:], key=lambda x: x[:2]):
+            run = [u for *_, u in run]
+            self._groups.append((w, lo, lo + len(run),
+                                 np.array([preds(u) for u in run])))
+            lo += len(run)
+        self._close_h = np.array([h for _, h in closes], dtype=int)
+        self._close_u = np.array([index[u] for u, _ in closes], dtype=int)
+        self._close_beta = np.array([sum(u) + 1 for u, _ in closes], dtype=int)
+        tails = [(r - h) // 2 for _, h in closes]
+        self._tail_groups = [(power, np.flatnonzero(np.equal(tails, power)))
+                             for power in sorted(set(tails))]
+
+    def moduli(self, kt: float, s: float) -> np.ndarray:
+        """Bounds of the integrals of the closes' integrand moduli.
+
+        A factor's modulus is at most its decay times its Gaussian-moment
+        polynomial with absolute coefficients. Two bounds of the nested
+        integral of such a product over the gaps ``x_b >= 0``, ``sum x_b
+        <= s``, are walked like the closes, and the smaller one is kept:
+        each factor at its largest (``x_b = s``, no decay) times the volume
+        ``s**beta / beta!``, and the product of each factor's integral
+        over ``[0, s]``. The tail adds at most ``s**((r - h) / 2)``.
+        """
+        r = self._r
+
+        @functools.lru_cache(maxsize=None)
+        def gap_bounds(w):
+            # [top, area] of each power g, as columns, for weight +-w.
+            decay = 0.5 * w * w * kt
+            out = np.zeros((2, r + 1))
+            for g in range(r + 1):
+                for a in range(g // 2 + 1):
+                    coef = (factorial(g) // (factorial(a) * factorial(g - 2 * a) * 2 ** a)
+                            * (w * kt ** 0.5) ** (g - 2 * a) / factorial(g))
+                    e = g - a
+                    out[0, g] += coef * s ** e
+                    # int_0^s x^e exp(-decay x) dx
+                    out[1, g] += coef * min(s ** (e + 1) / (e + 1),
+                                            factorial(e) / decay ** (e + 1)
+                                            if decay else inf)
+            return out
+
+        f = np.zeros((2, r + 1, self._size + 1))
+        f[:, :, 0] = gap_bounds(abs(self._w0))
+        for w, lo, hi, preds in self._groups:
+            prev = f[:, :, preds].sum(axis=3)
+            for g, bound in enumerate(gap_bounds(abs(w)).T):
+                f[:, g:, lo:hi] += bound[:, None, None] * prev[:, :r + 1 - g]
+        top, area = f[:, self._close_h, self._close_u]
+        beta = self._close_beta
+        volume = s ** beta / np.array([factorial(b) for b in beta])
+        return s ** ((r - self._close_h) // 2) * np.minimum(top * volume, area)
+
+    def evaluate(self, factors: _GapFactors) -> np.ndarray:
+        """The value of every close on the rule of ``factors``."""
+        r = self._r
+        n = factors.rule.t.size
+        f = np.zeros((r + 1, self._size + 1, n), dtype=complex)
+        f[:, 0] = factors.first(self._w0)
+        for w, lo, hi, preds in self._groups:
+            prev = f[:, preds].sum(axis=2)
+            out = f[:, lo:hi]
+            for g, op in enumerate(factors.operators(w)):
+                # Heading power h - g before the gap, h after it.
+                part = prev[:r + 1 - g].reshape(-1, n) @ op.T
+                out[g:] += part.reshape(r + 1 - g, hi - lo, n)
+        ends = f[self._close_h, self._close_u]
+        values = np.empty(len(ends), dtype=complex)
+        for power, rows in self._tail_groups:
+            values[rows] = ends[rows] @ factors.tail(power)
+        return values
 
 
 def _check_envelope(p: int, q: int, r: int) -> None:
@@ -321,7 +475,7 @@ def _check_envelope(p: int, q: int, r: int) -> None:
         warnings.warn(
             f"moment ({p}, {q}, {r}) is outside the guaranteed envelope "
             f"(p+q <= {MAX_TOTAL_POWER}, r <= {MAX_HEADING_POWER}); "
-            "enumeration cost grows combinatorially",
+            "its cost and error estimate are untested there",
             EnvelopeWarning, stacklevel=3)
 
 
@@ -330,54 +484,65 @@ def displacement_heading_moment(p: int, q: int, r: int,
                                 params: NoiseParams, s: float,
                                 settings: QuadratureSettings = DEFAULT_SETTINGS
                                 ) -> MomentResult:
-    """Compute ``<u^p w^q theta_tilde^r>`` by exact term enumeration.
+    """Compute ``<u^p w^q theta_tilde^r>`` from the term expansion.
 
-    Every term is one nested ordered integral (dimension ``beta``) scaled
-    by an exact integer coefficient; dimension-0 terms use the
-    empty-integral-equals-1 convention with the trailing gap factor
-    ``s**(gamma_last/2)`` applied analytically. The integrals are chains
-    of gap factors, summed on the chain rule of :mod:`quadrature`; the
-    error estimate is that of the summed chains (coarse/fine difference
-    plus roundoff floor).
+    The terms of one key share its exact integer coefficient; those of
+    dimension ``beta >= 1`` are nested integrals of gap-factor chains,
+    summed by the lattice walk of :class:`_Walk` on the chain rule of
+    :mod:`quadrature` with one close per key, last step and heading power
+    before the tail. Dimension-0 terms use the empty-integral-equals-1
+    convention with the trailing gap factor ``s**(r/2)`` applied
+    analytically. The error estimate is that of the summed closes
+    (coarse/fine difference plus roundoff floor) plus ``MODULUS_ROUNDOFF``
+    times the bound :meth:`_Walk.moduli`; ``terms_evaluated`` counts the
+    enumerated terms, vectors times compositions summed over the keys.
     """
-    spec = MomentSpec(p, q, r)
+    MomentSpec(p, q, r)
     _check_envelope(p, q, r)
     kr, kt = params.k_r, params.k_theta
     phase0 = cmath.exp(1j * (p - q) * profile.theta0)
     r_fact = factorial(r)
 
     total = 0.0 + 0.0j
-    scales, chains = [], []
+    closes, scales = [], []
     n_terms = 0
+    compositions: dict[int, int] = {}
     for key in term_keys(p, q):
         beta = key.dimension
-        gammas = theta_power_compositions(r, beta)
-        if not gammas:
+        if beta not in compositions:
+            compositions[beta] = len(theta_power_compositions(r, beta))
+        n_terms += count_phase_step_vectors(key) * compositions[beta]
+        if not compositions[beta]:
             continue
         base = (kr ** key.n) * coefficient(key) * (s ** key.m) * phase0
-        for c in phase_step_vectors(key):
-            weights = _phase_weights(p, q, c)
-            for gamma in gammas:
-                gamma_prod = 1
-                for g in gamma:
-                    gamma_prod *= factorial(g)
-                gfac = (r_fact * double_factorial(gamma[-1] - 1)
-                        * kt ** (0.5 * r) / gamma_prod)
-                scale = base * gfac
-                n_terms += 1
-                if scale == 0:
-                    continue
-                if beta == 0:
-                    total += scale * s ** (gamma[-1] // 2)
-                else:
+        # h: heading power of the gaps; the tail takes the even rest.
+        for h in range(r % 2, r + 1, 2) if beta else (0,):
+            scale = base * (r_fact * double_factorial(r - h - 1)
+                            * kt ** (0.5 * r) / factorial(r - h))
+            if scale == 0:
+                continue
+            if beta == 0:
+                total += scale * s ** (r // 2)
+                continue
+            # One close per last step: the roundoff floor sums the closes'
+            # moduli, and whole keys cancel more than their parts.
+            counts = _step_counts(key)
+            for i in range(4):
+                if counts[i]:
+                    closes.append((_without(counts, i), h))
                     scales.append(scale)
-                    chains.append((weights, gamma))
+
+    walk = _Walk(p - q, r, closes)
 
     def evaluate(rule):
-        factors = _GapFactors(rule, profile, kt)
-        return np.array([factors.term(*chain) for chain in chains])
+        return walk.evaluate(_GapFactors(rule, profile, kt, r))
 
     value, err = integrate_chains(evaluate, scales, s, settings)
+    if scales:
+        # A rotating chain sum can cancel far below the moduli of its closes,
+        # while the roundoff of its sampled phases scales with the integral
+        # of the integrand's modulus.
+        err += MODULUS_ROUNDOFF * float(np.abs(scales) @ walk.moduli(kt, s))
     return MomentResult(total + value, err, n_terms)
 
 

@@ -35,8 +35,10 @@ distinct factor and rule (``n**2`` for a factor of the later point
 alone, through the cached integration matrix ``sum_m W[j, m, k]``).
 After that every level is ``M_K @ F`` and every close a dot product with
 a tail row, ``n**2`` flops each: a moment with ``D`` distinct gap
-factors and ``L`` distinct chain prefixes costs ``O(D n**3 + L n**2)``
-instead of ``G**beta`` integrand points per term. Convergence is
+factors and ``L`` node-value vectors to carry through a level (one per
+state and heading power of its lattice walk in :mod:`general_moments`)
+costs ``O(D n**3 + L n**2)`` instead of ``G**beta`` integrand points per
+term. Convergence is
 spectral for the smooth headings of constant and polynomial profiles and
 algebraic for table profiles, whose heading is only continuously
 differentiable.
@@ -212,22 +214,23 @@ class ChainRule:
         """Matrix of ``F -> int_0^t K(u, t) F(u) du`` on the node values.
 
         ``kernel`` holds ``K(u_jm, t_j)`` with shape ``(n, n)``, or
-        ``(n, 1)`` for a factor of the later point alone. Entry ``[j, k]``
-        is ``s * sum_m K(u_jm, t_j) W[j, m, k]``: one batched product with
+        ``(n, 1)`` for a factor of the later point alone, or a stack of
+        either along a leading axis (one matrix each). Entry ``[j, k]`` is
+        ``s * sum_m K(u_jm, t_j) W[j, m, k]``: one batched product with
         the weighted interpolation array, real against the (re, im) pairs
-        of the kernel, and ``kernel * (s * sum_m W[j, m, k])`` for a
-        factor of ``t`` alone.
+        of all stacked kernels, so the array is read once per stack; and
+        ``kernel * (s * sum_m W[j, m, k])`` for a factor of ``t`` alone.
         """
         n = self.t.size
         kernel = np.asarray(kernel)
         if kernel.shape[-1:] != (n,):  # (n, 1): constant along each row
             return (self.s * kernel) * self._integration
-        pairs = np.ascontiguousarray(kernel, dtype=complex).view(np.float64)
-        pairs = pairs.reshape(n, n, 2)
+        # pairs[j, m, (i, c)]: part c (re, im) of stacked kernel i.
+        stack = kernel.reshape(-1, n, n).transpose(1, 2, 0)
+        pairs = np.ascontiguousarray(stack, dtype=complex).view(np.float64)
         out = (self._weighted.transpose(0, 2, 1) @ pairs).view(np.complex128)
-        out = out.reshape(n, n)
         out *= self.s
-        return out
+        return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(kernel.shape)
 
     def tail_vector(self, tail) -> np.ndarray:
         """Row ``v`` with ``v @ f = int_0^s F(u) tail(s - u) du`` for node
@@ -296,10 +299,10 @@ def integrate_chains(evaluate, scales, s: float,
                      settings: QuadratureSettings = DEFAULT_SETTINGS):
     """``sum_i scales[i] * chain_i`` on refined pairs of chain rules.
 
-    ``evaluate(rule)`` returns the nested integrals ``chain_i`` of all
-    terms on one rule, as an array aligned with ``scales``; each is a
-    :meth:`ChainRule.chain` of dimension >= 1, so all vanish when
-    ``s == 0``. The sum runs on the coarse/fine pair ``CHAIN_BASE_PAIR``;
+    ``evaluate(rule)`` returns the nested integrals ``chain_i`` on one
+    rule, as an array aligned with ``scales``; each is a
+    :meth:`ChainRule.chain` of dimension >= 1, or a sum of such, so all
+    vanish when ``s == 0``. The sum runs on the coarse/fine pair ``CHAIN_BASE_PAIR``;
     while the two sums differ by more than ``settings.rel_tol`` relative
     to the fine one, and by more than the roundoff floor, both node
     counts double, up to ``CHAIN_MAX_NODES``. Stopping there with the

@@ -9,8 +9,7 @@ from brownian_unicycle import (ExpPolySum, NoiseParams, SpeedRatioProfile,
                                complex_rate, d2_closed, d4_closed, d4_moment,
                                mean_pose_closed, mean_squared_distance, mean_x,
                                mean_y, variance_d2_closed)
-from brownian_unicycle.constant_ratio import (_cexpm1, _kernel_chain,
-                                              closed_form_rate_family)
+from brownian_unicycle.constant_ratio import _cexpm1, _kernel_chain
 from brownian_unicycle.fourth_moment import DISTANCE4_KERNELS
 
 
@@ -174,6 +173,22 @@ def test_fast_equals_slow(mu0, level, s):
 
 # ---------------------------------------------------------------------------
 # rate bookkeeping
+
+
+def closed_form_rate_family(mu0: float, k_theta: float) -> set[complex]:
+    """The complex rates the fourth-moment construction may produce.
+
+    Zero plus ``z``, ``-3 k_theta/2 + i mu0`` and ``-2 k_theta + 2 i mu0``
+    with negations and conjugations. Any rate outside this family found
+    during construction would indicate a new analytic ingredient.
+    """
+    base = (complex_rate(mu0, k_theta),
+            complex(-1.5 * k_theta, mu0),
+            complex(-2.0 * k_theta, 2.0 * mu0))
+    family = {0j}
+    for z in base:
+        family |= {z, -z, z.conjugate(), -z.conjugate()}
+    return family
 
 
 def test_construction_stays_in_declared_rate_family():

@@ -1,5 +1,8 @@
 """Combinatorial enumeration and the general moment engine."""
 
+import cmath
+import contextlib
+import functools
 import itertools
 import math
 import warnings
@@ -21,11 +24,13 @@ from brownian_unicycle import (AccuracyWarning, EnvelopeWarning, NoiseParams,
                                theta_power_compositions)
 from brownian_unicycle import general_moments, quadrature
 from brownian_unicycle.constant_ratio import _kernel_chain
-from brownian_unicycle.general_moments import _GapFactors, _phase_weights
+from brownian_unicycle.general_moments import double_factorial
 from brownian_unicycle.quadrature import integrate_chains
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
+TABLE = SpeedRatioProfile.table(
+    [(i / 20, 5.0 + 3.0 * math.sin(2.0 * math.pi * i / 20)) for i in range(21)])
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +292,49 @@ def test_negative_orders_rejected():
 # the chain engine against independent oracles
 
 
+def _phase_weights(p, q, c):
+    """Running phase weights ``p - q + (partial sum of c)`` before each step
+    but the last: the weights of a chain's ``len(c)`` gaps."""
+    if not c:
+        return ()
+    return tuple(itertools.accumulate(c[:-1], initial=p - q))
+
+
+def _sampled_factors(rule, profile, kt):
+    """``factor(w, g, inner)``: the gap factor of weight ``w`` and fluctuation
+    power ``g`` on ``rule``, of the first gap (``0 -> t_j``) or an inner one
+    (``u_jm -> t_j``), sampled from its definition with the Gaussian moments
+    in the per-sample form ``dt^(g/2) * sum_a c_a (i w sqrt(k_theta
+    dt))^(g-2a)``; one array per argument triple."""
+    th_t = mean_heading(profile, rule.t)
+    th_u = mean_heading(profile, rule.u)
+    gaps = ((th_t - profile.theta0, rule.t),
+            (th_t[:, None] - th_u, rule.t[:, None] - rule.u))
+
+    @functools.lru_cache(maxsize=None)
+    def factor(w, g, inner):
+        dtheta, dt = gaps[inner]
+        herm = sum(math.factorial(g)
+                   // (math.factorial(a) * math.factorial(g - 2 * a) * 2 ** a)
+                   * (1j * w * np.sqrt(kt * dt)) ** (g - 2 * a)
+                   for a in range(g // 2 + 1))
+        return np.exp(1j * w * dtheta - 0.5 * w * w * kt * dt) * dt ** (0.5 * g) * herm
+
+    return factor
+
+
+def _rule_chain(rule, factor, weights, gamma):
+    """One term's nested integral on ``rule`` by :meth:`ChainRule.chain`."""
+    return rule.chain(factor(weights[0], gamma[0], False),
+                      [factor(w, g, True) for w, g in zip(weights[1:], gamma[1:-1])],
+                      (rule.s - rule.u[-1]) ** (gamma[-1] // 2))
+
+
 def _gap_chain(profile, params, s, weights, gamma, settings=QuadratureSettings()):
     """One term's nested integral on the refined chain rule."""
     def evaluate(rule):
-        factors = _GapFactors(rule, profile, params.k_theta)
-        return np.array([factors.term(weights, gamma)])
+        factor = _sampled_factors(rule, profile, params.k_theta)
+        return np.array([_rule_chain(rule, factor, weights, gamma)])
     return integrate_chains(evaluate, [1.0], s, settings)
 
 
@@ -478,3 +521,192 @@ def test_repeated_calls_bit_identical():
         a = displacement_heading_moment(3, 1, 1, profile, params, 0.9)
         b = displacement_heading_moment(3, 1, 1, profile, params, 0.9)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the lattice walk against the enumerated chains
+
+
+@pytest.mark.parametrize("p", range(9))
+def test_terms_evaluated_counts_the_enumeration(p):
+    # Zero noise leaves only the n = 0 keys at r = 0 to integrate; the count
+    # does not depend on the values.
+    for q in range(9 - p):
+        for r in range(5):
+            brute = sum(len(theta_power_compositions(r, key.dimension))
+                        for key in term_keys(p, q)
+                        for _ in phase_step_vectors(key))
+            res = displacement_heading_moment(p, q, r, CONST,
+                                              NoiseParams(0.0, 0.0), 0.5)
+            assert res.terms_evaluated == brute, (p, q, r)
+
+
+def _chain_by_chain(p, q, r, profile, params, s):
+    """``<u^p w^q theta~^r>`` with every enumerated chain summed on its own
+    through :meth:`ChainRule.chain`, its factors sampled directly."""
+    kr, kt = params.k_r, params.k_theta
+    phase0 = cmath.exp(1j * (p - q) * profile.theta0)
+    total, scales, chains = 0j, [], []
+    for key in term_keys(p, q):
+        base = kr ** key.n * coefficient(key) * s ** key.m * phase0
+        for c in phase_step_vectors(key):
+            for gamma in theta_power_compositions(r, key.dimension):
+                scale = (base * math.factorial(r) * double_factorial(gamma[-1] - 1)
+                         * kt ** (0.5 * r) / math.prod(map(math.factorial, gamma)))
+                if c:
+                    scales.append(scale)
+                    chains.append((_phase_weights(p, q, c), gamma))
+                else:
+                    total += scale * s ** (gamma[-1] // 2)
+
+    def evaluate(rule):
+        # One operator per sampled kernel: at the 256 nodes a table profile
+        # refines to, building one takes milliseconds.
+        factor = _sampled_factors(rule, profile, kt)
+        build, built = rule.operator, {}
+
+        def operator(kernel):
+            if id(kernel) not in built:
+                built[id(kernel)] = build(kernel)
+            return built[id(kernel)]
+
+        rule.operator = operator
+        return np.array([_rule_chain(rule, factor, *chain) for chain in chains])
+
+    value, _ = integrate_chains(evaluate, scales, s)
+    return total + value
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE],
+                         ids=["const", "ramp", "table"])
+@pytest.mark.parametrize("p,q,r", [(3, 1, 1), (2, 2, 2), (3, 3, 2), (2, 2, 4)])
+def test_walk_matches_chains_one_by_one(profile, p, q, r):
+    # The table profile runs to the node cap on both sides.
+    def capped():
+        return (pytest.warns(AccuracyWarning) if profile is TABLE
+                else contextlib.nullcontext())
+
+    params = NoiseParams(0.5, 0.7)
+    with capped():
+        res = displacement_heading_moment(p, q, r, profile, params, 0.9)
+    with capped():
+        ref = _chain_by_chain(p, q, r, profile, params, 0.9)
+    assert abs(res.value - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("p,q,r", [(4, 4, 4), (5, 3, 4), (8, 0, 4)])
+def test_envelope_corners_meet_rel_tol(p, q, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = displacement_heading_moment(p, q, r, RAMP, NoiseParams(1.0, 1.0), 1.0)
+    assert res.err_estimate <= 1e-9 * abs(res.value)
+
+
+def _exact_moment_50(p, q, mu0, k, s):
+    """``_exact_moment`` in 50-digit arithmetic: its double-precision chains
+    lose up to 1e-13 relative to cancellation at small ``k``.
+
+    Each chain's nested integral of ``exp(lam_w (t_b - t_{b-1}))`` is an
+    exponential polynomial ``{w: coefficients of t^j}`` of its last point;
+    the chains whose steps so far are orderings of one multiset share it,
+    so they are summed as they are built.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        mu0, k, s = mpmath.mpf(mu0), mpmath.mpf(k), mpmath.mpf(s)
+
+        def lam(w):
+            return mpmath.mpc(-w * w * k / 2, w * mu0)
+
+        def antiderivative(poly, c):
+            # A with (A e^{ct})' = poly e^{ct}.
+            out = [mpmath.mpc(0)] * len(poly)
+            for deg, coef in enumerate(poly):
+                term = coef / c
+                for j in range(deg + 1):
+                    out[deg - j] += term
+                    term = -term * (deg - j) / c
+            return out
+
+        def add(acc, w, poly):
+            row = acc.setdefault(w, [])
+            row.extend([mpmath.mpc(0)] * (len(poly) - len(row)))
+            for i, c in enumerate(poly):
+                row[i] += c
+
+        def gap(f, w):
+            # t -> int_0^t exp(lam_w (t - x)) f(x) dx
+            out = {}
+            for v, poly in f.items():
+                c = lam(v) - lam(w)
+                if c == 0:
+                    add(out, v, [0] + [a / (i + 1) for i, a in enumerate(poly)])
+                else:
+                    a = antiderivative(poly, c)
+                    add(out, v, a)
+                    add(out, w, [-a[0]])
+            return out
+
+        def integral(f):
+            total = mpmath.mpc(0)
+            for v, poly in f.items():
+                c = lam(v)
+                if c == 0:
+                    total += sum(a * s ** (i + 1) / (i + 1) for i, a in enumerate(poly))
+                else:
+                    a = antiderivative(poly, c)
+                    total += (sum(x * s ** i for i, x in enumerate(a)) * mpmath.exp(c * s)
+                              - a[0])
+            return total
+
+        @functools.lru_cache(maxsize=None)
+        def walk(u):
+            # Counts of the steps -2, -1, 1, 2 taken so far.
+            if not any(u):
+                return {p - q: [mpmath.mpc(1)]}
+            acc = {}
+            for i in range(4):
+                if u[i]:
+                    for v, poly in walk(u[:i] + (u[i] - 1,) + u[i + 1:]).items():
+                        add(acc, v, poly)
+            return gap(acc, p - q + 2 * (u[3] - u[0]) + u[2] - u[1])
+
+        total = mpmath.mpc(0)
+        for key in term_keys(p, q):
+            base = k ** key.n * coefficient(key) * s ** key.m
+            c = (key.count_minus2, key.count_minus1, key.count_plus1, key.count_plus2)
+            if not any(c):
+                total += base
+            for i in range(4):
+                if c[i]:
+                    total += base * integral(walk(c[:i] + (c[i] - 1,) + c[i + 1:]))
+        return complex(total)
+
+
+@pytest.mark.parametrize("p,q,mu0,k,s,rel", [
+    (2, 2, 5.0, 1.0, 1.0, 1e-14), (3, 2, 7.1, 0.3, 0.8, 1e-14),
+    (0, 4, 40.0, 1.0, 0.9, 1e-13),
+    # The double-precision chains cancel down to 6e-13 relative here.
+    (5, 3, 5.0, 0.01, 1.0, 1e-11),
+])
+def test_exact_moment_50_digits_matches_exact_chains(p, q, mu0, k, s, rel):
+    exact = _exact_moment(p, q, mu0, k, s)
+    assert abs(_exact_moment_50(p, q, mu0, k, s) - exact) <= rel * abs(exact)
+
+
+def test_error_estimate_bounds_true_error_sweep():
+    # Random constant-profile moments against their 50-digit values; the
+    # estimate adds the roundoff floors of the closes and of the moduli.
+    rng = np.random.default_rng(20261018)
+    for _ in range(64):
+        p, q = (int(v) for v in rng.integers(0, 6, size=2))
+        mu0 = rng.uniform(0.0, 25.0)
+        k = 10.0 ** rng.uniform(-2.0, 0.0)
+        s = rng.uniform(0.3, 1.0)
+        profile = SpeedRatioProfile.constant(mu0, s_max=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EnvelopeWarning)
+            res = displacement_moment(p, q, profile, NoiseParams(k, k), s)
+        exact = _exact_moment_50(p, q, mu0, k, s)
+        assert abs(res.value - exact) <= res.err_estimate, (p, q, mu0, k, s)
