@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 import time
 import warnings
@@ -67,8 +68,10 @@ def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None
               help="Path to the JSON experiment configuration.")
 @click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=None,
               help="Override the master seed from the config.")
-@click.option("--threads", type=click.IntRange(1), default=1,
-              help="Worker threads for Monte Carlo trials.")
+@click.option("--threads", type=click.IntRange(1),
+              default=lambda: os.cpu_count() or 1,
+              help="Worker threads for Monte Carlo trials (default: one per "
+                   "CPU). Results do not depend on it.")
 @click.option("--closed-form", is_flag=True,
               help="Use the constant-ratio closed forms (d2/d4 only).")
 @click.option("--force", is_flag=True,

@@ -12,10 +12,19 @@ before the position update uses it,
 Randomness contract: each trial draws from its own counter-based Philox
 stream keyed by ``(master_seed, trial_index)``, with exactly two Gaussian
 draws per step, heading first. Results are therefore independent of
-execution order and worker count. Trials are evaluated in fixed-size
-chunks through a single code path (a chunk of one for
-:func:`simulate_trial`), and aggregation reduces preallocated per-trial
-arrays in a fixed order, so a given configuration is bit-reproducible.
+execution order and worker count, and a given configuration is
+bit-reproducible.
+
+Execution: each worker of :func:`collect_samples` owns one
+:class:`_Workspace`, allocated once: a Philox generator that it re-keys to
+``(master_seed, trial_index)`` at counter 0 before each trial, which
+reproduces a fresh generator's stream (:func:`_trial_generator`) without
+seeding one, and buffers for ``_CHUNK_TRIALS`` trials,
+``5 * 8 * _CHUNK_TRIALS * steps`` bytes per worker. Every chunk runs
+through one kernel, :func:`_chunk`, in place in those buffers; it sums the
+position increments into final states or, for :func:`simulate_trial`'s
+paths, takes their cumulative sums. Per-trial results land in
+preallocated arrays, so the reduction order is fixed.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import numpy as np
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
 _OBSERVABLES = ("x", "y", "theta", "d2", "d4")
-_CHUNK_TRIALS = 128
+_CHUNK_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -81,8 +90,43 @@ class TrialStatistics:
 
 
 def _trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
+    """Reference stream of one trial: a fresh Philox keyed by
+    ``(master_seed, trial_index)``. :class:`_Workspace` re-keys one
+    generator instead and reproduces this stream exactly."""
     key = np.array([master_seed, trial_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class _Workspace:
+    """One worker's generator and chunk buffers, allocated once.
+
+    ``capacity`` trials of ``steps`` steps take ``5 * 8 * capacity * steps``
+    bytes: the draws ``(capacity, steps, 2)`` plus ``theta``, ``lengths``
+    and one trig buffer of ``(capacity, steps)`` each.
+    """
+
+    def __init__(self, steps: int, capacity: int) -> None:
+        self._bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._gen = np.random.Generator(self._bits)
+        # Philox is counter based: key (seed, trial) at counter 0 with an
+        # empty output buffer is the state a fresh generator starts in.
+        self._key = np.zeros(2, dtype=np.uint64)
+        self._start = {"bit_generator": "Philox",
+                       "state": {"counter": np.zeros(4, dtype=np.uint64),
+                                 "key": self._key},
+                       "buffer": np.zeros(4, dtype=np.uint64),
+                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.draws = np.empty((capacity, steps, 2))
+        self.theta = np.empty((capacity, steps))
+        self.lengths = np.empty((capacity, steps))
+        self.trig = np.empty((capacity, steps))
+
+    def generator(self, master_seed: int, trial_index: int) -> np.random.Generator:
+        """The worker's generator, set to the start of one trial's stream."""
+        self._key[0] = master_seed
+        self._key[1] = trial_index
+        self._bits.state = self._start
+        return self._gen
 
 
 def _heading_grid(config: SimConfig) -> np.ndarray:
@@ -90,23 +134,33 @@ def _heading_grid(config: SimConfig) -> np.ndarray:
     return mean_heading(config.profile, ds * np.arange(1, config.steps + 1))
 
 
-def _chunk_states(config: SimConfig, grid: np.ndarray, lo: int, hi: int):
-    """Final states (x, y, theta) of trials [lo, hi) as arrays."""
+def _chunk(ws: _Workspace, config: SimConfig, grid: np.ndarray, lo: int, hi: int,
+           x: np.ndarray, y: np.ndarray, paths: bool = False) -> np.ndarray:
+    """Run trials ``[lo, hi)`` in ``ws``; returns their headings, a view of
+    ``ws.theta`` valid until the workspace is reused.
+
+    Writes the final positions into ``x`` and ``y``, shape ``(hi - lo,)``,
+    or with ``paths`` the cumulative positions, shape ``(hi - lo, steps)``.
+    """
     n = config.steps
     ds = config.s_final / n
-    scale_theta = math.sqrt(config.params.k_theta * ds)
-    scale_shift = math.sqrt(config.params.k_r * ds)
-    draws = np.empty((hi - lo, n, 2))
+    draws = ws.draws[:hi - lo]
     for c in range(hi - lo):
-        _trial_generator(config.master_seed, lo + c).standard_normal(out=draws[c])
-    # In place: one (trials, steps) array instead of three temporaries.
-    theta = np.multiply(draws[:, :, 0], scale_theta)
+        ws.generator(config.master_seed, lo + c).standard_normal(out=draws[c])
+    theta = ws.theta[:hi - lo]
+    np.multiply(draws[:, :, 0], math.sqrt(config.params.k_theta * ds), out=theta)
     np.cumsum(theta, axis=1, out=theta)
     theta += grid
-    lengths = ds + draws[:, :, 1] * scale_shift
-    x = (lengths * np.cos(theta)).sum(axis=1)
-    y = (lengths * np.sin(theta)).sum(axis=1)
-    return x, y, theta[:, -1]
+    lengths = ws.lengths[:hi - lo]
+    np.multiply(draws[:, :, 1], math.sqrt(config.params.k_r * ds), out=lengths)
+    lengths += ds
+    trig = ws.trig[:hi - lo]
+    reduce = np.cumsum if paths else np.sum
+    for fn, out in ((np.cos, x), (np.sin, y)):
+        fn(theta, out=trig)
+        trig *= lengths
+        reduce(trig, axis=1, out=out)
+    return theta
 
 
 def simulate_trial(config: SimConfig, trial_index: int, return_path: bool = False):
@@ -114,21 +168,17 @@ def simulate_trial(config: SimConfig, trial_index: int, return_path: bool = Fals
     an ``(steps+1, 4)`` array with columns ``(s, x, y, theta)``."""
     if not (0 <= trial_index < config.trials):
         raise ValueError("trial_index out of range")
-    grid = _heading_grid(config)
-    if not return_path:
-        x, y, th = _chunk_states(config, grid, trial_index, trial_index + 1)
-        return float(x[0]), float(y[0]), float(th[0])
     n = config.steps
+    ws = _Workspace(n, 1)
+    args = (ws, config, _heading_grid(config), trial_index, trial_index + 1)
+    if not return_path:
+        x, y = np.empty(1), np.empty(1)
+        theta = _chunk(*args, x, y)
+        return float(x[0]), float(y[0]), float(theta[0, -1])
     ds = config.s_final / n
-    rng = _trial_generator(config.master_seed, trial_index)
-    draws = rng.standard_normal((n, 2))
-    theta = grid + np.cumsum(draws[:, 0] * math.sqrt(config.params.k_theta * ds))
-    lengths = ds + draws[:, 1] * math.sqrt(config.params.k_r * ds)
     path = np.zeros((n + 1, 4))
     path[1:, 0] = ds * np.arange(1, n + 1)
-    path[1:, 1] = np.cumsum(lengths * np.cos(theta))
-    path[1:, 2] = np.cumsum(lengths * np.sin(theta))
-    path[1:, 3] = theta
+    path[1:, 3] = _chunk(*args, path[None, 1:, 1], path[None, 1:, 2], paths=True)[0]
     path[0, 3] = config.profile.theta0
     return path
 
@@ -137,26 +187,27 @@ def collect_samples(config: SimConfig, threads: int = 1) -> dict[str, np.ndarray
     """Final-state observables for every trial, indexed by trial.
 
     Returns arrays of length ``trials`` for x, y, theta, d2 and d4.
-    Worker count affects scheduling only, never values.
+    Worker count affects scheduling only, never values. Each worker takes
+    at least one chunk's worth of trials and holds one :class:`_Workspace`.
     """
     grid = _heading_grid(config)
     out = {name: np.empty(config.trials) for name in ("x", "y", "theta")}
 
-    def work(bounds):
-        lo, hi = bounds
+    def work(lo, hi):
+        ws = _Workspace(config.steps, min(_CHUNK_TRIALS, hi - lo))
         for start in range(lo, hi, _CHUNK_TRIALS):
             stop = min(start + _CHUNK_TRIALS, hi)
-            x, y, th = _chunk_states(config, grid, start, stop)
-            out["x"][start:stop] = x
-            out["y"][start:stop] = y
-            out["theta"][start:stop] = th
+            theta = _chunk(ws, config, grid, start, stop,
+                           out["x"][start:stop], out["y"][start:stop])
+            out["theta"][start:stop] = theta[:, -1]
 
-    if threads <= 1 or config.trials < 2 * _CHUNK_TRIALS:
-        work((0, config.trials))
+    workers = min(threads, config.trials // _CHUNK_TRIALS)
+    if workers <= 1:
+        work(0, config.trials)
     else:
-        edges = np.linspace(0, config.trials, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, zip(edges[:-1], edges[1:])))
+        edges = np.linspace(0, config.trials, workers + 1, dtype=int)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, edges[:-1], edges[1:]))
     out["d2"] = out["x"] ** 2 + out["y"] ** 2
     out["d4"] = out["d2"] ** 2
     return out
@@ -164,8 +215,15 @@ def collect_samples(config: SimConfig, threads: int = 1) -> dict[str, np.ndarray
 
 def statistics_from_samples(samples: dict[str, np.ndarray],
                             trials: int | None = None) -> TrialStatistics:
-    """Reduce (a prefix of) per-trial samples to means, variances and SEs."""
-    n = trials if trials is not None else len(samples["d2"])
+    """Reduce (a prefix of) per-trial samples to means, variances and SEs.
+
+    ``trials`` selects the first ``trials`` samples and must lie in
+    ``[1, len(samples["d2"])]``; by default all are used.
+    """
+    available = len(samples["d2"])
+    n = trials if trials is not None else available
+    if not 1 <= n <= available:
+        raise ValueError(f"trials must lie in [1, {available}], got {n}")
     quantities = {}
     for name in _OBSERVABLES:
         values = samples[name][:n]

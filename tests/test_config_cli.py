@@ -2,10 +2,11 @@
 
 import json
 import math
+import os
 
 import pytest
 
-from brownian_unicycle import d2_closed, fourth_moment, NoiseParams
+from brownian_unicycle import cli, d2_closed, fourth_moment, NoiseParams
 from brownian_unicycle.cli import main
 from brownian_unicycle.config import (config_from_dict, dump_config,
                                       load_config)
@@ -230,6 +231,26 @@ def test_simulate_json_and_per_trial_csv(config_path, tmp_path, capsys):
     lines = per_trial.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "trial_index,x,y,theta,d2"
     assert len(lines) == 151
+
+
+def test_simulate_out_identical_at_default_threads(config_path, tmp_path,
+                                                   capsys, monkeypatch):
+    seen = []
+    collect = cli.collect_samples
+
+    def spy(config, threads):
+        seen.append(threads)
+        return collect(config, threads)
+
+    monkeypatch.setattr(cli, "collect_samples", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    one, default = tmp_path / "one.json", tmp_path / "default.json"
+    assert main(["--config", config_path, "--threads", "1", "simulate",
+                 "--out", str(one)]) == 0
+    assert main(["--config", config_path, "simulate", "--out", str(default)]) == 0
+    capsys.readouterr()
+    assert seen == [1, 3]
+    assert one.read_bytes() == default.read_bytes()
 
 
 def test_simulate_seed_override(config_path, capsys):

@@ -1,6 +1,7 @@
 """Simulator contracts: determinism, convergence, marginal laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,8 @@ def test_trial_is_deterministic():
     assert a == b
 
 
-def test_batch_matches_out_of_place_heading_formula():
-    # Reference: the heading as grid + cumsum of freshly scaled draws.
-    cfg = _config(trials=5, steps=50)
+def _reference_samples(cfg):
+    """Final states from fresh per-trial generators, out of place."""
     n = cfg.steps
     ds = cfg.s_final / n
     draws = np.stack([montecarlo._trial_generator(cfg.master_seed, t)
@@ -35,10 +35,95 @@ def test_batch_matches_out_of_place_heading_formula():
     theta = montecarlo._heading_grid(cfg) + np.cumsum(
         draws[:, :, 0] * math.sqrt(cfg.params.k_theta * ds), axis=1)
     lengths = ds + draws[:, :, 1] * math.sqrt(cfg.params.k_r * ds)
+    return {"x": (lengths * np.cos(theta)).sum(axis=1),
+            "y": (lengths * np.sin(theta)).sum(axis=1),
+            "theta": theta[:, -1]}
+
+
+def _reference_path(cfg, trial_index):
+    """``simulate_trial(..., return_path=True)`` as a separate formula."""
+    n = cfg.steps
+    ds = cfg.s_final / n
+    rng = montecarlo._trial_generator(cfg.master_seed, trial_index)
+    draws = rng.standard_normal((n, 2))
+    theta = montecarlo._heading_grid(cfg) + np.cumsum(
+        draws[:, 0] * math.sqrt(cfg.params.k_theta * ds))
+    lengths = ds + draws[:, 1] * math.sqrt(cfg.params.k_r * ds)
+    path = np.zeros((n + 1, 4))
+    path[1:, 0] = ds * np.arange(1, n + 1)
+    path[1:, 1] = np.cumsum(lengths * np.cos(theta))
+    path[1:, 2] = np.cumsum(lengths * np.sin(theta))
+    path[1:, 3] = theta
+    path[0, 3] = cfg.profile.theta0
+    return path
+
+
+def test_batch_matches_out_of_place_heading_formula():
+    # Reference: the heading as grid + cumsum of freshly scaled draws.
+    cfg = _config(trials=5, steps=50)
+    want = _reference_samples(cfg)
     samples = collect_samples(cfg)
-    assert np.array_equal(samples["theta"], theta[:, -1])
-    assert np.array_equal(samples["x"], (lengths * np.cos(theta)).sum(axis=1))
-    assert np.array_equal(samples["y"], (lengths * np.sin(theta)).sum(axis=1))
+    for name in want:
+        assert np.array_equal(samples[name], want[name])
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_batch_matches_fresh_generators_at_extreme_seeds(seed):
+    cfg = _config(trials=3 * montecarlo._CHUNK_TRIALS + 5, steps=31, seed=seed)
+    want = _reference_samples(cfg)
+    for threads in (1, 2):
+        got = collect_samples(cfg, threads=threads)
+        for name in want:
+            assert np.array_equal(got[name], want[name])
+
+
+def test_rekeyed_workspace_reproduces_trial_streams():
+    chunk = montecarlo._CHUNK_TRIALS
+    for seed in (0, 42, 2 ** 64 - 1):
+        ws = montecarlo._Workspace(steps=7, capacity=4)
+        # Odd step counts and 32-bit draws leave the generator mid-buffer.
+        for trial, steps in ((0, 7), (1, 3), (chunk - 1, 5), (chunk, 1),
+                             (2 * chunk + 1, 9), (5, 2)):
+            gen = ws.generator(seed, trial)
+            got = gen.standard_normal((steps, 2))
+            ref = montecarlo._trial_generator(seed, trial)
+            assert np.array_equal(got, ref.standard_normal((steps, 2)))
+            gen.integers(0, 7, size=3, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("chunks", [0.5, 1.5, 3.25])
+def test_thread_count_does_not_change_partial_chunks(chunks):
+    cfg = _config(trials=int(chunks * montecarlo._CHUNK_TRIALS), steps=50)
+    one = collect_samples(cfg, threads=1)
+    for threads in (2, 3):
+        many = collect_samples(cfg, threads=threads)
+        for name in one:
+            assert np.array_equal(one[name], many[name])
+
+
+def test_path_matches_out_of_place_formula():
+    for steps in (1, 7, 250):
+        cfg = _config(trials=4, steps=steps)
+        for trial in range(cfg.trials):
+            assert np.array_equal(simulate_trial(cfg, trial, return_path=True),
+                                  _reference_path(cfg, trial))
+
+
+def test_collection_memory_is_bounded_by_worker_workspaces():
+    # Two workers, each holding one chunk workspace of five
+    # (chunk, steps) float arrays; the allowance covers the heading grid
+    # and its temporaries. Fresh buffers per chunk, or out-of-place
+    # temporaries in the kernel, exceed it at the same chunk size.
+    cfg = _config(steps=10_000, trials=256)
+    workspace = 5 * 8 * montecarlo._CHUNK_TRIALS * cfg.steps
+    bound = 2 * workspace + 32 * 8 * cfg.steps
+    tracemalloc.start()
+    try:
+        collect_samples(cfg, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_trials_are_independent_of_execution_order():
@@ -111,6 +196,14 @@ def test_prefix_statistics_match_separate_runs():
     direct = run_experiment(cfg_small)
     assert prefix.quantities["d2"].mean == direct.quantities["d2"].mean
     assert prefix.quantities["d2"].variance == direct.quantities["d2"].variance
+
+
+def test_prefix_length_is_validated():
+    samples = collect_samples(_config(trials=10))
+    assert statistics_from_samples(samples, 10).trials_used == 10
+    for bad in (0, -1, 11):
+        with pytest.raises(ValueError):
+            statistics_from_samples(samples, bad)
 
 
 def test_weak_convergence_envelope():
