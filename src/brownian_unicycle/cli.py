@@ -220,7 +220,8 @@ def _reproduce_analytic(table: str, params: NoiseParams, settings):
         return mean, var
     profile = _reproduce_profile(table)
     mean = low_moments.mean_squared_distance(profile, params, 1.0, settings)
-    var = fourth_moment.variance_d2(profile, params, 1.0, settings)
+    var = fourth_moment.variance_from_moments(
+        fourth_moment.d4_moment(profile, params, 1.0, settings), mean)
     return mean, var
 
 

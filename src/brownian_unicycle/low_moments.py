@@ -8,6 +8,15 @@ two sample points; substituting ``t2 = s' + s''`` maps them onto the
 ordered-region engine, which is the single quadrature code path used
 throughout the package.
 
+Integrals that share a heading evaluation go through one call: the
+integrand returns their kernels as a stack (see
+:func:`~brownian_unicycle.quadrature.integrate_ordered`), so each grid
+point's heading is computed once for all of them. The three second
+moments come from two complex kernels, ``E = exp(i (h2 - h1) - k_theta
+(t2 - t1) / 2)`` and ``D E`` with ``D = exp(2 i h1 - 2 k_theta t1)``:
+``<x^2>`` and ``<y^2>`` take ``Re iint E +- Re iint D E`` and ``<x y>``
+takes ``Im iint D E``, plus shift-noise terms in ``int D``.
+
 The heading covariances are computed from the analytically
 differentiated integrands (differentiation under the integral sign with
 respect to ``k_theta``); the finite-difference form survives only as a
@@ -19,8 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_ordered
-from .trajectory import (NoiseParams, SpeedRatioProfile, damped_cos2,
-                         damped_sin2, mean_heading)
+from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
 
 def orientation_distribution(profile: SpeedRatioProfile, params: NoiseParams,
@@ -57,41 +65,35 @@ def second_moments(profile: SpeedRatioProfile, params: NoiseParams, s: float,
                    ) -> tuple[float, float, float]:
     """Second moments ``(<x^2>, <y^2>, <x y>)`` of the position.
 
-    Each is a two-dimensional integral of the heading-difference kernel
-    weighted by the damped double-angle factors of the inner point, plus
-    the shift-noise terms ``k_r/2 * (s +- int chi_c)`` and
-    ``k_r/2 * int chi_s``.
+    With ``h`` the heading, ``E = exp(i (h2 - h1) - k_theta (t2 - t1)/2)``
+    and ``D = exp(2 i h1 - 2 k_theta t1)`` (the damped double-angle
+    factor of the inner point), over the ordered pair ``t1 <= t2``:
+    ``<x^2> = Re iint E + Re iint D E + k_r/2 * (s + Re int D)``,
+    ``<y^2> = Re iint E - Re iint D E + k_r/2 * (s - Re int D)`` and
+    ``<x y> = Im iint D E + k_r/2 * Im int D``. Both double integrals
+    come from one stacked call.
     """
     kt = params.k_theta
 
-    def kernel(ts, combine):
+    def pair(ts):
         t1, t2 = ts
-        dth = mean_heading(profile, t2) - mean_heading(profile, t1)
-        env = np.exp(-0.5 * kt * (t2 - t1))
-        cc = damped_cos2(profile, params, t1)
-        cs = damped_sin2(profile, params, t1)
-        return combine(cc, cs, np.cos(dth), np.sin(dth)) * env
+        h1 = mean_heading(profile, t1)
+        e = np.exp(1j * (mean_heading(profile, t2) - h1) - 0.5 * kt * (t2 - t1))
+        d = np.exp(2j * h1 - 2.0 * kt * t1)
+        return np.stack((e, d * e))
 
-    xx, _ = integrate_ordered(
-        lambda ts: kernel(ts, lambda cc, cs, c, d: (1.0 + cc) * c - cs * d),
-        2, s, settings)
-    yy, _ = integrate_ordered(
-        lambda ts: kernel(ts, lambda cc, cs, c, d: (1.0 - cc) * c + cs * d),
-        2, s, settings)
-    xy, _ = integrate_ordered(
-        lambda ts: kernel(ts, lambda cc, cs, c, d: cs * c + cc * d),
-        2, s, settings)
+    def single(ts):
+        t = ts[0]
+        return np.exp(2j * mean_heading(profile, t) - 2.0 * kt * t)
 
-    int_cc, _ = integrate_ordered(lambda ts: damped_cos2(profile, params, ts[0]),
-                                  1, s, settings)
-    int_cs, _ = integrate_ordered(lambda ts: damped_sin2(profile, params, ts[0]),
-                                  1, s, settings)
+    (ie, ide), _ = integrate_ordered(pair, 2, s, settings)
+    i_d, _ = integrate_ordered(single, 1, s, settings)
 
     kr2 = 0.5 * params.k_r
-    m_xx = xx.real + kr2 * (s + int_cc.real)
-    m_yy = yy.real + kr2 * (s - int_cc.real)
-    m_xy = xy.real + kr2 * int_cs.real
-    return m_xx, m_yy, m_xy
+    m_xx = ie.real + ide.real + kr2 * (s + i_d.real)
+    m_yy = ie.real - ide.real + kr2 * (s - i_d.real)
+    m_xy = ide.imag + kr2 * i_d.imag
+    return float(m_xx), float(m_yy), float(m_xy)
 
 
 def cov_xtheta(profile: SpeedRatioProfile, params: NoiseParams, s: float,

@@ -12,7 +12,10 @@ which turns the ordered region into a tensor-product rule on the unit
 cube. Cost is ``nodes_per_level ** beta``, so it serves the low-order
 statistics (dimensions 1 and 2) and refuses dimensions above
 ``MAX_TENSOR_DIM``. The returned error estimate is the difference between
-the rules with ``G`` and ``G + 2`` nodes per level.
+the rules with ``G`` and ``G + 2`` nodes per level. An integrand may
+return a stack of kernels along a leading axis; each grid is then
+evaluated once for the whole stack, and the call returns one value and
+one error estimate per kernel.
 
 The chain rule (:class:`ChainRule`, :func:`integrate_chains`) serves
 integrands that are products of per-gap factors,
@@ -139,7 +142,8 @@ def _first_bad_point(ts, bad_mask):
     return tuple(float(np.broadcast_to(t, bad_mask.shape)[tuple(idx)]) for t in ts)
 
 
-def _apply_rule(f, ts, jw) -> complex:
+def _apply_rule(f, ts, jw):
+    """Rule sum of ``f``: a complex, or an array of them for a stack."""
     vals = np.asarray(f(ts))
     prod = vals * jw
     bad = ~np.isfinite(prod)
@@ -147,6 +151,8 @@ def _apply_rule(f, ts, jw) -> complex:
         point = _first_bad_point(ts, bad)
         raise IntegrandEvaluationError(
             f"integrand returned a non-finite value at {point}", point=point)
+    if vals.ndim > jw.ndim:
+        return prod.sum(axis=tuple(range(1, prod.ndim))).astype(complex)
     return complex(prod.sum())
 
 
@@ -159,7 +165,11 @@ def integrate_ordered(f, beta: int, s: float,
     f : callable
         Receives a tuple of ``beta`` broadcast-compatible coordinate
         arrays ``(t1, ..., t_beta)`` with ``t1 <= ... <= t_beta`` and must
-        return the (possibly complex) integrand values elementwise.
+        return the (possibly complex) integrand values elementwise. It may
+        instead return a stack of ``k`` integrands along a leading axis
+        (an array of ``beta + 1`` axes, each slice broadcast against the
+        coordinates), so that work shared by the kernels, such as the
+        heading, is done once per grid.
     beta : int
         Dimension of the nested integral, at most ``MAX_TENSOR_DIM``;
         ``beta == 0`` returns ``(1, 0)`` by the empty-integral convention.
@@ -169,6 +179,10 @@ def integrate_ordered(f, beta: int, s: float,
     Returns
     -------
     (value, err_estimate) : tuple[complex, float]
+        For a stack, arrays of shape ``(k,)``: complex values, and each
+        kernel's own error estimate. At ``s == 0`` the integrand is
+        called once at the origin to learn whether it is a stack and of
+        what length, and the result is zero.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
@@ -181,6 +195,11 @@ def integrate_ordered(f, beta: int, s: float,
     if s < 0.0:
         raise ValueError("s must be non-negative")
     if s == 0.0:
+        origin = np.zeros((1,) * beta)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f((origin,) * beta))
+        if vals.ndim > beta:
+            return np.zeros(vals.shape[0], dtype=complex), np.zeros(vals.shape[0])
         return 0.0 + 0.0j, 0.0
     g = settings.nodes_per_level
     coarse = _apply_rule(f, *_simplex_grid(beta, s, g))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,22 @@ class SpeedRatioProfile:
             if len(self.knots_mu) != ks.size:
                 raise ValueError("knots_s and knots_mu must have equal length")
 
+    @cached_property
+    def _panels(self):
+        """Read-only ``(ks, kmu, kh, slope)`` of a table profile: knot
+        abscissae, ratios and headings, and each panel's ratio slope.
+
+        Built on first use and kept outside the dataclass fields, so it
+        takes no part in equality or hashing.
+        """
+        ks = np.asarray(self.knots_s, dtype=float)
+        kmu = np.asarray(self.knots_mu, dtype=float)
+        kh = np.asarray(self.knot_heading, dtype=float)
+        slope = (kmu[1:] - kmu[:-1]) / (ks[1:] - ks[:-1])
+        for arr in (ks, kmu, kh, slope):
+            arr.setflags(write=False)
+        return ks, kmu, kh, slope
+
     @classmethod
     def constant(cls, mu0: float, theta0: float = 0.0, s_max: float = 1.0) -> "SpeedRatioProfile":
         return cls(kind="constant", theta0=theta0, s_max=s_max, mu0=float(mu0))
@@ -129,7 +146,8 @@ def ratio(profile: SpeedRatioProfile, s):
         for c in reversed(profile.coeffs):
             out = out * arr + c
     else:
-        out = np.interp(arr, profile.knots_s, profile.knots_mu)
+        ks, kmu, _, _ = profile._panels
+        out = np.interp(arr, ks, kmu)
     return out if np.ndim(s) else float(out)
 
 
@@ -149,13 +167,12 @@ def mean_heading(profile: SpeedRatioProfile, s):
             out = out * arr + profile.coeffs[k] / (k + 1)
         out = profile.theta0 + out * arr
     else:
-        ks = np.asarray(profile.knots_s)
-        kmu = np.asarray(profile.knots_mu)
-        kh = np.asarray(profile.knot_heading)
-        idx = np.clip(np.searchsorted(ks, arr, side="right") - 1, 0, ks.size - 2)
+        ks, kmu, kh, slope = profile._panels
+        # Panel holding each point; searching the interior knots keeps
+        # s = ks[-1] in the last panel.
+        idx = np.searchsorted(ks[1:-1], arr, side="right")
         ds = arr - ks[idx]
-        slope = (kmu[idx + 1] - kmu[idx]) / (ks[idx + 1] - ks[idx])
-        out = kh[idx] + kmu[idx] * ds + 0.5 * slope * ds * ds
+        out = kh[idx] + kmu[idx] * ds + 0.5 * slope[idx] * ds * ds
     return out if np.ndim(s) else float(out)
 
 

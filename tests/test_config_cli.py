@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from brownian_unicycle import cli, d2_closed, fourth_moment, NoiseParams
+from brownian_unicycle import (cli, d2_closed, fourth_moment, low_moments,
+                               NoiseParams, SpeedRatioProfile)
 from brownian_unicycle.cli import main
 from brownian_unicycle.config import (config_from_dict, dump_config,
                                       load_config)
@@ -311,6 +312,32 @@ def test_reproduce_csv_schema_and_determinism(config_path, tmp_path, capsys):
     first = lines[1].split(",")
     assert float(first[4]) == pytest.approx(
         d2_closed(5.0, NoiseParams(0.01, 0.01), 1.0), rel=1e-12)
+
+
+def test_reproduce_analytic_columns_compute_d2_once(config_path, capsys,
+                                                   monkeypatch):
+    ramp = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
+    settings = load_config(config_path).settings
+    want = {}
+    for level in (0.01, 1.0):
+        params = NoiseParams(level, level)
+        want[level] = (low_moments.mean_squared_distance(ramp, params, 1.0, settings),
+                       fourth_moment.variance_d2(ramp, params, 1.0, settings))
+    calls = []
+    msd = low_moments.mean_squared_distance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return msd(*args, **kwargs)
+
+    monkeypatch.setattr(low_moments, "mean_squared_distance", counting)
+    monkeypatch.setattr(fourth_moment, "mean_squared_distance", counting)
+    assert main(["--config", config_path, "reproduce", "table2",
+                 "--trials", "10"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(calls) == len(rows) == 2
+    for row in rows:
+        assert (float(row[4]), float(row[5])) == want[float(row[0])]
 
 
 def test_reproduce_rejects_bad_trials(config_path, capsys):

@@ -1,17 +1,25 @@
 """First/second order statistics against closed forms and cross-paths."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from brownian_unicycle import (NoiseParams, SpeedRatioProfile, cov_xtheta,
-                               cov_ytheta, displacement_heading_moment,
-                               displacement_moment, mean_pose_closed,
+from brownian_unicycle import (NoiseParams, QuadratureSettings,
+                               SpeedRatioProfile, cov_xtheta, cov_ytheta,
+                               damped_cos2, damped_sin2,
+                               displacement_heading_moment,
+                               displacement_moment, integrate_ordered,
+                               low_moments, mean_heading, mean_pose_closed,
                                mean_squared_distance, mean_x, mean_y,
                                orientation_distribution, second_moments)
+from brownian_unicycle.quadrature import DEFAULT_SETTINGS
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
+TABLE = SpeedRatioProfile.table(
+    [(i / 20, 10.0 * i / 20 + 3.0 * math.sin(7.0 * i / 20)) for i in range(21)])
 
 
 def test_orientation_distribution():
@@ -143,3 +151,91 @@ def test_consistency_with_general_moments():
     res101 = displacement_heading_moment(1, 0, 1, RAMP, params, 1.0)
     assert res101.value.real == pytest.approx(cov_xtheta(RAMP, params, 1.0), rel=1e-8)
     assert res101.value.imag == pytest.approx(cov_ytheta(RAMP, params, 1.0), rel=1e-8)
+
+
+def five_kernel_second_moments(profile, params, s, settings=DEFAULT_SETTINGS):
+    """Oracle: each second moment and shift integral as its own real call."""
+    kt = params.k_theta
+
+    def kernel(ts, combine):
+        t1, t2 = ts
+        dth = mean_heading(profile, t2) - mean_heading(profile, t1)
+        env = np.exp(-0.5 * kt * (t2 - t1))
+        cc = damped_cos2(profile, params, t1)
+        cs = damped_sin2(profile, params, t1)
+        return combine(cc, cs, np.cos(dth), np.sin(dth)) * env
+
+    xx, _ = integrate_ordered(
+        lambda ts: kernel(ts, lambda cc, cs, c, d: (1.0 + cc) * c - cs * d),
+        2, s, settings)
+    yy, _ = integrate_ordered(
+        lambda ts: kernel(ts, lambda cc, cs, c, d: (1.0 - cc) * c + cs * d),
+        2, s, settings)
+    xy, _ = integrate_ordered(
+        lambda ts: kernel(ts, lambda cc, cs, c, d: cs * c + cc * d),
+        2, s, settings)
+    int_cc, _ = integrate_ordered(lambda ts: damped_cos2(profile, params, ts[0]),
+                                  1, s, settings)
+    int_cs, _ = integrate_ordered(lambda ts: damped_sin2(profile, params, ts[0]),
+                                  1, s, settings)
+    kr2 = 0.5 * params.k_r
+    return (xx.real + kr2 * (s + int_cc.real),
+            yy.real + kr2 * (s - int_cc.real),
+            xy.real + kr2 * int_cs.real)
+
+
+def _shifted(profile, theta0):
+    heading = tuple(h - profile.theta0 + theta0 for h in profile.knot_heading)
+    return dataclasses.replace(profile, theta0=theta0, knot_heading=heading)
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
+@pytest.mark.parametrize("theta0", [0.0, -1.3])
+@pytest.mark.parametrize("params,s", [
+    (NoiseParams(0.01, 0.01), 1.0),
+    (NoiseParams(1.0, 1.0), 0.55),     # a table knot
+    (NoiseParams(0.4, 0.7), 0.437),    # inside a panel, below s_max
+    (NoiseParams(0.3, 0.0), 0.8),      # no heading noise
+])
+def test_second_moments_match_five_kernel_oracle(profile, theta0, params, s):
+    profile = _shifted(profile, theta0)
+    for settings_ in (DEFAULT_SETTINGS, QuadratureSettings(nodes_per_level=7)):
+        got = second_moments(profile, params, s, settings_)
+        want = five_kernel_second_moments(profile, params, s, settings_)
+        for g, w in zip(got, want):
+            assert type(g) is float
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
+def test_zero_length_returns_float_zeros(profile):
+    params = NoiseParams(0.3, 0.2)
+    values = (mean_x(profile, params, 0.0), mean_y(profile, params, 0.0),
+              *second_moments(profile, params, 0.0),
+              cov_xtheta(profile, params, 0.0), cov_ytheta(profile, params, 0.0),
+              mean_squared_distance(profile, params, 0.0))
+    assert values == (0.0,) * 8
+    assert all(type(v) is float for v in values)
+    # cov_xtheta is -k_theta times a zero integral; the rest are +0.0.
+    assert [math.copysign(1.0, v) for v in values] == [1.0] * 5 + [-1.0] + [1.0] * 2
+
+
+def test_second_moments_evaluate_heading_once_per_grid(monkeypatch):
+    # One stacked 2-D call and one 1-D call, each a coarse and a fine grid
+    # with the heading evaluated at t1 and t2 (2-D) or t (1-D). Both are
+    # looked up as module attributes, where the benchmark's tracer
+    # patches them.
+    calls = {"integrate_ordered": 0, "mean_heading": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(low_moments, name,
+                            counting(name, getattr(low_moments, name)))
+    second_moments(TABLE, NoiseParams(0.2, 0.5), 0.8)
+    assert calls["integrate_ordered"] == 2
+    assert calls["mean_heading"] <= 6

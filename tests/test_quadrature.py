@@ -248,3 +248,61 @@ def test_invalid_arguments():
         QuadratureSettings(nodes_per_level=1)
     with pytest.raises(ValueError):
         QuadratureSettings(rel_tol=0.0)
+
+
+STACK_KERNELS = (
+    lambda ts: np.exp(1j * 3.0 * ts[-1] - 0.5 * ts[0]),
+    lambda ts: np.cos(2.0 * ts[0]) * np.exp(-sum(ts)) + 0.0 * ts[-1],
+    lambda ts: (1.0 + ts[0]) ** 2 + 0.0 * ts[-1],
+)
+
+
+def _stacked(ts):
+    return np.stack(np.broadcast_arrays(*(k(ts) for k in STACK_KERNELS)))
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("nodes", [5, 24])
+def test_stacked_integrand_matches_scalar_calls(beta, nodes):
+    settings_ = QuadratureSettings(nodes_per_level=nodes)
+    values, errs = integrate_ordered(_stacked, beta, 0.8, settings_)
+    assert values.shape == errs.shape == (len(STACK_KERNELS),)
+    assert values.dtype == complex and errs.dtype == float
+    for kernel, value, err in zip(STACK_KERNELS, values, errs):
+        ref, ref_err = integrate_ordered(kernel, beta, 0.8, settings_)
+        assert abs(value - ref) <= 1e-15 * abs(ref)
+        assert err == pytest.approx(ref_err, rel=1e-6, abs=1e-15)
+    # Each kernel carries its own estimate, not a shared one.
+    assert len(set(errs.tolist())) == len(STACK_KERNELS)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_stacked_integrand_zero_length_domain(beta):
+    values, errs = integrate_ordered(_stacked, beta, 0.0)
+    assert values.shape == errs.shape == (len(STACK_KERNELS),)
+    assert not values.any() and not errs.any()
+    value, err = integrate_ordered(STACK_KERNELS[0], beta, 0.0)
+    assert (value, err) == (0j, 0.0)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_non_finite_stacked_kernel_reports_point(beta):
+    def f(ts):
+        bad = np.where(ts[-1] > 0.5, np.nan, 1.0)
+        return np.stack(np.broadcast_arrays(np.ones_like(ts[-1]), bad))
+
+    with pytest.raises(IntegrandEvaluationError) as info:
+        integrate_ordered(f, beta, 1.0)
+    assert len(info.value.point) == beta
+    assert info.value.point[-1] > 0.5
+
+
+def test_stacked_integrand_keeps_argument_checks():
+    with pytest.raises(ValueError):
+        integrate_ordered(_stacked, MAX_TENSOR_DIM + 1, 1.0)
+    with pytest.raises(ValueError):
+        integrate_ordered(_stacked, -1, 1.0)
+    with pytest.raises(ValueError):
+        integrate_ordered(_stacked, 2, -1.0)
+    value, err = integrate_ordered(_stacked, 0, 1.0)
+    assert (value, err) == (1.0 + 0.0j, 0.0)

@@ -173,3 +173,52 @@ def test_profiles_are_immutable():
     prof = SpeedRatioProfile.constant(1.0, s_max=1.0)
     with pytest.raises(AttributeError):
         prof.mu0 = 2.0
+
+
+def _table_heading_oracle(profile, s):
+    """Table heading rebuilt from the knot tuples on every call."""
+    arr = np.asarray(s, dtype=float)
+    ks = np.asarray(profile.knots_s)
+    kmu = np.asarray(profile.knots_mu)
+    kh = np.asarray(profile.knot_heading)
+    idx = np.clip(np.searchsorted(ks, arr, side="right") - 1, 0, ks.size - 2)
+    ds = arr - ks[idx]
+    slope = (kmu[idx + 1] - kmu[idx]) / (ks[idx + 1] - ks[idx])
+    out = kh[idx] + kmu[idx] * ds + 0.5 * slope * ds * ds
+    return out if np.ndim(s) else float(out)
+
+
+def _sine_table(theta0=-0.4, s_max=None):
+    samples = [(i / 20, 10.0 * i / 20 + 3.0 * math.sin(7.0 * i / 20))
+               for i in range(21)]
+    return SpeedRatioProfile.table(samples, theta0=theta0, s_max=s_max)
+
+
+def test_table_heading_bit_identical_to_per_call_formula():
+    prof = _sine_table(s_max=0.93)
+    knots = np.asarray(prof.knots_s)
+    rng = np.random.default_rng(7)
+    for points in (knots[knots <= 0.93], np.array([0.0, 0.93]),
+                   rng.uniform(0.0, 0.93, 500), rng.uniform(0.0, 0.93, (9, 11))):
+        assert np.array_equal(mean_heading(prof, points),
+                              _table_heading_oracle(prof, points))
+    for s in (0.0, 0.35, 0.5, 0.93):
+        got = mean_heading(prof, s)
+        assert type(got) is float
+        assert got == _table_heading_oracle(prof, s)
+    two_knots = SpeedRatioProfile.table([(0.0, 1.0), (1.0, -2.0)], theta0=0.4)
+    points = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 50)))
+    assert np.array_equal(mean_heading(two_knots, points),
+                          _table_heading_oracle(two_knots, points))
+
+
+def test_table_panels_are_read_only_and_outside_equality():
+    prof, twin = _sine_table(), _sine_table()
+    mean_heading(prof, np.linspace(0.0, 1.0, 5))
+    ratio(prof, 0.3)
+    for arr in prof._panels:
+        assert not arr.flags.writeable
+    assert prof == twin
+    assert hash(prof) == hash(twin)
+    assert {prof: 1}[twin] == 1
+    assert prof != _sine_table(theta0=0.1)
