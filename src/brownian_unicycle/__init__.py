@@ -21,15 +21,14 @@ from .general_moments import (MomentResult, MomentSpec, TermKey,
                               displacement_heading_moment, displacement_moment,
                               phase_step_vectors, term_keys,
                               theta_power_compositions)
-from .low_moments import (cov_xtheta, cov_ytheta, mean_squared_distance,
-                          mean_x, mean_y, orientation_distribution,
-                          second_moments)
+from .low_moments import (cov_xtheta, cov_ytheta, deterministic_pose,
+                          mean_squared_distance, mean_x, mean_y,
+                          orientation_distribution, second_moments)
 from .montecarlo import (SimConfig, TrialStatistics, collect_samples,
                          run_experiment, simulate_trial,
                          statistics_from_samples)
 from .quadrature import QuadratureSettings, integrate_ordered
-from .trajectory import (NoiseParams, SpeedRatioProfile, damped_cos2,
-                         damped_sin2, deterministic_pose, mean_heading, ratio)
+from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading, ratio
 
 __all__ = [
     "AccuracyWarning", "BrownianUnicycleError", "ConfigError", "EnvelopeRefusal",
@@ -39,8 +38,7 @@ __all__ = [
     "SpeedRatioProfile", "TermKey", "TermKeyError", "TrialStatistics",
     "cartesian_moment", "coefficient", "collect_samples", "complex_rate",
     "count_phase_step_vectors", "cov_xtheta", "cov_ytheta", "d2_closed",
-    "d4_closed", "d4_moment", "damped_cos2", "damped_sin2",
-    "deterministic_pose", "displacement_heading_moment",
+    "d4_closed", "d4_moment", "deterministic_pose", "displacement_heading_moment",
     "displacement_moment", "integrate_ordered",
     "mean_heading", "mean_pose_closed", "mean_squared_distance", "mean_x",
     "mean_y", "orientation_distribution", "phase_step_vectors", "ratio",

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .exceptions import ConfigError
 from .montecarlo import SimConfig
-from .quadrature import QuadratureSettings
+from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .trajectory import NoiseParams, SpeedRatioProfile
 
 _SIM_DEFAULTS = {"steps": 10000, "trials": 100000, "master_seed": 0}
@@ -87,8 +87,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
         quad_doc = doc.get("quadrature", {})
         settings = QuadratureSettings(
-            nodes_per_level=int(quad_doc.get("nodes_per_level", 24)),
-            rel_tol=float(quad_doc.get("rel_tol", 1e-9)),
+            nodes_per_level=int(quad_doc.get("nodes_per_level",
+                                             DEFAULT_SETTINGS.nodes_per_level)),
+            rel_tol=float(quad_doc.get("rel_tol", DEFAULT_SETTINGS.rel_tol)),
         )
         output_dir = doc.get("output", {}).get("dir")
     except ConfigError:

@@ -148,6 +148,16 @@ def _byparts_integral(coeff: complex, rate: complex, power: int):
     return out
 
 
+def _shifted_exp_series(w: complex, k: int) -> complex:
+    """``sum_j w^j / (j + k)!`` to twelve terms, for small ``|w|``."""
+    term = complex(1.0 / math.factorial(k))
+    acc = term
+    for j in range(1, 12):
+        term = term * w / (j + k)
+        acc += term
+    return acc
+
+
 def d2_closed(mu0: float, params: NoiseParams, s: float) -> float:
     """Mean squared distance, ``k_r s + 2 Re[(e^{zs} - 1 - zs)/z^2]``.
 
@@ -157,12 +167,7 @@ def d2_closed(mu0: float, params: NoiseParams, s: float) -> float:
     z = complex_rate(mu0, params.k_theta)
     w = z * s
     if abs(w) < _D2_SERIES_SWITCH:
-        term = 0.5 + 0j
-        acc = term
-        for k in range(1, 12):
-            term = term * w / (k + 2)
-            acc += term
-        bracket = s * s * acc
+        bracket = s * s * _shifted_exp_series(w, 2)
     else:
         bracket = (_cexpm1(w) - w) / (z * z)
     return params.k_r * s + 2.0 * bracket.real
@@ -174,12 +179,7 @@ def mean_pose_closed(mu0: float, params: NoiseParams, theta0: float,
     z = complex_rate(mu0, params.k_theta)
     w = z * s
     if abs(w) < _D2_SERIES_SWITCH:
-        term = 1.0 + 0j
-        acc = term
-        for k in range(1, 12):
-            term = term * w / (k + 1)
-            acc += term
-        value = s * acc
+        value = s * _shifted_exp_series(w, 1)
     else:
         value = _cexpm1(w) / z
     return cmath.exp(1j * theta0) * value

@@ -235,6 +235,12 @@ def theta_power_compositions(r: int, beta: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _pairings(g: int, a: int) -> int:
+    """Ways to pick ``a`` disjoint pairs among ``g`` items,
+    ``g! / (a! (g-2a)! 2^a)``."""
+    return factorial(g) // (factorial(a) * factorial(g - 2 * a) * 2 ** a)
+
+
 def _gap_polynomial(g: int, w: int, kt: float, dt):
     """Gaussian-moment factor of one gap carrying fluctuation power g.
 
@@ -246,8 +252,7 @@ def _gap_polynomial(g: int, w: int, kt: float, dt):
     base = 1j * w * np.sqrt(kt)
     acc = 0.0
     for a in range(g // 2 + 1):
-        coef = factorial(g) // (factorial(a) * factorial(g - 2 * a) * 2 ** a)
-        acc = acc + coef * base ** (g - 2 * a) * dt ** (g - a)
+        acc = acc + _pairings(g, a) * base ** (g - 2 * a) * dt ** (g - a)
     return acc
 
 
@@ -429,8 +434,8 @@ class _Walk:
             out = np.zeros((2, r + 1))
             for g in range(r + 1):
                 for a in range(g // 2 + 1):
-                    coef = (factorial(g) // (factorial(a) * factorial(g - 2 * a) * 2 ** a)
-                            * (w * kt ** 0.5) ** (g - 2 * a) / factorial(g))
+                    coef = (_pairings(g, a) * (w * kt ** 0.5) ** (g - 2 * a)
+                            / factorial(g))
                     e = g - a
                     out[0, g] += coef * s ** e
                     # int_0^s x^e exp(-decay x) dx
@@ -470,11 +475,11 @@ class _Walk:
         return values
 
 
-def _check_envelope(p: int, q: int, r: int) -> None:
-    if p + q > MAX_TOTAL_POWER or r > MAX_HEADING_POWER:
+def _check_envelope(spec: MomentSpec) -> None:
+    if not spec.within_envelope:
         warnings.warn(
-            f"moment ({p}, {q}, {r}) is outside the guaranteed envelope "
-            f"(p+q <= {MAX_TOTAL_POWER}, r <= {MAX_HEADING_POWER}); "
+            f"moment ({spec.p}, {spec.q}, {spec.r}) is outside the guaranteed "
+            f"envelope (p+q <= {MAX_TOTAL_POWER}, r <= {MAX_HEADING_POWER}); "
             "its cost and error estimate are untested there",
             EnvelopeWarning, stacklevel=3)
 
@@ -497,8 +502,7 @@ def displacement_heading_moment(p: int, q: int, r: int,
     times the bound :meth:`_Walk.moduli`; ``terms_evaluated`` counts the
     enumerated terms, vectors times compositions summed over the keys.
     """
-    MomentSpec(p, q, r)
-    _check_envelope(p, q, r)
+    _check_envelope(MomentSpec(p, q, r))
     kr, kt = params.k_r, params.k_theta
     phase0 = cmath.exp(1j * (p - q) * profile.theta0)
     r_fact = factorial(r)
@@ -568,9 +572,7 @@ def cartesian_moment(i: int, j: int, k: int, profile: SpeedRatioProfile,
     ``1e-8 * |value|`` (plus a roundoff floor tied to the term magnitudes
     and the quadrature error estimate) and then discarded.
     """
-    if min(i, j, k) < 0:
-        raise ValueError("moment orders must be non-negative")
-    _check_envelope(i, j, k)
+    _check_envelope(MomentSpec(i, j, k))
     power = i + j
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EnvelopeWarning)

@@ -1,12 +1,17 @@
-"""First and second order statistics of the noisy unicycle.
+"""Heading integrals: the noise-free pose and the low-order statistics.
 
 Every quantity here is an explicit one- or two-dimensional integral over
 the deterministic heading, with the heading-noise decay ``exp(-k_theta *
 s' / 2)`` attached to each displacement factor. The two-dimensional
 integrals are stated over ``(s', s'')`` with ``s''`` the gap between the
 two sample points; substituting ``t2 = s' + s''`` maps them onto the
-ordered-region engine, which is the single quadrature code path used
-throughout the package.
+tensor rule of :func:`~brownian_unicycle.quadrature.integrate_ordered`.
+
+A single one-dimensional integral, ``int_0^s exp(i w mean_heading(t) -
+c t) dt`` (:func:`_heading_integral`), serves three results: the mean
+position (``w = 1``, ``c = k_theta/2``), the shift-noise term ``int D``
+of the second moments (``w = 2``, ``c = 2 k_theta``) and the noise-free
+pose (``w = 1``, ``c = 0``).
 
 Integrals that share a heading evaluation go through one call: the
 integrand returns their kernels as a stack (see
@@ -25,6 +30,8 @@ test oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_ordered
@@ -37,27 +44,55 @@ def orientation_distribution(profile: SpeedRatioProfile, params: NoiseParams,
     return mean_heading(profile, s), params.k_theta * s
 
 
-def _mean_xy(profile, params, s, settings):
-    kt = params.k_theta
+#: Tensor rule of the noise-free pose of non-constant profiles.
+_POSE_SETTINGS = QuadratureSettings(nodes_per_level=64)
+
+
+def _heading_integral(profile, s, w, c, settings):
+    """``int_0^s exp(i w mean_heading(t) - c t) dt`` and its error estimate."""
 
     def f(ts):
         t = ts[0]
-        return np.exp(1j * mean_heading(profile, t) - 0.5 * kt * t)
+        return np.exp(1j * w * mean_heading(profile, t) - c * t)
 
-    value, err = integrate_ordered(f, 1, s, settings)
-    return value, err
+    return integrate_ordered(f, 1, s, settings)
+
+
+def deterministic_pose(profile: SpeedRatioProfile, s: float,
+                       settings: QuadratureSettings = _POSE_SETTINGS):
+    """Noise-free pose ``(x, y, theta)`` after curve length ``s``.
+
+    Constant profiles integrate in closed form (arc of a circle of radius
+    ``1/mu0``, straight line when ``mu0 == 0``); other kinds integrate
+    ``exp(i * mean_heading)`` on the tensor rule, 64 nodes by default.
+    """
+    th = mean_heading(profile, s)
+    if profile.kind == "constant":
+        mu0 = profile.mu0
+        th0 = profile.theta0
+        if mu0 == 0.0:
+            x = s * math.cos(th0)
+            y = s * math.sin(th0)
+        else:
+            x = (math.sin(th0 + mu0 * s) - math.sin(th0)) / mu0
+            y = -(math.cos(th0 + mu0 * s) - math.cos(th0)) / mu0
+        return (x, y, th)
+    z, _ = _heading_integral(profile, s, 1, 0.0, settings)
+    return (z.real, z.imag, th)
 
 
 def mean_x(profile: SpeedRatioProfile, params: NoiseParams, s: float,
            settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """``integral_0^s cos(mean_heading) * exp(-k_theta s'/2) ds'``."""
-    return _mean_xy(profile, params, s, settings)[0].real
+    return _heading_integral(profile, s, 1, 0.5 * params.k_theta,
+                             settings)[0].real
 
 
 def mean_y(profile: SpeedRatioProfile, params: NoiseParams, s: float,
            settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Sine analogue of :func:`mean_x`."""
-    return _mean_xy(profile, params, s, settings)[0].imag
+    return _heading_integral(profile, s, 1, 0.5 * params.k_theta,
+                             settings)[0].imag
 
 
 def second_moments(profile: SpeedRatioProfile, params: NoiseParams, s: float,
@@ -82,12 +117,8 @@ def second_moments(profile: SpeedRatioProfile, params: NoiseParams, s: float,
         d = np.exp(2j * h1 - 2.0 * kt * t1)
         return np.stack((e, d * e))
 
-    def single(ts):
-        t = ts[0]
-        return np.exp(2j * mean_heading(profile, t) - 2.0 * kt * t)
-
     (ie, ide), _ = integrate_ordered(pair, 2, s, settings)
-    i_d, _ = integrate_ordered(single, 1, s, settings)
+    i_d, _ = _heading_integral(profile, s, 2, 2.0 * kt, settings)
 
     kr2 = 0.5 * params.k_r
     m_xx = ie.real + ide.real + kr2 * (s + i_d.real)

@@ -1,4 +1,4 @@
-"""Deterministic motion descriptions for the planar unicycle.
+"""Speed-ratio profiles: the deterministic motion of the planar unicycle.
 
 The commanded motion enters every formula through the speed ratio
 ``mu(s)`` (angular over linear speed) expressed in the curve-length
@@ -11,14 +11,16 @@ the heading evaluation exact: constant and polynomial ratios integrate in
 closed form, tabulated ratios use linear interpolation of ``mu`` whose
 cumulative integral is piecewise quadratic and therefore also exact.
 
-Queries outside ``[0, s_max]`` raise :class:`ProfileDomainError` rather
-than extrapolating; silently extrapolated ratios would corrupt the
+Queries outside ``[0, s_max]``, and NaN, raise :class:`ProfileDomainError`
+rather than extrapolating; silently extrapolated ratios would corrupt the
 high-order moment integrals downstream.
+
+This module holds the profile geometry only. Every integral of the
+heading, the noise-free pose included, lives in :mod:`low_moments`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -129,7 +131,8 @@ class SpeedRatioProfile:
 
 def _check_domain(profile: SpeedRatioProfile, s) -> np.ndarray:
     arr = np.asarray(s, dtype=float)
-    if arr.size and (arr.min() < 0.0 or arr.max() > profile.s_max):
+    # Written so that NaN, which compares false either way, fails too.
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= profile.s_max):
         raise ProfileDomainError(
             f"curve length outside [0, {profile.s_max}]: "
             f"range [{arr.min()}, {arr.max()}]")
@@ -174,46 +177,3 @@ def mean_heading(profile: SpeedRatioProfile, s):
         ds = arr - ks[idx]
         out = kh[idx] + kmu[idx] * ds + 0.5 * slope[idx] * ds * ds
     return out if np.ndim(s) else float(out)
-
-
-def damped_cos2(profile: SpeedRatioProfile, params: NoiseParams, s):
-    """cos(2 * mean_heading(s)) * exp(-2 * k_theta * s)."""
-    arr = _check_domain(profile, s)
-    out = np.cos(2.0 * mean_heading(profile, arr)) * np.exp(-2.0 * params.k_theta * arr)
-    return out if np.ndim(s) else float(out)
-
-
-def damped_sin2(profile: SpeedRatioProfile, params: NoiseParams, s):
-    """sin(2 * mean_heading(s)) * exp(-2 * k_theta * s)."""
-    arr = _check_domain(profile, s)
-    out = np.sin(2.0 * mean_heading(profile, arr)) * np.exp(-2.0 * params.k_theta * arr)
-    return out if np.ndim(s) else float(out)
-
-
-def deterministic_pose(profile: SpeedRatioProfile, s: float, settings=None):
-    """Noise-free pose ``(x, y, theta)`` after curve length ``s``.
-
-    Constant profiles integrate in closed form (arc of a circle of radius
-    ``1/mu0``, straight line when ``mu0 == 0``); other kinds fall back to
-    high-order Gauss-Legendre quadrature of ``exp(i * mean_heading)``.
-    """
-    _check_domain(profile, s)
-    th = mean_heading(profile, s)
-    if profile.kind == "constant":
-        mu0 = profile.mu0
-        th0 = profile.theta0
-        if mu0 == 0.0:
-            x = s * math.cos(th0)
-            y = s * math.sin(th0)
-        else:
-            x = (math.sin(th0 + mu0 * s) - math.sin(th0)) / mu0
-            y = -(math.cos(th0 + mu0 * s) - math.cos(th0)) / mu0
-        return (x, y, th)
-
-    from .quadrature import QuadratureSettings, integrate_ordered
-
-    if settings is None:
-        settings = QuadratureSettings(nodes_per_level=64)
-    z, _ = integrate_ordered(
-        lambda ts: np.exp(1j * mean_heading(profile, ts[0])), 1, s, settings)
-    return (z.real, z.imag, th)

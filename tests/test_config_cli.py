@@ -7,7 +7,8 @@ import os
 import pytest
 
 from brownian_unicycle import (cli, d2_closed, fourth_moment, low_moments,
-                               NoiseParams, SpeedRatioProfile)
+                               NoiseParams, QuadratureSettings,
+                               SpeedRatioProfile)
 from brownian_unicycle.cli import main
 from brownian_unicycle.config import (config_from_dict, dump_config,
                                       load_config)
@@ -57,6 +58,7 @@ def test_config_defaults():
     assert cfg.sim.trials == 100000
     assert cfg.sim.s_final == 2.0
     assert cfg.settings.nodes_per_level == 24
+    assert cfg.settings == QuadratureSettings()
 
 
 def test_config_table_profile():
@@ -209,6 +211,14 @@ def test_d4_quadrature_path(ramp_config_path, capsys):
     assert record["variance_d2"] == pytest.approx(0.0026, abs=2e-4)
 
 
+def _subprocess_env():
+    """This environment with the imported package's directory first on
+    ``PYTHONPATH``, which pytest's ``pythonpath`` setting does not pass on."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    paths = (root, os.environ.get("PYTHONPATH"))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 def test_console_entry_point(config_path):
     import subprocess
     import sys
@@ -216,10 +226,25 @@ def test_console_entry_point(config_path):
     proc = subprocess.run(
         [sys.executable, "-m", "brownian_unicycle", "--config", config_path,
          "moment", "0", "0", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["value_re"] == pytest.approx(0.01, rel=1e-12)
+
+
+def test_cli_runs_without_scipy(config_path):
+    import subprocess
+    import sys
+
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "from brownian_unicycle.cli import main; "
+              f"sys.exit(main(['--config', {config_path!r}, 'd2']))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["value"] == pytest.approx(
+        d2_closed(5.0, NoiseParams(0.01, 0.01), 1.0), rel=1e-8)
 
 
 def test_simulate_json_and_per_trial_csv(config_path, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from brownian_unicycle import (ExpPolySum, NoiseParams, SpeedRatioProfile,
@@ -123,6 +124,43 @@ def test_mean_pose_against_quadrature():
 
 # ---------------------------------------------------------------------------
 # fourth moment
+
+
+def _series_branches_oracle(mu0, params, theta0, s):
+    """The small-``|z s|`` branches of ``d2_closed`` and ``mean_pose_closed``
+    as each summed its own series before they shared one."""
+    z = complex_rate(mu0, params.k_theta)
+    w = z * s
+    term = 0.5 + 0j
+    acc = term
+    for k in range(1, 12):
+        term = term * w / (k + 2)
+        acc += term
+    d2 = params.k_r * s + 2.0 * (s * s * acc).real
+    term = 1.0 + 0j
+    acc = term
+    for k in range(1, 12):
+        term = term * w / (k + 1)
+        acc += term
+    return d2, cmath.exp(1j * theta0) * (s * acc)
+
+
+def test_series_branches_equal_separate_sums():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(2000):
+        mu0 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, 1))
+        params = NoiseParams(float(rng.uniform(0, 1)),
+                             float(10.0 ** rng.uniform(-9, 0)))
+        s = float(10.0 ** rng.uniform(-7, 0))
+        if abs(complex_rate(mu0, params.k_theta) * s) >= 1e-4:
+            continue
+        theta0 = float(rng.uniform(-3, 3))
+        assert (d2_closed(mu0, params, s),
+                mean_pose_closed(mu0, params, theta0, s)) == \
+            _series_branches_oracle(mu0, params, theta0, s)
+        checked += 1
+    assert checked > 500
 
 
 def test_d4_reference_variances():

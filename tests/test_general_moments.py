@@ -602,6 +602,67 @@ def test_envelope_corners_meet_rel_tol(p, q, r):
     assert res.err_estimate <= 1e-9 * abs(res.value)
 
 
+#: ``(profile, K, (p, q, r), value, err_estimate)`` at ``s = 0.95`` with
+#: ``k_r = k_theta = K``, recorded from the engine before the pairing count
+#: and the envelope check were shared: the benchmark's ``moments`` orders on
+#: its three cases, and two envelope corners on the ramp.
+PINNED_MOMENTS = [
+    ("constant", 0.01, (1, 1, 0),
+     (0.08704498017325153+0j), 7.355127773119162e-15),
+    ("constant", 0.01, (2, 0, 0),
+     (0.0017563167320981284-0.0747232551191715j), 3.3122434132445953e-15),
+    ("constant", 0.01, (2, 2, 0),
+     (0.008994621728495824+0j), 1.9993380261496396e-15),
+    ("constant", 0.01, (3, 1, 1),
+     (7.04750343900614e-05+0.000189927562868159j), 1.2517562838403071e-17),
+    ("constant", 0.01, (2, 2, 2),
+     (8.929110058651875e-05+0j), 2.0071187826182605e-17),
+    ("constant", 0.01, (5, 0, 0),
+     (0.0008805315877030483-0.0008804855644535605j), 2.1078381863987036e-16),
+    ("constant", 0.01, (6, 0, 0),
+     (7.79182829545856e-06+0.0002984816888903166j), 7.695391575962638e-17),
+    ("constant", 1.0, (1, 1, 0),
+     (1.0731948770275215+0j), 6.431940694223265e-15),
+    ("constant", 1.0, (2, 0, 0),
+     (-0.027571007715908022+0.07539260423654096j), 4.9659054479552744e-15),
+    ("constant", 1.0, (2, 2, 0),
+     (2.3668647177787383+0j), 3.2616408828978257e-14),
+    ("constant", 1.0, (3, 1, 1),
+     (0.10892292531431096-0.06203421990123728j), 8.803619920693929e-15),
+    ("constant", 1.0, (2, 2, 2),
+     (2.5579346540044083+0j), 3.4245841959158945e-14),
+    ("constant", 1.0, (5, 0, 0),
+     (-0.004254757689445136-0.031119154230793943j), 1.1638670287532882e-15),
+    ("constant", 1.0, (6, 0, 0),
+     (0.005042853696090633-0.015310757343386997j), 9.915464456225136e-16),
+    ("ramp", 1.0, (1, 1, 0),
+     (1.1145168691357232+0j), 6.675553494516871e-15),
+    ("ramp", 1.0, (2, 0, 0),
+     (0.18140322584329951+0.22941709093229945j), 7.147312626139216e-15),
+    ("ramp", 1.0, (2, 2, 0),
+     (2.6401931415338806+0j), 3.2494492877760217e-14),
+    ("ramp", 1.0, (3, 1, 1),
+     (-0.41061124582967645-0.12957455048741728j), 1.3462567139358199e-14),
+    ("ramp", 1.0, (2, 2, 2),
+     (2.7782102692777038-5.551115123125783e-17j), 3.2713740774793283e-14),
+    ("ramp", 1.0, (5, 0, 0),
+     (-0.045818320356329316+0.16632987554526543j), 5.206845632445393e-15),
+    ("ramp", 1.0, (6, 0, 0),
+     (-0.05306976169888199+0.15470130346607597j), 5.167043002046192e-15),
+    ("ramp", 1.0, (4, 4, 4),
+     (219.6711773037235-3.1086244689504383e-15j), 1.4264847063889622e-11),
+    ("ramp", 1.0, (8, 0, 4),
+     (0.8605065573265165+0.26181745696141856j), 5.175378319808021e-14),
+]
+
+
+@pytest.mark.parametrize("label,k,order,value,err", PINNED_MOMENTS)
+def test_moments_bit_identical_to_recorded(label, k, order, value, err):
+    profile = CONST if label == "constant" else RAMP
+    res = displacement_heading_moment(*order, profile, NoiseParams(k, k), 0.95)
+    assert (res.value, res.err_estimate) == (value, err)
+
+
 def _exact_moment_50(p, q, mu0, k, s):
     """``_exact_moment`` in 50-digit arithmetic: its double-precision chains
     lose up to 1e-13 relative to cancellation at small ``k``.

@@ -8,7 +8,7 @@ import pytest
 
 from brownian_unicycle import (NoiseParams, QuadratureSettings,
                                SpeedRatioProfile, cov_xtheta, cov_ytheta,
-                               damped_cos2, damped_sin2,
+                               deterministic_pose,
                                displacement_heading_moment,
                                displacement_moment, integrate_ordered,
                                low_moments, mean_heading, mean_pose_closed,
@@ -157,12 +157,18 @@ def five_kernel_second_moments(profile, params, s, settings=DEFAULT_SETTINGS):
     """Oracle: each second moment and shift integral as its own real call."""
     kt = params.k_theta
 
+    def damped_cos2(t):
+        return np.cos(2.0 * mean_heading(profile, t)) * np.exp(-2.0 * kt * t)
+
+    def damped_sin2(t):
+        return np.sin(2.0 * mean_heading(profile, t)) * np.exp(-2.0 * kt * t)
+
     def kernel(ts, combine):
         t1, t2 = ts
         dth = mean_heading(profile, t2) - mean_heading(profile, t1)
         env = np.exp(-0.5 * kt * (t2 - t1))
-        cc = damped_cos2(profile, params, t1)
-        cs = damped_sin2(profile, params, t1)
+        cc = damped_cos2(t1)
+        cs = damped_sin2(t1)
         return combine(cc, cs, np.cos(dth), np.sin(dth)) * env
 
     xx, _ = integrate_ordered(
@@ -174,10 +180,8 @@ def five_kernel_second_moments(profile, params, s, settings=DEFAULT_SETTINGS):
     xy, _ = integrate_ordered(
         lambda ts: kernel(ts, lambda cc, cs, c, d: cs * c + cc * d),
         2, s, settings)
-    int_cc, _ = integrate_ordered(lambda ts: damped_cos2(profile, params, ts[0]),
-                                  1, s, settings)
-    int_cs, _ = integrate_ordered(lambda ts: damped_sin2(profile, params, ts[0]),
-                                  1, s, settings)
+    int_cc, _ = integrate_ordered(lambda ts: damped_cos2(ts[0]), 1, s, settings)
+    int_cs, _ = integrate_ordered(lambda ts: damped_sin2(ts[0]), 1, s, settings)
     kr2 = 0.5 * params.k_r
     return (xx.real + kr2 * (s + int_cc.real),
             yy.real + kr2 * (s - int_cc.real),
@@ -239,3 +243,69 @@ def test_second_moments_evaluate_heading_once_per_grid(monkeypatch):
     second_moments(TABLE, NoiseParams(0.2, 0.5), 0.8)
     assert calls["integrate_ordered"] == 2
     assert calls["mean_heading"] <= 6
+
+
+# The three one-dimensional heading integrals as separate code paths, each
+# copied from the version before they shared one integrand.
+
+def _mean_xy_oracle(profile, params, s, settings):
+    kt = params.k_theta
+
+    def f(ts):
+        t = ts[0]
+        return np.exp(1j * mean_heading(profile, t) - 0.5 * kt * t)
+
+    value, err = integrate_ordered(f, 1, s, settings)
+    return value, err
+
+
+def _shift_integral_oracle(profile, params, s, settings):
+    kt = params.k_theta
+
+    def single(ts):
+        t = ts[0]
+        return np.exp(2j * mean_heading(profile, t) - 2.0 * kt * t)
+
+    return integrate_ordered(single, 1, s, settings)
+
+
+def _pose_oracle(profile, s):
+    z, _ = integrate_ordered(
+        lambda ts: np.exp(1j * mean_heading(profile, ts[0])), 1, s,
+        QuadratureSettings(nodes_per_level=64))
+    return (z.real, z.imag, mean_heading(profile, s))
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
+@pytest.mark.parametrize("theta0", [0.0, 0.9])
+@pytest.mark.parametrize("s", [0.0, 0.55, 1.0])   # origin, a table knot, s_max
+def test_heading_integrals_equal_separate_paths(profile, theta0, s):
+    profile = _shifted(profile, theta0)
+    for params in (NoiseParams(0.3, 0.7), NoiseParams(0.0, 0.0)):
+        for settings_ in (DEFAULT_SETTINGS, QuadratureSettings(nodes_per_level=7)):
+            z, err = low_moments._heading_integral(
+                profile, s, 1, 0.5 * params.k_theta, settings_)
+            assert (z, err) == _mean_xy_oracle(profile, params, s, settings_)
+            assert mean_x(profile, params, s, settings_) == z.real
+            assert mean_y(profile, params, s, settings_) == z.imag
+            assert low_moments._heading_integral(
+                profile, s, 2, 2.0 * params.k_theta, settings_) == \
+                _shift_integral_oracle(profile, params, s, settings_)
+    if profile.kind != "constant":
+        assert deterministic_pose(profile, s) == _pose_oracle(profile, s)
+
+
+def test_pose_integrates_once_through_module_attribute(monkeypatch):
+    calls = []
+    original = low_moments.integrate_ordered
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(low_moments, "integrate_ordered", counting)
+    for profile in (RAMP, TABLE):
+        deterministic_pose(profile, 0.8)
+    assert calls == [1, 1]
+    deterministic_pose(CONST, 0.8)
+    assert calls == [1, 1]

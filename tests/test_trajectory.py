@@ -1,6 +1,8 @@
-"""Deterministic motion: headings, damped double-angle factors, poses."""
+"""Deterministic motion: profiles, headings and noise-free poses."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brownian_unicycle import (NoiseParams, ProfileDomainError,
-                               SpeedRatioProfile, damped_cos2, damped_sin2,
-                               deterministic_pose, mean_heading, ratio)
+                               SpeedRatioProfile, deterministic_pose,
+                               mean_heading, mean_x, ratio, trajectory)
 
 
 def test_heading_constant():
@@ -34,31 +36,6 @@ def test_ratio_evaluation():
     np.testing.assert_allclose(ratio(const, np.array([0.0, 1.0])), 4.0)
     tab = SpeedRatioProfile.table([(0.0, 1.0), (1.0, 3.0)], s_max=1.0)
     assert ratio(tab, 0.25) == pytest.approx(1.5, abs=1e-14)
-
-
-def test_damped_factors_zero_heading():
-    prof = SpeedRatioProfile.constant(0.0, theta0=0.0, s_max=3.0)
-    params = NoiseParams(0.0, 0.0)
-    for s in (0.0, 0.7, 3.0):
-        assert damped_cos2(prof, params, s) == pytest.approx(1.0, abs=1e-15)
-        assert damped_sin2(prof, params, s) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_damped_factors_quarter_turn_start():
-    prof = SpeedRatioProfile.constant(0.0, theta0=math.pi / 4, s_max=1.0)
-    params = NoiseParams(0.0, 0.0)
-    assert damped_cos2(prof, params, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert damped_sin2(prof, params, 0.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_damped_factors_generic_point():
-    # Direct evaluation of the defining expression.
-    prof = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
-    params = NoiseParams(0.0, 1.0)
-    assert damped_cos2(prof, params, 1.0) == pytest.approx(
-        math.cos(10.0) * math.exp(-2.0), rel=1e-14)
-    assert damped_sin2(prof, params, 1.0) == pytest.approx(
-        math.sin(10.0) * math.exp(-2.0), rel=1e-14)
 
 
 def test_pose_straight_line():
@@ -137,7 +114,39 @@ def test_domain_violations_raise():
     with pytest.raises(ProfileDomainError):
         mean_heading(prof, np.array([0.5, 2.0]))
     with pytest.raises(ProfileDomainError):
-        damped_cos2(prof, NoiseParams(0.0, 0.0), 1.5)
+        ratio(prof, 1.5)
+
+
+@pytest.mark.parametrize("prof", [
+    SpeedRatioProfile.constant(1.0, s_max=1.0),
+    SpeedRatioProfile.polynomial((0.0, 10.0), s_max=1.0),
+    SpeedRatioProfile.table([(0.0, 1.0), (0.5, 2.0), (1.0, 0.0)]),
+], ids=lambda p: p.kind)
+def test_nan_curve_length_raises(prof):
+    # NaN compares false against both ends of [0, s_max].
+    for s in (math.nan, np.array([0.2, math.nan, 0.7])):
+        with pytest.raises(ProfileDomainError):
+            mean_heading(prof, s)
+        with pytest.raises(ProfileDomainError):
+            ratio(prof, s)
+    with pytest.raises(ProfileDomainError):
+        mean_x(prof, NoiseParams(0.1, 0.2), math.nan)
+
+
+def test_trajectory_imports_only_exceptions_from_the_package():
+    tree = ast.parse(Path(trajectory.__file__).read_text(encoding="utf-8"))
+    local = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert local == {"exceptions"}
+    assert not any(name.startswith("brownian_unicycle") for name in absolute)
+    names = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not any(name.startswith("damped_") for name in names)
+    assert "deterministic_pose" not in names
 
 
 def test_table_matches_polynomial_for_linear_ratio():
