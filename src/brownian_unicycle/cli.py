@@ -5,7 +5,7 @@ Subcommands: ``moment``, ``d2``, ``d4``, ``simulate``, ``reproduce``,
 profile, noise, simulation and quadrature sections for every command.
 
 Exit codes: 0 success, 1 usage, 2 config, 3 envelope/cost refusal,
-4 internal numerical-consistency failure.
+4 internal numerical-consistency failure or a non-finite integrand.
 
 Output conventions: JSON records print floats at full round-trip
 precision; CSV uses 17 significant digits, a documented header row,
@@ -29,7 +29,7 @@ import numpy as np
 from . import constant_ratio, fourth_moment, general_moments, low_moments
 from .config import load_config
 from .exceptions import (ConfigError, EnvelopeRefusal, EnvelopeWarning,
-                         NumericalConsistencyError)
+                         IntegrandEvaluationError, NumericalConsistencyError)
 from .montecarlo import (SimConfig, collect_samples, simulate_trial,
                          statistics_from_samples)
 from .trajectory import SpeedRatioProfile, NoiseParams, mean_heading
@@ -51,12 +51,17 @@ def _emit_json(record: dict, out_path: str | None, drop_for_file=()) -> None:
             fh.write("\n")
 
 
-def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    """Header and rows, strings verbatim and numbers through :func:`_fmt`."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell)
                               for cell in row))
-    text = _CSV_EOL.join(lines) + _CSV_EOL
+    return _CSV_EOL.join(lines) + _CSV_EOL
+
+
+def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
+    text = _csv_text(header, rows)
     click.echo(text, nl=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -201,10 +206,7 @@ def simulate(ctx, out_path, per_trial_path):
                  samples["theta"][i], samples["d2"][i]]
                 for i in range(cfg.sim.trials)]
         with open(per_trial_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + _CSV_EOL)
-            for row in rows:
-                fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                                  for cell in row) + _CSV_EOL)
+            fh.write(_csv_text(header, rows))
 
 
 def _reproduce_profile(table: str) -> SpeedRatioProfile:
@@ -322,6 +324,9 @@ def main(argv=None) -> int:
         return 3
     except NumericalConsistencyError as exc:
         click.echo(f"numerical consistency failure: {exc}", err=True)
+        return 4
+    except IntegrandEvaluationError as exc:
+        click.echo(f"non-finite integrand: {exc}", err=True)
         return 4
 
 

@@ -1,6 +1,6 @@
 """Experiment configuration: one JSON document drives every command.
 
-Schema (sections ``sim``, ``quadrature`` and ``output`` are optional):
+Schema (sections ``sim`` and ``quadrature`` are optional):
 
     {
       "profile":    {"kind": "constant" | "polynomial" | "table",
@@ -10,15 +10,14 @@ Schema (sections ``sim``, ``quadrature`` and ``output`` are optional):
       "noise":      {"k_r": 0.01, "k_theta": 0.01},
       "sim":        {"s_final": 1.0, "steps": 10000,
                      "trials": 100000, "master_seed": 0},
-      "quadrature": {"nodes_per_level": 24, "rel_tol": 1e-9},
-      "output":     {"dir": "results"}
+      "quadrature": {"nodes_per_level": 24, "rel_tol": 1e-9}
     }
 
 Loading is strict about unknown profile kinds and invalid values, and
-ignores unknown keys of the ``quadrature`` section (such as the
-``max_dim_deterministic`` and ``qmc_samples`` of older configs); every
-failure is reported as :class:`ConfigError` so the CLI can map it to its
-exit code. ``dump_config`` emits a document that loads back to an
+ignores sections and ``quadrature`` keys it does not read (such as the
+``output`` section and the ``max_dim_deterministic`` and ``qmc_samples``
+keys of older configs); every failure is reported as
+:class:`ConfigError` so the CLI can map it to its exit code. ``dump_config`` emits a document that loads back to an
 equivalent configuration.
 """
 
@@ -42,7 +41,6 @@ class ExperimentConfig:
     noise: NoiseParams
     sim: SimConfig
     settings: QuadratureSettings
-    output_dir: str | None = None
 
 
 def _profile_from_dict(d: dict) -> SpeedRatioProfile:
@@ -91,12 +89,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                                              DEFAULT_SETTINGS.nodes_per_level)),
             rel_tol=float(quad_doc.get("rel_tol", DEFAULT_SETTINGS.rel_tol)),
         )
-        output_dir = doc.get("output", {}).get("dir")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    return ExperimentConfig(profile, noise, sim, settings, output_dir)
+    return ExperimentConfig(profile, noise, sim, settings)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -113,7 +110,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def dump_config(cfg: ExperimentConfig) -> dict:
-    out = {
+    return {
         "profile": _profile_to_dict(cfg.profile),
         "noise": {"k_r": cfg.noise.k_r, "k_theta": cfg.noise.k_theta},
         "sim": {
@@ -127,6 +124,3 @@ def dump_config(cfg: ExperimentConfig) -> dict:
             "rel_tol": cfg.settings.rel_tol,
         },
     }
-    if cfg.output_dir is not None:
-        out["output"] = {"dir": cfg.output_dir}
-    return out

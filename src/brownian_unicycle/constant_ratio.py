@@ -28,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .fourth_moment import DISTANCE4_KERNELS
+from .fourth_moment import _d4_chains, variance_from_moments
 from .trajectory import NoiseParams
 
 _ZERO_RATE = 1e-12
@@ -206,20 +206,20 @@ def d4_closed(mu0: float, params: NoiseParams, s: float) -> float:
     is exact up to floating error and the series truncation floor.
     """
     kt = params.k_theta
-    total = 0.0
-    for kr_power, s_power, prefactor, kernels in DISTANCE4_KERNELS:
-        weight = prefactor * params.k_r ** kr_power * s ** s_power
-        if not kernels:
-            total += weight
-            continue
-        for decay, phase in kernels:
-            rates = [complex(-0.5 * kt * d, mu0 * g) for d, g in zip(decay, phase)]
-            total += weight * _kernel_chain(rates, s)(s).real
-    return total
+    constant, chains = _d4_chains(params, s)
+    chain_sum = 0.0
+    for weight, (decay, phase) in chains:
+        rates = [complex(-0.5 * kt * d, mu0 * g) for d, g in zip(decay, phase)]
+        chain_sum += weight * _kernel_chain(rates, s)(s).real
+    return constant + chain_sum
 
 
 def variance_d2_closed(mu0: float, params: NoiseParams, s: float) -> float:
-    """Variance of the squared distance from the closed-form path."""
-    d2 = d2_closed(mu0, params, s)
-    return d4_closed(mu0, params, s) - d2 * d2
+    """Variance of the squared distance from the closed-form path.
+
+    Raises :class:`NumericalConsistencyError` below ``-VARIANCE_SLACK``,
+    as :func:`~brownian_unicycle.fourth_moment.variance_d2` does.
+    """
+    return variance_from_moments(d4_closed(mu0, params, s),
+                                 d2_closed(mu0, params, s))
 

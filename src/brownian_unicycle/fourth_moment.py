@@ -15,6 +15,8 @@ inside one nested ordered integral of dimension ``len(decay)``. Only the
 integration engine is shared with the general enumeration. The two
 conjugate three-dimensional classes are already combined into their real
 cosine form, and the dimension-0 class is the pure ``2 k_r^2 s^2`` term.
+:func:`_d4_chains` is the table's one reader, for :func:`d4_moment` here
+and for the closed form :func:`~brownian_unicycle.constant_ratio.d4_closed`.
 """
 
 from __future__ import annotations
@@ -56,6 +58,20 @@ DISTANCE4_KERNELS = (
 VARIANCE_SLACK = 1e-10
 
 
+def _d4_chains(params: NoiseParams, s: float):
+    """The table's constant class and one ``(weight, (decay, phase))`` per
+    chain, with ``weight = prefactor * k_r**kr_power * s**s_power``."""
+    constant = 0.0
+    chains = []
+    for kr_power, s_power, prefactor, kernels in DISTANCE4_KERNELS:
+        weight = prefactor * params.k_r ** kr_power * s ** s_power
+        if kernels:
+            chains += [(weight, kernel) for kernel in kernels]
+        else:
+            constant += weight
+    return constant, chains
+
+
 def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
               settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Mean fourth power of the distance from the start point.
@@ -65,28 +81,20 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     integrated by the chain rule of :mod:`quadrature`.
     """
     kt = params.k_theta
-    total = 0.0
-    weights, kernels = [], []
-    for kr_power, s_power, prefactor, table_kernels in DISTANCE4_KERNELS:
-        weight = prefactor * params.k_r ** kr_power * s ** s_power
-        if not table_kernels:
-            total += weight
-            continue
-        weights += [weight] * len(table_kernels)
-        kernels += table_kernels
+    constant, chains = _d4_chains(params, s)
 
     def evaluate(rule):
         th = mean_heading(profile, rule.t)
         out = []
-        for decay, phase in kernels:
+        for _, (decay, phase) in chains:
             factors = [np.exp((-0.5 * kt * d) * rule.t + 1j * g * th)
                        for d, g in zip(decay, phase)]
             out.append(rule.chain(factors[0], [f[:, None] for f in factors[1:]],
                                   1.0))
         return np.array(out)
 
-    value, _ = integrate_chains(evaluate, weights, s, settings)
-    return total + value.real
+    value, _ = integrate_chains(evaluate, [w for w, _ in chains], s, settings)
+    return constant + value.real
 
 
 def variance_d2(profile: SpeedRatioProfile, params: NoiseParams, s: float,

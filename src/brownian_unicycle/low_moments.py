@@ -7,11 +7,12 @@ integrals are stated over ``(s', s'')`` with ``s''`` the gap between the
 two sample points; substituting ``t2 = s' + s''`` maps them onto the
 tensor rule of :func:`~brownian_unicycle.quadrature.integrate_ordered`.
 
-A single one-dimensional integral, ``int_0^s exp(i w mean_heading(t) -
-c t) dt`` (:func:`_heading_integral`), serves three results: the mean
-position (``w = 1``, ``c = k_theta/2``), the shift-noise term ``int D``
-of the second moments (``w = 2``, ``c = 2 k_theta``) and the noise-free
-pose (``w = 1``, ``c = 0``).
+A single one-dimensional integral, ``int_0^s t^power exp(i w
+mean_heading(t) - c t) dt`` (:func:`_heading_integral`), serves every
+first-order result: the mean position (``w = 1``, ``c = k_theta/2``),
+the shift-noise term ``int D`` of the second moments (``w = 2``, ``c = 2
+k_theta``), the noise-free pose (``w = 1``, ``c = 0``) and, with
+``power = 1``, the position-heading covariances.
 
 Integrals that share a heading evaluation go through one call: the
 integrand returns their kernels as a stack (see
@@ -22,10 +23,12 @@ moments come from two complex kernels, ``E = exp(i (h2 - h1) - k_theta
 ``<x^2>`` and ``<y^2>`` take ``Re iint E +- Re iint D E`` and ``<x y>``
 takes ``Im iint D E``, plus shift-noise terms in ``int D``.
 
-The heading covariances are computed from the analytically
-differentiated integrands (differentiation under the integral sign with
-respect to ``k_theta``); the finite-difference form survives only as a
-test oracle.
+The position-heading covariances are ``k_theta`` times the parts of
+``J = int_0^s t exp(i mean_heading(t) - k_theta t/2) dt``:
+``cov(x, theta) = -k_theta Im J`` and ``cov(y, theta) = k_theta Re J``.
+The factor ``t`` comes from differentiating the mean position under the
+integral sign; the finite-difference form survives only as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -48,12 +51,14 @@ def orientation_distribution(profile: SpeedRatioProfile, params: NoiseParams,
 _POSE_SETTINGS = QuadratureSettings(nodes_per_level=64)
 
 
-def _heading_integral(profile, s, w, c, settings):
-    """``int_0^s exp(i w mean_heading(t) - c t) dt`` and its error estimate."""
+def _heading_integral(profile, s, w, c, settings, power=0):
+    """``int_0^s t^power exp(i w mean_heading(t) - c t) dt`` and its error
+    estimate."""
 
     def f(ts):
         t = ts[0]
-        return np.exp(1j * w * mean_heading(profile, t) - c * t)
+        e = np.exp(1j * w * mean_heading(profile, t) - c * t)
+        return t ** power * e if power else e
 
     return integrate_ordered(f, 1, s, settings)
 
@@ -131,26 +136,16 @@ def cov_xtheta(profile: SpeedRatioProfile, params: NoiseParams, s: float,
                settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Covariance of x with the heading, ``-k_theta * int s' sin(mean_heading) e^{-k_theta s'/2}``."""
     kt = params.k_theta
-
-    def f(ts):
-        t = ts[0]
-        return t * np.sin(mean_heading(profile, t)) * np.exp(-0.5 * kt * t)
-
-    value, _ = integrate_ordered(f, 1, s, settings)
-    return -kt * value.real
+    j, _ = _heading_integral(profile, s, 1, 0.5 * kt, settings, 1)
+    return -kt * j.imag
 
 
 def cov_ytheta(profile: SpeedRatioProfile, params: NoiseParams, s: float,
                settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Covariance of y with the heading, ``+k_theta * int s' cos(mean_heading) e^{-k_theta s'/2}``."""
     kt = params.k_theta
-
-    def f(ts):
-        t = ts[0]
-        return t * np.cos(mean_heading(profile, t)) * np.exp(-0.5 * kt * t)
-
-    value, _ = integrate_ordered(f, 1, s, settings)
-    return kt * value.real
+    j, _ = _heading_integral(profile, s, 1, 0.5 * kt, settings, 1)
+    return kt * j.real
 
 
 def mean_squared_distance(profile: SpeedRatioProfile, params: NoiseParams,

@@ -180,9 +180,8 @@ def integrate_ordered(f, beta: int, s: float,
     -------
     (value, err_estimate) : tuple[complex, float]
         For a stack, arrays of shape ``(k,)``: complex values, and each
-        kernel's own error estimate. At ``s == 0`` the integrand is
-        called once at the origin to learn whether it is a stack and of
-        what length, and the result is zero.
+        kernel's own error estimate. At ``s == 0`` every weight vanishes,
+        so the result is zeros of the integrand's shape.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
@@ -194,13 +193,6 @@ def integrate_ordered(f, beta: int, s: float,
         return 1.0 + 0.0j, 0.0
     if s < 0.0:
         raise ValueError("s must be non-negative")
-    if s == 0.0:
-        origin = np.zeros((1,) * beta)
-        with np.errstate(all="ignore"):
-            vals = np.asarray(f((origin,) * beta))
-        if vals.ndim > beta:
-            return np.zeros(vals.shape[0], dtype=complex), np.zeros(vals.shape[0])
-        return 0.0 + 0.0j, 0.0
     g = settings.nodes_per_level
     coarse = _apply_rule(f, *_simplex_grid(beta, s, g))
     fine = _apply_rule(f, *_simplex_grid(beta, s, g + 2))

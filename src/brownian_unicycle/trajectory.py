@@ -21,6 +21,7 @@ heading, the noise-free pose included, lives in :mod:`low_moments`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,17 +36,18 @@ class NoiseParams:
 
     ``k_r`` scales the variance of the longitudinal shift per unit of
     traveled distance, ``k_theta`` the variance of the heading per unit of
-    traveled distance. Both must be non-negative.
+    traveled distance. Both must be finite and non-negative.
     """
 
     k_r: float
     k_theta: float
 
     def __post_init__(self) -> None:
-        if self.k_r < 0.0:
-            raise ValueError(f"k_r must be >= 0, got {self.k_r}")
-        if self.k_theta < 0.0:
-            raise ValueError(f"k_theta must be >= 0, got {self.k_theta}")
+        # Written so that NaN, which compares false either way, fails too.
+        if not (0.0 <= self.k_r < math.inf):
+            raise ValueError(f"k_r must be finite and >= 0, got {self.k_r}")
+        if not (0.0 <= self.k_theta < math.inf):
+            raise ValueError(f"k_theta must be finite and >= 0, got {self.k_theta}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,11 @@ class SpeedRatioProfile:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "polynomial", "table"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if not (self.s_max > 0.0):
-            raise ValueError(f"s_max must be positive, got {self.s_max}")
+        if not (0.0 < self.s_max < math.inf):
+            raise ValueError(f"s_max must be positive and finite, got {self.s_max}")
+        for name in ("theta0", "mu0", "coeffs", "knots_s", "knots_mu"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "table":
             ks = np.asarray(self.knots_s)
             if ks.size < 2:

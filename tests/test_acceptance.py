@@ -171,6 +171,7 @@ def table_samples():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_4_monte_carlo_tables(table_samples):
     report = []
     t0 = time.perf_counter()

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from brownian_unicycle import (cli, d2_closed, fourth_moment, low_moments,
@@ -84,6 +85,31 @@ def test_bad_configs_raise(doc):
         config_from_dict(doc)
 
 
+def test_config_ignores_output_section():
+    doc = dict(BASE_DOC, output={"dir": "results"})
+    cfg = config_from_dict(doc)
+    assert cfg == config_from_dict(BASE_DOC)
+    assert "output" not in dump_config(cfg)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section,key", [("noise", "k_r"), ("noise", "k_theta"),
+                                         ("profile", "mu0"),
+                                         ("profile", "theta0"),
+                                         ("profile", "s_max")])
+def test_non_finite_json_config_exits_2(tmp_path, capsys, section, key, literal):
+    # Python's json reads these literals as floats; NaN must not slip
+    # through a `< 0` check and come out as a "value": NaN with exit 0.
+    text = json.dumps(BASE_DOC).replace(
+        f'"{key}": {BASE_DOC[section][key]}', f'"{key}": {literal}')
+    assert literal in text
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    for command in (["d2"], ["--closed-form", "d4"], ["moment", "1", "1", "0"]):
+        assert main(["--config", str(path), *command]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
@@ -122,6 +148,19 @@ def test_exit_code_config(capsys):
     assert main(["--config", "/does/not/exist.json", "d2"]) == 2
     assert main(["d2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["d2"], ["moment", "1", "1", "0"]])
+def test_non_finite_integrand_exits_4(tmp_path, capsys, command):
+    doc = dict(BASE_DOC, sim=dict(BASE_DOC["sim"], s_final=100.0))
+    doc["profile"] = {"kind": "polynomial", "coeffs": [0.0, 1e306],
+                      "s_max": 100.0}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with np.errstate(all="ignore"):
+        assert main(["--config", str(path), *command]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("non-finite integrand:") and err.count("\n") == 1
 
 
 def test_exit_code_envelope(config_path, capsys):

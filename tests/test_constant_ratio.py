@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from brownian_unicycle import (ExpPolySum, NoiseParams, SpeedRatioProfile,
-                               complex_rate, d2_closed, d4_closed, d4_moment,
-                               mean_pose_closed, mean_squared_distance, mean_x,
-                               mean_y, variance_d2_closed)
+from brownian_unicycle import (ExpPolySum, NoiseParams,
+                               NumericalConsistencyError, SpeedRatioProfile,
+                               complex_rate, constant_ratio, d2_closed,
+                               d4_closed, d4_moment, mean_pose_closed,
+                               mean_squared_distance, mean_x, mean_y,
+                               variance_d2_closed)
 from brownian_unicycle.constant_ratio import _cexpm1, _kernel_chain
-from brownian_unicycle.fourth_moment import DISTANCE4_KERNELS
+from brownian_unicycle.fourth_moment import DISTANCE4_KERNELS, VARIANCE_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,49 @@ def test_d4_reference_variances():
         pytest.approx(0.0012, abs=1e-4)
     assert variance_d2_closed(5.0, NoiseParams(1.0, 1.0), 1.0) == \
         pytest.approx(1.3052, abs=5e-4)
+
+
+def _running_sum_d4_oracle(mu0, params, s):
+    """``d4_closed`` as one running sum over the table, the constant class
+    (its last entry) added last."""
+    kt = params.k_theta
+    total = 0.0
+    for kr_power, s_power, prefactor, kernels in DISTANCE4_KERNELS:
+        weight = prefactor * params.k_r ** kr_power * s ** s_power
+        if not kernels:
+            total += weight
+            continue
+        for decay, phase in kernels:
+            rates = [complex(-0.5 * kt * d, mu0 * g) for d, g in zip(decay, phase)]
+            total += weight * _kernel_chain(rates, s)(s).real
+    return total
+
+
+def test_d4_closed_equals_running_sum_over_table():
+    rng = np.random.default_rng(41)
+    cases = [(0.0, NoiseParams(0.3, 0.2), 0.0), (5.0, NoiseParams(0.3, 0.2), 0.0)]
+    for _ in range(30):
+        mu0 = float(rng.choice([0.0, rng.uniform(-8, 8)]))
+        params = NoiseParams(float(rng.uniform(0, 1.5)), float(rng.uniform(0, 2)))
+        cases.append((mu0, params, float(rng.choice([1.0, rng.uniform(0, 1)]))))
+    for mu0, params, s in cases:
+        got = d4_closed(mu0, params, s)
+        want = _running_sum_d4_oracle(mu0, params, s)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_closed_variance_refuses_cancellation(monkeypatch):
+    params = NoiseParams(0.01, 0.01)
+    d2 = d2_closed(5.0, params, 1.0)
+    monkeypatch.setattr(constant_ratio, "d4_closed",
+                        lambda *a: d2 * d2 - 2.0 * VARIANCE_SLACK)
+    with pytest.raises(NumericalConsistencyError):
+        variance_d2_closed(5.0, params, 1.0)
+    # Within the slack the difference passes through unclamped.
+    monkeypatch.setattr(constant_ratio, "d4_closed",
+                        lambda *a: d2 * d2 - 0.5 * VARIANCE_SLACK)
+    assert variance_d2_closed(5.0, params, 1.0) == \
+        (d2 * d2 - 0.5 * VARIANCE_SLACK) - d2 * d2
 
 
 def test_d4_noise_free_circle():

@@ -76,3 +76,29 @@ def test_catastrophic_cancellation_raises(monkeypatch):
                         lambda *a, **k: mean_squared_distance(CONST, NoiseParams(0.01, 0.01), 1.0) ** 2 - 1e-3)
     with pytest.raises(NumericalConsistencyError):
         fourth_moment.variance_d2(CONST, NoiseParams(0.01, 0.01), 1.0)
+
+
+def _flattened_table_oracle(params, s):
+    """The table read as the six-term loops did before they shared one
+    reader: a running constant, and one weight and kernel per chain."""
+    constant, weights, kernels = 0.0, [], []
+    for kr_power, s_power, prefactor, table_kernels in \
+            fourth_moment.DISTANCE4_KERNELS:
+        weight = prefactor * params.k_r ** kr_power * s ** s_power
+        if not table_kernels:
+            constant += weight
+            continue
+        weights += [weight] * len(table_kernels)
+        kernels += table_kernels
+    return constant, list(zip(weights, kernels))
+
+
+@pytest.mark.parametrize("params,s", [
+    (NoiseParams(0.01, 0.01), 1.0), (NoiseParams(1.0, 1.0), 0.55),
+    (NoiseParams(0.37, 0.0), 0.0), (NoiseParams(0.0, 2.0), 0.8)])
+def test_table_reader_matches_flattened_table(params, s):
+    constant, chains = fourth_moment._d4_chains(params, s)
+    assert (constant, chains) == _flattened_table_oracle(params, s)
+    # The constant class is the pure 2 k_r^2 s^2 term.
+    assert constant == 2.0 * params.k_r ** 2 * s ** 2
+    assert len(chains) == 8

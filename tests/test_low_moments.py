@@ -309,3 +309,45 @@ def test_pose_integrates_once_through_module_attribute(monkeypatch):
     assert calls == [1, 1]
     deterministic_pose(CONST, 0.8)
     assert calls == [1, 1]
+
+
+# The two real covariance integrands, copied from the version before the
+# pair became the imaginary and real parts of one complex heading integral.
+
+def _cov_oracle(profile, params, s, settings):
+    kt = params.k_theta
+
+    def fx(ts):
+        t = ts[0]
+        return t * np.sin(mean_heading(profile, t)) * np.exp(-0.5 * kt * t)
+
+    def fy(ts):
+        t = ts[0]
+        return t * np.cos(mean_heading(profile, t)) * np.exp(-0.5 * kt * t)
+
+    return (-kt * integrate_ordered(fx, 1, s, settings)[0].real,
+            kt * integrate_ordered(fy, 1, s, settings)[0].real)
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
+@pytest.mark.parametrize("theta0", [0.0, 0.9, -2.4])
+@pytest.mark.parametrize("s", [0.0, 0.55, 1.0])   # origin, a table knot, s_max
+def test_covariances_match_real_integrand_oracle(profile, theta0, s):
+    profile = _shifted(profile, theta0)
+    for params in (NoiseParams(0.3, 0.7), NoiseParams(1.0, 1.0),
+                   NoiseParams(0.0, 0.01)):
+        for settings_ in (DEFAULT_SETTINGS, QuadratureSettings(nodes_per_level=7)):
+            got = (cov_xtheta(profile, params, s, settings_),
+                   cov_ytheta(profile, params, s, settings_))
+            for g, w in zip(got, _cov_oracle(profile, params, s, settings_)):
+                assert type(g) is float
+                assert abs(g - w) <= 1e-14 * max(1.0, abs(w))
+
+
+def test_covariances_share_the_weighted_heading_integral():
+    params = NoiseParams(0.3, 0.7)
+    for profile in (CONST, RAMP, TABLE):
+        j, _ = low_moments._heading_integral(profile, 0.8, 1, 0.35,
+                                             DEFAULT_SETTINGS, 1)
+        assert cov_xtheta(profile, params, 0.8) == -0.7 * j.imag
+        assert cov_ytheta(profile, params, 0.8) == 0.7 * j.real

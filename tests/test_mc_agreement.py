@@ -21,6 +21,9 @@ TRIALS = 120_000
 STEPS = 10_000
 SPECS = [(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 2, 0), (1, 0, 1), (0, 0, 2)]
 
+# The two 120k-trial sample sets take about a minute each.
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="module", params=[0.01, 1.0], ids=["K=0.01", "K=1"])
 def regime(request):

@@ -133,6 +133,35 @@ def test_nan_curve_length_raises(prof):
         mean_x(prof, NoiseParams(0.1, 0.2), math.nan)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_noise_params_reject_non_finite(bad):
+    for args in ((bad, 0.1), (0.1, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseParams(*args)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda x: SpeedRatioProfile.constant(1.0, theta0=x),
+    lambda x: SpeedRatioProfile.constant(x),
+    lambda x: SpeedRatioProfile.constant(1.0, s_max=x),
+    lambda x: SpeedRatioProfile.polynomial((0.0, x)),
+    lambda x: SpeedRatioProfile.polynomial((1.0,), theta0=x),
+    lambda x: SpeedRatioProfile.table([(0.0, 1.0), (1.0, x)]),
+    lambda x: SpeedRatioProfile.table([(0.0, 1.0), (0.5, 2.0), (x, 3.0)],
+                                      s_max=0.5),
+    lambda x: SpeedRatioProfile.table([(0.0, 1.0), (1.0, 2.0)], theta0=x),
+], ids=["theta0", "mu0", "s_max", "coeffs", "poly_theta0", "knots_mu",
+        "knots_s", "table_theta0"])
+def test_profile_rejects_non_finite(build, bad):
+    build(2.0)
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
 def test_trajectory_imports_only_exceptions_from_the_package():
     tree = ast.parse(Path(trajectory.__file__).read_text(encoding="utf-8"))
     local = {node.module for node in ast.walk(tree)
