@@ -30,9 +30,9 @@ from . import constant_ratio, fourth_moment, general_moments, low_moments
 from .config import load_config
 from .exceptions import (ConfigError, EnvelopeRefusal, EnvelopeWarning,
                          IntegrandEvaluationError, NumericalConsistencyError)
-from .montecarlo import (SimConfig, collect_samples, simulate_trial,
-                         statistics_from_samples)
-from .trajectory import SpeedRatioProfile, NoiseParams, mean_heading
+from .montecarlo import (SimConfig, collect_samples, finite_mean_heading,
+                         simulate_trial, statistics_from_samples)
+from .trajectory import SpeedRatioProfile, NoiseParams
 
 _REPRODUCE_NOISE_GRID = (0.01, 1.0)
 _CSV_EOL = "\n"
@@ -285,7 +285,7 @@ def traj(ctx, count, out_path):
     n = sim.steps
     ds = sim.s_final / n
     grid = ds * np.arange(n + 1)
-    headings = mean_heading(cfg.profile, grid)
+    headings = finite_mean_heading(cfg.profile, grid)
     # Noise-free path via cumulative trapezoid of the heading direction;
     # second-order accurate in ds, exact checks belong to deterministic_pose.
     cosg, sing = np.cos(headings), np.sin(headings)

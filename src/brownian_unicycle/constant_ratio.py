@@ -130,7 +130,8 @@ def _series_integral(coeff: complex, rate: complex, power: int, scale: float):
         j += 1
         if j >= _SERIES_MAX_TERMS:
             break
-        if j > mag + 4 and contribution < _SERIES_STOP * biggest:
+        # `<=`: at scale 0 every contribution is 0 and the series is done.
+        if j > mag + 4 and contribution <= _SERIES_STOP * biggest:
             break
         running = running * rate / j
     return out

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import IntegrandEvaluationError
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
 _OBSERVABLES = ("x", "y", "theta", "d2", "d4")
@@ -129,9 +130,26 @@ class _Workspace:
         return self._gen
 
 
+def finite_mean_heading(profile: SpeedRatioProfile, s: np.ndarray) -> np.ndarray:
+    """:func:`mean_heading` at the points ``s``.
+
+    Raises :class:`IntegrandEvaluationError` at the first point where the
+    heading is not finite (a polynomial that overflows), without numpy's
+    floating-point warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = mean_heading(profile, s)
+    bad = ~np.isfinite(theta)
+    if bad.any():
+        at = float(s[bad][0])
+        raise IntegrandEvaluationError(
+            f"the mean heading is not finite at s = {at}", point=(at,))
+    return theta
+
+
 def _heading_grid(config: SimConfig) -> np.ndarray:
     ds = config.s_final / config.steps
-    return mean_heading(config.profile, ds * np.arange(1, config.steps + 1))
+    return finite_mean_heading(config.profile, ds * np.arange(1, config.steps + 1))
 
 
 def _chunk(ws: _Workspace, config: SimConfig, grid: np.ndarray, lo: int, hi: int,

@@ -12,10 +12,18 @@ which turns the ordered region into a tensor-product rule on the unit
 cube. Cost is ``nodes_per_level ** beta``, so it serves the low-order
 statistics (dimensions 1 and 2) and refuses dimensions above
 ``MAX_TENSOR_DIM``. The returned error estimate is the difference between
-the rules with ``G`` and ``G + 2`` nodes per level. An integrand may
-return a stack of kernels along a leading axis; each grid is then
-evaluated once for the whole stack, and the call returns one value and
-one error estimate per kernel.
+the rules with ``G`` and ``G + 2`` nodes per level. Both rules share one
+grid, built once per ``(beta, G)`` on the unit simplex (``s = 1``) and
+cached: the ``G``-node rule is padded to ``G + 2`` nodes per level with
+zero-weight copies of its last node, and the two rules are stacked on a
+leading rule axis. A call scales that grid to ``[0, s]`` (coordinates by
+``s``, weights by ``s**beta``) and evaluates the integrand once for both
+rules. Grids above ``STACKED_GRID_POINTS`` (dimension 5 at the default
+24 nodes) are built at ``s`` on each call and evaluated one rule at a
+time, which keeps memory at one rule's grid. An integrand may return a
+stack of kernels along a leading axis; the grid is then evaluated once
+for the whole stack, and the call returns one value and one error
+estimate per kernel.
 
 The chain rule (:class:`ChainRule`, :func:`integrate_chains`) serves
 integrands that are products of per-gap factors,
@@ -115,45 +123,86 @@ def _gauss_unit(n: int):
 
 # -- tensor rule ---------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _simplex_grid(beta: int, s: float, n_nodes: int):
-    """Broadcastable node arrays and combined weight*jacobian tensor."""
-    x, w = _gauss_unit(n_nodes)
+#: Grid points (both rules together) up to which :func:`integrate_ordered`
+#: evaluates the coarse and the fine rule in one integrand call on a cached
+#: grid. Every grid of dimension <= 2 fits at up to 700 nodes per level;
+#: larger grids are built per call and evaluated one rule at a time, which
+#: keeps memory at one rule's grid.
+STACKED_GRID_POINTS = 2 ** 20
+
+
+def _rule_grid(beta: int, s: float, x, w):
+    """Coordinates and weight*jacobian tensor of tensor rules on ``[0, s]``.
+
+    ``x`` and ``w`` hold unit-interval nodes and weights, one rule per row
+    of shape ``(rules, n)``. Coordinate ``t_b`` (``b = 1..beta``) has shape
+    ``(rules,) + (n,) * b + (1,) * (beta - b)``, the tensor ``(rules,) +
+    (n,) * beta``: the rule axis leads the coordinate axes.
+    """
+    rules, n = x.shape
     ts = []
     t_prev = np.zeros(())
     jw = np.ones(())
     for b in range(beta):
-        shape = (1,) * b + (n_nodes,) + (1,) * (beta - 1 - b)
-        xb = x.reshape(shape)
-        wb = w.reshape(shape)
+        shape = (rules,) + (1,) * b + (n,) + (1,) * (beta - 1 - b)
         gap = s - t_prev
-        t = t_prev + gap * xb
-        jw = jw * gap * wb
+        t = t_prev + gap * x.reshape(shape)
+        jw = jw * gap * w.reshape(shape)
         ts.append(t)
         t_prev = t
-    for t in ts:
-        t.setflags(write=False)
-    jw = np.broadcast_to(jw, (n_nodes,) * beta)
     return tuple(ts), jw
 
 
-def _first_bad_point(ts, bad_mask):
-    idx = np.argwhere(bad_mask)[0]
-    return tuple(float(np.broadcast_to(t, bad_mask.shape)[tuple(idx)]) for t in ts)
+@lru_cache(maxsize=256)
+def _simplex_grid(beta: int, n_nodes: int):
+    """The ``n_nodes`` and ``n_nodes + 2`` rules on the unit simplex
+    (``s = 1``), stacked on a leading rule axis of length 2.
+
+    The coarse rule is padded to ``n_nodes + 2`` nodes per level with
+    zero-weight copies of its last node, so both rules share one shape;
+    every padded point repeats a real point of the coarse rule. Returns
+    the coordinates, the weight*jacobian tensor and, for
+    :func:`_rule_sums`, each rule's index: the coarse one leaves the
+    padding out of its sum, which keeps its summation order.
+    """
+    x, w = _gauss_unit(n_nodes)
+    fine_x, fine_w = _gauss_unit(n_nodes + 2)
+    nodes = np.stack((np.concatenate((x, x[-1:], x[-1:])), fine_x))
+    weights = np.stack((np.concatenate((w, [0.0, 0.0])), fine_w))
+    ts, jw = _rule_grid(beta, 1.0, nodes, weights)
+    for arr in ts + (jw,):
+        arr.setflags(write=False)
+    rules = tuple((Ellipsis, rule) + (slice(None, n),) * beta
+                  for rule, n in enumerate((n_nodes, n_nodes + 2)))
+    return ts, jw, rules
 
 
-def _apply_rule(f, ts, jw):
-    """Rule sum of ``f``: a complex, or an array of them for a stack."""
-    vals = np.asarray(f(ts))
-    prod = vals * jw
-    bad = ~np.isfinite(prod)
-    if bad.any():
-        point = _first_bad_point(ts, bad)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _rule_sums(f, ts, jw, rules):
+    """Sum of ``f(ts) * jw`` over each rule of one grid.
+
+    ``rules`` holds one index per rule into the products, which carry the
+    rule axis in front of the ``beta`` coordinate axes. Each sum is a
+    complex, or a complex array for a stack of kernels. A non-finite sum
+    raises :class:`IntegrandEvaluationError` at the first non-finite
+    product, taken rule by rule, then kernel by kernel, then in grid
+    order; numpy's floating-point warnings stay silent.
+    """
+    beta = len(ts)
+    prod = np.asarray(f(ts)) * jw
+    axes = tuple(range(-beta, 0))
+    sums = [prod[rule].sum(axis=axes) for rule in rules]
+    if not np.isfinite(sums).all():
+        bad = np.moveaxis(~np.isfinite(prod), -beta - 1, 0)
+        if not bad.any():
+            raise IntegrandEvaluationError("the rule sum overflowed")
+        idx = np.argwhere(bad)[0]
+        at = (idx[0],) + tuple(idx[-beta:])
+        point = tuple(float(np.broadcast_to(t, jw.shape)[at]) for t in ts)
         raise IntegrandEvaluationError(
             f"integrand returned a non-finite value at {point}", point=point)
-    if vals.ndim > jw.ndim:
-        return prod.sum(axis=tuple(range(1, prod.ndim))).astype(complex)
-    return complex(prod.sum())
+    return [total.astype(complex) if total.ndim else complex(total)
+            for total in sums]
 
 
 def integrate_ordered(f, beta: int, s: float,
@@ -165,11 +214,15 @@ def integrate_ordered(f, beta: int, s: float,
     f : callable
         Receives a tuple of ``beta`` broadcast-compatible coordinate
         arrays ``(t1, ..., t_beta)`` with ``t1 <= ... <= t_beta`` and must
-        return the (possibly complex) integrand values elementwise. It may
-        instead return a stack of ``k`` integrands along a leading axis
-        (an array of ``beta + 1`` axes, each slice broadcast against the
-        coordinates), so that work shared by the kernels, such as the
-        heading, is done once per grid.
+        return the (possibly complex) integrand values elementwise. The
+        arrays carry a leading rule axis in front of the ``beta``
+        coordinate axes (both rules of the pair in one call), so ``f``
+        must not rely on their number of axes. It may instead return a
+        stack of ``k`` integrands along a leading axis, in front of the
+        rule axis (each slice broadcast against the coordinates), so that
+        work shared by the kernels, such as the heading, is done once per
+        grid. ``f`` runs with numpy's overflow, invalid and divide
+        warnings off: a non-finite value raises instead.
     beta : int
         Dimension of the nested integral, at most ``MAX_TENSOR_DIM``;
         ``beta == 0`` returns ``(1, 0)`` by the empty-integral convention.
@@ -182,6 +235,14 @@ def integrate_ordered(f, beta: int, s: float,
         For a stack, arrays of shape ``(k,)``: complex values, and each
         kernel's own error estimate. At ``s == 0`` every weight vanishes,
         so the result is zeros of the integrand's shape.
+
+    Raises
+    ------
+    IntegrandEvaluationError
+        When a rule sum is not finite. ``point`` holds the ``beta``
+        coordinates of the first non-finite value, the coarse rule
+        searched before the fine one, or is ``None`` when finite values
+        overflow the sum.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
@@ -194,8 +255,17 @@ def integrate_ordered(f, beta: int, s: float,
     if s < 0.0:
         raise ValueError("s must be non-negative")
     g = settings.nodes_per_level
-    coarse = _apply_rule(f, *_simplex_grid(beta, s, g))
-    fine = _apply_rule(f, *_simplex_grid(beta, s, g + 2))
+    if 2 * (g + 2) ** beta <= STACKED_GRID_POINTS:
+        ts, jw, rules = _simplex_grid(beta, g)
+        coarse, fine = _rule_sums(f, tuple(s * t for t in ts), s ** beta * jw,
+                                  rules)
+    else:
+        sums = []
+        for n in (g, g + 2):
+            x, w = _gauss_unit(n)
+            sums += _rule_sums(f, *_rule_grid(beta, s, x[None], w[None]),
+                               ((Ellipsis, 0) + (slice(None),) * beta,))
+        coarse, fine = sums
     return fine, abs(fine - coarse)
 
 
@@ -335,8 +405,11 @@ def integrate_chains(evaluate, scales, s: float,
         return 0j, 0.0
 
     def total(n: int):
-        terms = scales * evaluate(chain_rule(n, s))
-        value = complex(terms.sum())
+        # A non-finite sum raises below; numpy's warnings would only
+        # repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            terms = scales * evaluate(chain_rule(n, s))
+            value = complex(terms.sum())
         if not np.isfinite(value):
             raise IntegrandEvaluationError(
                 f"chain integral is not finite on the {n}-node rule")

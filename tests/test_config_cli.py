@@ -4,7 +4,6 @@ import json
 import math
 import os
 
-import numpy as np
 import pytest
 
 from brownian_unicycle import (cli, d2_closed, fourth_moment, low_moments,
@@ -150,15 +149,16 @@ def test_exit_code_config(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", [["d2"], ["moment", "1", "1", "0"]])
+@pytest.mark.parametrize("command", [["d2"], ["d4"], ["moment", "1", "1", "0"],
+                                     ["simulate"], ["traj", "0"], ["traj", "2"]])
 def test_non_finite_integrand_exits_4(tmp_path, capsys, command):
     doc = dict(BASE_DOC, sim=dict(BASE_DOC["sim"], s_final=100.0))
     doc["profile"] = {"kind": "polynomial", "coeffs": [0.0, 1e306],
                       "s_max": 100.0}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with np.errstate(all="ignore"):
-        assert main(["--config", str(path), *command]) == 4
+    # Exactly one line on stderr: no numpy RuntimeWarning ahead of it.
+    assert main(["--config", str(path), *command]) == 4
     err = capsys.readouterr().err
     assert err.startswith("non-finite integrand:") and err.count("\n") == 1
 

@@ -57,6 +57,15 @@ def test_polynomial_powers_integrate_exactly():
     assert g(0.5) == pytest.approx(2.0 * 0.5 ** 4 / 4.0, rel=1e-15)
 
 
+def test_series_integral_at_zero_scale_stops_early():
+    # At scale 0 every series contribution is 0; the stop test must still
+    # end the series instead of running to its term cap.
+    f = ExpPolySum(((complex(-0.25, 5.0), 0, 1.0 + 0j),))
+    g = f.integral(scale=0.0)
+    assert 1 <= len(g.terms) <= 6
+    assert g(0.0) == 0.0
+
+
 def test_linearity_and_scaling():
     a = ExpPolySum.unit().shifted_rate(1.0 + 2.0j)
     b = ExpPolySum.unit().shifted_rate(-0.5j)
@@ -199,6 +208,11 @@ def test_d4_closed_equals_running_sum_over_table():
         got = d4_closed(mu0, params, s)
         want = _running_sum_d4_oracle(mu0, params, s)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("mu0", [0.0, 5.0, -3.7])
+def test_d4_closed_at_zero_length(mu0):
+    assert d4_closed(mu0, NoiseParams(0.3, 0.2), 0.0) == 0.0
 
 
 def test_closed_variance_refuses_cancellation(monkeypatch):

@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brownian_unicycle import (NoiseParams, SimConfig, SpeedRatioProfile,
-                               collect_samples, d2_closed, deterministic_pose,
-                               montecarlo, run_experiment, simulate_trial,
+from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
+                               SimConfig, SpeedRatioProfile, collect_samples,
+                               d2_closed, deterministic_pose, montecarlo,
+                               run_experiment, simulate_trial,
                                statistics_from_samples)
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
@@ -24,6 +25,19 @@ def test_trial_is_deterministic():
     a = simulate_trial(cfg, 7)
     b = simulate_trial(cfg, 7)
     assert a == b
+
+
+def test_overflowing_heading_is_refused():
+    # mean_heading = 5e305 s^2 overflows from s = 18.97 on, first at the
+    # grid point 19.0: the collection must refuse it rather than report
+    # NaN statistics.
+    profile = SpeedRatioProfile.polynomial((0.0, 1e306), s_max=100.0)
+    cfg = _config(profile, steps=200, trials=2, s=100.0)
+    for run in (lambda: collect_samples(cfg),
+                lambda: simulate_trial(cfg, 0, return_path=True)):
+        with pytest.raises(IntegrandEvaluationError) as info:
+            run()
+        assert info.value.point == (19.0,)
 
 
 def _reference_samples(cfg):

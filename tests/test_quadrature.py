@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from brownian_unicycle import (IntegrandEvaluationError, QuadratureSettings,
                                SpeedRatioProfile, integrate_ordered,
                                mean_heading)
+from brownian_unicycle import quadrature
 from brownian_unicycle.quadrature import (MAX_TENSOR_DIM, chain_rule,
                                           integrate_chains)
 
@@ -306,3 +307,175 @@ def test_stacked_integrand_keeps_argument_checks():
         integrate_ordered(_stacked, 2, -1.0)
     value, err = integrate_ordered(_stacked, 0, 1.0)
     assert (value, err) == (1.0 + 0.0j, 0.0)
+
+
+# -- stacked tensor rule against the two-call rule ------------------------------
+
+EPS = float(np.finfo(float).eps)
+# Knots at 0.4 and 0.7: the heading is piecewise quadratic.
+TABLE_PROFILE = SpeedRatioProfile.table([(0.0, 2.0), (0.4, 9.0), (0.7, -3.0),
+                                         (1.2, 5.0)])
+S_CASES = {"zero": 0.0, "knot": 0.4, "s_max": 1.2}
+
+
+def _two_call_rule(f, beta, s, nodes):
+    """The tensor rule as one integrand call per rule, each on a grid built
+    at ``s``: the coarse/fine pair evaluated separately, as an independent
+    oracle of the stacked evaluation."""
+
+    def rule_sum(n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        x = 0.5 * (x + 1.0)
+        w = 0.5 * w
+        ts = []
+        t_prev = np.zeros(())
+        jw = np.ones(())
+        for b in range(beta):
+            shape = (1,) * b + (n,) + (1,) * (beta - 1 - b)
+            gap = s - t_prev
+            t = t_prev + gap * x.reshape(shape)
+            jw = jw * gap * w.reshape(shape)
+            ts.append(t)
+            t_prev = t
+        jw = np.broadcast_to(jw, (n,) * beta)
+        prod = np.asarray(f(tuple(ts))) * jw
+        bad = ~np.isfinite(prod)
+        if bad.any():
+            idx = tuple(np.argwhere(bad)[0])
+            point = tuple(float(np.broadcast_to(t, bad.shape)[idx]) for t in ts)
+            raise IntegrandEvaluationError(f"non-finite at {point}", point=point)
+        if prod.ndim > beta:
+            return prod.sum(axis=tuple(range(1, prod.ndim))).astype(complex)
+        return complex(prod.sum())
+
+    coarse = rule_sum(nodes)
+    fine = rule_sum(nodes + 2)
+    return fine, abs(fine - coarse)
+
+
+def _heading_kernel(ts):
+    """Product over levels of exp(i b heading(t_b) - 0.3 (t_b - t_{b-1}))."""
+    out, t_prev = 1.0, 0.0
+    for b, t in enumerate(ts, start=1):
+        out = out * np.exp(1j * b * mean_heading(TABLE_PROFILE, t) - 0.3 * (t - t_prev))
+        t_prev = t
+    return out
+
+
+def _heading_stack(ts):
+    kernels = (_heading_kernel(ts),
+               np.cos(mean_heading(TABLE_PROFILE, ts[-1]) - ts[0]),
+               (1.0 + ts[0]) ** 2)
+    return np.stack(np.broadcast_arrays(*kernels))
+
+
+def _assert_matches_oracle(got, want, beta):
+    (value, err), (ref, ref_err) = got, want
+    if beta == 1:
+        assert np.array_equal(value, ref) and np.array_equal(err, ref_err)
+        assert type(value) is type(ref)
+        return
+    bound = 4 * EPS * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(value - ref) <= bound)
+    assert np.all(np.abs(err - ref_err) <= bound)
+
+
+@pytest.mark.parametrize("integrand", [_heading_kernel, _heading_stack],
+                         ids=["scalar", "stacked"])
+@pytest.mark.parametrize("s_case", S_CASES)
+@pytest.mark.parametrize("beta,nodes", [
+    (beta, nodes) for beta in range(1, 6) for nodes in (2, 7, 24)
+    # At 24 nodes, dimension 5 runs one rule at a time:
+    # test_beta5_default_nodes_memory.
+    if (beta, nodes) != (5, 24)])
+def test_stacked_rule_matches_two_call_rule(beta, nodes, s_case, integrand):
+    s = S_CASES[s_case]
+    got = integrate_ordered(integrand, beta, s,
+                            QuadratureSettings(nodes_per_level=nodes))
+    _assert_matches_oracle(got, _two_call_rule(integrand, beta, s, nodes), beta)
+
+
+@pytest.mark.parametrize("integrand", [_heading_kernel, _heading_stack],
+                         ids=["scalar", "stacked"])
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_rule_by_rule_path_is_the_two_call_rule(monkeypatch, beta, integrand):
+    # Above the point budget each rule is built at s and summed alone,
+    # which is the two-call rule exactly.
+    monkeypatch.setattr(quadrature, "STACKED_GRID_POINTS", 0)
+    for nodes in (2, 7):
+        got = integrate_ordered(integrand, beta, 1.2,
+                                QuadratureSettings(nodes_per_level=nodes))
+        want = _two_call_rule(integrand, beta, 1.2, nodes)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _nan_above(threshold, stacked):
+    """NaN wherever the outermost point exceeds ``threshold``; in kernel 1
+    of a stack only."""
+    def f(ts):
+        bad = np.where(ts[0] > threshold, np.nan, 1.0) * np.exp(1j * ts[-1])
+        if not stacked:
+            return bad
+        return np.stack(np.broadcast_arrays(np.exp(1j * ts[-1]), bad))
+    return f
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
+@pytest.mark.parametrize("where", ["fine_last", "coarse_last"])
+@pytest.mark.parametrize("beta", [1, 2, 3])
+@pytest.mark.parametrize("budget", ["stacked", "rule_by_rule"])
+def test_non_finite_point_matches_two_call_rule(monkeypatch, budget, beta, where,
+                                                stacked):
+    if budget == "rule_by_rule":
+        monkeypatch.setattr(quadrature, "STACKED_GRID_POINTS", 0)
+    nodes, s = 7, 0.9
+    coarse_last, fine_last = (
+        s * (0.5 * (np.polynomial.legendre.leggauss(n)[0][-1] + 1.0))
+        for n in (nodes, nodes + 2))
+    # Above the midpoint only the fine rule's last outer node is bad; just
+    # below the coarse rule's last node, that node (and its zero-weight
+    # copies) is bad in the coarse rule, which is evaluated first.
+    threshold = (0.5 * (coarse_last + fine_last) if where == "fine_last"
+                 else coarse_last * (1.0 - 1e-12))
+    f = _nan_above(threshold, stacked)
+    settings_ = QuadratureSettings(nodes_per_level=nodes)
+    with pytest.raises(IntegrandEvaluationError) as got:
+        integrate_ordered(f, beta, s, settings_)
+    with pytest.raises(IntegrandEvaluationError) as want:
+        _two_call_rule(f, beta, s, nodes)
+    point, ref = got.value.point, want.value.point
+    assert len(point) == beta
+    assert point[0] == ref[0] == (fine_last if where == "fine_last" else coarse_last)
+    assert np.allclose(point, ref, rtol=4 * EPS, atol=0.0)
+
+
+def test_sum_overflow_of_finite_values_raises():
+    with pytest.raises(IntegrandEvaluationError) as info:
+        integrate_ordered(lambda ts: np.full(np.shape(ts[0]), 1e308), 1, 4.0)
+    assert info.value.point is None
+
+
+@pytest.mark.parametrize("beta,nodes", [(1, 24), (2, 24), (3, 7)])
+def test_grid_cache_keyed_by_dimension_and_nodes(beta, nodes):
+    settings_ = QuadratureSettings(nodes_per_level=nodes)
+    integrate_ordered(_heading_kernel, beta, 1.0, settings_)
+    misses = quadrature._simplex_grid.cache_info().misses
+    for s in np.random.default_rng(beta).uniform(0.0, 1.2, 50):
+        integrate_ordered(_heading_kernel, beta, float(s), settings_)
+    assert quadrature._simplex_grid.cache_info().misses == misses
+
+
+def test_beta5_default_nodes_memory():
+    # Above the point budget the rules are built and evaluated one at a
+    # time: the peak holds one rule's grid and integrand temporaries, about
+    # 590 MB here, under the 716 MB of building both grids per s.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        got = integrate_ordered(_heading_kernel, 5, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 650e6
+    _assert_matches_oracle(got, _two_call_rule(_heading_kernel, 5, 1.2, 24), 5)
