@@ -5,7 +5,8 @@ Subcommands: ``moment``, ``d2``, ``d4``, ``simulate``, ``reproduce``,
 profile, noise, simulation and quadrature sections for every command.
 
 Exit codes: 0 success, 1 usage, 2 config, 3 envelope/cost refusal,
-4 internal numerical-consistency failure or a non-finite integrand.
+4 internal numerical-consistency failure (also a ``<D^2>`` whose error
+estimate exceeds its magnitude) or a non-finite integrand.
 
 Output conventions: JSON records print floats at full round-trip
 precision; CSV uses 17 significant digits, a documented header row,
@@ -140,6 +141,17 @@ def _closed_form_mu0(cfg) -> float:
     return cfg.profile.mu0
 
 
+def _quadrature_d2(cfg, s):
+    """``<D^2>`` and its error estimate, refused when no digit is right."""
+    value, err = low_moments.mean_squared_distance_with_error(
+        cfg.profile, cfg.noise, s, cfg.settings)
+    if err > abs(value):
+        raise NumericalConsistencyError(
+            f"<D^2> = {value:.6g} has no correct digit: its error "
+            f"estimate {err:.3g} exceeds its magnitude")
+    return value, err
+
+
 @cli.command()
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.pass_context
@@ -151,8 +163,7 @@ def d2(ctx, out_path):
         value = constant_ratio.d2_closed(_closed_form_mu0(cfg), cfg.noise, s)
         err, method = 0.0, "closed-form"
     else:
-        value, err = low_moments.mean_squared_distance_with_error(
-            cfg.profile, cfg.noise, s, cfg.settings)
+        value, err = _quadrature_d2(cfg, s)
         method = "quadrature"
     record = {"quantity": "d2", "s": s, "value": value,
               "err_estimate": err, "method": method}
@@ -172,9 +183,8 @@ def d4(ctx, out_path):
         d2_value = constant_ratio.d2_closed(mu0, cfg.noise, s)
         method = "closed-form"
     else:
+        d2_value, _ = _quadrature_d2(cfg, s)
         value = fourth_moment.d4_moment(cfg.profile, cfg.noise, s, cfg.settings)
-        d2_value = low_moments.mean_squared_distance(cfg.profile, cfg.noise, s,
-                                                     cfg.settings)
         method = "quadrature"
     variance = fourth_moment.variance_from_moments(value, d2_value)
     record = {"quantity": "d4", "s": s, "value": value,

@@ -2,28 +2,25 @@
 
 Two engines share this module.
 
-The tensor rule (:func:`integrate_ordered`) takes any callable integrand.
-It maps level ``b`` onto Gauss-Legendre nodes of the unit interval
-spanning ``[s_{b-1}, s]``,
+The tensor rule (:func:`integrate_ordered`) takes any callable integrand
+of dimension 1 or 2, the low-order statistics. It maps level ``b`` onto
+Gauss-Legendre nodes of the unit interval spanning ``[s_{b-1}, s]``,
 
     t_b = t_{b-1} + (s - t_{b-1}) * x_b,      jacobian prod_b (s - t_{b-1}),
 
 which turns the ordered region into a tensor-product rule on the unit
-cube. Cost is ``nodes_per_level ** beta``, so it serves the low-order
-statistics (dimensions 1 and 2) and refuses dimensions above
-``MAX_TENSOR_DIM``. The returned error estimate is the difference between
-the rules with ``G`` and ``G + 2`` nodes per level. Both rules share one
+cube. Cost is ``nodes_per_level ** beta``, so dimensions above
+``MAX_TENSOR_DIM`` are refused: they go through the chain rule. The
+returned error estimate is the difference between the rules with ``G``
+and ``G + 2`` nodes per level plus a roundoff floor. Both rules share one
 grid, built once per ``(beta, G)`` on the unit simplex (``s = 1``) and
 cached: the ``G``-node rule is padded to ``G + 2`` nodes per level with
 zero-weight copies of its last node, and the two rules are stacked on a
 leading rule axis. A call scales that grid to ``[0, s]`` (coordinates by
 ``s``, weights by ``s**beta``) and evaluates the integrand once for both
-rules. Grids above ``STACKED_GRID_POINTS`` (dimension 5 at the default
-24 nodes) are built at ``s`` on each call and evaluated one rule at a
-time, which keeps memory at one rule's grid. An integrand may return a
-stack of kernels along a leading axis; the grid is then evaluated once
-for the whole stack, and the call returns one value and one error
-estimate per kernel.
+rules. An integrand may return a stack of kernels along a leading axis;
+the grid is then evaluated once for the whole stack, and the call
+returns one value and one error estimate per kernel.
 
 The chain rule (:class:`ChainRule`, :func:`integrate_chains`) serves
 integrands that are products of per-gap factors,
@@ -70,7 +67,7 @@ from .exceptions import AccuracyWarning, IntegrandEvaluationError
 
 #: Largest dimension the tensor rule accepts; higher-dimensional integrals
 #: of this package are products of gap factors and go through the chain.
-MAX_TENSOR_DIM = 5
+MAX_TENSOR_DIM = 2
 
 #: Node counts of the first coarse/fine pair of chain rules; each
 #: refinement doubles both.
@@ -123,36 +120,6 @@ def _gauss_unit(n: int):
 
 # -- tensor rule ---------------------------------------------------------------
 
-#: Grid points (both rules together) up to which :func:`integrate_ordered`
-#: evaluates the coarse and the fine rule in one integrand call on a cached
-#: grid. Every grid of dimension <= 2 fits at up to 700 nodes per level;
-#: larger grids are built per call and evaluated one rule at a time, which
-#: keeps memory at one rule's grid.
-STACKED_GRID_POINTS = 2 ** 20
-
-
-def _rule_grid(beta: int, s: float, x, w):
-    """Coordinates and weight*jacobian tensor of tensor rules on ``[0, s]``.
-
-    ``x`` and ``w`` hold unit-interval nodes and weights, one rule per row
-    of shape ``(rules, n)``. Coordinate ``t_b`` (``b = 1..beta``) has shape
-    ``(rules,) + (n,) * b + (1,) * (beta - b)``, the tensor ``(rules,) +
-    (n,) * beta``: the rule axis leads the coordinate axes.
-    """
-    rules, n = x.shape
-    ts = []
-    t_prev = np.zeros(())
-    jw = np.ones(())
-    for b in range(beta):
-        shape = (rules,) + (1,) * b + (n,) + (1,) * (beta - 1 - b)
-        gap = s - t_prev
-        t = t_prev + gap * x.reshape(shape)
-        jw = jw * gap * w.reshape(shape)
-        ts.append(t)
-        t_prev = t
-    return tuple(ts), jw
-
-
 @lru_cache(maxsize=256)
 def _simplex_grid(beta: int, n_nodes: int):
     """The ``n_nodes`` and ``n_nodes + 2`` rules on the unit simplex
@@ -160,8 +127,10 @@ def _simplex_grid(beta: int, n_nodes: int):
 
     The coarse rule is padded to ``n_nodes + 2`` nodes per level with
     zero-weight copies of its last node, so both rules share one shape;
-    every padded point repeats a real point of the coarse rule. Returns
-    the coordinates, the weight*jacobian tensor and, for
+    every padded point repeats a real point of the coarse rule.
+    Coordinate ``t_b`` (``b = 1..beta``) has shape ``(2,) + (n,) * b +
+    (1,) * (beta - b)`` and the weight*jacobian tensor ``(2,) + (n,) *
+    beta``, with ``n = n_nodes + 2``. Also returns, for
     :func:`_rule_sums`, each rule's index: the coarse one leaves the
     padding out of its sum, which keeps its summation order.
     """
@@ -169,21 +138,33 @@ def _simplex_grid(beta: int, n_nodes: int):
     fine_x, fine_w = _gauss_unit(n_nodes + 2)
     nodes = np.stack((np.concatenate((x, x[-1:], x[-1:])), fine_x))
     weights = np.stack((np.concatenate((w, [0.0, 0.0])), fine_w))
-    ts, jw = _rule_grid(beta, 1.0, nodes, weights)
-    for arr in ts + (jw,):
+    ts = []
+    t_prev = np.zeros(())
+    jw = np.ones(())
+    for b in range(beta):
+        shape = (2,) + (1,) * b + (n_nodes + 2,) + (1,) * (beta - 1 - b)
+        gap = 1.0 - t_prev
+        t = t_prev + gap * nodes.reshape(shape)
+        jw = jw * gap * weights.reshape(shape)
+        ts.append(t)
+        t_prev = t
+    for arr in ts + [jw]:
         arr.setflags(write=False)
     rules = tuple((Ellipsis, rule) + (slice(None, n),) * beta
                   for rule, n in enumerate((n_nodes, n_nodes + 2)))
-    return ts, jw, rules
+    return tuple(ts), jw, rules
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rule_sums(f, ts, jw, rules):
-    """Sum of ``f(ts) * jw`` over each rule of one grid.
+    """Sums of ``f(ts) * jw`` over the coarse and the fine rule of one
+    grid, and the fine rule's roundoff floor.
 
-    ``rules`` holds one index per rule into the products, which carry the
-    rule axis in front of the ``beta`` coordinate axes. Each sum is a
-    complex, or a complex array for a stack of kernels. A non-finite sum
+    ``rules`` holds the two rules' indices into the products, which carry
+    the rule axis in front of the ``beta`` coordinate axes. Each sum is a
+    complex, or a complex array for a stack of kernels; the floor,
+    ``CHAIN_ROUNDOFF`` times the summed ``|f * jw|`` of the fine rule, is
+    a float, or a float array with one entry per kernel. A non-finite sum
     raises :class:`IntegrandEvaluationError` at the first non-finite
     product, taken rule by rule, then kernel by kernel, then in grid
     order; numpy's floating-point warnings stay silent.
@@ -201,8 +182,10 @@ def _rule_sums(f, ts, jw, rules):
         point = tuple(float(np.broadcast_to(t, jw.shape)[at]) for t in ts)
         raise IntegrandEvaluationError(
             f"integrand returned a non-finite value at {point}", point=point)
-    return [total.astype(complex) if total.ndim else complex(total)
-            for total in sums]
+    coarse, fine = (total.astype(complex) if total.ndim else complex(total)
+                    for total in sums)
+    floor = CHAIN_ROUNDOFF * np.abs(prod[rules[-1]]).sum(axis=axes)
+    return coarse, fine, floor if floor.ndim else float(floor)
 
 
 def integrate_ordered(f, beta: int, s: float,
@@ -232,12 +215,18 @@ def integrate_ordered(f, beta: int, s: float,
     Returns
     -------
     (value, err_estimate) : tuple[complex, float]
-        For a stack, arrays of shape ``(k,)``: complex values, and each
-        kernel's own error estimate. At ``s == 0`` every weight vanishes,
-        so the result is zeros of the integrand's shape.
+        The fine rule's sum, and its distance from the coarse rule's plus
+        the roundoff floor ``CHAIN_ROUNDOFF * sum |f * jw|`` of the fine
+        rule. For a stack, arrays of shape ``(k,)``: complex values, and
+        each kernel's own error estimate. At ``s == 0`` every weight
+        vanishes, so the result is zeros of the integrand's shape.
 
     Raises
     ------
+    ValueError
+        When ``beta`` is negative or above ``MAX_TENSOR_DIM`` (integrate
+        products of gap factors with :func:`integrate_chains`), or ``s``
+        is negative.
     IntegrandEvaluationError
         When a rule sum is not finite. ``point`` holds the ``beta``
         coordinates of the first non-finite value, the coarse rule
@@ -254,19 +243,10 @@ def integrate_ordered(f, beta: int, s: float,
         return 1.0 + 0.0j, 0.0
     if s < 0.0:
         raise ValueError("s must be non-negative")
-    g = settings.nodes_per_level
-    if 2 * (g + 2) ** beta <= STACKED_GRID_POINTS:
-        ts, jw, rules = _simplex_grid(beta, g)
-        coarse, fine = _rule_sums(f, tuple(s * t for t in ts), s ** beta * jw,
-                                  rules)
-    else:
-        sums = []
-        for n in (g, g + 2):
-            x, w = _gauss_unit(n)
-            sums += _rule_sums(f, *_rule_grid(beta, s, x[None], w[None]),
-                               ((Ellipsis, 0) + (slice(None),) * beta,))
-        coarse, fine = sums
-    return fine, abs(fine - coarse)
+    ts, jw, rules = _simplex_grid(beta, settings.nodes_per_level)
+    coarse, fine, floor = _rule_sums(f, tuple(s * t for t in ts),
+                                     s ** beta * jw, rules)
+    return fine, abs(fine - coarse) + floor
 
 
 # -- chain rule ----------------------------------------------------------------

@@ -163,6 +163,22 @@ def test_non_finite_integrand_exits_4(tmp_path, capsys, command):
     assert err.startswith("non-finite integrand:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["d2", "d4"])
+def test_d2_with_no_correct_digit_exits_4(tmp_path, capsys, command):
+    # 100 rad of turning: the tensor rule's <D^2> reads 0.1217 with an
+    # estimate of 1.3, against the closed form's 0.2257.
+    doc = dict(BASE_DOC, sim=dict(BASE_DOC["sim"], s_final=20.0),
+               noise={"k_r": 0.01, "k_theta": 0.01}, quadrature={})
+    doc["profile"] = dict(BASE_DOC["profile"], s_max=20.0)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), command]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical consistency failure:")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_envelope(config_path, capsys):
     assert main(["--config", config_path, "moment", "9", "9", "0"]) == 3
     capsys.readouterr()

@@ -19,13 +19,14 @@ from brownian_unicycle import (AccuracyWarning, EnvelopeWarning, NoiseParams,
                                cov_ytheta, deterministic_pose,
                                displacement_heading_moment,
                                displacement_moment, mean_squared_distance,
-                               integrate_ordered, mean_heading,
+                               mean_heading,
                                phase_step_vectors, second_moments, term_keys,
                                theta_power_compositions)
 from brownian_unicycle import general_moments, quadrature
 from brownian_unicycle.constant_ratio import _kernel_chain
 from brownian_unicycle.general_moments import double_factorial
 from brownian_unicycle.quadrature import integrate_chains
+from tensor_oracle import two_call_rule
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
@@ -339,8 +340,10 @@ def _gap_chain(profile, params, s, weights, gamma, settings=QuadratureSettings()
 
 
 def _tensor_term(profile, params, s, weights, gamma):
-    """The same term on the tensor rule, with each gap's Gaussian moments in
-    the per-sample form ``dt^(g/2) * sum_a c_a (i w sqrt(k_theta dt))^(g-2a)``."""
+    """The same term on the tensor-rule oracle, with each gap's Gaussian
+    moments in the per-sample form ``dt^(g/2) * sum_a c_a (i w sqrt(k_theta
+    dt))^(g-2a)``; the estimate is the oracle's coarse/fine difference,
+    without its roundoff floor."""
     kt = params.k_theta
 
     def f(ts):
@@ -358,7 +361,8 @@ def _tensor_term(profile, params, s, weights, gamma):
             t_prev, th_prev = t, th
         return out
 
-    return integrate_ordered(f, len(weights), s)
+    value, difference, _ = two_call_rule(f, len(weights), s, 24)
+    return value, difference
 
 
 def _exact_term(mu0, k, s, weights):
@@ -387,8 +391,10 @@ def _exact_moment(p, q, mu0, k, s):
     ((0, -1), (2, 0, 0)),
     ((1, 2, 1), (0, 1, 0, 2)),
     ((2, 1, -1, 1), (1, 0, 1, 0, 2)),
-    ((2, 1, 0, -1, -2), (0, 0, 0, 0, 0, 0)),
-    ((1, -1, 1, 0, -1), (0, 2, 0, 0, 1, 0)),
+    pytest.param((2, 1, 0, -1, -2), (0, 0, 0, 0, 0, 0),
+                 marks=pytest.mark.slow),
+    pytest.param((1, -1, 1, 0, -1), (0, 2, 0, 0, 1, 0),
+                 marks=pytest.mark.slow),
 ])
 def test_chain_matches_tensor_rule(profile, weights, gamma):
     params = NoiseParams(0.5, 0.5)

@@ -8,6 +8,7 @@ import pytest
 
 from brownian_unicycle import (NoiseParams, QuadratureSettings,
                                SpeedRatioProfile, cov_xtheta, cov_ytheta,
+                               d2_closed,
                                deterministic_pose,
                                displacement_heading_moment,
                                displacement_moment, integrate_ordered,
@@ -351,3 +352,17 @@ def test_covariances_share_the_weighted_heading_integral():
                                              DEFAULT_SETTINGS, 1)
         assert cov_xtheta(profile, params, 0.8) == -0.7 * j.imag
         assert cov_ytheta(profile, params, 0.8) == 0.7 * j.real
+
+
+def test_d2_estimate_bounds_closed_form_error_sweep():
+    # The tensor rule's estimate carries a roundoff floor: without it the
+    # coarse/fine difference falls below the true error at about half of
+    # these points, by up to about 1e-13 relative.
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        mu0, s = rng.uniform(0.0, 20.0), rng.uniform(0.0, 5.0)
+        k = rng.uniform(0.01, 1.0)
+        params = NoiseParams(k, k)
+        value, err = low_moments.mean_squared_distance_with_error(
+            SpeedRatioProfile.constant(mu0, s_max=s), params, s)
+        assert abs(value - d2_closed(mu0, params, s)) <= err
