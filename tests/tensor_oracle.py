@@ -3,8 +3,8 @@
 ``two_call_rule`` builds the ``G``- and ``(G+2)``-node Gauss-Legendre
 tensor rules of the ordered region on ``[0, s]`` itself and evaluates the
 integrand once per rule. The package's tensor rule serves dimensions 1
-and 2 only; this oracle checks it there and checks the chain rule at
-every dimension.
+and 2 only; this oracle checks it there, its grid and rule sums at
+dimensions 3-5 too, and the chain rule at every dimension.
 """
 
 import numpy as np

@@ -355,15 +355,34 @@ def _assert_matches_oracle(got, want, beta):
     assert np.all(np.abs(err - ref_err) <= bound)
 
 
+def _stacked_rule(f, beta, s, nodes):
+    """The tensor rule's stacked evaluation at any dimension.
+
+    Up to ``MAX_TENSOR_DIM`` this is :func:`integrate_ordered`. Above it
+    the same cached grid and rule sums run without the public dimension
+    gate: they are written for any dimension, and from dimension 3 on a
+    level has coordinate axes on both sides, which dimensions 1 and 2 do
+    not exercise.
+    """
+    if beta <= MAX_TENSOR_DIM:
+        return integrate_ordered(f, beta, s,
+                                 QuadratureSettings(nodes_per_level=nodes))
+    ts, jw, rules = quadrature._simplex_grid(beta, nodes)
+    coarse, fine, floor = quadrature._rule_sums(
+        f, tuple(s * t for t in ts), s ** beta * jw, rules)
+    return fine, abs(fine - coarse) + floor
+
+
 @pytest.mark.parametrize("integrand", [_heading_kernel, _heading_stack],
                          ids=["scalar", "stacked"])
 @pytest.mark.parametrize("s_case", S_CASES)
-@pytest.mark.parametrize("nodes", [2, 7, 24])
-@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("beta,nodes", [
+    (beta, nodes) for beta in range(1, 6) for nodes in (2, 7, 24)
+    # 24 nodes at dimension 5 is 16 million points per rule.
+    if (beta, nodes) != (5, 24)])
 def test_stacked_rule_matches_two_call_rule(beta, nodes, s_case, integrand):
     s = S_CASES[s_case]
-    got = integrate_ordered(integrand, beta, s,
-                            QuadratureSettings(nodes_per_level=nodes))
+    got = _stacked_rule(integrand, beta, s, nodes)
     ref, difference, floor = two_call_rule(integrand, beta, s, nodes)
     _assert_matches_oracle(got, (ref, difference + floor), beta)
 
@@ -381,7 +400,8 @@ def _nan_above(threshold, stacked):
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
 @pytest.mark.parametrize("where", ["fine_last", "coarse_last"])
-@pytest.mark.parametrize("beta", [1, 2])
+# "stacked" names the evaluation checked: both rules in one integrand call.
+@pytest.mark.parametrize("beta", [1, 2, 3], ids=lambda beta: f"stacked-{beta}")
 def test_non_finite_point_matches_two_call_rule(beta, where, stacked):
     nodes, s = 7, 0.9
     coarse_last, fine_last = (
@@ -393,9 +413,8 @@ def test_non_finite_point_matches_two_call_rule(beta, where, stacked):
     threshold = (0.5 * (coarse_last + fine_last) if where == "fine_last"
                  else coarse_last * (1.0 - 1e-12))
     f = _nan_above(threshold, stacked)
-    settings_ = QuadratureSettings(nodes_per_level=nodes)
     with pytest.raises(IntegrandEvaluationError) as got:
-        integrate_ordered(f, beta, s, settings_)
+        _stacked_rule(f, beta, s, nodes)
     with pytest.raises(IntegrandEvaluationError) as want:
         two_call_rule(f, beta, s, nodes)
     point, ref = got.value.point, want.value.point
