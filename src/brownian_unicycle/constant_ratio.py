@@ -14,12 +14,13 @@ without quadrature. The governing complex rate is
 for the squared distance; the fourth moment additionally involves
 ``-3*k_theta/2 + i*mu0`` and ``-2*k_theta + 2i*mu0`` (and conjugates).
 
-Numerical care: the antiderivative (by parts) form of the iterated
-integrals cancels catastrophically when ``|rate * s|`` is small compared
-to the polynomial power, so each term switches to an exact truncated
-series in that regime. The squared-distance formula additionally
-evaluates ``e^{zs} - 1 - zs`` through a complex ``expm1`` and switches to
-its series below ``|z*s| = 1e-4``.
+Every closed form here is an :class:`ExpPolySum` chain
+(:func:`_kernel_chain`) evaluated at ``s``: the mean pose has one level,
+the squared distance two, the fourth moment up to four. Numerical care
+lives in :meth:`ExpPolySum.integral` alone: the antiderivative (by parts)
+form of the iterated integrals cancels catastrophically when ``|rate *
+s|`` is small compared to the polynomial power, so each term switches to
+an exact truncated series in that regime.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .fourth_moment import _d4_chains, variance_from_moments
 from .trajectory import NoiseParams
 
 _ZERO_RATE = 1e-12
-_D2_SERIES_SWITCH = 1e-4
 _SERIES_STOP = 1e-20
 _SERIES_MAX_TERMS = 220
 
@@ -40,13 +40,6 @@ _SERIES_MAX_TERMS = 220
 def complex_rate(mu0: float, k_theta: float) -> complex:
     """The decay-plus-rotation rate ``-k_theta/2 + i*mu0``."""
     return complex(-0.5 * k_theta, mu0)
-
-
-def _cexpm1(w: complex) -> complex:
-    """exp(w) - 1 without cancellation for small |w|."""
-    ex = math.exp(w.real)
-    return complex(math.expm1(w.real) - 2.0 * ex * math.sin(0.5 * w.imag) ** 2,
-                   ex * math.sin(w.imag))
 
 
 @dataclass(frozen=True)
@@ -149,53 +142,41 @@ def _byparts_integral(coeff: complex, rate: complex, power: int):
     return out
 
 
-def _shifted_exp_series(w: complex, k: int) -> complex:
-    """``sum_j w^j / (j + k)!`` to twelve terms, for small ``|w|``."""
-    term = complex(1.0 / math.factorial(k))
-    acc = term
-    for j in range(1, 12):
-        term = term * w / (j + k)
-        acc += term
-    return acc
+def _kernel_chain(rates, s: float) -> ExpPolySum:
+    """Nested integral of ``prod_j exp(rates[j] * t_j)`` over the ordered
+    region ``t_1 <= ... <= t_beta``, as a function of its upper end.
+
+    Evaluation points must lie in ``[0, s]``. Raises ``ValueError``
+    unless ``s`` is finite and non-negative and every rate is finite.
+    """
+    # Written so that NaN, which compares false either way, fails too.
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"s must be finite and >= 0, got {s}")
+    if not all(cmath.isfinite(rate) for rate in rates):
+        raise ValueError(f"mu0 must be finite, got the chain rates {rates}")
+    f = ExpPolySum.unit()
+    for rate in rates:
+        f = f.shifted_rate(rate).integral(s)
+    return f
 
 
 def d2_closed(mu0: float, params: NoiseParams, s: float) -> float:
     """Mean squared distance, ``k_r s + 2 Re[(e^{zs} - 1 - zs)/z^2]``.
 
-    Below ``|z s| = 1e-4`` the bracket switches to its series
-    ``s^2 (1/2 + zs/6 + (zs)^2/24 + ...)`` to dodge cancellation.
+    The bracket is the two-level chain ``iint e^{z (t2 - t1)}`` over
+    ``t1 <= t2``.
     """
     z = complex_rate(mu0, params.k_theta)
-    w = z * s
-    if abs(w) < _D2_SERIES_SWITCH:
-        bracket = s * s * _shifted_exp_series(w, 2)
-    else:
-        bracket = (_cexpm1(w) - w) / (z * z)
-    return params.k_r * s + 2.0 * bracket.real
+    return params.k_r * s + 2.0 * _kernel_chain((-z, z), s)(s).real
 
 
 def mean_pose_closed(mu0: float, params: NoiseParams, theta0: float,
                      s: float) -> complex:
     """Mean complex position ``<x> + i <y>``, ``e^{i theta0} (e^{zs}-1)/z``."""
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0}")
     z = complex_rate(mu0, params.k_theta)
-    w = z * s
-    if abs(w) < _D2_SERIES_SWITCH:
-        value = s * _shifted_exp_series(w, 1)
-    else:
-        value = _cexpm1(w) / z
-    return cmath.exp(1j * theta0) * value
-
-
-def _kernel_chain(rates, s: float) -> ExpPolySum:
-    """Nested integral of ``prod_j exp(rates[j] * t_j)`` over the ordered
-    region ``t_1 <= ... <= t_beta``, as a function of its upper end.
-
-    Evaluation points must lie in ``[0, s]``.
-    """
-    f = ExpPolySum.unit()
-    for rate in rates:
-        f = f.shifted_rate(rate).integral(s)
-    return f
+    return cmath.exp(1j * theta0) * _kernel_chain((z,), s)(s)
 
 
 def d4_closed(mu0: float, params: NoiseParams, s: float) -> float:

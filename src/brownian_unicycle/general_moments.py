@@ -235,6 +235,14 @@ def theta_power_compositions(r: int, beta: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _count_theta_power_compositions(r: int, beta: int) -> int:
+    """Closed-form ``len(theta_power_compositions(r, beta))``: an even last
+    part ``e`` leaves ``r - e`` for ``beta`` parts."""
+    if beta == 0:
+        return 1 - r % 2
+    return sum(comb(r - e + beta - 1, beta - 1) for e in range(0, r + 1, 2))
+
+
 def _pairings(g: int, a: int) -> int:
     """Ways to pick ``a`` disjoint pairs among ``g`` items,
     ``g! / (a! (g-2a)! 2^a)``."""
@@ -510,13 +518,11 @@ def displacement_heading_moment(p: int, q: int, r: int,
     total = 0.0 + 0.0j
     closes, scales = [], []
     n_terms = 0
-    compositions: dict[int, int] = {}
     for key in term_keys(p, q):
         beta = key.dimension
-        if beta not in compositions:
-            compositions[beta] = len(theta_power_compositions(r, beta))
-        n_terms += count_phase_step_vectors(key) * compositions[beta]
-        if not compositions[beta]:
+        compositions = _count_theta_power_compositions(r, beta)
+        n_terms += count_phase_step_vectors(key) * compositions
+        if not compositions:
             continue
         base = (kr ** key.n) * coefficient(key) * (s ** key.m) * phase0
         # h: heading power of the gaps; the tail takes the even rest.

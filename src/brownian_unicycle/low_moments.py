@@ -33,8 +33,6 @@ oracle.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_ordered
@@ -67,22 +65,19 @@ def deterministic_pose(profile: SpeedRatioProfile, s: float,
                        settings: QuadratureSettings = _POSE_SETTINGS):
     """Noise-free pose ``(x, y, theta)`` after curve length ``s``.
 
-    Constant profiles integrate in closed form (arc of a circle of radius
-    ``1/mu0``, straight line when ``mu0 == 0``); other kinds integrate
-    ``exp(i * mean_heading)`` on the tensor rule, 64 nodes by default.
+    ``x + i y = int_0^s exp(i * mean_heading)``. Constant profiles take
+    the exact one-level chain of
+    :func:`~brownian_unicycle.constant_ratio.mean_pose_closed` without
+    noise; other kinds integrate on the tensor rule, 64 nodes by default.
     """
     th = mean_heading(profile, s)
     if profile.kind == "constant":
-        mu0 = profile.mu0
-        th0 = profile.theta0
-        if mu0 == 0.0:
-            x = s * math.cos(th0)
-            y = s * math.sin(th0)
-        else:
-            x = (math.sin(th0 + mu0 * s) - math.sin(th0)) / mu0
-            y = -(math.cos(th0 + mu0 * s) - math.cos(th0)) / mu0
-        return (x, y, th)
-    z, _ = _heading_integral(profile, s, 1, 0.0, settings)
+        # constant_ratio imports this module through fourth_moment.
+        from .constant_ratio import mean_pose_closed
+        z = mean_pose_closed(profile.mu0, NoiseParams(0.0, 0.0),
+                             profile.theta0, s)
+    else:
+        z, _ = _heading_integral(profile, s, 1, 0.0, settings)
     return (z.real, z.imag, th)
 
 

@@ -70,7 +70,7 @@ from .exceptions import AccuracyWarning, IntegrandEvaluationError
 MAX_TENSOR_DIM = 2
 
 #: Node counts of the first coarse/fine pair of chain rules; each
-#: refinement doubles both.
+#: refinement doubles the fine count and compares with the previous one.
 CHAIN_BASE_PAIR = (48, 64)
 #: Fine node count at which refinement stops.
 CHAIN_MAX_NODES = 256
@@ -89,9 +89,9 @@ class QuadratureSettings:
     rel_tol : float
         Relative accuracy target of the chain rule: the moment engines
         (:func:`~brownian_unicycle.displacement_heading_moment`,
-        :func:`~brownian_unicycle.d4_moment`) refine their coarse/fine
-        node pair until the two results agree to ``rel_tol`` or the node
-        count reaches ``CHAIN_MAX_NODES``.
+        :func:`~brownian_unicycle.d4_moment`) double their node count
+        until the last two results agree to ``rel_tol`` or the node count
+        reaches ``CHAIN_MAX_NODES``.
     """
 
     nodes_per_level: int = 24
@@ -363,19 +363,20 @@ def integrate_chains(evaluate, scales, s: float,
     ``evaluate(rule)`` returns the nested integrals ``chain_i`` on one
     rule, as an array aligned with ``scales``; each is a
     :meth:`ChainRule.chain` of dimension >= 1, or a sum of such, so all
-    vanish when ``s == 0``. The sum runs on the coarse/fine pair ``CHAIN_BASE_PAIR``;
-    while the two sums differ by more than ``settings.rel_tol`` relative
-    to the fine one, and by more than the roundoff floor, both node
-    counts double, up to ``CHAIN_MAX_NODES``. Stopping there with the
-    difference still above both issues an :class:`AccuracyWarning`; the
-    value is returned all the same.
+    vanish when ``s == 0``. The sum runs on the coarse/fine pair
+    ``CHAIN_BASE_PAIR``; while the last two sums differ by more than
+    ``settings.rel_tol`` relative to the later one, and by more than the
+    roundoff floor, the sum runs again on twice the previous fine node
+    count, up to ``CHAIN_MAX_NODES``. Stopping there with the difference
+    still above both issues an :class:`AccuracyWarning`; the value is
+    returned all the same.
 
     Returns
     -------
     (value, err_estimate) : tuple[complex, float]
-        The fine sum, and its distance from the coarse one (after a
-        refinement, the larger of that and its distance from the previous
-        fine sum) plus the roundoff floor
+        The last sum, and its distance from the one before (the coarse
+        rule of the pair, then the previous fine rule, with half the
+        nodes) plus the roundoff floor
         ``CHAIN_ROUNDOFF * sum_i |scales[i] * chain_i|``.
     """
     if s < 0.0:
@@ -396,16 +397,11 @@ def integrate_chains(evaluate, scales, s: float,
         return value, float(np.abs(terms).sum())
 
     coarse_n, fine_n = CHAIN_BASE_PAIR
-    previous = None
+    coarse, _ = total(coarse_n)
     while True:
-        coarse, _ = total(coarse_n)
         fine, magnitude = total(fine_n)
         diff = abs(fine - coarse)
         floor = CHAIN_ROUNDOFF * magnitude
-        if previous is not None:
-            # Against the last fine rule, half the nodes: under algebraic
-            # convergence the 3/4-node pair alone understates the error.
-            diff = max(diff, abs(fine - previous))
         if diff <= max(settings.rel_tol * abs(fine), floor):
             return fine, diff + floor
         if fine_n >= CHAIN_MAX_NODES:
@@ -415,5 +411,6 @@ def integrate_chains(evaluate, scales, s: float,
                 f"{settings.rel_tol:.1e} times the chain sum {abs(fine):.3e}",
                 AccuracyWarning, stacklevel=3)
             return fine, diff + floor
-        previous = fine
-        coarse_n, fine_n = 2 * coarse_n, 2 * fine_n
+        # The next rule is compared with this one, half its nodes: under
+        # algebraic convergence a 3/4-node pair understates the error.
+        coarse, fine_n = fine, 2 * fine_n

@@ -266,28 +266,20 @@ def test_d4_quadrature_path(ramp_config_path, capsys):
     assert record["variance_d2"] == pytest.approx(0.0026, abs=2e-4)
 
 
-def _subprocess_env():
-    """This environment with the imported package's directory first on
-    ``PYTHONPATH``, which pytest's ``pythonpath`` setting does not pass on."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    paths = (root, os.environ.get("PYTHONPATH"))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-
-
-def test_console_entry_point(config_path):
+def test_console_entry_point(config_path, subprocess_env):
     import subprocess
     import sys
 
     proc = subprocess.run(
         [sys.executable, "-m", "brownian_unicycle", "--config", config_path,
          "moment", "0", "0", "2"],
-        capture_output=True, text=True, env=_subprocess_env())
+        capture_output=True, text=True, env=subprocess_env)
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["value_re"] == pytest.approx(0.01, rel=1e-12)
 
 
-def test_cli_runs_without_scipy(config_path):
+def test_cli_runs_without_scipy(config_path, subprocess_env):
     import subprocess
     import sys
 
@@ -295,7 +287,7 @@ def test_cli_runs_without_scipy(config_path):
               "from brownian_unicycle.cli import main; "
               f"sys.exit(main(['--config', {config_path!r}, 'd2']))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=_subprocess_env())
+                          text=True, env=subprocess_env)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
     assert record["value"] == pytest.approx(

@@ -9,10 +9,10 @@ import pytest
 from brownian_unicycle import (ExpPolySum, NoiseParams,
                                NumericalConsistencyError, SpeedRatioProfile,
                                complex_rate, constant_ratio, d2_closed,
-                               d4_closed, d4_moment, mean_pose_closed,
-                               mean_squared_distance, mean_x, mean_y,
-                               variance_d2_closed)
-from brownian_unicycle.constant_ratio import _cexpm1, _kernel_chain
+                               d4_closed, d4_moment, deterministic_pose,
+                               mean_pose_closed, mean_squared_distance,
+                               mean_x, mean_y, variance_d2_closed)
+from brownian_unicycle.constant_ratio import _kernel_chain
 from brownian_unicycle.fourth_moment import DISTANCE4_KERNELS, VARIANCE_SLACK
 
 
@@ -88,21 +88,6 @@ def test_d2_degenerate_straight_line():
     assert d2_closed(0.0, NoiseParams(0.0, 0.0), 2.5) == pytest.approx(6.25, rel=1e-12)
 
 
-def test_d2_series_switch_continuity():
-    # Either branch must agree with an independent evaluation of the same
-    # bracket near the |z s| = 1e-4 switch, to 1e-10 relative.
-    for kt in (2.000001e-4, 1.999999e-4):  # just above / below the switch
-        z = complex_rate(0.0, kt)
-        s = 1.0
-        w = z * s
-        direct = (_cexpm1(w) - w) / (z * z)
-        series = s * s * sum((w ** k / math.factorial(k + 2) for k in range(14)),
-                             0j)
-        got = d2_closed(0.0, NoiseParams(0.0, kt), s)
-        assert got == pytest.approx(2.0 * direct.real, rel=1e-10)
-        assert got == pytest.approx(2.0 * series.real, rel=1e-10)
-
-
 def test_d2_large_s_slope():
     # Slope of <D^2> approaches k_r + 4/k_theta once the rotation decays.
     params = NoiseParams(0.3, 1.0)
@@ -134,44 +119,86 @@ def test_mean_pose_against_quadrature():
 
 
 # ---------------------------------------------------------------------------
+# accuracy against 50-digit values and input checks
+
+
+def _draw_rate_and_length(rng):
+    """``(mu0, k_theta, s)`` with ``|z s|`` log-uniform in [1e-8, 1e2] and
+    the rate ``z`` uniform in angle over the left half-plane."""
+    size = 10.0 ** rng.uniform(-8, 2)
+    angle = rng.uniform(0.5 * math.pi, 1.5 * math.pi)
+    s = float(10.0 ** rng.uniform(-2, 1))
+    return (float(size / s * math.sin(angle)),
+            float(-2.0 * size / s * math.cos(angle)), s)
+
+
+def test_closed_forms_match_50_digit_values():
+    import mpmath
+
+    rng = np.random.default_rng(13)
+    worst_d2 = worst_pose = 0.0
+    with mpmath.workdps(50):
+        for _ in range(400):
+            mu0, kt, s = _draw_rate_and_length(rng)
+            kr, theta0 = float(rng.uniform(0, 1)), float(rng.uniform(-3, 3))
+            z = mpmath.mpc(-mpmath.mpf(kt) / 2, mu0)
+            w = z * s
+            d2 = kr * mpmath.mpf(s) + 2 * ((mpmath.expm1(w) - w) / z ** 2).real
+            pose = mpmath.expj(theta0) * mpmath.expm1(w) / z
+            params = NoiseParams(kr, kt)
+            worst_d2 = max(worst_d2,
+                           abs(d2_closed(mu0, params, s) - d2) / abs(d2))
+            worst_pose = max(worst_pose, abs(
+                mean_pose_closed(mu0, params, theta0, s) - pose) / abs(pose))
+    assert worst_d2 <= 1e-14
+    assert worst_pose <= 1e-14
+
+
+def test_constant_pose_matches_50_digit_values():
+    import mpmath
+
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(400):
+            mu0 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10, 1))
+            s, theta0 = float(rng.uniform(0, 1)), float(rng.uniform(-3, 3))
+            profile = SpeedRatioProfile.constant(mu0, theta0=theta0, s_max=1.0)
+            x, y, _ = deterministic_pose(profile, s)
+            want = (mpmath.expj(theta0) * mpmath.expm1(1j * mpmath.mpf(mu0) * s)
+                    / (1j * mpmath.mpf(mu0)))
+            worst = max(worst, abs(complex(x, y) - want) / abs(want))
+    assert worst <= 5e-14
+
+
+_CLOSED_FORMS = {
+    "d2_closed": lambda mu0, theta0, s: d2_closed(mu0, NoiseParams(0.3, 0.2), s),
+    "d4_closed": lambda mu0, theta0, s: d4_closed(mu0, NoiseParams(0.3, 0.2), s),
+    "mean_pose_closed": lambda mu0, theta0, s: mean_pose_closed(
+        mu0, NoiseParams(0.3, 0.2), theta0, s),
+    "variance_d2_closed": lambda mu0, theta0, s: variance_d2_closed(
+        mu0, NoiseParams(0.3, 0.2), s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
+@pytest.mark.parametrize("mu0, theta0, s", [
+    (5.0, 0.0, -1.0), (5.0, 0.0, math.nan), (5.0, 0.0, math.inf),
+    (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (-math.inf, 0.0, 1.0),
+])
+def test_closed_forms_reject_out_of_range_input(name, mu0, theta0, s):
+    with pytest.raises(ValueError):
+        _CLOSED_FORMS[name](mu0, theta0, s)
+
+
+@pytest.mark.parametrize("theta0", [math.nan, math.inf])
+def test_mean_pose_rejects_non_finite_start_heading(theta0):
+    with pytest.raises(ValueError, match="theta0"):
+        mean_pose_closed(5.0, NoiseParams(0.3, 0.2), theta0, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # fourth moment
-
-
-def _series_branches_oracle(mu0, params, theta0, s):
-    """The small-``|z s|`` branches of ``d2_closed`` and ``mean_pose_closed``
-    as each summed its own series before they shared one."""
-    z = complex_rate(mu0, params.k_theta)
-    w = z * s
-    term = 0.5 + 0j
-    acc = term
-    for k in range(1, 12):
-        term = term * w / (k + 2)
-        acc += term
-    d2 = params.k_r * s + 2.0 * (s * s * acc).real
-    term = 1.0 + 0j
-    acc = term
-    for k in range(1, 12):
-        term = term * w / (k + 1)
-        acc += term
-    return d2, cmath.exp(1j * theta0) * (s * acc)
-
-
-def test_series_branches_equal_separate_sums():
-    rng = np.random.default_rng(11)
-    checked = 0
-    for _ in range(2000):
-        mu0 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, 1))
-        params = NoiseParams(float(rng.uniform(0, 1)),
-                             float(10.0 ** rng.uniform(-9, 0)))
-        s = float(10.0 ** rng.uniform(-7, 0))
-        if abs(complex_rate(mu0, params.k_theta) * s) >= 1e-4:
-            continue
-        theta0 = float(rng.uniform(-3, 3))
-        assert (d2_closed(mu0, params, s),
-                mean_pose_closed(mu0, params, theta0, s)) == \
-            _series_branches_oracle(mu0, params, theta0, s)
-        checked += 1
-    assert checked > 500
 
 
 def test_d4_reference_variances():

@@ -139,6 +139,13 @@ def test_compositions_brute_force(r, beta):
     assert got == brute  # already lexicographic
 
 
+def test_composition_count_equals_enumeration():
+    for r in range(9):
+        for beta in range(10):
+            assert general_moments._count_theta_power_compositions(r, beta) \
+                == len(theta_power_compositions(r, beta)), (r, beta)
+
+
 # ---------------------------------------------------------------------------
 # moment values
 
