@@ -3,16 +3,20 @@
 ``<D^4>`` (the squared distance squared) splits into six pairing classes.
 The kernels below are coded literally from the printed expressions of
 that decomposition rather than re-derived from the general enumeration
-machinery; the whole point of this module is to be an independent
-implementation path against :func:`displacement_moment` at orders (2, 2).
+(term keys, coefficients, heading-power compositions); the whole point of
+this module is to be an independent derivation to check
+:func:`displacement_moment` at orders (2, 2) against.
 
 Each table entry is ``(kr_power, s_power, prefactor, kernels)`` where a
 kernel ``(decay, phase)`` contributes
 
     exp(-k_theta/2 * sum_j decay[j] * t_j) * cos(sum_j phase[j] * heading(t_j))
 
-inside one nested ordered integral of dimension ``len(decay)``. Only the
-integration engine is shared with the general enumeration. The two
+inside one nested ordered integral of dimension ``len(decay)``, as the
+decomposition prints it, per sample point. :func:`d4_moment` evaluates
+each kernel in gap form on the gap factors and chain rule of the general
+moments; that sampling and the integration engine are all it shares
+with them. The two
 conjugate three-dimensional classes are already combined into their real
 cosine form, and the dimension-0 class is the pure ``2 k_r^2 s^2`` term.
 :func:`_d4_chains` is the table's one reader, for :func:`d4_moment` here
@@ -21,12 +25,15 @@ and for the closed form :func:`~brownian_unicycle.constant_ratio.d4_closed`.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .exceptions import NumericalConsistencyError
+from .general_moments import _GapFactors
 from .low_moments import mean_squared_distance
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_chains
-from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
+from .trajectory import NoiseParams, SpeedRatioProfile
 
 DISTANCE4_KERNELS = (
     # n=0 class: four surviving sample points, six phase patterns paired
@@ -76,21 +83,28 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
               settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Mean fourth power of the distance from the start point.
 
-    Each kernel is the real part of a chain of per-point factors
-    ``exp(-k_theta/2 * decay[j] * t + i * phase[j] * heading(t))``,
-    integrated by the chain rule of :mod:`quadrature`.
+    Each kernel is the real part of one chain in gap form: the gap
+    ``t_{b-1} -> t_b`` (``t_0 = 0``) has the weight ``G_b = sum_{j >= b}
+    phase[j]``, which turns ``sum_j phase[j] heading(t_j)`` into ``sum_b
+    G_b (heading(t_b) - heading(t_{b-1}))``. Every table kernel has ``G_1
+    = 0`` and the suffix sums ``G_b**2`` in ``decay``, so each gap is a
+    factor of the walk of :mod:`general_moments` (``_GapFactors`` at
+    heading power 0), of modulus at most 1; per point the factors grow
+    like ``e^{2 k_theta t}``.
     """
-    kt = params.k_theta
     constant, chains = _d4_chains(params, s)
+    weights = [tuple(itertools.accumulate(reversed(phase)))[::-1]
+               for _, (_, phase) in chains]
 
     def evaluate(rule):
-        th = mean_heading(profile, rule.t)
+        gaps = _GapFactors(rule, profile, params.k_theta, 0)
+        tail = gaps.tail(0)
         out = []
-        for _, (decay, phase) in chains:
-            factors = [np.exp((-0.5 * kt * d) * rule.t + 1j * g * th)
-                       for d, g in zip(decay, phase)]
-            out.append(rule.chain(factors[0], [f[:, None] for f in factors[1:]],
-                                  1.0))
+        for first, *inner in weights:
+            f = gaps.first(first)[0]
+            for w in inner:
+                f = gaps.operators(w)[0] @ f
+            out.append(tail @ f)
         return np.array(out)
 
     value, _ = integrate_chains(evaluate, [w for w, _ in chains], s, settings)

@@ -39,15 +39,13 @@ Trefethen, BIT 48, 2008). The interpolation array ``W[j, m, k]``, with
 the Gauss weights folded in, is built once per node count. A gap factor
 becomes the discrete Volterra operator ``M_K[j, k] = s * sum_m K(u_jm,
 t_j) W[j, m, k]``, one batched product of ``n**3`` flops built once per
-distinct factor and rule (``n**2`` for a factor of the later point
-alone, through the cached integration matrix ``sum_m W[j, m, k]``).
-After that every level is ``M_K @ F`` and every close a dot product with
-a tail row, ``n**2`` flops each: a moment with ``D`` distinct gap
-factors and ``L`` node-value vectors to carry through a level (one per
-state and heading power of its lattice walk in :mod:`general_moments`)
-costs ``O(D n**3 + L n**2)`` instead of ``G**beta`` integrand points per
-term. Convergence is
-spectral for the smooth headings of constant and polynomial profiles and
+distinct factor and rule. After that every level is ``M_K @ F`` and
+every close a dot product with a tail row, ``n**2`` flops each: a moment
+with ``D`` distinct gap factors and ``L`` node-value vectors to carry
+through a level (one per state and heading power of its lattice walk in
+:mod:`general_moments`) costs ``O(D n**3 + L n**2)`` instead of
+``G**beta`` integrand points per term. Convergence is spectral for the
+smooth headings of constant and polynomial profiles and
 algebraic for table profiles, whose heading is only continuously
 differentiable.
 
@@ -257,35 +255,31 @@ class ChainRule:
     ``t`` holds the ``n`` nodes (ascending, ``t[0] = 0``, ``t[-1] = s``)
     and ``u`` the ``n`` Gauss points of each node's interval: row ``j``
     lies in ``[0, t[j]]``, so ``u[-1]`` is the Gauss rule of ``[0, s]``.
-    Callers sample their factors at these points and pass the samples to
-    :meth:`chain`, or turn them into :meth:`operator` matrices and
-    :meth:`tail_vector` rows to share operators and the levels of a
-    common prefix between chains. Construct through :func:`chain_rule`,
-    which caches the ``s``-independent arrays.
+    Callers sample their gap factors at these points and turn them into
+    :meth:`operator` matrices and :meth:`tail_vector` rows; a chain is its
+    first factor's node values, the operators applied in turn, and a tail
+    row, so chains can share operators and the levels of a common prefix.
+    Construct through :func:`chain_rule`, which caches the
+    ``s``-independent arrays.
     """
 
-    def __init__(self, s: float, x, u, weighted, integration) -> None:
+    def __init__(self, s: float, x, u, weighted) -> None:
         self.s = s
         self.t = s * x
         self.u = s * u
         self._weighted = weighted
-        self._integration = integration
 
     def operator(self, kernel) -> np.ndarray:
         """Matrix of ``F -> int_0^t K(u, t) F(u) du`` on the node values.
 
-        ``kernel`` holds ``K(u_jm, t_j)`` with shape ``(n, n)``, or
-        ``(n, 1)`` for a factor of the later point alone, or a stack of
-        either along a leading axis (one matrix each). Entry ``[j, k]`` is
+        ``kernel`` holds ``K(u_jm, t_j)`` with shape ``(n, n)``, or a stack
+        of them along a leading axis (one matrix each). Entry ``[j, k]`` is
         ``s * sum_m K(u_jm, t_j) W[j, m, k]``: one batched product with
         the weighted interpolation array, real against the (re, im) pairs
-        of all stacked kernels, so the array is read once per stack; and
-        ``kernel * (s * sum_m W[j, m, k])`` for a factor of ``t`` alone.
+        of all stacked kernels, so the array is read once per stack.
         """
         n = self.t.size
         kernel = np.asarray(kernel)
-        if kernel.shape[-1:] != (n,):  # (n, 1): constant along each row
-            return (self.s * kernel) * self._integration
         # pairs[j, m, (i, c)]: part c (re, im) of stacked kernel i.
         stack = kernel.reshape(-1, n, n).transpose(1, 2, 0)
         pairs = np.ascontiguousarray(stack, dtype=complex).view(np.float64)
@@ -300,33 +294,15 @@ class ChainRule:
         n = self.t.size
         return self.s * (np.broadcast_to(tail, (n,)) @ self._weighted[-1])
 
-    def chain(self, first, gaps, tail) -> complex:
-        """Nested integral of one product of gap factors.
-
-        Parameters
-        ----------
-        first : array, shape ``(n,)``
-            ``K_1(0, t_j)``.
-        gaps : sequence of arrays, each of shape ``(n, n)`` or ``(n, 1)``
-            ``K_b(u_jm, t_j)`` for ``b = 2..beta``, as for :meth:`operator`.
-        tail : array, shape ``(n,)``, or scalar
-            ``tail(s - u[-1, m])``.
-        """
-        f = first
-        for kernel in gaps:
-            f = self.operator(kernel) @ f
-        return complex(self.tail_vector(tail) @ f)
-
 
 @lru_cache(maxsize=8)
 def _unit_chain(n: int):
-    """Nodes, Gauss points, weighted interpolation array and integration
-    matrix on ``[0, 1]``.
+    """Nodes, Gauss points and weighted interpolation array on ``[0, 1]``.
 
     ``weighted[j, m, k]`` is the Gauss weight of point ``u[j, m]`` on
     ``[0, x[j]]`` times the barycentric weight of node ``k`` at that
     point, so ``weighted[j] @ f`` is the rule's sample of ``F`` at each
-    point; ``integration[j] @ f`` integrates ``F`` over ``[0, x[j]]``.
+    point.
     """
     k = np.arange(n)
     x = 0.5 * (1.0 - np.cos(np.pi * k / (n - 1)))
@@ -345,10 +321,9 @@ def _unit_chain(n: int):
     weighted /= weighted.sum(axis=1, keepdims=True)
     weighted *= (x[:, None] * gw[None, :]).reshape(-1, 1)
     weighted = weighted.reshape(n, n, n)
-    integration = weighted.sum(axis=1)
-    for arr in (x, u, weighted, integration):
+    for arr in (x, u, weighted):
         arr.setflags(write=False)
-    return x, u, weighted, integration
+    return x, u, weighted
 
 
 def chain_rule(n: int, s: float) -> ChainRule:
@@ -361,9 +336,11 @@ def integrate_chains(evaluate, scales, s: float,
     """``sum_i scales[i] * chain_i`` on refined pairs of chain rules.
 
     ``evaluate(rule)`` returns the nested integrals ``chain_i`` on one
-    rule, as an array aligned with ``scales``; each is a
-    :meth:`ChainRule.chain` of dimension >= 1, or a sum of such, so all
-    vanish when ``s == 0``. The sum runs on the coarse/fine pair
+    rule, as an array aligned with ``scales``; each is a product of gap
+    factors of dimension >= 1 (a first factor's node values carried
+    through :meth:`ChainRule.operator` matrices and closed by a
+    :meth:`ChainRule.tail_vector` row), or a sum of such, so all vanish
+    when ``s == 0``. The sum runs on the coarse/fine pair
     ``CHAIN_BASE_PAIR``; while the last two sums differ by more than
     ``settings.rel_tol`` relative to the later one, and by more than the
     roundoff floor, the sum runs again on twice the previous fine node

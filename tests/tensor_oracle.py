@@ -4,13 +4,25 @@
 tensor rules of the ordered region on ``[0, s]`` itself and evaluates the
 integrand once per rule. The package's tensor rule serves dimensions 1
 and 2 only; this oracle checks it there, its grid and rule sums at
-dimensions 3-5 too, and the chain rule at every dimension.
+dimensions 3-5 too, and the chain rule at every dimension. ``chain``
+evaluates one product of gap factors on one chain rule, the form in which
+the tests hand their integrands to the chain rule.
 """
 
 import numpy as np
 
 from brownian_unicycle import IntegrandEvaluationError
 from brownian_unicycle.quadrature import CHAIN_ROUNDOFF
+
+
+def chain(rule, first, kernels, tail=1.0):
+    """Nested integral of one product of gap factors on ``rule``: the first
+    factor's node values, the operators of ``kernels`` applied in turn,
+    then the tail row."""
+    f = first
+    for kernel in kernels:
+        f = rule.operator(kernel) @ f
+    return complex(rule.tail_vector(tail) @ f)
 
 
 def two_call_rule(f, beta, s, nodes):

@@ -31,6 +31,7 @@ from brownian_unicycle import (NoiseParams, QuadratureSettings, SimConfig,
                                statistics_from_samples, term_keys,
                                variance_d2, variance_d2_closed)
 from brownian_unicycle.quadrature import MAX_TENSOR_DIM, integrate_chains
+from tensor_oracle import chain
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
@@ -269,11 +270,11 @@ def test_criterion_6_property_suites():
     for beta in range(1, 6):
         if beta <= MAX_TENSOR_DIM:
             value, _ = integrate_ordered(lambda ts: 1.0, beta, 1.3, quick)
-        else:  # the chain rule: a product of beta unit factors
+        else:  # the chain rule: a product of beta unit gap factors
             def ones(rule, beta=beta):
-                unit = np.ones_like(rule.t)
-                return np.array([rule.chain(unit, [unit[:, None]] * (beta - 1),
-                                            1.0)])
+                n = rule.t.size
+                return np.array([chain(rule, np.ones(n),
+                                       [np.ones((n, n))] * (beta - 1))])
             value, _ = integrate_chains(ones, [1.0], 1.3)
         exact = 1.3 ** beta / math.factorial(beta)
         ok_volume &= abs(value.real - exact) <= 1e-12 * exact

@@ -266,6 +266,19 @@ def test_d4_quadrature_path(ramp_config_path, capsys):
     assert record["variance_d2"] == pytest.approx(0.0026, abs=2e-4)
 
 
+def test_d4_quadrature_matches_closed_form_at_large_k_theta_s(tmp_path, capsys):
+    doc = {"profile": {"kind": "constant", "mu0": 5.0, "s_max": 10.0},
+           "noise": {"k_r": 4.0, "k_theta": 4.0}}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), "d4"]) == 0
+    quadrature = json.loads(capsys.readouterr().out)
+    assert main(["--config", str(path), "--closed-form", "d4"]) == 0
+    closed = json.loads(capsys.readouterr().out)
+    for key in ("value", "variance_d2"):
+        assert quadrature[key] == pytest.approx(closed[key], rel=1e-10)
+
+
 def test_console_entry_point(config_path, subprocess_env):
     import subprocess
     import sys

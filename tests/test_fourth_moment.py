@@ -1,11 +1,15 @@
 """Literal six-term fourth-moment path against its independent twins."""
 
+import itertools
+import warnings
+
 import pytest
 
-from brownian_unicycle import (NoiseParams, NumericalConsistencyError,
-                               SpeedRatioProfile, d4_moment,
-                               deterministic_pose, displacement_moment,
-                               mean_squared_distance, variance_d2)
+from brownian_unicycle import (AccuracyWarning, NoiseParams,
+                               NumericalConsistencyError, SpeedRatioProfile,
+                               d4_closed, d4_moment, deterministic_pose,
+                               displacement_moment, mean_squared_distance,
+                               variance_d2, variance_d2_closed)
 from brownian_unicycle import fourth_moment
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
@@ -51,6 +55,35 @@ def test_ramp_variance_consistent_across_paths():
     enumerated = displacement_moment(2, 2, RAMP, params, 1.0).value.real
     assert var == pytest.approx(enumerated - d2 * d2, rel=1e-10)
     assert var == pytest.approx(1.4653368, abs=1e-6)
+
+
+def test_ramp_matches_walk_to_roundoff():
+    # The table's chains and the walk read the same gap factors.
+    params = NoiseParams(1.0, 1.0)
+    literal = d4_moment(RAMP, params, 1.0)
+    enumerated = displacement_moment(2, 2, RAMP, params, 1.0).value.real
+    assert abs(literal - enumerated) <= 1e-13 * enumerated
+
+
+@pytest.mark.parametrize("k,s", [(0.01, 1.0), (1.0, 1.0), (2.0, 10.0),
+                                 (4.0, 10.0), (1.0, 40.0)])
+def test_matches_closed_form_at_large_k_theta_s(k, s):
+    # Per-point factors of the table grow like e^{2 k_theta t}, gap factors
+    # stay at most 1 in modulus: large k_theta s must cost no digits.
+    params = NoiseParams(k, k)
+    profile = SpeedRatioProfile.constant(5.0, s_max=s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        value = d4_moment(profile, params, s)
+    exact = d4_closed(5.0, params, s)
+    assert abs(value - exact) <= 1e-12 * exact
+
+
+def test_variance_matches_closed_form_at_large_k_theta_s():
+    params = NoiseParams(4.0, 4.0)
+    profile = SpeedRatioProfile.constant(5.0, s_max=10.0)
+    exact = variance_d2_closed(5.0, params, 10.0)
+    assert variance_d2(profile, params, 10.0) == pytest.approx(exact, rel=1e-12)
 
 
 def test_variance_positivity():
@@ -102,3 +135,20 @@ def test_table_reader_matches_flattened_table(params, s):
     # The constant class is the pure 2 k_r^2 s^2 term.
     assert constant == 2.0 * params.k_r ** 2 * s ** 2
     assert len(chains) == 8
+
+
+def _suffix_sums(values):
+    return list(itertools.accumulate(reversed(values)))[::-1]
+
+
+def test_kernel_table_is_gap_form():
+    # d4_moment reads only the phases: the gap from t_{b-1} to t_b carries
+    # the weight G_b (the suffix sum of the phases from b on) and the decay
+    # G_b**2 of a gap factor, and the first gap, from 0, has weight 0.
+    kernels = [kernel for *_, table_kernels in fourth_moment.DISTANCE4_KERNELS
+               for kernel in table_kernels]
+    assert len(kernels) == 8
+    for decay, phase in kernels:
+        gaps = _suffix_sums(phase)
+        assert _suffix_sums(decay) == [g * g for g in gaps]
+        assert gaps[0] == 0

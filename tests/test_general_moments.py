@@ -26,7 +26,7 @@ from brownian_unicycle import general_moments, quadrature
 from brownian_unicycle.constant_ratio import _kernel_chain
 from brownian_unicycle.general_moments import double_factorial
 from brownian_unicycle.quadrature import integrate_chains
-from tensor_oracle import two_call_rule
+from tensor_oracle import chain, two_call_rule
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
@@ -332,10 +332,10 @@ def _sampled_factors(rule, profile, kt):
 
 
 def _rule_chain(rule, factor, weights, gamma):
-    """One term's nested integral on ``rule`` by :meth:`ChainRule.chain`."""
-    return rule.chain(factor(weights[0], gamma[0], False),
-                      [factor(w, g, True) for w, g in zip(weights[1:], gamma[1:-1])],
-                      (rule.s - rule.u[-1]) ** (gamma[-1] // 2))
+    """One term's nested integral on ``rule``."""
+    return chain(rule, factor(weights[0], gamma[0], False),
+                 [factor(w, g, True) for w, g in zip(weights[1:], gamma[1:-1])],
+                 (rule.s - rule.u[-1]) ** (gamma[-1] // 2))
 
 
 def _gap_chain(profile, params, s, weights, gamma, settings=QuadratureSettings()):

@@ -14,7 +14,7 @@ from brownian_unicycle import (IntegrandEvaluationError, QuadratureSettings,
 from brownian_unicycle import quadrature
 from brownian_unicycle.quadrature import (MAX_TENSOR_DIM, chain_rule,
                                           integrate_chains)
-from tensor_oracle import two_call_rule
+from tensor_oracle import chain, two_call_rule
 
 
 def ordered_monomial_integral(powers, s) -> Fraction:
@@ -26,11 +26,12 @@ def ordered_monomial_integral(powers, s) -> Fraction:
 
 
 def _single_chain(first, gaps, tail=1.0):
-    """``evaluate`` for integrate_chains from per-point factor functions."""
+    """``evaluate`` for integrate_chains from per-point factor functions,
+    each factor after the first as a gap kernel of its later point."""
     def evaluate(rule):
-        return np.array([rule.chain(first(rule.t),
-                                    [g(rule.t)[:, None] for g in gaps],
-                                    tail)])
+        n = rule.t.size
+        kernels = [np.broadcast_to(g(rule.t)[:, None], (n, n)) for g in gaps]
+        return np.array([chain(rule, first(rule.t), kernels, tail)])
     return evaluate
 
 
@@ -204,7 +205,7 @@ def test_chain_matches_tensor_rule_on_gap_kernels(profile, beta):
         first = gap(weights[0], th_t - profile.theta0, rule.t)
         gaps = [gap(w, th_t[:, None] - th_u, rule.t[:, None] - rule.u)
                 for w in weights[1:]]
-        return np.array([rule.chain(first, gaps, (s - rule.u[-1]) ** 2)])
+        return np.array([chain(rule, first, gaps, (s - rule.u[-1]) ** 2)])
 
     # ref_err is the reference's coarse/fine difference: how far it has
     # converged, without the roundoff floor of its error estimate.
@@ -216,18 +217,19 @@ def test_chain_matches_tensor_rule_on_gap_kernels(profile, beta):
 
 
 @pytest.mark.parametrize("n", [48, 128])
-@pytest.mark.parametrize("columns", [None, 1], ids=["gap", "later_point"])
-def test_operator_matches_weighted_interpolation(n, columns):
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["gap", "stack"])
+def test_operator_matches_weighted_interpolation(n, stack):
     # Reference: one level as a product with the (n*n, n) weighted
-    # interpolation matrix, then the kernel-weighted row sums.
+    # interpolation matrix, then the kernel-weighted row sums; a stack of
+    # kernels gives one operator each.
     rng = np.random.default_rng(n)
     rule = chain_rule(n, 0.7)
-    shape = (n, columns or n)
+    shape = stack + (n, n)
     kernel = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     tail = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     sampled = (rule._weighted.reshape(n * n, n) @ f).reshape(n, n)
-    level = rule.s * (kernel * sampled).sum(1)
+    level = rule.s * (kernel * sampled).sum(-1)
     close = rule.s * (tail * sampled[-1]).sum()
     assert np.abs(rule.operator(kernel) @ f - level).max() <= 1e-13 * np.abs(level).max()
     assert abs(rule.tail_vector(tail) @ f - close) <= 1e-13 * abs(close)
