@@ -5,8 +5,8 @@ Subcommands: ``moment``, ``d2``, ``d4``, ``simulate``, ``reproduce``,
 profile, noise, simulation and quadrature sections for every command.
 
 Exit codes: 0 success, 1 usage, 2 config, 3 envelope/cost refusal,
-4 internal numerical-consistency failure (also a ``<D^2>`` whose error
-estimate exceeds its magnitude) or a non-finite integrand.
+4 internal numerical-consistency failure (also a ``<D^2>`` or a ``moment``
+whose error estimate exceeds its magnitude) or a non-finite integrand.
 
 Output conventions: JSON records print floats at full round-trip
 precision; CSV uses 17 significant digits, a documented header row,
@@ -123,6 +123,10 @@ def moment(ctx, p, q, r, out_path):
         warnings.simplefilter("ignore", EnvelopeWarning)
         res = general_moments.displacement_heading_moment(
             p, q, r, cfg.profile, cfg.noise, cfg.sim.s_final, cfg.settings)
+    if res.err_estimate > abs(res.value):
+        raise NumericalConsistencyError(
+            f"<u^{p} w^{q} theta~^{r}> = {res.value:.6g} has no correct digit: "
+            f"its error estimate {res.err_estimate:.3g} exceeds its magnitude")
     record = {
         "p": p, "q": q, "r": r,
         "value_re": res.value.real,

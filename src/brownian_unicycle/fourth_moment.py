@@ -14,11 +14,11 @@ kernel ``(decay, phase)`` contributes
 
 inside one nested ordered integral of dimension ``len(decay)``, as the
 decomposition prints it, per sample point. :func:`d4_moment` evaluates
-each kernel in gap form on the gap factors and chain rule of the general
-moments; that sampling and the integration engine are all it shares
-with them. The two
-conjugate three-dimensional classes are already combined into their real
-cosine form, and the dimension-0 class is the pure ``2 k_r^2 s^2`` term.
+each kernel in gap form on the gap factors, panel cuts and chain rule of
+the general moments; that sampling and the integration engine are all it
+shares with them. The two conjugate three-dimensional classes are already
+combined into their real cosine form, and the dimension-0 class is the
+pure ``2 k_r^2 s^2`` term.
 :func:`_d4_chains` is the table's one reader, for :func:`d4_moment` here
 and for the closed form :func:`~brownian_unicycle.constant_ratio.d4_closed`.
 """
@@ -30,7 +30,7 @@ import itertools
 import numpy as np
 
 from .exceptions import NumericalConsistencyError
-from .general_moments import _GapFactors
+from .general_moments import _GapFactors, _panel_cuts
 from .low_moments import mean_squared_distance
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_chains
 from .trajectory import NoiseParams, SpeedRatioProfile
@@ -103,11 +103,12 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
         for first, *inner in weights:
             f = gaps.first(first)[0]
             for w in inner:
-                f = gaps.operators(w)[0] @ f
+                f = gaps.apply(w, 0, f)
             out.append(tail @ f)
         return np.array(out)
 
-    value, _ = integrate_chains(evaluate, [w for w, _ in chains], s, settings)
+    value, _ = integrate_chains(evaluate, [w for w, _ in chains], s, settings,
+                                _panel_cuts(profile, s))
     return constant + value.real
 
 

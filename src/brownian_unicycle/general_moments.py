@@ -54,9 +54,9 @@ MAX_TOTAL_POWER = 8
 MAX_HEADING_POWER = 4
 
 #: Roundoff of a moment beyond the chain rule's floor, per unit of the bound
-#: ``_Walk.moduli`` on the integral of its integrand's modulus: sixteen
-#: times the largest share (0.004 eps) seen on 640 random constant-ratio
-#: moments against 50-digit values.
+#: ``_Walk.moduli`` on the integral of its integrand's modulus: twice the
+#: largest share (0.028 eps) seen on 640 random constant-ratio moments
+#: against 50-digit values.
 MODULUS_ROUNDOFF = float(np.finfo(float).eps) / 16
 
 
@@ -310,7 +310,7 @@ class _GapFactors:
     the first gap starting at ``u = 0``; ``g`` runs up to the moment's
     heading power ``r``. Headings are evaluated once per rule. The inner
     factors of one weight become Volterra operators of the rule on the
-    weight's first use, each tail power one tail row.
+    first use of the weight or its negative, each tail power one tail row.
     """
 
     def __init__(self, rule, profile: SpeedRatioProfile, kt: float,
@@ -329,20 +329,18 @@ class _GapFactors:
         """Node values of the first gap's factors, ``0 -> t_j``, by ``g``."""
         return self._first.factors(w, self._powers)
 
-    def operators(self, w: int) -> list[np.ndarray]:
-        """The Volterra operators of the inner factors of weight ``w``, by
-        ``g``."""
-        out = self._operators.get(w)
-        if out is None:
-            mirror = self._operators.get(-w)
-            if mirror is not None:
-                # The factors of -w are the conjugates of those of w.
-                out = [op.conj() for op in mirror]
-            else:
-                out = list(self.rule.operator(
-                    np.stack(self._inner.factors(w, self._powers))))
-            self._operators[w] = out
-        return out
+    def apply(self, w: int, g: int, f: np.ndarray) -> np.ndarray:
+        """``f @ M.T`` for the operator ``M`` of the inner factor of weight
+        ``w`` and power ``g``; the factors of ``-w`` are the conjugates of
+        those of ``w``, so one operator per ``|w|`` serves both signs."""
+        ops = self._operators.get(abs(w))
+        if ops is None:
+            ops = list(self.rule.operator(
+                np.stack(self._inner.factors(abs(w), self._powers))))
+            self._operators[abs(w)] = ops
+        if w < 0:
+            return (f.conj() @ ops[g].T).conj()
+        return f @ ops[g].T
 
     def tail(self, power: int) -> np.ndarray:
         out = self._tails.get(power)
@@ -350,6 +348,23 @@ class _GapFactors:
             out = self.rule.tail_vector(self._tail_gap ** power)
             self._tails[power] = out
         return out
+
+
+def _panel_cuts(profile: SpeedRatioProfile, s: float) -> np.ndarray:
+    """Interior panel edges on ``[0, s]``: the table knots inside ``(0, s)``
+    and a cut after every ``2 pi`` of heading turn, interpolated in the
+    running sum of absolute heading steps, 64 per segment between knots (at
+    most one cut per step). A non-finite heading places no cut."""
+    knots = np.array([k for k in profile.knots_s if 0.0 < k < s])
+    ends = np.concatenate(([0.0], knots, [s]))
+    grid = np.append(np.linspace(ends[:-1], ends[1:], 64, endpoint=False, axis=1), s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        turn = np.cumsum(np.abs(np.diff(mean_heading(profile, grid))))
+    if not np.isfinite(turn[-1]):
+        return knots
+    spacing = max(2.0 * np.pi, turn[-1] / turn.size)
+    return np.union1d(knots, np.interp(np.arange(spacing, turn[-1], spacing),
+                                       np.append(0.0, turn), grid))
 
 
 def _step_counts(key: TermKey) -> tuple[int, int, int, int]:
@@ -472,9 +487,9 @@ class _Walk:
         for w, lo, hi, preds in self._groups:
             prev = f[:, preds].sum(axis=2)
             out = f[:, lo:hi]
-            for g, op in enumerate(factors.operators(w)):
+            for g in range(r + 1):
                 # Heading power h - g before the gap, h after it.
-                part = prev[:r + 1 - g].reshape(-1, n) @ op.T
+                part = factors.apply(w, g, prev[:r + 1 - g].reshape(-1, n))
                 out[g:] += part.reshape(r + 1 - g, hi - lo, n)
         ends = f[self._close_h, self._close_u]
         values = np.empty(len(ends), dtype=complex)
@@ -502,13 +517,14 @@ def displacement_heading_moment(p: int, q: int, r: int,
     The terms of one key share its exact integer coefficient; those of
     dimension ``beta >= 1`` are nested integrals of gap-factor chains,
     summed by the lattice walk of :class:`_Walk` on the chain rule of
-    :mod:`quadrature` with one close per key, last step and heading power
-    before the tail. Dimension-0 terms use the empty-integral-equals-1
-    convention with the trailing gap factor ``s**(r/2)`` applied
-    analytically. The error estimate is that of the summed closes
-    (coarse/fine difference plus roundoff floor) plus ``MODULUS_ROUNDOFF``
-    times the bound :meth:`_Walk.moduli`; ``terms_evaluated`` counts the
-    enumerated terms, vectors times compositions summed over the keys.
+    :mod:`quadrature`, on the panels of :func:`_panel_cuts`, with one close
+    per key, last step and heading power before the tail. Dimension-0 terms
+    use the empty-integral-equals-1 convention with the trailing gap factor
+    ``s**(r/2)`` applied analytically. The error estimate is that of the
+    summed closes (coarse/fine difference plus roundoff floor) plus
+    ``MODULUS_ROUNDOFF`` times the bound :meth:`_Walk.moduli`;
+    ``terms_evaluated`` counts the enumerated terms, vectors times
+    compositions summed over the keys.
     """
     _check_envelope(MomentSpec(p, q, r))
     kr, kt = params.k_r, params.k_theta
@@ -547,7 +563,8 @@ def displacement_heading_moment(p: int, q: int, r: int,
     def evaluate(rule):
         return walk.evaluate(_GapFactors(rule, profile, kt, r))
 
-    value, err = integrate_chains(evaluate, scales, s, settings)
+    value, err = integrate_chains(evaluate, scales, s, settings,
+                                  _panel_cuts(profile, s) if scales else ())
     if scales:
         # A rotating chain sum can cancel far below the moduli of its closes,
         # while the roundoff of its sampled phases scales with the integral

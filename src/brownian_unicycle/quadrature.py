@@ -30,24 +30,17 @@ integrands that are products of per-gap factors,
 which is every moment term of this package. Such an integral is ``beta``
 applications of a Volterra operator: ``F_1(t) = K_1(0, t)``,
 ``F_b(t) = int_0^t K_b(u, t) F_{b-1}(u) du``, and the result is
-``int_0^s F_beta(u) tail(s - u) du``. Each ``F_b`` is represented by its
-values on Chebyshev-Lobatto nodes of ``[0, s]``; the integral for node
-``t_j`` uses a Gauss-Legendre rule on ``[0, t_j]`` whose points read
-``F_{b-1}`` through barycentric interpolation (Berrut & Trefethen, SIAM
-Rev. 46, 2004), as in Chebfun's ``volt`` (Driscoll, Bornemann &
-Trefethen, BIT 48, 2008). The interpolation array ``W[j, m, k]``, with
-the Gauss weights folded in, is built once per node count. A gap factor
-becomes the discrete Volterra operator ``M_K[j, k] = s * sum_m K(u_jm,
-t_j) W[j, m, k]``, one batched product of ``n**3`` flops built once per
-distinct factor and rule. After that every level is ``M_K @ F`` and
-every close a dot product with a tail row, ``n**2`` flops each: a moment
-with ``D`` distinct gap factors and ``L`` node-value vectors to carry
-through a level (one per state and heading power of its lattice walk in
-:mod:`general_moments`) costs ``O(D n**3 + L n**2)`` instead of
-``G**beta`` integrand points per term. Convergence is spectral for the
-smooth headings of constant and polynomial profiles and
-algebraic for table profiles, whose heading is only continuously
-differentiable.
+``int_0^s F_beta(u) tail(s - u) du``. Each ``F_b`` lives at the Gauss
+points of panels of ``[0, s]``, which the moment engines cut at the table
+knots and after every ``2 pi`` of heading turn (Pachon, Platte &
+Trefethen, IMA J. Numer. Anal. 30, 2010). For node ``t_j`` the integral
+is the Gauss rule of the earlier panels plus, on its own panel, the
+spectral integration matrix ``S[i, k] = int_0^{x_i} l_k`` (Greengard, SIAM
+J. Numer. Anal. 28, 1991). A gap factor thus becomes the operator ``kernel
+* omega``, once per rule, and every level is ``M_K @ F``: a moment with
+``D`` distinct gap factors and ``L`` node-value vectors per level (one per
+state and heading power of its walk in :mod:`general_moments`) costs
+``O((D + L) n**2)``, and converges spectrally on every profile kind.
 
 All reductions run in a fixed order; results are bit-stable for a given
 settings object.
@@ -67,11 +60,12 @@ from .exceptions import AccuracyWarning, IntegrandEvaluationError
 #: of this package are products of gap factors and go through the chain.
 MAX_TENSOR_DIM = 2
 
-#: Node counts of the first coarse/fine pair of chain rules; each
-#: refinement doubles the fine count and compares with the previous one.
-CHAIN_BASE_PAIR = (48, 64)
-#: Fine node count at which refinement stops.
-CHAIN_MAX_NODES = 256
+#: Gauss points per panel of the chain rule's coarse and fine rules.
+PANEL_NODES = (12, 16)
+#: Panels of the whole curve at the first pair, shared out by length.
+PANELS_PER_LENGTH = 3
+#: Largest node count of a chain rule (an operator then takes 26 MB).
+CHAIN_MAX_NODES = 1280
 #: Roundoff of a chain sum relative to the sum of its terms' magnitudes.
 CHAIN_ROUNDOFF = 64 * float(np.finfo(float).eps)
 
@@ -87,9 +81,9 @@ class QuadratureSettings:
     rel_tol : float
         Relative accuracy target of the chain rule: the moment engines
         (:func:`~brownian_unicycle.displacement_heading_moment`,
-        :func:`~brownian_unicycle.d4_moment`) double their node count
-        until the last two results agree to ``rel_tol`` or the node count
-        reaches ``CHAIN_MAX_NODES``.
+        :func:`~brownian_unicycle.d4_moment`) halve their panels until
+        the last two results agree to ``rel_tol``, or warn when the next
+        rule would exceed ``CHAIN_MAX_NODES`` nodes.
     """
 
     nodes_per_level: int = 24
@@ -249,145 +243,129 @@ def integrate_ordered(f, beta: int, s: float,
 
 # -- chain rule ----------------------------------------------------------------
 
-class ChainRule:
-    """Volterra chains on Chebyshev-Lobatto nodes of ``[0, s]``.
+@lru_cache(maxsize=8)
+def _panel_matrix(m: int):
+    """Gauss nodes and weights of ``[0, 1]`` and the integration matrix
+    ``S[i, k] = int_0^{x_i} l_k`` of their Lagrange basis ``l_k``."""
+    leg = np.polynomial.legendre
+    x, _ = leg.leggauss(m)
+    basis = leg.legint(leg.legfit(x, np.eye(m), m - 1), lbnd=-1)
+    matrix = 0.5 * leg.legval(x, basis).T
+    matrix.setflags(write=False)
+    return (*_gauss_unit(m), matrix)
 
-    ``t`` holds the ``n`` nodes (ascending, ``t[0] = 0``, ``t[-1] = s``)
-    and ``u`` the ``n`` Gauss points of each node's interval: row ``j``
-    lies in ``[0, t[j]]``, so ``u[-1]`` is the Gauss rule of ``[0, s]``.
-    Callers sample their gap factors at these points and turn them into
-    :meth:`operator` matrices and :meth:`tail_vector` rows; a chain is its
-    first factor's node values, the operators applied in turn, and a tail
-    row, so chains can share operators and the levels of a common prefix.
-    Construct through :func:`chain_rule`, which caches the
-    ``s``-independent arrays.
+
+class ChainRule:
+    """Volterra chains on ``m`` Gauss-Legendre points ``t`` per panel
+    between consecutive ``edges``, ascending from 0 to ``s > 0``.
+
+    ``u[j, k]`` starts the gap that ends at ``t[j]`` for node ``k``: ``t[k]``
+    in earlier panels and in ``t[j]``'s own, where a factor past ``t[j]``
+    is read at its analytic continuation to a negative gap, else ``t[j]``.
+    A chain is its first factor's node values, the :meth:`operator`
+    matrices of the others applied in turn, and a :meth:`tail_vector` row.
     """
 
-    def __init__(self, s: float, x, u, weighted) -> None:
-        self.s = s
-        self.t = s * x
-        self.u = s * u
-        self._weighted = weighted
+    def __init__(self, edges, m: int) -> None:
+        x, w, matrix = _panel_matrix(m)
+        width = np.diff(edges)
+        self.s = float(edges[-1])
+        self.t = (edges[:-1, None] + width[:, None] * x).ravel()
+        self._weights = (width[:, None] * w).ravel()
+        panel = np.repeat(np.arange(width.size), m)
+        self._later = panel > panel[:, None]
+        self.u = np.where(self._later, self.t[:, None], self.t)
+        # (panel, stack, i, k): the diagonal blocks' weights, width * S.
+        self._blocks = width[:, None, None, None] * matrix
 
     def operator(self, kernel) -> np.ndarray:
         """Matrix of ``F -> int_0^t K(u, t) F(u) du`` on the node values.
 
-        ``kernel`` holds ``K(u_jm, t_j)`` with shape ``(n, n)``, or a stack
-        of them along a leading axis (one matrix each). Entry ``[j, k]`` is
-        ``s * sum_m K(u_jm, t_j) W[j, m, k]``: one batched product with
-        the weighted interpolation array, real against the (re, im) pairs
-        of all stacked kernels, so the array is read once per stack.
+        ``kernel`` holds ``K(u[j, k], t[j])`` with shape ``(n, n)``, or a
+        stack of them along a leading axis. The matrix is ``kernel *
+        omega``, ``omega[j, k]`` being node ``k``'s Gauss weight in a panel
+        before ``t[j]``'s, the width times ``S`` within one, and 0 after;
+        ``omega`` is not formed, which saves 13 MB at the node cap.
         """
-        n = self.t.size
-        kernel = np.asarray(kernel)
-        # pairs[j, m, (i, c)]: part c (re, im) of stacked kernel i.
-        stack = kernel.reshape(-1, n, n).transpose(1, 2, 0)
-        pairs = np.ascontiguousarray(stack, dtype=complex).view(np.float64)
-        out = (self._weighted.transpose(0, 2, 1) @ pairs).view(np.complex128)
-        out *= self.s
-        return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(kernel.shape)
+        panels, _, m, _ = self._blocks.shape
+        index = np.arange(panels)
+        diagonal = (slice(None), index, slice(None), index)
+        blocks = np.reshape(kernel, (-1, panels, m, panels, m))[diagonal]
+        out = kernel * self._weights
+        np.copyto(out, 0.0, where=self._later)
+        out.reshape(-1, panels, m, panels, m)[diagonal] = blocks * self._blocks
+        return out
 
     def tail_vector(self, tail) -> np.ndarray:
         """Row ``v`` with ``v @ f = int_0^s F(u) tail(s - u) du`` for node
-        values ``f`` of ``F``; ``tail`` holds ``tail(s - u[-1, m])``, or is
-        a scalar."""
-        n = self.t.size
-        return self.s * (np.broadcast_to(tail, (n,)) @ self._weighted[-1])
-
-
-@lru_cache(maxsize=8)
-def _unit_chain(n: int):
-    """Nodes, Gauss points and weighted interpolation array on ``[0, 1]``.
-
-    ``weighted[j, m, k]`` is the Gauss weight of point ``u[j, m]`` on
-    ``[0, x[j]]`` times the barycentric weight of node ``k`` at that
-    point, so ``weighted[j] @ f`` is the rule's sample of ``F`` at each
-    point.
-    """
-    k = np.arange(n)
-    x = 0.5 * (1.0 - np.cos(np.pi * k / (n - 1)))
-    bary = (-1.0) ** k
-    bary[0] *= 0.5
-    bary[-1] *= 0.5
-    gx, gw = _gauss_unit(n)
-    u = x[:, None] * gx[None, :]
-    # Barycentric rows, built in place: at n = 256 the matrix is 134 MB.
-    weighted = u.reshape(-1, 1) - x[None, :]
-    exact = weighted == 0.0
-    with np.errstate(divide="ignore"):
-        np.divide(bary, weighted, out=weighted)
-    hit = exact.any(axis=1)
-    weighted[hit] = exact[hit]
-    weighted /= weighted.sum(axis=1, keepdims=True)
-    weighted *= (x[:, None] * gw[None, :]).reshape(-1, 1)
-    weighted = weighted.reshape(n, n, n)
-    for arr in (x, u, weighted):
-        arr.setflags(write=False)
-    return x, u, weighted
-
-
-def chain_rule(n: int, s: float) -> ChainRule:
-    """The ``n``-node chain rule on ``[0, s]``, ``n >= 2``, ``s > 0``."""
-    return ChainRule(s, *_unit_chain(n))
+        values ``f`` of ``F``: the Gauss weights times ``tail``, which holds
+        ``tail(s - t)`` or is a scalar."""
+        return self._weights * tail
 
 
 def integrate_chains(evaluate, scales, s: float,
-                     settings: QuadratureSettings = DEFAULT_SETTINGS):
-    """``sum_i scales[i] * chain_i`` on refined pairs of chain rules.
+                     settings: QuadratureSettings = DEFAULT_SETTINGS,
+                     cuts=()):
+    """``sum_i scales[i] * chain_i`` on refined pairs of panel rules.
 
-    ``evaluate(rule)`` returns the nested integrals ``chain_i`` on one
-    rule, as an array aligned with ``scales``; each is a product of gap
-    factors of dimension >= 1 (a first factor's node values carried
-    through :meth:`ChainRule.operator` matrices and closed by a
-    :meth:`ChainRule.tail_vector` row), or a sum of such, so all vanish
-    when ``s == 0``. The sum runs on the coarse/fine pair
-    ``CHAIN_BASE_PAIR``; while the last two sums differ by more than
-    ``settings.rel_tol`` relative to the later one, and by more than the
-    roundoff floor, the sum runs again on twice the previous fine node
-    count, up to ``CHAIN_MAX_NODES``. Stopping there with the difference
-    still above both issues an :class:`AccuracyWarning`; the value is
-    returned all the same.
+    ``evaluate(rule)`` returns the nested integrals ``chain_i``, products
+    of gap factors of dimension >= 1 or sums of such, on one
+    :class:`ChainRule`, aligned with ``scales``. Each segment between 0,
+    the ascending ``cuts`` inside ``(0, s)`` and ``s`` gets
+    ``ceil(PANELS_PER_LENGTH * length / s)`` equal panels, every other cut
+    dropped until the fine rule fits ``CHAIN_MAX_NODES``. The sum runs on
+    ``PANEL_NODES`` points per panel, coarse then fine, then at the fine
+    count on twice the panels while the last two sums differ by more than
+    ``settings.rel_tol`` relative and the roundoff floor; when the next
+    rule would pass the cap it warns (:class:`AccuracyWarning`) instead.
 
     Returns
     -------
     (value, err_estimate) : tuple[complex, float]
         The last sum, and its distance from the one before (the coarse
-        rule of the pair, then the previous fine rule, with half the
-        nodes) plus the roundoff floor
-        ``CHAIN_ROUNDOFF * sum_i |scales[i] * chain_i|``.
+        rule of the pair, then the previous fine rule) plus the roundoff
+        floor ``CHAIN_ROUNDOFF * sum_i |scales[i] * chain_i|``.
     """
     if s < 0.0:
         raise ValueError("s must be non-negative")
     scales = np.asarray(scales)
     if s == 0.0 or scales.size == 0:
         return 0j, 0.0
+    coarse_m, fine_m = PANEL_NODES
+    cuts = np.asarray(cuts, dtype=float)
+    while True:
+        ends = np.concatenate(([0.0], cuts, [s]))
+        counts = np.ceil(PANELS_PER_LENGTH / s * np.diff(ends)).astype(int)
+        if fine_m * counts.sum() <= CHAIN_MAX_NODES:
+            break
+        cuts = cuts[1::2]
 
-    def total(n: int):
+    def total(m: int):
+        rule = ChainRule(np.append(np.concatenate([
+            np.linspace(a, b, k, endpoint=False)
+            for a, b, k in zip(ends[:-1], ends[1:], counts)]), s), m)
         # A non-finite sum raises below; numpy's warnings would only
         # repeat it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            terms = scales * evaluate(chain_rule(n, s))
+            terms = scales * evaluate(rule)
             value = complex(terms.sum())
         if not np.isfinite(value):
             raise IntegrandEvaluationError(
-                f"chain integral is not finite on the {n}-node rule")
+                f"chain integral is not finite on the {rule.t.size}-node rule")
         return value, float(np.abs(terms).sum())
 
-    coarse_n, fine_n = CHAIN_BASE_PAIR
-    coarse, _ = total(coarse_n)
+    coarse, _ = total(coarse_m)
     while True:
-        fine, magnitude = total(fine_n)
+        fine, magnitude = total(fine_m)
         diff = abs(fine - coarse)
         floor = CHAIN_ROUNDOFF * magnitude
         if diff <= max(settings.rel_tol * abs(fine), floor):
             return fine, diff + floor
-        if fine_n >= CHAIN_MAX_NODES:
+        if 2 * fine_m * counts.sum() > CHAIN_MAX_NODES:
             warnings.warn(
-                f"chain refinement stopped at {fine_n} nodes with the error "
-                f"estimate {diff + floor:.3e} above rel_tol = "
+                f"chain refinement stopped at {fine_m * counts.sum()} nodes "
+                f"with the error estimate {diff + floor:.3e} above rel_tol = "
                 f"{settings.rel_tol:.1e} times the chain sum {abs(fine):.3e}",
                 AccuracyWarning, stacklevel=3)
             return fine, diff + floor
-        # The next rule is compared with this one, half its nodes: under
-        # algebraic convergence a 3/4-node pair understates the error.
-        coarse, fine_n = fine, 2 * fine_n
+        coarse, counts = fine, 2 * counts

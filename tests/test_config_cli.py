@@ -6,8 +6,8 @@ import os
 
 import pytest
 
-from brownian_unicycle import (cli, d2_closed, fourth_moment, low_moments,
-                               NoiseParams, QuadratureSettings,
+from brownian_unicycle import (cli, d2_closed, fourth_moment, general_moments,
+                               low_moments, NoiseParams, QuadratureSettings,
                                SpeedRatioProfile)
 from brownian_unicycle.cli import main
 from brownian_unicycle.config import (config_from_dict, dump_config,
@@ -173,6 +173,18 @@ def test_d2_with_no_correct_digit_exits_4(tmp_path, capsys, command):
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["--config", str(path), command]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical consistency failure:")
+    assert err.count("\n") == 1
+
+
+def test_moment_with_no_correct_digit_exits_4(config_path, capsys, monkeypatch):
+    def no_digit(*args):
+        return general_moments.MomentResult(0.0123 - 0.004j, 0.05, 7)
+
+    monkeypatch.setattr(general_moments, "displacement_heading_moment", no_digit)
+    assert main(["--config", config_path, "moment", "2", "2", "0"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numerical consistency failure:")

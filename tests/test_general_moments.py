@@ -1,7 +1,6 @@
 """Combinatorial enumeration and the general moment engine."""
 
 import cmath
-import contextlib
 import functools
 import itertools
 import math
@@ -16,7 +15,8 @@ from brownian_unicycle import (AccuracyWarning, EnvelopeWarning, NoiseParams,
                                QuadratureSettings, SpeedRatioProfile, TermKey,
                                TermKeyError, cartesian_moment, coefficient,
                                count_phase_step_vectors, cov_xtheta,
-                               cov_ytheta, deterministic_pose,
+                               cov_ytheta, d2_closed, d4_closed, d4_moment,
+                               deterministic_pose,
                                displacement_heading_moment,
                                displacement_moment, mean_squared_distance,
                                mean_heading,
@@ -311,9 +311,11 @@ def _phase_weights(p, q, c):
 def _sampled_factors(rule, profile, kt):
     """``factor(w, g, inner)``: the gap factor of weight ``w`` and fluctuation
     power ``g`` on ``rule``, of the first gap (``0 -> t_j``) or an inner one
-    (``u_jm -> t_j``), sampled from its definition with the Gaussian moments
+    (``u_jk -> t_j``), sampled from its definition with the Gaussian moments
     in the per-sample form ``dt^(g/2) * sum_a c_a (i w sqrt(k_theta
-    dt))^(g-2a)``; one array per argument triple."""
+    dt))^(g-2a)``; one array per argument triple. The roots are taken in
+    complex arithmetic: inside a panel the rule reads a factor at negative
+    gaps, where it continues analytically."""
     th_t = mean_heading(profile, rule.t)
     th_u = mean_heading(profile, rule.u)
     gaps = ((th_t - profile.theta0, rule.t),
@@ -324,9 +326,10 @@ def _sampled_factors(rule, profile, kt):
         dtheta, dt = gaps[inner]
         herm = sum(math.factorial(g)
                    // (math.factorial(a) * math.factorial(g - 2 * a) * 2 ** a)
-                   * (1j * w * np.sqrt(kt * dt)) ** (g - 2 * a)
+                   * (1j * w * np.sqrt(kt * dt + 0j)) ** (g - 2 * a)
                    for a in range(g // 2 + 1))
-        return np.exp(1j * w * dtheta - 0.5 * w * w * kt * dt) * dt ** (0.5 * g) * herm
+        return (np.exp(1j * w * dtheta - 0.5 * w * w * kt * dt)
+                * (dt + 0j) ** (0.5 * g) * herm)
 
     return factor
 
@@ -339,11 +342,13 @@ def _rule_chain(rule, factor, weights, gamma):
 
 
 def _gap_chain(profile, params, s, weights, gamma, settings=QuadratureSettings()):
-    """One term's nested integral on the refined chain rule."""
+    """One term's nested integral on the refined chain rule, on the panels
+    the moment engines cut for ``profile``."""
     def evaluate(rule):
         factor = _sampled_factors(rule, profile, params.k_theta)
         return np.array([_rule_chain(rule, factor, weights, gamma)])
-    return integrate_chains(evaluate, [1.0], s, settings)
+    return integrate_chains(evaluate, [1.0], s, settings,
+                            general_moments._panel_cuts(profile, s))
 
 
 def _tensor_term(profile, params, s, weights, gamma):
@@ -449,19 +454,20 @@ def test_six_zero_zero_small_noise_within_error_estimate():
 @pytest.mark.parametrize("k", [0.01, 1.0])
 def test_refinement_error_estimate_fast_rotation(monkeypatch, k):
     # At mu0 = 40 the running phases turn by up to 240 rad over the unit
-    # length: the 48/64 pair disagrees, so the pair must double.
-    node_counts = set()
-    chain_rule = quadrature.chain_rule
+    # length, up to 38 rad on a panel of the first pair (one per 2 pi of
+    # heading): the pair disagrees, so the panels must be halved.
+    panel_counts = set()
+    rule = quadrature.ChainRule
 
-    def spy(n, s):
-        node_counts.add(n)
-        return chain_rule(n, s)
+    def spy(edges, m):
+        panel_counts.add(len(edges) - 1)
+        return rule(edges, m)
 
-    monkeypatch.setattr(quadrature, "chain_rule", spy)
+    monkeypatch.setattr(quadrature, "ChainRule", spy)
     profile = SpeedRatioProfile.constant(40.0, s_max=1.0)
     res = displacement_moment(4, 2, profile, NoiseParams(k, k), 1.0)
     exact = _exact_moment(4, 2, 40.0, k, 1.0)
-    assert max(node_counts) > 64
+    assert max(panel_counts) > min(panel_counts)
     assert abs(res.value - exact) <= res.err_estimate
     assert res.err_estimate <= 1e-9 * abs(exact)
 
@@ -491,19 +497,37 @@ def _table_d2_reference(profile, k, s):
 
 
 def test_error_estimate_bounds_true_error_on_table_profile():
-    # The table heading is only continuously differentiable: convergence is
-    # algebraic and refinement runs to the node cap.
+    # The table heading is only continuously differentiable, at the knots;
+    # the panels end there, so convergence stays spectral.
     table = SpeedRatioProfile.table(
         [(i / 20, 5.0 + 3.0 * math.sin(2.0 * math.pi * i / 20)) for i in range(21)])
     for k, s in ((0.5, 1.0), (0.01, 0.83)):
-        with pytest.warns(AccuracyWarning):
-            res = displacement_moment(1, 1, table, NoiseParams(k, k), s)
+        res = displacement_moment(1, 1, table, NoiseParams(k, k), s)
         ref = _table_d2_reference(table, k, s)
         assert abs(res.value - ref) <= res.err_estimate
+        assert abs(res.value - ref) <= 1e-12 * ref
         assert res.err_estimate <= 1e-6 * ref
 
 
-@pytest.mark.parametrize("profile", [CONST, RAMP], ids=["const", "ramp"])
+@pytest.mark.parametrize("s", [20.0, 50.0])
+def test_long_curves_match_closed_forms(s):
+    # 100 and 250 rad of turning at mu0 = 5: the panels are cut after every
+    # 2 pi of heading, so the turning costs no digits.
+    params = NoiseParams(0.01, 0.01)
+    profile = SpeedRatioProfile.constant(5.0, s_max=s)
+    d4 = d4_closed(5.0, params, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        pairs = ((displacement_moment(2, 2, profile, params, s).value, d4),
+                 (d4_moment(profile, params, s), d4),
+                 (displacement_moment(1, 1, profile, params, s).value,
+                  d2_closed(5.0, params, s)))
+    for value, exact in pairs:
+        assert abs(value - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE],
+                         ids=["const", "ramp", "table"])
 def test_smooth_profiles_meet_rel_tol_without_warning(profile):
     with warnings.catch_warnings():
         warnings.simplefilter("error", AccuracyWarning)
@@ -524,7 +548,10 @@ def test_one_operator_per_gap_factor_and_rule(monkeypatch):
     # Every gap after the first is an operator; with r = 0 its (w, g) is (w, 0).
     inner = {w for key in term_keys(4, 4) for c in phase_step_vectors(key)
              for w in _phase_weights(4, 4, c)[1:]}
-    assert sorted(builds) == [48, 64]
+    # The ramp turns by 5 rad: no cut, one segment of PANELS_PER_LENGTH
+    # panels, and the first pair converges.
+    assert sorted(builds) == [quadrature.PANELS_PER_LENGTH * m
+                              for m in quadrature.PANEL_NODES]
     assert max(builds.values()) <= len(inner)
 
 
@@ -556,7 +583,8 @@ def test_terms_evaluated_counts_the_enumeration(p):
 
 def _chain_by_chain(p, q, r, profile, params, s):
     """``<u^p w^q theta~^r>`` with every enumerated chain summed on its own
-    through :meth:`ChainRule.chain`, its factors sampled directly."""
+    through the rule's operators, its factors sampled directly, on the
+    panels the walk uses."""
     kr, kt = params.k_r, params.k_theta
     phase0 = cmath.exp(1j * (p - q) * profile.theta0)
     total, scales, chains = 0j, [], []
@@ -573,8 +601,7 @@ def _chain_by_chain(p, q, r, profile, params, s):
                     total += scale * s ** (gamma[-1] // 2)
 
     def evaluate(rule):
-        # One operator per sampled kernel: at the 256 nodes a table profile
-        # refines to, building one takes milliseconds.
+        # One operator per sampled kernel, shared by the chains that read it.
         factor = _sampled_factors(rule, profile, kt)
         build, built = rule.operator, {}
 
@@ -586,7 +613,8 @@ def _chain_by_chain(p, q, r, profile, params, s):
         rule.operator = operator
         return np.array([_rule_chain(rule, factor, *chain) for chain in chains])
 
-    value, _ = integrate_chains(evaluate, scales, s)
+    value, _ = integrate_chains(evaluate, scales, s, QuadratureSettings(),
+                                general_moments._panel_cuts(profile, s))
     return total + value
 
 
@@ -594,78 +622,76 @@ def _chain_by_chain(p, q, r, profile, params, s):
                          ids=["const", "ramp", "table"])
 @pytest.mark.parametrize("p,q,r", [(3, 1, 1), (2, 2, 2), (3, 3, 2), (2, 2, 4)])
 def test_walk_matches_chains_one_by_one(profile, p, q, r):
-    # The table profile runs to the node cap on both sides.
-    def capped():
-        return (pytest.warns(AccuracyWarning) if profile is TABLE
-                else contextlib.nullcontext())
-
     params = NoiseParams(0.5, 0.7)
-    with capped():
-        res = displacement_heading_moment(p, q, r, profile, params, 0.9)
-    with capped():
-        ref = _chain_by_chain(p, q, r, profile, params, 0.9)
+    res = displacement_heading_moment(p, q, r, profile, params, 0.9)
+    ref = _chain_by_chain(p, q, r, profile, params, 0.9)
     assert abs(res.value - ref) <= 1e-13 * abs(ref)
 
 
-@pytest.mark.parametrize("p,q,r", [(4, 4, 4), (5, 3, 4), (8, 0, 4)])
-def test_envelope_corners_meet_rel_tol(p, q, r):
+@pytest.mark.parametrize("p,q,r,profile", [
+    pytest.param(*order, profile, id="-".join(map(str, order)) + suffix)
+    for profile, suffix in ((RAMP, ""), (TABLE, "-table"))
+    for order in ((4, 4, 4), (5, 3, 4), (8, 0, 4))])
+def test_envelope_corners_meet_rel_tol(p, q, r, profile):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = displacement_heading_moment(p, q, r, RAMP, NoiseParams(1.0, 1.0), 1.0)
+        res = displacement_heading_moment(p, q, r, profile, NoiseParams(1.0, 1.0), 1.0)
     assert res.err_estimate <= 1e-9 * abs(res.value)
 
 
 #: ``(profile, K, (p, q, r), value, err_estimate)`` at ``s = 0.95`` with
-#: ``k_r = k_theta = K``, recorded from the engine before the pairing count
-#: and the envelope check were shared: the benchmark's ``moments`` orders on
-#: its three cases, and two envelope corners on the ramp.
+#: ``k_r = k_theta = K``: the benchmark's ``moments`` orders on its three
+#: cases, and two envelope corners on the ramp. Recorded from the panel
+#: rule; each value is within 8e-14 relative of the one the global
+#: Chebyshev rule recorded before it, and each constant-ratio value at
+#: ``r = 0`` within its estimate of ``_exact_moment_50``.
 PINNED_MOMENTS = [
     ("constant", 0.01, (1, 1, 0),
-     (0.08704498017325153+0j), 7.355127773119162e-15),
+     (0.08704498017325128+0j), 6.702871746151867e-15),
     ("constant", 0.01, (2, 0, 0),
-     (0.0017563167320981284-0.0747232551191715j), 3.3122434132445953e-15),
+     (0.0017563167320980679-0.07472325511917104j), 1.2227844106706062e-15),
     ("constant", 0.01, (2, 2, 0),
-     (0.008994621728495824+0j), 1.9993380261496396e-15),
+     (0.008994621728495786+0j), 2.0045421965775645e-15),
     ("constant", 0.01, (3, 1, 1),
-     (7.04750343900614e-05+0.000189927562868159j), 1.2517562838403071e-17),
+     (7.047503439006141e-05+0.00018992756286815836j), 9.876448259674642e-18),
     ("constant", 0.01, (2, 2, 2),
-     (8.929110058651875e-05+0j), 2.0071187826182605e-17),
+     (8.929110058651877e-05+0j), 1.9596849375720148e-17),
     ("constant", 0.01, (5, 0, 0),
-     (0.0008805315877030483-0.0008804855644535605j), 2.1078381863987036e-16),
+     (0.0008805315877030215-0.000880485564453533j), 4.997573146124302e-17),
     ("constant", 0.01, (6, 0, 0),
-     (7.79182829545856e-06+0.0002984816888903166j), 7.695391575962638e-17),
+     (7.79182829547524e-06+0.0002984816888902998j), 3.304220646848025e-17),
     ("constant", 1.0, (1, 1, 0),
-     (1.0731948770275215+0j), 6.431940694223265e-15),
+     (1.0731948770275213+0j), 6.154384938066961e-15),
     ("constant", 1.0, (2, 0, 0),
-     (-0.027571007715908022+0.07539260423654096j), 4.9659054479552744e-15),
+     (-0.02757100771590739+0.07539260423654094j), 2.524531725160591e-15),
     ("constant", 1.0, (2, 2, 0),
-     (2.3668647177787383+0j), 3.2616408828978257e-14),
+     (2.3668647177787383+0j), 3.084005198957795e-14),
     ("constant", 1.0, (3, 1, 1),
-     (0.10892292531431096-0.06203421990123728j), 8.803619920693929e-15),
+     (0.10892292531431051-0.06203421990123746j), 6.8374935478178955e-15),
     ("constant", 1.0, (2, 2, 2),
-     (2.5579346540044083+0j), 3.4245841959158945e-14),
+     (2.5579346540044092+0j), 3.13592620951335e-14),
     ("constant", 1.0, (5, 0, 0),
-     (-0.004254757689445136-0.031119154230793943j), 1.1638670287532882e-15),
+     (-0.004254757689445129-0.031119154230793825j), 8.686691000717317e-16),
     ("constant", 1.0, (6, 0, 0),
-     (0.005042853696090633-0.015310757343386997j), 9.915464456225136e-16),
+     (0.005042853696090562-0.015310757343386919j), 1.804608365960769e-15),
     ("ramp", 1.0, (1, 1, 0),
-     (1.1145168691357232+0j), 6.675553494516871e-15),
+     (1.114516869135723+0j), 5.870641801663618e-15),
     ("ramp", 1.0, (2, 0, 0),
-     (0.18140322584329951+0.22941709093229945j), 7.147312626139216e-15),
+     (0.18140322584329993+0.22941709093229898j), 4.785724534242058e-15),
     ("ramp", 1.0, (2, 2, 0),
-     (2.6401931415338806+0j), 3.2494492877760217e-14),
+     (2.6401931415338797+0j), 3.260551518022266e-14),
     ("ramp", 1.0, (3, 1, 1),
-     (-0.41061124582967645-0.12957455048741728j), 1.3462567139358199e-14),
+     (-0.41061124582967534-0.12957455048741703j), 9.443485696120522e-15),
     ("ramp", 1.0, (2, 2, 2),
-     (2.7782102692777038-5.551115123125783e-17j), 3.2713740774793283e-14),
+     (2.778210269277703+1.1102230246251565e-16j), 3.826477689380717e-14),
     ("ramp", 1.0, (5, 0, 0),
-     (-0.045818320356329316+0.16632987554526543j), 5.206845632445393e-15),
+     (-0.04581832035632906+0.16632987554526477j), 2.8753772807325515e-15),
     ("ramp", 1.0, (6, 0, 0),
-     (-0.05306976169888199+0.15470130346607597j), 5.167043002046192e-15),
+     (-0.05306976169888165+0.1547013034660753j), 2.9928544193282827e-15),
     ("ramp", 1.0, (4, 4, 4),
-     (219.6711773037235-3.1086244689504383e-15j), 1.4264847063889622e-11),
+     (219.6711773037234-6.661338147750939e-15j), 5.209184871707533e-09),
     ("ramp", 1.0, (8, 0, 4),
-     (0.8605065573265165+0.26181745696141856j), 5.175378319808021e-14),
+     (0.8605065573265105+0.26181745696141634j), 2.866572226926011e-13),
 ]
 
 

@@ -12,7 +12,7 @@ from brownian_unicycle import (IntegrandEvaluationError, QuadratureSettings,
                                SpeedRatioProfile, integrate_ordered,
                                mean_heading)
 from brownian_unicycle import quadrature
-from brownian_unicycle.quadrature import (MAX_TENSOR_DIM, chain_rule,
+from brownian_unicycle.quadrature import (MAX_TENSOR_DIM, ChainRule,
                                           integrate_chains)
 from tensor_oracle import chain, two_call_rule
 
@@ -216,23 +216,31 @@ def test_chain_matches_tensor_rule_on_gap_kernels(profile, beta):
     assert abs(value - ref) <= err + ref_err
 
 
-@pytest.mark.parametrize("n", [48, 128])
-@pytest.mark.parametrize("stack", [(), (3,)], ids=["gap", "stack"])
-def test_operator_matches_weighted_interpolation(n, stack):
-    # Reference: one level as a product with the (n*n, n) weighted
-    # interpolation matrix, then the kernel-weighted row sums; a stack of
-    # kernels gives one operator each.
-    rng = np.random.default_rng(n)
-    rule = chain_rule(n, 0.7)
-    shape = stack + (n, n)
-    kernel = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    tail = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    sampled = (rule._weighted.reshape(n * n, n) @ f).reshape(n, n)
-    level = rule.s * (kernel * sampled).sum(-1)
-    close = rule.s * (tail * sampled[-1]).sum()
-    assert np.abs(rule.operator(kernel) @ f - level).max() <= 1e-13 * np.abs(level).max()
-    assert abs(rule.tail_vector(tail) @ f - close) <= 1e-13 * abs(close)
+@pytest.mark.parametrize("m", quadrature.PANEL_NODES)
+@pytest.mark.parametrize("edges", [(0.0, 0.7), (0.0, 0.1, 0.25, 0.7)],
+                         ids=["one", "three"])
+def test_panel_rule_integrates_polynomials_exactly(edges, m):
+    # Every operator row integrates a polynomial of degree < m from 0 to its
+    # node, across panel edges, and the tail row integrates it over [0, s].
+    rule = ChainRule(np.array(edges), m)
+    n = rule.t.size
+    ones = rule.operator(np.ones((n, n)))
+    tail = rule.tail_vector(1.0)
+    for k in range(m):
+        f = rule.t ** k
+        assert np.abs(ones @ f - rule.t ** (k + 1) / (k + 1)).max() <= 1e-13
+        assert abs(tail @ f - rule.s ** (k + 1) / (k + 1)) <= 1e-13
+    # A gap kernel (t - u)^a is read at negative gaps inside a panel:
+    # int_0^t (t - u)^a u^b du = t^(a+b+1) a! b! / (a+b+1)!.
+    stack = rule.operator(np.stack([(rule.t[:, None] - rule.u) ** a
+                                    for a in range(m)]))
+    for a in range(m):
+        for b in range(m - a):
+            exact = (rule.t ** (a + b + 1) * math.factorial(a) * math.factorial(b)
+                     / math.factorial(a + b + 1))
+            assert np.abs(stack[a] @ rule.t ** b - exact).max() <= 1e-13
+    assert np.array_equal(rule.u[-1], rule.t)
+    assert np.all(np.diff(rule.t) > 0.0)
 
 
 def test_tensor_rule_refuses_high_dimensions():
