@@ -107,8 +107,11 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
             out.append(tail @ f)
         return np.array(out)
 
+    # Gap weights 0, +-1 and +-2: three operators, one being built and its
+    # kernel, and the gaps.
     value, _ = integrate_chains(evaluate, [w for w, _ in chains], s, settings,
-                                _panel_cuts(profile, s))
+                                _panel_cuts(profile, s), 2.0 * params.k_theta,
+                                operators=7)
     return constant + value.real
 
 

@@ -54,9 +54,10 @@ MAX_TOTAL_POWER = 8
 MAX_HEADING_POWER = 4
 
 #: Roundoff of a moment beyond the chain rule's floor, per unit of the bound
-#: ``_Walk.moduli`` on the integral of its integrand's modulus: twice the
-#: largest share (0.028 eps) seen on 640 random constant-ratio moments
-#: against 50-digit values.
+#: ``_Walk.moduli`` on the integral of its integrand's modulus: sixteen
+#: times the largest share (0.004 eps) that 640 random constant-ratio
+#: moments showed against 50-digit values on the global Chebyshev rule.
+#: On the panel rule the chain floor alone covers all 640 (share 0).
 MODULUS_ROUNDOFF = float(np.finfo(float).eps) / 16
 
 
@@ -270,13 +271,15 @@ class _Gaps:
     The rotation ``exp(i dtheta)`` is evaluated once; the phase of weight
     ``w`` is its ``|w|``-th power by repeated squaring (conjugated for
     ``w < 0``; a complex ``**`` costs about ten products), and the decay
-    ``exp(-w^2 k_theta dt / 2)`` is a real exponential.
+    ``exp(-w^2 k_theta dt / 2)`` is a real exponential, left out when
+    ``decay`` is false.
     """
 
-    def __init__(self, dtheta, dt, kt: float) -> None:
+    def __init__(self, dtheta, dt, kt: float, decay: bool = True) -> None:
         self._rotation = np.exp(1j * dtheta)
         self._dt = dt
         self._kt = kt
+        self._decay = decay
 
     def factors(self, w: int, powers: int) -> list[np.ndarray]:
         """``exp(i w dtheta - w^2 k_theta dt / 2)
@@ -292,7 +295,7 @@ class _Gaps:
             phase = np.ones(self._dt.shape)
         elif w < 0:
             phase = phase.conj()
-        if w and self._kt:
+        if w and self._kt and self._decay:
             phase = phase * np.exp((-0.5 * w * w * self._kt) * self._dt)
         return [phase * (_gap_polynomial(g, w, self._kt, self._dt) / factorial(g))
                 if g else phase for g in range(powers)]
@@ -310,7 +313,8 @@ class _GapFactors:
     the first gap starting at ``u = 0``; ``g`` runs up to the moment's
     heading power ``r``. Headings are evaluated once per rule. The inner
     factors of one weight become Volterra operators of the rule on the
-    first use of the weight or its negative, each tail power one tail row.
+    first use of the weight or its negative, their decay passed to the rule
+    rather than sampled; each tail power becomes one tail row.
     """
 
     def __init__(self, rule, profile: SpeedRatioProfile, kt: float,
@@ -320,8 +324,10 @@ class _GapFactors:
         th_t = mean_heading(profile, rule.t)
         th_u = mean_heading(profile, rule.u)
         self._first = _Gaps(th_t - profile.theta0, rule.t, kt)
-        self._inner = _Gaps(th_t[:, None] - th_u, rule.t[:, None] - rule.u, kt)
-        self._tail_gap = rule.s - rule.u[-1]
+        self._inner = _Gaps(th_t[:, None] - th_u, rule.t[:, None] - rule.u,
+                            kt, decay=False)
+        self._kt = kt
+        self._tail_gap = rule.s - rule.t
         self._operators: dict[int, list[np.ndarray]] = {}
         self._tails: dict[int, np.ndarray] = {}
 
@@ -336,7 +342,8 @@ class _GapFactors:
         ops = self._operators.get(abs(w))
         if ops is None:
             ops = list(self.rule.operator(
-                np.stack(self._inner.factors(abs(w), self._powers))))
+                np.stack(self._inner.factors(abs(w), self._powers)),
+                0.5 * w * w * self._kt))
             self._operators[abs(w)] = ops
         if w < 0:
             return (f.conj() @ ops[g].T).conj()
@@ -430,6 +437,11 @@ class _Walk:
             self._groups.append((w, lo, lo + len(run),
                                  np.array([preds(u) for u in run])))
             lo += len(run)
+        # n x n complex arrays evaluate holds at once: r + 1 operators per
+        # inner |w|, one stack being built and its kernels, and the gaps.
+        inner = {abs(w) for w, *_ in self._groups}
+        self.operators = (len(inner) + 1) * (r + 1) + 3
+        self.largest_weight = max(inner | {abs(w0)})
         self._close_h = np.array([h for _, h in closes], dtype=int)
         self._close_u = np.array([index[u] for u, _ in closes], dtype=int)
         self._close_beta = np.array([sum(u) + 1 for u, _ in closes], dtype=int)
@@ -564,7 +576,9 @@ def displacement_heading_moment(p: int, q: int, r: int,
         return walk.evaluate(_GapFactors(rule, profile, kt, r))
 
     value, err = integrate_chains(evaluate, scales, s, settings,
-                                  _panel_cuts(profile, s) if scales else ())
+                                  _panel_cuts(profile, s) if scales else (),
+                                  0.5 * kt * walk.largest_weight ** 2,
+                                  walk.operators)
     if scales:
         # A rotating chain sum can cancel far below the moduli of its closes,
         # while the roundoff of its sampled phases scales with the integral

@@ -33,14 +33,18 @@ applications of a Volterra operator: ``F_1(t) = K_1(0, t)``,
 ``int_0^s F_beta(u) tail(s - u) du``. Each ``F_b`` lives at the Gauss
 points of panels of ``[0, s]``, which the moment engines cut at the table
 knots and after every ``2 pi`` of heading turn (Pachon, Platte &
-Trefethen, IMA J. Numer. Anal. 30, 2010). For node ``t_j`` the integral
-is the Gauss rule of the earlier panels plus, on its own panel, the
-spectral integration matrix ``S[i, k] = int_0^{x_i} l_k`` (Greengard, SIAM
-J. Numer. Anal. 28, 1991). A gap factor thus becomes the operator ``kernel
-* omega``, once per rule, and every level is ``M_K @ F``: a moment with
-``D`` distinct gap factors and ``L`` node-value vectors per level (one per
-state and heading power of its walk in :mod:`general_moments`) costs
-``O((D + L) n**2)``, and converges spectrally on every profile kind.
+Trefethen, IMA J. Numer. Anal. 30, 2010). For node ``t_j`` each panel
+integrates ``K F`` through its interpolant on the panel's nodes: the
+earlier panels in full, its own up to ``t_j`` through the spectral
+integration matrix ``S[i, k] = int_0^{x_i} l_k`` (Greengard, SIAM J.
+Numer. Anal. 28, 1991). A gap's decay ``e^{-c (t - u)}`` is not sampled
+but folded into those weights, exactly at any rate, and the panels are
+graded toward 0, where fast-decaying chains have a layer. A gap factor
+thus becomes the operator ``kernel * omega``, once per rule, and every
+level is ``M_K @ F``: a moment with ``D`` distinct gap factors and ``L``
+node-value vectors per level (one per state and heading power of its
+walk in :mod:`general_moments`) costs ``O((D + L) n**2)``, and converges
+spectrally on every profile kind.
 
 All reductions run in a fixed order; results are bit-stable for a given
 settings object.
@@ -51,6 +55,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -61,11 +66,19 @@ from .exceptions import AccuracyWarning, IntegrandEvaluationError
 MAX_TENSOR_DIM = 2
 
 #: Gauss points per panel of the chain rule's coarse and fine rules.
-PANEL_NODES = (12, 16)
+PANEL_NODES = (20, 24)
 #: Panels of the whole curve at the first pair, shared out by length.
-PANELS_PER_LENGTH = 3
+PANELS_PER_LENGTH = 2
+#: Gauss points per piece of the integrals behind a panel's decay weights.
+PIECE_NODES = 24
+#: Decay rate times width of the first panel, when a chain's decay grades
+#: the panels toward 0.
+PANEL_DECAY = 16.0
 #: Largest node count of a chain rule (an operator then takes 26 MB).
 CHAIN_MAX_NODES = 1280
+#: Memory the ``n x n`` arrays of one chain evaluation may take, which
+#: caps ``n`` below ``CHAIN_MAX_NODES`` when there are many of them.
+CHAIN_MAX_BYTES = 160 * 2 ** 20
 #: Roundoff of a chain sum relative to the sum of its terms' magnitudes.
 CHAIN_ROUNDOFF = 64 * float(np.finfo(float).eps)
 
@@ -83,7 +96,7 @@ class QuadratureSettings:
         (:func:`~brownian_unicycle.displacement_heading_moment`,
         :func:`~brownian_unicycle.d4_moment`) halve their panels until
         the last two results agree to ``rel_tol``, or warn when the next
-        rule would exceed ``CHAIN_MAX_NODES`` nodes.
+        rule would pass the node cap of :func:`integrate_chains`.
     """
 
     nodes_per_level: int = 24
@@ -243,16 +256,44 @@ def integrate_ordered(f, beta: int, s: float,
 
 # -- chain rule ----------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _panel_matrix(m: int):
-    """Gauss nodes and weights of ``[0, 1]`` and the integration matrix
-    ``S[i, k] = int_0^{x_i} l_k`` of their Lagrange basis ``l_k``."""
-    leg = np.polynomial.legendre
-    x, _ = leg.leggauss(m)
-    basis = leg.legint(leg.legfit(x, np.eye(m), m - 1), lbnd=-1)
-    matrix = 0.5 * leg.legval(x, basis).T
-    matrix.setflags(write=False)
-    return (*_gauss_unit(m), matrix)
+@lru_cache(maxsize=1024)
+def _decay_weights(m: int, rate: float):
+    """Weights of the ``m`` Gauss nodes ``x`` of ``[0, 1]`` under the decay
+    ``e^{-rate (e - x)}`` up to an end ``e``: ``S[i, k] = int_0^{x_i}
+    e^{-rate (x_i - x)} l_k(x) dx`` and ``W[k]``, the same up to 1, with
+    ``l_k`` the nodes' Lagrange basis (at ``rate = 0``, the spectral
+    integration matrix and the Gauss rule).
+
+    An integral runs back from ``e`` over pieces that end at ``2**j /
+    rate < 1``, ``j <= 6`` (beyond, the decay is below ``e^-64``), on
+    ``PIECE_NODES`` Gauss points each, so no rate outgrows its rule. Below
+    ``rate = 1`` it integrates ``expm1(-rate (e - x)) l_k(x)`` and adds the
+    ``rate = 0`` weights, so its roundoff vanishes with ``rate``.
+    """
+    x, w = _gauss_unit(m)
+    ends = np.append(x, 1.0)
+    steps = [2.0 ** j / rate for j in range(7) if 2.0 ** j < rate]
+    breaks = np.minimum(ends[:, None], np.array([0.0, *steps, 1.0]))
+    px, pw = _gauss_unit(PIECE_NODES)
+    span = np.diff(breaks)
+    # (end, piece, point): distance back from the end, and weight.
+    back = breaks[:, :-1, None] + span[:, :, None] * px
+    small = 0.0 < rate < 1.0
+    decay = (np.expm1 if small else np.exp)(-rate * back)
+    # l_k at every point, in barycentric form (Berrut & Trefethen, SIAM
+    # Rev. 46, 2004), with Gauss nodes' weights (-1)^k sqrt(x_k (1 - x_k) w_k).
+    diff = (ends[:, None, None] - back)[..., None] - x
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        basis = (-1.0) ** np.arange(m) * np.sqrt(x * (1.0 - x) * w) / diff
+        basis /= basis.sum(axis=-1, keepdims=True)
+    rows = hit.any(axis=-1)
+    basis[rows] = hit[rows]
+    out = np.einsum("epq,epqk->ek", span[:, :, None] * pw * decay, basis)
+    if small:
+        out += np.vstack(_decay_weights(m, 0.0))
+    out.setflags(write=False)
+    return out[:-1], out[-1]
 
 
 class ChainRule:
@@ -260,41 +301,51 @@ class ChainRule:
     between consecutive ``edges``, ascending from 0 to ``s > 0``.
 
     ``u[j, k]`` starts the gap that ends at ``t[j]`` for node ``k``: ``t[k]``
-    in earlier panels and in ``t[j]``'s own, where a factor past ``t[j]``
+    in earlier panels and in ``t[j]``'s own, where a kernel past ``t[j]``
     is read at its analytic continuation to a negative gap, else ``t[j]``.
+    A gap's decay is not sampled there but passed to :meth:`operator`,
+    which integrates it exactly, so no sampled kernel grows with its gap.
     A chain is its first factor's node values, the :meth:`operator`
     matrices of the others applied in turn, and a :meth:`tail_vector` row.
     """
 
     def __init__(self, edges, m: int) -> None:
-        x, w, matrix = _panel_matrix(m)
-        width = np.diff(edges)
+        x, w = _gauss_unit(m)
+        self._width = np.diff(edges)
         self.s = float(edges[-1])
-        self.t = (edges[:-1, None] + width[:, None] * x).ravel()
-        self._weights = (width[:, None] * w).ravel()
-        panel = np.repeat(np.arange(width.size), m)
+        self.t = (edges[:-1, None] + self._width[:, None] * x).ravel()
+        self._weights = (self._width[:, None] * w).ravel()
+        panel = np.repeat(np.arange(self._width.size), m)
         self._later = panel > panel[:, None]
         self.u = np.where(self._later, self.t[:, None], self.t)
-        # (panel, stack, i, k): the diagonal blocks' weights, width * S.
-        self._blocks = width[:, None, None, None] * matrix
+        # t[j] past the end of each earlier panel; 0 from its own on.
+        self._past = np.maximum(self.t[:, None] - edges[1:], 0.0)
 
-    def operator(self, kernel) -> np.ndarray:
-        """Matrix of ``F -> int_0^t K(u, t) F(u) du`` on the node values.
+    def operator(self, kernel, decay: float = 0.0) -> np.ndarray:
+        """Matrix of ``F -> int_0^t e^{-decay (t - u)} K(u, t) F(u) du`` on
+        the node values.
 
         ``kernel`` holds ``K(u[j, k], t[j])`` with shape ``(n, n)``, or a
-        stack of them along a leading axis. The matrix is ``kernel *
-        omega``, ``omega[j, k]`` being node ``k``'s Gauss weight in a panel
-        before ``t[j]``'s, the width times ``S`` within one, and 0 after;
-        ``omega`` is not formed, which saves 13 MB at the node cap.
+        stack of them along a leading axis; each panel integrates ``K F``
+        through its interpolant on the panel's nodes. The matrix is
+        ``kernel * omega``: for node ``k`` in an earlier panel of width
+        ``h`` ending at ``b``, ``h W[k] e^{-decay (t[j] - b)}``; within
+        ``t[j]``'s own panel, ``h S[i, k]``; 0 after (``S`` and ``W`` of
+        :func:`_decay_weights` at the rate ``decay h``).
         """
-        panels, _, m, _ = self._blocks.shape
-        index = np.arange(panels)
-        diagonal = (slice(None), index, slice(None), index)
-        blocks = np.reshape(kernel, (-1, panels, m, panels, m))[diagonal]
-        out = kernel * self._weights
-        np.copyto(out, 0.0, where=self._later)
-        out.reshape(-1, panels, m, panels, m)[diagonal] = blocks * self._blocks
-        return out
+        panels = self._width.size
+        m = self.t.size // panels
+        omega = np.empty((panels, m, panels, m))
+        for width in np.unique(self._width):
+            at = self._width == width
+            own, row = _decay_weights(m, float(decay * width))
+            omega[:, :, at] = width * row
+            omega[at, :, at] = width * own
+        omega = omega.reshape(self.t.size, -1)
+        if decay:
+            omega *= np.repeat(np.exp(-decay * self._past), m, axis=1)
+        omega[self._later] = 0.0
+        return kernel * omega
 
     def tail_vector(self, tail) -> np.ndarray:
         """Row ``v`` with ``v @ f = int_0^s F(u) tail(s - u) du`` for node
@@ -305,19 +356,26 @@ class ChainRule:
 
 def integrate_chains(evaluate, scales, s: float,
                      settings: QuadratureSettings = DEFAULT_SETTINGS,
-                     cuts=()):
+                     cuts=(), decay: float = 0.0, operators: int = 1):
     """``sum_i scales[i] * chain_i`` on refined pairs of panel rules.
 
     ``evaluate(rule)`` returns the nested integrals ``chain_i``, products
     of gap factors of dimension >= 1 or sums of such, on one
     :class:`ChainRule`, aligned with ``scales``. Each segment between 0,
     the ascending ``cuts`` inside ``(0, s)`` and ``s`` gets
-    ``ceil(PANELS_PER_LENGTH * length / s)`` equal panels, every other cut
-    dropped until the fine rule fits ``CHAIN_MAX_NODES``. The sum runs on
-    ``PANEL_NODES`` points per panel, coarse then fine, then at the fine
-    count on twice the panels while the last two sums differ by more than
-    ``settings.rel_tol`` relative and the roundoff floor; when the next
-    rule would pass the cap it warns (:class:`AccuracyWarning`) instead.
+    ``ceil(PANELS_PER_LENGTH * length / s)`` equal panels. Chains whose
+    factors decay at rates up to ``decay`` can fall like ``e^{-decay t}``
+    near 0, so more cuts grade the panels there geometrically, doubling
+    from ``PANEL_DECAY / decay`` up to ``s / PANELS_PER_LENGTH``; a decay
+    inside a gap is integrated exactly (:meth:`ChainRule.operator`).
+    ``operators`` counts the ``n x n`` complex arrays ``evaluate`` holds at
+    once; they may take ``CHAIN_MAX_BYTES``, which with ``CHAIN_MAX_NODES``
+    caps the node count ``n``. Every other cut is dropped until the first
+    fine rule fits the cap. The sum runs on the pair of ``PANEL_NODES``
+    points per panel, then at the fine count on twice the panels while the
+    last two sums differ by more than ``settings.rel_tol`` relative and
+    the roundoff floor; when the next rule would pass the cap it warns
+    (:class:`AccuracyWarning`) instead.
 
     Returns
     -------
@@ -332,11 +390,16 @@ def integrate_chains(evaluate, scales, s: float,
     if s == 0.0 or scales.size == 0:
         return 0j, 0.0
     coarse_m, fine_m = PANEL_NODES
+    cap = min(CHAIN_MAX_NODES, isqrt(CHAIN_MAX_BYTES // (16 * operators)))
     cuts = np.asarray(cuts, dtype=float)
+    if decay * s > PANELS_PER_LENGTH * PANEL_DECAY:
+        doublings = np.log2(decay * s / (PANELS_PER_LENGTH * PANEL_DECAY))
+        cuts = np.union1d(cuts, PANEL_DECAY / decay
+                          * 2.0 ** np.arange(np.ceil(doublings)))
     while True:
         ends = np.concatenate(([0.0], cuts, [s]))
         counts = np.ceil(PANELS_PER_LENGTH / s * np.diff(ends)).astype(int)
-        if fine_m * counts.sum() <= CHAIN_MAX_NODES:
+        if fine_m * counts.sum() <= cap or not cuts.size:
             break
         cuts = cuts[1::2]
 
@@ -361,7 +424,7 @@ def integrate_chains(evaluate, scales, s: float,
         floor = CHAIN_ROUNDOFF * magnitude
         if diff <= max(settings.rel_tol * abs(fine), floor):
             return fine, diff + floor
-        if 2 * fine_m * counts.sum() > CHAIN_MAX_NODES:
+        if 2 * fine_m * counts.sum() > cap:
             warnings.warn(
                 f"chain refinement stopped at {fine_m * counts.sum()} nodes "
                 f"with the error estimate {diff + floor:.3e} above rel_tol = "

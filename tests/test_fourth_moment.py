@@ -66,7 +66,8 @@ def test_ramp_matches_walk_to_roundoff():
 
 
 @pytest.mark.parametrize("k,s", [(0.01, 1.0), (1.0, 1.0), (2.0, 10.0),
-                                 (4.0, 10.0), (1.0, 40.0)])
+                                 (4.0, 10.0), (1.0, 40.0), (100.0, 1.0),
+                                 (1000.0, 1.0)])
 def test_matches_closed_form_at_large_k_theta_s(k, s):
     # Per-point factors of the table grow like e^{2 k_theta t}, gap factors
     # stay at most 1 in modulus: large k_theta s must cost no digits.

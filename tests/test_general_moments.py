@@ -453,9 +453,9 @@ def test_six_zero_zero_small_noise_within_error_estimate():
 
 @pytest.mark.parametrize("k", [0.01, 1.0])
 def test_refinement_error_estimate_fast_rotation(monkeypatch, k):
-    # At mu0 = 40 the running phases turn by up to 240 rad over the unit
-    # length, up to 38 rad on a panel of the first pair (one per 2 pi of
-    # heading): the pair disagrees, so the panels must be halved.
+    # At mu0 = 40 the running phases of <u^6> turn by up to 240 rad over
+    # the unit length, up to 38 rad on a panel of the first pair (one per
+    # 2 pi of heading): the pair disagrees, so the panels must be halved.
     panel_counts = set()
     rule = quadrature.ChainRule
 
@@ -465,8 +465,8 @@ def test_refinement_error_estimate_fast_rotation(monkeypatch, k):
 
     monkeypatch.setattr(quadrature, "ChainRule", spy)
     profile = SpeedRatioProfile.constant(40.0, s_max=1.0)
-    res = displacement_moment(4, 2, profile, NoiseParams(k, k), 1.0)
-    exact = _exact_moment(4, 2, 40.0, k, 1.0)
+    res = displacement_moment(6, 0, profile, NoiseParams(k, k), 1.0)
+    exact = _exact_moment(6, 0, 40.0, k, 1.0)
     assert max(panel_counts) > min(panel_counts)
     assert abs(res.value - exact) <= res.err_estimate
     assert res.err_estimate <= 1e-9 * abs(exact)
@@ -526,6 +526,30 @@ def test_long_curves_match_closed_forms(s):
         assert abs(value - exact) <= 1e-12 * exact
 
 
+@pytest.mark.parametrize("p,q", [(8, 0), (6, 0), (5, 3)])
+def test_fast_decay_matches_50_digits(p, q):
+    # At k_theta = 100 a gap of weight 8 decays like e^{-3200 dt}: read at a
+    # negative gap it would overflow, and a rule that samples it must
+    # resolve a layer 3e-4 wide at every node.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        res = displacement_moment(p, q, CONST, NoiseParams(100.0, 100.0), 1.0)
+    exact = _exact_moment_50(p, q, 5.0, 100.0, 1.0)
+    assert abs(res.value - exact) <= max(res.err_estimate, 1e-12 * abs(exact))
+    assert res.err_estimate <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP], ids=["const", "ramp"])
+@pytest.mark.parametrize("k", [100.0, 1000.0])
+def test_fast_decay_with_heading_power_converges(profile, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        res = displacement_heading_moment(8, 0, 4, profile, NoiseParams(k, k),
+                                          1.0)
+    assert np.isfinite(res.value)
+    assert res.err_estimate <= 1e-9 * abs(res.value)
+
+
 @pytest.mark.parametrize("profile", [CONST, RAMP, TABLE],
                          ids=["const", "ramp", "table"])
 def test_smooth_profiles_meet_rel_tol_without_warning(profile):
@@ -539,9 +563,9 @@ def test_one_operator_per_gap_factor_and_rule(monkeypatch):
     builds = {}
     operator = quadrature.ChainRule.operator
 
-    def spy(rule, kernel):
+    def spy(rule, kernel, decay=0.0):
         builds[rule.t.size] = builds.get(rule.t.size, 0) + 1
-        return operator(rule, kernel)
+        return operator(rule, kernel, decay)
 
     monkeypatch.setattr(quadrature.ChainRule, "operator", spy)
     displacement_moment(4, 4, RAMP, NoiseParams(1.0, 1.0), 1.0)
@@ -647,51 +671,51 @@ def test_envelope_corners_meet_rel_tol(p, q, r, profile):
 #: ``r = 0`` within its estimate of ``_exact_moment_50``.
 PINNED_MOMENTS = [
     ("constant", 0.01, (1, 1, 0),
-     (0.08704498017325128+0j), 6.702871746151867e-15),
+     (0.08704498017325135+0j), 6.7028717461518644e-15),
     ("constant", 0.01, (2, 0, 0),
-     (0.0017563167320980679-0.07472325511917104j), 1.2227844106706062e-15),
+     (0.0017563167320979003-0.07472325511917086j), 1.856385772155869e-15),
     ("constant", 0.01, (2, 2, 0),
-     (0.008994621728495786+0j), 2.0045421965775645e-15),
+     (0.008994621728495827+0j), 1.9923991322457272e-15),
     ("constant", 0.01, (3, 1, 1),
-     (7.047503439006141e-05+0.00018992756286815836j), 9.876448259674642e-18),
+     (7.047503439006175e-05+0.00018992756286815798j), 1.241186350208074e-17),
     ("constant", 0.01, (2, 2, 2),
-     (8.929110058651877e-05+0j), 1.9596849375720148e-17),
+     (8.929110058651893e-05+0j), 1.9813689810217245e-17),
     ("constant", 0.01, (5, 0, 0),
-     (0.0008805315877030215-0.000880485564453533j), 4.997573146124302e-17),
+     (0.0008805315877030182-0.0008804855644535294j), 2.1328571508391825e-16),
     ("constant", 0.01, (6, 0, 0),
-     (7.79182829547524e-06+0.0002984816888902998j), 3.304220646848025e-17),
+     (7.79182829547141e-06+0.0002984816888903079j), 8.832222454214454e-17),
     ("constant", 1.0, (1, 1, 0),
-     (1.0731948770275213+0j), 6.154384938066961e-15),
+     (1.0731948770275213+0j), 6.265407240529475e-15),
     ("constant", 1.0, (2, 0, 0),
-     (-0.02757100771590739+0.07539260423654094j), 2.524531725160591e-15),
+     (-0.027571007715907293+0.07539260423654073j), 3.5322151725912855e-15),
     ("constant", 1.0, (2, 2, 0),
-     (2.3668647177787383+0j), 3.084005198957795e-14),
+     (2.3668647177787387+0j), 3.128414119942799e-14),
     ("constant", 1.0, (3, 1, 1),
-     (0.10892292531431051-0.06203421990123746j), 6.8374935478178955e-15),
+     (0.10892292531431087-0.0620342199012379j), 8.773673218451889e-15),
     ("constant", 1.0, (2, 2, 2),
-     (2.5579346540044092+0j), 3.13592620951335e-14),
+     (2.5579346540044092+5.551115123125783e-17j), 3.191635362624045e-14),
     ("constant", 1.0, (5, 0, 0),
-     (-0.004254757689445129-0.031119154230793825j), 8.686691000717317e-16),
+     (-0.004254757689445063-0.03111915423079381j), 1.3897644412032242e-15),
     ("constant", 1.0, (6, 0, 0),
-     (0.005042853696090562-0.015310757343386919j), 1.804608365960769e-15),
+     (0.005042853696090602-0.015310757343386877j), 1.2297178202833048e-15),
     ("ramp", 1.0, (1, 1, 0),
-     (1.114516869135723+0j), 5.870641801663618e-15),
+     (1.114516869135723+0j), 5.815130650432358e-15),
     ("ramp", 1.0, (2, 0, 0),
-     (0.18140322584329993+0.22941709093229898j), 4.785724534242058e-15),
+     (0.18140322584329985+0.229417090932299j), 5.013437897169282e-15),
     ("ramp", 1.0, (2, 2, 0),
-     (2.6401931415338797+0j), 3.260551518022266e-14),
+     (2.64019314153388+0j), 3.116222524820995e-14),
     ("ramp", 1.0, (3, 1, 1),
-     (-0.41061124582967534-0.12957455048741703j), 9.443485696120522e-15),
+     (-0.4106112458296757-0.1295745504874174j), 1.0933009005749592e-14),
     ("ramp", 1.0, (2, 2, 2),
-     (2.778210269277703+1.1102230246251565e-16j), 3.826477689380717e-14),
+     (2.7782102692777038+0j), 3.2489387206914434e-14),
     ("ramp", 1.0, (5, 0, 0),
-     (-0.04581832035632906+0.16632987554526477j), 2.8753772807325515e-15),
+     (-0.04581832035632916+0.16632987554526474j), 3.5484809659991324e-15),
     ("ramp", 1.0, (6, 0, 0),
-     (-0.05306976169888165+0.1547013034660753j), 2.9928544193282827e-15),
+     (-0.05306976169888178+0.15470130346607533j), 3.77727281497812e-15),
     ("ramp", 1.0, (4, 4, 4),
-     (219.6711773037234-6.661338147750939e-15j), 5.209184871707533e-09),
+     (219.67117730372357-3.9968028886505635e-15j), 1.412274744760231e-11),
     ("ramp", 1.0, (8, 0, 4),
-     (0.8605065573265105+0.26181745696141634j), 2.866572226926011e-13),
+     (0.8605065573265124+0.26181745696141484j), 3.9288584153918215e-14),
 ]
 
 

@@ -243,6 +243,21 @@ def test_panel_rule_integrates_polynomials_exactly(edges, m):
     assert np.all(np.diff(rule.t) > 0.0)
 
 
+@pytest.mark.parametrize("m", quadrature.PANEL_NODES)
+@pytest.mark.parametrize("rate", [0.5, 30.0, 3e3, 1e6])
+def test_panel_rule_integrates_decay_exactly(rate, m):
+    # The decay e^{-rate (t - u)} is integrated exactly against the panels'
+    # interpolants, however fast: int_0^t e^{-rate (t - u)} u^a du for
+    # a = 0, 1, relative to its scale 1 / rate.
+    rule = ChainRule(np.array((0.0, 0.1, 0.25, 0.7)), m)
+    n = rule.t.size
+    op = rule.operator(np.ones((n, n)), rate)
+    t = rule.t
+    fall = -np.expm1(-rate * t) / rate
+    assert np.abs(op @ np.ones(n) - fall).max() * rate <= 1e-13
+    assert np.abs(op @ t - (t - fall) / rate).max() * rate <= 1e-13
+
+
 def test_tensor_rule_refuses_high_dimensions():
     with pytest.raises(ValueError):
         integrate_ordered(lambda ts: 1.0, MAX_TENSOR_DIM + 1, 1.0)
