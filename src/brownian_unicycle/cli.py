@@ -145,17 +145,6 @@ def _closed_form_mu0(cfg) -> float:
     return cfg.profile.mu0
 
 
-def _quadrature_d2(cfg, s):
-    """``<D^2>`` and its error estimate, refused when no digit is right."""
-    value, err = low_moments.mean_squared_distance_with_error(
-        cfg.profile, cfg.noise, s, cfg.settings)
-    if err > abs(value):
-        raise NumericalConsistencyError(
-            f"<D^2> = {value:.6g} has no correct digit: its error "
-            f"estimate {err:.3g} exceeds its magnitude")
-    return value, err
-
-
 @cli.command()
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.pass_context
@@ -167,7 +156,8 @@ def d2(ctx, out_path):
         value = constant_ratio.d2_closed(_closed_form_mu0(cfg), cfg.noise, s)
         err, method = 0.0, "closed-form"
     else:
-        value, err = _quadrature_d2(cfg, s)
+        value, err = low_moments.checked_mean_squared_distance(
+            cfg.profile, cfg.noise, s, cfg.settings)
         method = "quadrature"
     record = {"quantity": "d2", "s": s, "value": value,
               "err_estimate": err, "method": method}
@@ -187,7 +177,8 @@ def d4(ctx, out_path):
         d2_value = constant_ratio.d2_closed(mu0, cfg.noise, s)
         method = "closed-form"
     else:
-        d2_value, _ = _quadrature_d2(cfg, s)
+        d2_value, _ = low_moments.checked_mean_squared_distance(
+            cfg.profile, cfg.noise, s, cfg.settings)
         value = fourth_moment.d4_moment(cfg.profile, cfg.noise, s, cfg.settings)
         method = "quadrature"
     variance = fourth_moment.variance_from_moments(value, d2_value)

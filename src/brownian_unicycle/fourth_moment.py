@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import NumericalConsistencyError
 from .general_moments import _GapFactors, _panel_cuts
-from .low_moments import mean_squared_distance
+from .low_moments import checked_mean_squared_distance
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_chains
 from .trajectory import NoiseParams, SpeedRatioProfile
 
@@ -90,7 +90,9 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     = 0`` and the suffix sums ``G_b**2`` in ``decay``, so each gap is a
     factor of the walk of :mod:`general_moments` (``_GapFactors`` at
     heading power 0), of modulus at most 1; per point the factors grow
-    like ``e^{2 k_theta t}``.
+    like ``e^{2 k_theta t}``. The chains run in the walk's rotating frame:
+    a gap from weight ``G_b`` to ``G_{b+1}`` multiplies by the step phase
+    ``E_{G_b} conj(E_{G_{b+1}})``, and the close by ``E_{G_beta}``.
     """
     constant, chains = _d4_chains(params, s)
     weights = [tuple(itertools.accumulate(reversed(phase)))[::-1]
@@ -98,32 +100,45 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
 
     def evaluate(rule):
         gaps = _GapFactors(rule, profile, params.k_theta, 0)
+        # E_w for the weights -2..2, by w: every weight and step is in there.
+        phase = dict(zip(range(-2, 3), gaps.phases(range(-2, 3)).T))
         tail = gaps.tail(0)
         out = []
-        for first, *inner in weights:
-            f = gaps.first(first)[0]
-            for w in inner:
-                f = gaps.apply(w, 0, f)
-            out.append(tail @ f)
+        for chain in weights:
+            f = gaps.first(chain[0])[0]
+            for w_prev, w in zip(chain, chain[1:]):
+                f = gaps.apply(w, 0, phase[w_prev - w] * f)
+            out.append(tail @ (phase[chain[-1]] * f))
         return np.array(out)
 
-    # Gap weights 0, +-1 and +-2: three operators, one being built and its
-    # kernel, and the gaps.
+    # Gap weights 0, +-1 and +-2 at heading power 0, as _Walk.operators
+    # counts them: three operators (the last one the product), its weight
+    # matrix and one for the O(n) arrays.
     value, _ = integrate_chains(evaluate, [w for w, _ in chains], s, settings,
                                 _panel_cuts(profile, s), 2.0 * params.k_theta,
-                                operators=7)
+                                operators=5)
     return constant + value.real
+
+
+def mean_squared_distance(profile: SpeedRatioProfile, params: NoiseParams,
+                          s: float,
+                          settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+    """The ``<D^2>`` of :func:`variance_d2`, refused as by
+    :func:`~brownian_unicycle.low_moments.checked_mean_squared_distance`."""
+    return checked_mean_squared_distance(profile, params, s, settings)[0]
 
 
 def variance_d2(profile: SpeedRatioProfile, params: NoiseParams, s: float,
                 settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Variance of the squared distance, ``<D^4> - <D^2>^2``.
 
-    Raises :class:`NumericalConsistencyError` if cancellation drives the
-    result below ``-VARIANCE_SLACK`` instead of clamping silently.
+    Raises :class:`NumericalConsistencyError` when ``<D^2>`` has no
+    correct digit (:func:`mean_squared_distance`), or if cancellation
+    drives the result below ``-VARIANCE_SLACK`` instead of clamping
+    silently.
     """
-    return variance_from_moments(d4_moment(profile, params, s, settings),
-                                 mean_squared_distance(profile, params, s, settings))
+    d2 = mean_squared_distance(profile, params, s, settings)
+    return variance_from_moments(d4_moment(profile, params, s, settings), d2)
 
 
 def variance_from_moments(d4: float, d2: float) -> float:

@@ -39,7 +39,7 @@ import functools
 import itertools
 import warnings
 from dataclasses import dataclass
-from math import comb, factorial, inf
+from math import comb, factorial
 from typing import Iterator
 
 import numpy as np
@@ -250,109 +250,139 @@ def _pairings(g: int, a: int) -> int:
     return factorial(g) // (factorial(a) * factorial(g - 2 * a) * 2 ** a)
 
 
-def _gap_polynomial(g: int, w: int, kt: float, dt):
-    """Gaussian-moment factor of one gap carrying fluctuation power g.
+@functools.lru_cache(maxsize=None)
+def _gap_table(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian-moment polynomials of the gaps, for powers ``g <= r``.
 
-    ``sum_a g! / (a! (g-2a)! 2^a) * (i w sqrt(kt))^(g-2a) * dt^(g-a)``; the
-    integer prefactors count the ways to pair off 2a of the g fluctuation
-    factors, each pair contributing the gap variance ``dt`` and each
-    unpaired factor ``i w sqrt(kt dt)``.
+    A gap of length ``x``, weight ``w`` and fluctuation power ``g`` carries
+    ``i^g R_{w,g}(x)``, with the real polynomial
+
+        R_{w,g}(x) = sum_a (-1)^a g! / (a! (g-2a)! 2^a)
+                     * (w sqrt(k_theta))^(g-2a) * x^(g-a) / g!:
+
+    the integer prefactors count the ways to pair off ``2a`` of the ``g``
+    fluctuation factors, each pair contributing the gap variance ``x`` and
+    each unpaired factor ``i w sqrt(k_theta x)``. Returns ``coef[g, e]``
+    and ``expo[g, e]`` with ``R_{w,g}(x) = sum_e coef[g, e] * (w
+    sqrt(k_theta))^expo[g, e] * x^e``, read only.
     """
-    base = 1j * w * np.sqrt(kt)
-    acc = 0.0
-    for a in range(g // 2 + 1):
-        acc = acc + _pairings(g, a) * base ** (g - 2 * a) * dt ** (g - a)
-    return acc
+    coef = np.zeros((r + 1, r + 1))
+    expo = np.zeros((r + 1, r + 1), dtype=int)
+    for g in range(r + 1):
+        for a in range(g // 2 + 1):
+            coef[g, g - a] = (-1) ** a * _pairings(g, a) / factorial(g)
+            expo[g, g - a] = g - 2 * a
+    coef.setflags(write=False)
+    expo.setflags(write=False)
+    return coef, expo
 
 
-class _Gaps:
-    """Factors of one family of gaps, from one complex exponential.
+@functools.lru_cache(maxsize=None)
+def _modulus_table(r: int):
+    """The tables of :meth:`_Walk.moduli` for heading powers ``g <= r``:
+    ``|coef|`` and ``expo`` of :func:`_gap_table`, the powers ``e``, ``e +
+    1`` and ``e!``, and the index and mask that turn a row by ``g`` into
+    the lower triangular Toeplitz matrix ``[h, h'] -> row[h - h']``."""
+    coef, expo = _gap_table(r)
+    e = np.arange(r + 1)
+    shift = e[:, None] - e
+    out = (np.abs(coef), expo, e, e + 1.0, np.cumprod(np.maximum(e, 1.0)),
+           np.maximum(shift, 0), (shift >= 0).astype(float))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
-    The rotation ``exp(i dtheta)`` is evaluated once; the phase of weight
-    ``w`` is its ``|w|``-th power by repeated squaring (conjugated for
-    ``w < 0``; a complex ``**`` costs about ten products), and the decay
-    ``exp(-w^2 k_theta dt / 2)`` is a real exponential, left out when
-    ``decay`` is false.
-    """
 
-    def __init__(self, dtheta, dt, kt: float, decay: bool = True) -> None:
-        self._rotation = np.exp(1j * dtheta)
-        self._dt = dt
-        self._kt = kt
-        self._decay = decay
+def _gap_polynomials(r: int, w: int, kt: float) -> np.ndarray:
+    """``C[g, e]``, the coefficient of ``x^e`` in ``R_{w,g}(x)``, ``g <= r``."""
+    coef, expo = _gap_table(r)
+    return coef * (w * kt ** 0.5) ** expo
 
-    def factors(self, w: int, powers: int) -> list[np.ndarray]:
-        """``exp(i w dtheta - w^2 k_theta dt / 2)
-        * _gap_polynomial(g, w, k_theta, dt) / g!`` for ``g < powers``."""
-        phase, square, k = None, self._rotation, abs(w)
-        while k:
-            if k & 1:
-                phase = square if phase is None else phase * square
-            k >>= 1
-            if k:
-                square = square * square
-        if phase is None:
-            phase = np.ones(self._dt.shape)
-        elif w < 0:
-            phase = phase.conj()
-        if w and self._kt and self._decay:
-            phase = phase * np.exp((-0.5 * w * w * self._kt) * self._dt)
-        return [phase * (_gap_polynomial(g, w, self._kt, self._dt) / factorial(g))
-                if g else phase for g in range(powers)]
+
+def _real_matmul(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``a @ f`` for a real matrix ``a`` and complex node values ``f``, node
+    axis first, its last axis contiguous: on the real BLAS, as real values
+    with twice the columns."""
+    out = a @ f.view(float).reshape(len(f), -1)
+    return out.view(complex).reshape(f.shape)
 
 
 class _GapFactors:
-    """The gap factors of one moment, sampled on one chain rule.
+    """The gap factors of one moment on one chain rule, split at the nodes.
 
     The gap from ``u`` to ``t`` with phase weight ``w`` and fluctuation
     power ``g`` contributes
 
         exp(i w (heading(t) - heading(u)) - w^2 k_theta (t - u) / 2)
-        * _gap_polynomial(g, w, k_theta, t - u) / g!,
+        * i^g R_{w,g}(t - u)
 
-    the first gap starting at ``u = 0``; ``g`` runs up to the moment's
-    heading power ``r``. Headings are evaluated once per rule. The inner
-    factors of one weight become Volterra operators of the rule on the
-    first use of the weight or its negative, their decay passed to the rule
-    rather than sampled; each tail power becomes one tail row.
+    (:func:`_gap_table`), the first gap starting at ``u = 0``; ``g`` runs
+    up to the moment's heading power ``r``. Its phase is ``E_w(t)
+    conj(E_w(u))`` with ``E_w = exp(i w (heading - theta0))``, so the
+    heading is sampled once per rule, at ``rule.t``, and enters only
+    through those node vectors (:meth:`phases`). What is left of an inner
+    factor is real and heading-free: the operator ``R_{w,g}(t - u) *
+    Omega_w`` of the rule, its decay in the weights ``Omega_w``
+    (:meth:`~brownian_unicycle.quadrature.ChainRule.operator`), built for
+    every ``g`` at the first use of ``w`` or ``-w`` from the powers ``(t -
+    u)^e`` that all of them share; ``R_{-w,g} = (-1)^g R_{w,g}``. The
+    phases and the ``i^g``, which multiply to ``i^h`` along a chain, are
+    the caller's; each tail power becomes one tail row.
     """
 
     def __init__(self, rule, profile: SpeedRatioProfile, kt: float,
                  r: int) -> None:
         self.rule = rule
-        self._powers = r + 1
-        th_t = mean_heading(profile, rule.t)
-        th_u = mean_heading(profile, rule.u)
-        self._first = _Gaps(th_t - profile.theta0, rule.t, kt)
-        self._inner = _Gaps(th_t[:, None] - th_u, rule.t[:, None] - rule.u,
-                            kt, decay=False)
+        self._r = r
         self._kt = kt
-        self._tail_gap = rule.s - rule.t
-        self._operators: dict[int, list[np.ndarray]] = {}
+        self._heading = mean_heading(profile, rule.t) - profile.theta0
+        if r:
+            dt = rule.t[:, None] - rule.u
+            self._powers = np.cumprod(np.broadcast_to(dt, (r,) + dt.shape),
+                                      axis=0)
+        self._operators: dict[int, np.ndarray] = {}
         self._tails: dict[int, np.ndarray] = {}
 
-    def first(self, w: int) -> list[np.ndarray]:
-        """Node values of the first gap's factors, ``0 -> t_j``, by ``g``."""
-        return self._first.factors(w, self._powers)
+    def phases(self, weights) -> np.ndarray:
+        """``E_w`` at the nodes, one column per weight ``w`` of ``weights``."""
+        return np.exp(1j * np.multiply.outer(self._heading, weights))
+
+    def first(self, w: int) -> np.ndarray:
+        """Node values of the first gap's factors, ``0 -> t_j``, by ``g``,
+        without ``E_w(t_j)`` and ``i^g``: real."""
+        t = self.rule.t
+        decay = np.exp((-0.5 * w * w * self._kt) * t)
+        if not self._r:
+            return decay[None]
+        return (_gap_polynomials(self._r, w, self._kt)
+                @ t ** np.arange(self._r + 1)[:, None]) * decay
+
+    def operators(self, w: int) -> np.ndarray:
+        """The operators ``R_{w,g}(t - u) * Omega_w`` of weight ``w >= 0``,
+        stacked by ``g``."""
+        ops = self._operators.get(w)
+        if ops is None:
+            if self._r:
+                n = self.rule.t.size
+                kernel = (_gap_polynomials(self._r, w, self._kt)[:, 1:]
+                          @ self._powers.reshape(self._r, -1)).reshape(-1, n, n)
+                kernel[0] = 1.0
+            else:
+                kernel = np.ones((1, 1, 1))
+            ops = self.rule.operator(kernel, 0.5 * w * w * self._kt)
+            self._operators[w] = ops
+        return ops
 
     def apply(self, w: int, g: int, f: np.ndarray) -> np.ndarray:
-        """``f @ M.T`` for the operator ``M`` of the inner factor of weight
-        ``w`` and power ``g``; the factors of ``-w`` are the conjugates of
-        those of ``w``, so one operator per ``|w|`` serves both signs."""
-        ops = self._operators.get(abs(w))
-        if ops is None:
-            ops = list(self.rule.operator(
-                np.stack(self._inner.factors(abs(w), self._powers)),
-                0.5 * w * w * self._kt))
-            self._operators[abs(w)] = ops
-        if w < 0:
-            return (f.conj() @ ops[g].T).conj()
-        return f @ ops[g].T
+        """The operator of weight ``w`` and power ``g`` applied to node values
+        ``f`` (node axis first), without ``i^g``."""
+        out = _real_matmul(self.operators(abs(w))[g], f)
+        return -out if w < 0 and g % 2 else out
 
     def tail(self, power: int) -> np.ndarray:
         out = self._tails.get(power)
         if out is None:
-            out = self.rule.tail_vector(self._tail_gap ** power)
+            out = self.rule.tail_vector((self.rule.s - self.rule.t) ** power)
             self._tails[power] = out
         return out
 
@@ -364,14 +394,20 @@ def _panel_cuts(profile: SpeedRatioProfile, s: float) -> np.ndarray:
     most one cut per step). A non-finite heading places no cut."""
     knots = np.array([k for k in profile.knots_s if 0.0 < k < s])
     ends = np.concatenate(([0.0], knots, [s]))
-    grid = np.append(np.linspace(ends[:-1], ends[1:], 64, endpoint=False, axis=1), s)
+    # np.linspace(a, b, 64, endpoint=False) on every segment, at once.
+    grid = np.append(np.arange(64) * (np.diff(ends) / 64)[:, None]
+                     + ends[:-1, None], s)
     with np.errstate(over="ignore", invalid="ignore"):
         turn = np.cumsum(np.abs(np.diff(mean_heading(profile, grid))))
-    if not np.isfinite(turn[-1]):
+    if not np.isfinite(turn[-1]) or turn[-1] <= 2.0 * np.pi:
         return knots
     spacing = max(2.0 * np.pi, turn[-1] / turn.size)
     return np.union1d(knots, np.interp(np.arange(spacing, turn[-1], spacing),
                                        np.append(0.0, turn), grid))
+
+
+#: The steps -2, -1, 1, 2 of a walk state's counts, in slot order.
+_STEPS = (-2, -1, 1, 2)
 
 
 def _step_counts(key: TermKey) -> tuple[int, int, int, int]:
@@ -391,7 +427,7 @@ class _Walk:
     ``w(u) = p - q + sum(u)`` on its next gap. With ``h`` the heading power
     spent so far, the node values
 
-        F[0, h] = first(p - q, h),
+        F[0, h] = i^h E_{p-q} first(p - q, h),
         F[u, h] = sum_g M[w(u), g] @ sum_{v in u} F[u - v, h - g]
 
     (``1/g!`` folded into each factor) sum all those chain prefixes at
@@ -399,11 +435,25 @@ class _Walk:
     step counts ``c`` and ``u = c - v``, the sum of its chains whose last
     step is ``v``, with tail power ``r - h`` (the last step sets no gap).
 
+    The walk runs in the rotating frame ``G[u, h] = conj(E_{w(u)}) F[u, h]
+    / i^h`` of :class:`_GapFactors`, where every operator is real and the
+    heading enters through fixed node vectors: a predecessor ``u - v``
+    comes in times the step phase ``E_{w(u - v)} conj(E_{w(u)}) = exp(-i
+    v heading)``,
+
+        G[0, h] = first(p - q, h),
+        G[u, h] = sum_g R_{w(u),g}(t - u) Omega
+                  @ sum_v exp(-i v heading) G[u - v, h - g],
+
+    and a close multiplies ``G[u, h]`` by ``E_{w(u)}`` before its tail row;
+    its ``i^h`` is left to its scale.
+
     Only states below some close are visited. They run level by level
-    (``|u|``), then by weight, then by counts; the states of one level
-    sharing a weight go through each of their operators as one matrix
-    product, and every sum over predecessors adds them in step order
-    ``-2, -1, 1, 2``. Results are therefore bit-reproducible.
+    (``|u|``), then by ``|w|``, then by weight and counts. A level sums
+    its predecessors in one pass, adding them in step order ``-2, -1, 1,
+    2``; the states of one level sharing ``|w|`` go through each of their
+    operators as one matrix product, those of ``-w`` taking the sign
+    ``(-1)^g``. Results are therefore bit-reproducible.
     """
 
     def __init__(self, w0: int, r: int,
@@ -417,37 +467,58 @@ class _Walk:
             if u not in states:
                 states.add(u)
                 todo += [_without(u, i) for i in range(4) if u[i]]
-        # (level, weight, counts) of every state, in walk order.
-        order = sorted((sum(u), w0 + 2 * (u[3] - u[0]) + u[2] - u[1], u)
-                       for u in states)
+
+        def weight(u):
+            return w0 + 2 * (u[3] - u[0]) + u[2] - u[1]
+
+        # (level, |weight|, weight, counts) of every state, in walk order.
+        order = sorted((sum(u), abs(weight(u)), weight(u), u) for u in states)
         index = {u: i for i, (*_, u) in enumerate(order)}
         size = len(order)
         self._size = size
-
-        def preds(u):
-            # Padded to four with the index of an all-zero state.
-            out = [index[_without(u, i)] for i in range(4) if u[i]]
-            return out + [size] * (4 - len(out))
-
-        # Runs of states with one (level, weight) after the empty one.
-        self._groups = []
+        # One predecessor slot per step, the all-zero state where it is absent.
+        preds = np.array([[index[_without(u, i)] if u[i] else size
+                           for i in range(4)] for *_, u in order])
+        self._weights = np.array(sorted({w for _, w, *_ in order}))
+        slot = {w: i for i, w in enumerate(self._weights)}
+        # Levels after the empty state: their bounds, predecessors, runs of
+        # one |w| (its first state, first state of positive weight, end)
+        # and each state's |w| by its place in ``_weights``.
+        self._levels = []
         lo = 1
-        for (_, w), run in itertools.groupby(order[1:], key=lambda x: x[:2]):
-            run = [u for *_, u in run]
-            self._groups.append((w, lo, lo + len(run),
-                                 np.array([preds(u) for u in run])))
-            lo += len(run)
-        # n x n complex arrays evaluate holds at once: r + 1 operators per
-        # inner |w|, one stack being built and its kernels, and the gaps.
-        inner = {abs(w) for w, *_ in self._groups}
-        self.operators = (len(inner) + 1) * (r + 1) + 3
-        self.largest_weight = max(inner | {abs(w0)})
+        for _, level in itertools.groupby(order[1:], key=lambda x: x[0]):
+            level = list(level)
+            runs = []
+            start = lo
+            for w, run in itertools.groupby(level, key=lambda x: x[1]):
+                run = list(run)
+                runs.append((w, start, start + sum(x[2] < 0 for x in run),
+                             start + len(run)))
+                start += len(run)
+            self._levels.append((lo, start, preds[lo:start], runs,
+                                 np.array([slot[x[1]] for x in level])))
+            lo = start
+        inner = {w for *_, runs, _ in self._levels for w, *_ in runs}
+        # n x n float arrays evaluate holds at once, while the last operator
+        # stack is built: r + 1 per inner |w| (the last one the product),
+        # its weight matrix, one for the O(n) arrays (panel blocks, node
+        # values), and for r > 0 its r + 1 kernels, the r gap powers and
+        # the rule's u.
+        self.operators = len(inner) * (r + 1) + 2 + (2 * r + 2 if r else 0)
+        self.largest_weight = int(self._weights[-1])
         self._close_h = np.array([h for _, h in closes], dtype=int)
         self._close_u = np.array([index[u] for u, _ in closes], dtype=int)
-        self._close_beta = np.array([sum(u) + 1 for u, _ in closes], dtype=int)
-        tails = [(r - h) // 2 for _, h in closes]
-        self._tail_groups = [(power, np.flatnonzero(np.equal(tails, power)))
-                             for power in sorted(set(tails))]
+        self._close_tail = (r - self._close_h) // 2
+        beta = [sum(u) + 1 for u, _ in closes]
+        self._close_beta = np.array(beta, dtype=int)
+        self._close_inverse_factorial = np.array([1.0 / factorial(b)
+                                                  for b in beta])
+        # The node vectors E_w of a rule: the step phases E_{-v}, in slot
+        # order, and each close's E_{w(u)}.
+        close_w = [weight(u) for u, _ in closes]
+        self._phase_weights = sorted({-v for v in _STEPS} | set(close_w))
+        self._step_at = [self._phase_weights.index(-v) for v in _STEPS]
+        self._close_at = [self._phase_weights.index(w) for w in close_w]
 
     def moduli(self, kt: float, s: float) -> np.ndarray:
         """Bounds of the integrals of the closes' integrand moduli.
@@ -461,53 +532,54 @@ class _Walk:
         over ``[0, s]``. The tail adds at most ``s**((r - h) / 2)``.
         """
         r = self._r
-
-        @functools.lru_cache(maxsize=None)
-        def gap_bounds(w):
-            # [top, area] of each power g, as columns, for weight +-w.
-            decay = 0.5 * w * w * kt
-            out = np.zeros((2, r + 1))
-            for g in range(r + 1):
-                for a in range(g // 2 + 1):
-                    coef = (_pairings(g, a) * (w * kt ** 0.5) ** (g - 2 * a)
-                            / factorial(g))
-                    e = g - a
-                    out[0, g] += coef * s ** e
-                    # int_0^s x^e exp(-decay x) dx
-                    out[1, g] += coef * min(s ** (e + 1) / (e + 1),
-                                            factorial(e) / decay ** (e + 1)
-                                            if decay else inf)
-            return out
-
-        f = np.zeros((2, r + 1, self._size + 1))
-        f[:, :, 0] = gap_bounds(abs(self._w0))
-        for w, lo, hi, preds in self._groups:
-            prev = f[:, :, preds].sum(axis=3)
-            for g, bound in enumerate(gap_bounds(abs(w)).T):
-                f[:, g:, lo:hi] += bound[:, None, None] * prev[:, :r + 1 - g]
-        top, area = f[:, self._close_h, self._close_u]
-        beta = self._close_beta
-        volume = s ** beta / np.array([factorial(b) for b in beta])
-        return s ** ((r - self._close_h) // 2) * np.minimum(top * volume, area)
+        coef, expo, e, e1, factorial_e, shift, lower = _modulus_table(r)
+        w = self._weights
+        # |coefficients| of x^e in each |w|'s polynomials, (|w|, g, e).
+        coef = coef * (w[:, None, None] * kt ** 0.5) ** expo
+        # int_0^s x^e exp(-w^2 k_theta x / 2) dx, bounded two ways.
+        with np.errstate(divide="ignore"):
+            area = np.minimum(s ** e1 / e1,
+                              factorial_e / (0.5 * kt * w * w)[:, None] ** e1)
+        # (|w|, [top, area], g), and as the lower triangular Toeplitz
+        # matrices (|w|, [top, area], h, h - g) that shift the heading power.
+        x = np.empty(area.shape + (2,))
+        x[..., 0] = s ** e
+        x[..., 1] = area
+        bounds = (coef @ x).transpose(0, 2, 1)
+        toeplitz = bounds[..., shift] * lower
+        f = np.zeros((self._size + 1, 2, r + 1))
+        f[0] = bounds[np.searchsorted(w, abs(self._w0))]
+        for lo, hi, preds, _, at in self._levels:
+            f[lo:hi] = (toeplitz[at] @ f[preds].sum(axis=1)[..., None])[..., 0]
+        top, area = f[self._close_u, :, self._close_h].T
+        volume = s ** self._close_beta * self._close_inverse_factorial
+        return s ** self._close_tail * np.minimum(top * volume, area)
 
     def evaluate(self, factors: _GapFactors) -> np.ndarray:
-        """The value of every close on the rule of ``factors``."""
+        """The value of every close on the rule of ``factors``, each without
+        its ``i^h``."""
         r = self._r
         n = factors.rule.t.size
-        f = np.zeros((r + 1, self._size + 1, n), dtype=complex)
-        f[:, 0] = factors.first(self._w0)
-        for w, lo, hi, preds in self._groups:
-            prev = f[:, preds].sum(axis=2)
-            out = f[:, lo:hi]
-            for g in range(r + 1):
-                # Heading power h - g before the gap, h after it.
-                part = factors.apply(w, g, prev[:r + 1 - g].reshape(-1, n))
-                out[g:] += part.reshape(r + 1 - g, hi - lo, n)
-        ends = f[self._close_h, self._close_u]
-        values = np.empty(len(ends), dtype=complex)
-        for power, rows in self._tail_groups:
-            values[rows] = ends[rows] @ factors.tail(power)
-        return values
+        phases = factors.phases(self._phase_weights)
+        steps = phases[:, self._step_at]
+        f = np.zeros((n, r + 1, self._size + 1), dtype=complex)
+        f[:, :, 0] = factors.first(self._w0).T
+        for lo, hi, preds, runs, _ in self._levels:
+            prev = np.einsum("jhks,js->jhk", f[:, :, preds], steps, order="C")
+            for w, a, mid, b in runs:
+                ops = factors.operators(w)
+                for g in range(r + 1):
+                    # Heading power h - g before the gap, h after it.
+                    part = _real_matmul(ops[g],
+                                        prev[:, :r + 1 - g, a - lo:b - lo])
+                    if g % 2:
+                        f[:, g:, a:mid] -= part[:, :, :mid - a]
+                        f[:, g:, mid:b] += part[:, :, mid - a:]
+                    else:
+                        f[:, g:, a:b] += part
+        ends = f[:, self._close_h, self._close_u] * phases[:, self._close_at]
+        tails = np.array([factors.tail(power) for power in range(r // 2 + 1)])
+        return np.einsum("jc,cj->c", ends, tails[self._close_tail])
 
 
 def _check_envelope(spec: MomentSpec) -> None:
@@ -517,6 +589,66 @@ def _check_envelope(spec: MomentSpec) -> None:
             f"envelope (p+q <= {MAX_TOTAL_POWER}, r <= {MAX_HEADING_POWER}); "
             "its cost and error estimate are untested there",
             EnvelopeWarning, stacklevel=3)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What a moment of given orders sums, whatever its profile and noise.
+
+    A term of key ``(n, l, m)`` scales as ``k_r^n s^m``; ``coef`` holds the
+    rest of its factor but ``k_theta^(r/2) e^{i (p-q) theta0}``, one entry
+    per close of ``walk`` (``i^h`` included) and per dimension-0 term
+    (``const_*``, the trailing ``s**(r/2)`` included at call time).
+    """
+
+    walk: _Walk | None
+    coef: np.ndarray
+    n: np.ndarray
+    m: np.ndarray
+    const_coef: np.ndarray
+    const_n: np.ndarray
+    const_m: np.ndarray
+    terms: int
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(p: int, q: int, r: int) -> _Plan:
+    """The enumeration of ``<u^p w^q theta_tilde^r>``, once per orders."""
+    r_fact = factorial(r)
+    closes, parts, const = [], [], []
+    n_terms = 0
+    for key in term_keys(p, q):
+        beta = key.dimension
+        compositions = _count_theta_power_compositions(r, beta)
+        n_terms += count_phase_step_vectors(key) * compositions
+        if not compositions:
+            continue
+        base = coefficient(key)
+        # h: heading power of the gaps; the tail takes the even rest.
+        for h in range(r % 2, r + 1, 2) if beta else (0,):
+            part = (base * r_fact * double_factorial(r - h - 1)
+                    / factorial(r - h))
+            if beta == 0:
+                const.append((part, key.n, key.m))
+                continue
+            # One close per last step: the roundoff floor sums the closes'
+            # moduli, and whole keys cancel more than their parts.
+            counts = _step_counts(key)
+            for i in range(4):
+                if counts[i]:
+                    closes.append((_without(counts, i), h))
+                    parts.append((part * (1, 1j, -1, -1j)[h % 4], key.n, key.m))
+
+    def columns(rows, dtype):
+        # (coefficient, n, m) rows as read-only columns: every call shares them.
+        out = [np.array([row[i] for row in rows], dtype=kind)
+               for i, kind in enumerate((dtype, int, int))]
+        for col in out:
+            col.setflags(write=False)
+        return out
+
+    return _Plan(_Walk(p - q, r, closes) if closes else None,
+                 *columns(parts, complex), *columns(const, float), n_terms)
 
 
 def displacement_heading_moment(p: int, q: int, r: int,
@@ -532,59 +664,36 @@ def displacement_heading_moment(p: int, q: int, r: int,
     :mod:`quadrature`, on the panels of :func:`_panel_cuts`, with one close
     per key, last step and heading power before the tail. Dimension-0 terms
     use the empty-integral-equals-1 convention with the trailing gap factor
-    ``s**(r/2)`` applied analytically. The error estimate is that of the
-    summed closes (coarse/fine difference plus roundoff floor) plus
-    ``MODULUS_ROUNDOFF`` times the bound :meth:`_Walk.moduli`;
-    ``terms_evaluated`` counts the enumerated terms, vectors times
-    compositions summed over the keys.
+    ``s**(r/2)`` applied analytically. The enumeration and the walk depend
+    on the orders only and are built once per orders (:func:`_plan`). The
+    error estimate is that of the summed closes (coarse/fine difference
+    plus roundoff floor) plus ``MODULUS_ROUNDOFF`` times the bound
+    :meth:`_Walk.moduli`; ``terms_evaluated`` counts the enumerated terms,
+    vectors times compositions summed over the keys.
     """
     _check_envelope(MomentSpec(p, q, r))
+    plan = _plan(p, q, r)
     kr, kt = params.k_r, params.k_theta
-    phase0 = cmath.exp(1j * (p - q) * profile.theta0)
-    r_fact = factorial(r)
-
-    total = 0.0 + 0.0j
-    closes, scales = [], []
-    n_terms = 0
-    for key in term_keys(p, q):
-        beta = key.dimension
-        compositions = _count_theta_power_compositions(r, beta)
-        n_terms += count_phase_step_vectors(key) * compositions
-        if not compositions:
-            continue
-        base = (kr ** key.n) * coefficient(key) * (s ** key.m) * phase0
-        # h: heading power of the gaps; the tail takes the even rest.
-        for h in range(r % 2, r + 1, 2) if beta else (0,):
-            scale = base * (r_fact * double_factorial(r - h - 1)
-                            * kt ** (0.5 * r) / factorial(r - h))
-            if scale == 0:
-                continue
-            if beta == 0:
-                total += scale * s ** (r // 2)
-                continue
-            # One close per last step: the roundoff floor sums the closes'
-            # moduli, and whole keys cancel more than their parts.
-            counts = _step_counts(key)
-            for i in range(4):
-                if counts[i]:
-                    closes.append((_without(counts, i), h))
-                    scales.append(scale)
-
-    walk = _Walk(p - q, r, closes)
+    common = kt ** (0.5 * r) * cmath.exp(1j * (p - q) * profile.theta0)
+    total = complex(common * s ** (r // 2) * np.sum(
+        plan.const_coef * kr ** plan.const_n * s ** plan.const_m))
+    scales = plan.coef * (kr ** plan.n * s ** plan.m) * common
+    if not scales.any():
+        return MomentResult(total, 0.0, plan.terms)
+    walk = plan.walk
 
     def evaluate(rule):
         return walk.evaluate(_GapFactors(rule, profile, kt, r))
 
     value, err = integrate_chains(evaluate, scales, s, settings,
-                                  _panel_cuts(profile, s) if scales else (),
+                                  _panel_cuts(profile, s),
                                   0.5 * kt * walk.largest_weight ** 2,
                                   walk.operators)
-    if scales:
-        # A rotating chain sum can cancel far below the moduli of its closes,
-        # while the roundoff of its sampled phases scales with the integral
-        # of the integrand's modulus.
-        err += MODULUS_ROUNDOFF * float(np.abs(scales) @ walk.moduli(kt, s))
-    return MomentResult(total + value, err, n_terms)
+    # A rotating chain sum can cancel far below the moduli of its closes,
+    # while the roundoff of its sampled phases scales with the integral of
+    # the integrand's modulus.
+    err += MODULUS_ROUNDOFF * float(np.abs(scales) @ walk.moduli(kt, s))
+    return MomentResult(total + value, err, plan.terms)
 
 
 def displacement_moment(p: int, q: int, profile: SpeedRatioProfile,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import NumericalConsistencyError
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_ordered
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
@@ -168,3 +169,24 @@ def mean_squared_distance_with_error(profile: SpeedRatioProfile,
 
     value, err = integrate_ordered(f, 2, s, settings)
     return params.k_r * s + 2.0 * value.real, 2.0 * err
+
+
+def checked_mean_squared_distance(profile: SpeedRatioProfile,
+                                  params: NoiseParams, s: float,
+                                  settings: QuadratureSettings = DEFAULT_SETTINGS
+                                  ) -> tuple[float, float]:
+    """:func:`mean_squared_distance_with_error`, refused when no digit is
+    right.
+
+    Raises :class:`NumericalConsistencyError` when the error estimate
+    exceeds the value's magnitude: the tensor rule does not follow a
+    heading that turns many times (constant ``mu0 = 5``, ``K = 0.01``,
+    ``s = 20`` gives 0.122 with an estimate of 1.3, where ``<D^2>`` is
+    0.226).
+    """
+    value, err = mean_squared_distance_with_error(profile, params, s, settings)
+    if err > abs(value):
+        raise NumericalConsistencyError(
+            f"<D^2> = {value:.6g} has no correct digit: its error "
+            f"estimate {err:.3g} exceeds its magnitude")
+    return value, err

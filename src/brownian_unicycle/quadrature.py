@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 import numpy as np
@@ -315,11 +315,22 @@ class ChainRule:
         self.s = float(edges[-1])
         self.t = (edges[:-1, None] + self._width[:, None] * x).ravel()
         self._weights = (self._width[:, None] * w).ravel()
-        panel = np.repeat(np.arange(self._width.size), m)
-        self._later = panel > panel[:, None]
-        self.u = np.where(self._later, self.t[:, None], self.t)
-        # t[j] past the end of each earlier panel; 0 from its own on.
+        # The panel structure every operator shares: each node's panel, the
+        # distinct widths and each panel's among them, and for each node
+        # the earlier panels (reach 1, else 0) and its distance past their
+        # ends.
+        panels = self._width.size
+        self._panel = np.repeat(np.arange(panels), m)
+        self._widths = sorted(set(self._width.tolist()))
+        self._width_class = np.searchsorted(self._widths, self._width)
+        self._reach = (np.arange(panels) < self._panel[:, None]).astype(float)
         self._past = np.maximum(self.t[:, None] - edges[1:], 0.0)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """Gap starts ``u[j, k]``, with shape ``(n, n)``."""
+        return np.where(self._panel > self._panel[:, None], self.t[:, None],
+                        self.t)
 
     def operator(self, kernel, decay: float = 0.0) -> np.ndarray:
         """Matrix of ``F -> int_0^t e^{-decay (t - u)} K(u, t) F(u) du`` on
@@ -335,16 +346,14 @@ class ChainRule:
         """
         panels = self._width.size
         m = self.t.size // panels
-        omega = np.empty((panels, m, panels, m))
-        for width in np.unique(self._width):
-            at = self._width == width
-            own, row = _decay_weights(m, float(decay * width))
-            omega[:, :, at] = width * row
-            omega[at, :, at] = width * own
-        omega = omega.reshape(self.t.size, -1)
-        if decay:
-            omega *= np.repeat(np.exp(-decay * self._past), m, axis=1)
-        omega[self._later] = 0.0
+        own, row = map(np.array, zip(*(_decay_weights(m, float(decay * width))
+                                       for width in self._widths)))
+        row = row[self._width_class] * self._width[:, None]
+        reach = self._reach * np.exp(-decay * self._past) if decay else self._reach
+        omega = (reach[:, :, None] * row).reshape(self.t.size, -1)
+        at = np.arange(panels)
+        omega.reshape(panels, m, panels, m)[at, :, at] = (
+            own[self._width_class] * self._width[:, None, None])
         return kernel * omega
 
     def tail_vector(self, tail) -> np.ndarray:
@@ -368,7 +377,7 @@ def integrate_chains(evaluate, scales, s: float,
     near 0, so more cuts grade the panels there geometrically, doubling
     from ``PANEL_DECAY / decay`` up to ``s / PANELS_PER_LENGTH``; a decay
     inside a gap is integrated exactly (:meth:`ChainRule.operator`).
-    ``operators`` counts the ``n x n`` complex arrays ``evaluate`` holds at
+    ``operators`` counts the ``n x n`` float arrays ``evaluate`` holds at
     once; they may take ``CHAIN_MAX_BYTES``, which with ``CHAIN_MAX_NODES``
     caps the node count ``n``. Every other cut is dropped until the first
     fine rule fits the cap. The sum runs on the pair of ``PANEL_NODES``
@@ -390,7 +399,7 @@ def integrate_chains(evaluate, scales, s: float,
     if s == 0.0 or scales.size == 0:
         return 0j, 0.0
     coarse_m, fine_m = PANEL_NODES
-    cap = min(CHAIN_MAX_NODES, isqrt(CHAIN_MAX_BYTES // (16 * operators)))
+    cap = min(CHAIN_MAX_NODES, isqrt(CHAIN_MAX_BYTES // (8 * operators)))
     cuts = np.asarray(cuts, dtype=float)
     if decay * s > PANELS_PER_LENGTH * PANEL_DECAY:
         doublings = np.log2(decay * s / (PANELS_PER_LENGTH * PANEL_DECAY))
@@ -403,10 +412,14 @@ def integrate_chains(evaluate, scales, s: float,
             break
         cuts = cuts[1::2]
 
-    def total(m: int):
-        rule = ChainRule(np.append(np.concatenate([
-            np.linspace(a, b, k, endpoint=False)
-            for a, b, k in zip(ends[:-1], ends[1:], counts)]), s), m)
+    def edges():
+        # np.linspace(a, b, k, endpoint=False) on every segment, at once.
+        start = np.repeat(ends[:-1], counts)
+        step = np.repeat(np.diff(ends) / counts, counts)
+        at = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        return np.append(at * step + start, s)
+
+    def total(rule):
         # A non-finite sum raises below; numpy's warnings would only
         # repeat it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -417,9 +430,10 @@ def integrate_chains(evaluate, scales, s: float,
                 f"chain integral is not finite on the {rule.t.size}-node rule")
         return value, float(np.abs(terms).sum())
 
-    coarse, _ = total(coarse_m)
+    panels = edges()
+    coarse, _ = total(ChainRule(panels, coarse_m))
     while True:
-        fine, magnitude = total(fine_m)
+        fine, magnitude = total(ChainRule(panels, fine_m))
         diff = abs(fine - coarse)
         floor = CHAIN_ROUNDOFF * magnitude
         if diff <= max(settings.rel_tol * abs(fine), floor):
@@ -432,3 +446,4 @@ def integrate_chains(evaluate, scales, s: float,
                 AccuracyWarning, stacklevel=3)
             return fine, diff + floor
         coarse, counts = fine, 2 * counts
+        panels = edges()

@@ -112,6 +112,17 @@ def test_catastrophic_cancellation_raises(monkeypatch):
         fourth_moment.variance_d2(CONST, NoiseParams(0.01, 0.01), 1.0)
 
 
+def test_variance_refuses_d2_without_a_correct_digit():
+    # After 100 rad of turning the tensor rule's <D^2> has no correct digit
+    # (0.12 with an estimate of 1.3, where <D^2> is 0.23): the variance
+    # refuses it, as CLI d2 and d4 do, where it returned 0.087 for 0.051.
+    params = NoiseParams(0.01, 0.01)
+    with pytest.raises(NumericalConsistencyError):
+        variance_d2(SpeedRatioProfile.constant(5.0, s_max=20.0), params, 20.0)
+    assert variance_d2(CONST, params, 1.0) == pytest.approx(
+        variance_d2_closed(5.0, params, 1.0), rel=1e-12)
+
+
 def _flattened_table_oracle(params, s):
     """The table read as the six-term loops did before they shared one
     reader: a running constant, and one weight and kernel per chain."""

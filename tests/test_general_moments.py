@@ -579,6 +579,63 @@ def test_one_operator_per_gap_factor_and_rule(monkeypatch):
     assert max(builds.values()) <= len(inner)
 
 
+@pytest.mark.parametrize("profile", [RAMP, TABLE], ids=["ramp", "table"])
+def test_heading_sampled_at_nodes_only(monkeypatch, profile):
+    # The gap factors split at the nodes: the heading enters the operators
+    # through node vectors, never through an (n, n) array of node pairs.
+    shapes = []
+
+    def spy(prof, s):
+        shapes.append(np.shape(s))
+        return mean_heading(prof, s)
+
+    monkeypatch.setattr(general_moments, "mean_heading", spy)
+    params = NoiseParams(0.5, 0.7)
+    displacement_heading_moment(2, 2, 2, profile, params, 0.9)
+    d4_moment(profile, params, 0.9)
+    assert shapes
+    assert all(len(shape) == 1 for shape in shapes), shapes
+
+
+def test_memory_of_a_capped_moment_stays_within_the_budget(monkeypatch):
+    # At mu0 = 40 the weight-8 phases of <u^8 theta~^4> turn by 320 rad: the
+    # rule refines to the node cap that a 4 MiB budget sets and warns. The
+    # n x n arrays that evaluation holds at once are counted by
+    # _Walk.operators; beside them it holds O(n) arrays, above all the
+    # walk's node values (r + 1 per state), allowed for four times over.
+    import tracemalloc
+
+    budget = 4 * 2 ** 20
+    monkeypatch.setattr(quadrature, "CHAIN_MAX_BYTES", budget)
+    nodes = []
+    rule = quadrature.ChainRule
+
+    def spy(edges, m):
+        out = rule(edges, m)
+        nodes.append(out.t.size)
+        return out
+
+    monkeypatch.setattr(quadrature, "ChainRule", spy)
+    profile = SpeedRatioProfile.constant(40.0, s_max=1.0)
+    params = NoiseParams(1.0, 1.0)
+    with pytest.warns(AccuracyWarning):
+        displacement_heading_moment(8, 0, 4, profile, params, 1.0)
+    nodes.clear()
+    tracemalloc.start()
+    try:
+        with pytest.warns(AccuracyWarning):
+            displacement_heading_moment(8, 0, 4, profile, params, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    walk = general_moments._plan(8, 0, 4).walk
+    n = max(nodes)
+    assert 8 * walk.operators * (2 * n) ** 2 > budget
+    allowance = 4 * 16 * n * (walk._r + 1) * (walk._size + 1)
+    assert peak <= 8 * walk.operators * n * n + allowance
+    assert peak <= budget + allowance
+
+
 def test_repeated_calls_bit_identical():
     params = NoiseParams(0.2, 0.3)
     for profile in (CONST, RAMP):
@@ -665,57 +722,57 @@ def test_envelope_corners_meet_rel_tol(p, q, r, profile):
 
 #: ``(profile, K, (p, q, r), value, err_estimate)`` at ``s = 0.95`` with
 #: ``k_r = k_theta = K``: the benchmark's ``moments`` orders on its three
-#: cases, and two envelope corners on the ramp. Recorded from the panel
-#: rule; each value is within 8e-14 relative of the one the global
-#: Chebyshev rule recorded before it, and each constant-ratio value at
-#: ``r = 0`` within its estimate of ``_exact_moment_50``.
+#: cases, and two envelope corners on the ramp. Recorded from the walk on
+#: heading-free operators; each value is within 4e-14 relative of the one
+#: the dense gap factors recorded before it, and each constant-ratio value
+#: at ``r = 0`` within its estimate of ``_exact_moment_50``.
 PINNED_MOMENTS = [
     ("constant", 0.01, (1, 1, 0),
-     (0.08704498017325135+0j), 6.7028717461518644e-15),
+     (0.08704498017325123+0j), 6.827771836422192e-15),
     ("constant", 0.01, (2, 0, 0),
-     (0.0017563167320979003-0.07472325511917086j), 1.856385772155869e-15),
+     (0.0017563167320979324-0.07472325511917084j), 1.8017030819173642e-15),
     ("constant", 0.01, (2, 2, 0),
-     (0.008994621728495827+0j), 1.9923991322457272e-15),
+     (0.008994621728495831+0j), 2.0045421965775645e-15),
     ("constant", 0.01, (3, 1, 1),
-     (7.047503439006175e-05+0.00018992756286815798j), 1.241186350208074e-17),
+     (7.047503439006185e-05+0.00018992756286815803j), 1.2500143522530849e-17),
     ("constant", 0.01, (2, 2, 2),
-     (8.929110058651893e-05+0j), 1.9813689810217245e-17),
+     (8.929110058651906e-05+0j), 1.9922110027465796e-17),
     ("constant", 0.01, (5, 0, 0),
-     (0.0008805315877030182-0.0008804855644535294j), 2.1328571508391825e-16),
+     (0.0008805315877030191-0.000880485564453533j), 2.1530520962505285e-16),
     ("constant", 0.01, (6, 0, 0),
-     (7.79182829547141e-06+0.0002984816888903079j), 8.832222454214454e-17),
+     (7.791828295461591e-06+0.000298481688890303j), 8.838281298691967e-17),
     ("constant", 1.0, (1, 1, 0),
-     (1.0731948770275213+0j), 6.265407240529475e-15),
+     (1.0731948770275213+0j), 6.2237738771060305e-15),
     ("constant", 1.0, (2, 0, 0),
-     (-0.027571007715907293+0.07539260423654073j), 3.5322151725912855e-15),
+     (-0.027571007715907266+0.0753926042365407j), 3.638828847751471e-15),
     ("constant", 1.0, (2, 2, 0),
-     (2.3668647177787387+0j), 3.128414119942799e-14),
+     (2.3668647177787387+0j), 3.117311889696547e-14),
     ("constant", 1.0, (3, 1, 1),
-     (0.10892292531431087-0.0620342199012379j), 8.773673218451889e-15),
+     (0.10892292531431072-0.06203421990123786j), 8.61937227691576e-15),
     ("constant", 1.0, (2, 2, 2),
-     (2.5579346540044092+5.551115123125783e-17j), 3.191635362624045e-14),
+     (2.5579346540044092+0j), 3.158130670005853e-14),
     ("constant", 1.0, (5, 0, 0),
-     (-0.004254757689445063-0.03111915423079381j), 1.3897644412032242e-15),
+     (-0.0042547576894450675-0.03111915423079381j), 1.3906318029412126e-15),
     ("constant", 1.0, (6, 0, 0),
-     (0.005042853696090602-0.015310757343386877j), 1.2297178202833048e-15),
+     (0.005042853696090605-0.015310757343386888j), 1.238031612279796e-15),
     ("ramp", 1.0, (1, 1, 0),
      (1.114516869135723+0j), 5.815130650432358e-15),
     ("ramp", 1.0, (2, 0, 0),
-     (0.18140322584329985+0.229417090932299j), 5.013437897169282e-15),
+     (0.18140322584329988+0.22941709093229906j), 5.101177823599827e-15),
     ("ramp", 1.0, (2, 2, 0),
-     (2.64019314153388+0j), 3.116222524820995e-14),
+     (2.64019314153388+0j), 3.1273247550672475e-14),
     ("ramp", 1.0, (3, 1, 1),
-     (-0.4106112458296757-0.1295745504874174j), 1.0933009005749592e-14),
+     (-0.41061124582967556-0.12957455048741734j), 1.0777330234743298e-14),
     ("ramp", 1.0, (2, 2, 2),
-     (2.7782102692777038+0j), 3.2489387206914434e-14),
+     (2.7782102692777038+0j), 3.22673426019894e-14),
     ("ramp", 1.0, (5, 0, 0),
-     (-0.04581832035632916+0.16632987554526474j), 3.5484809659991324e-15),
+     (-0.045818320356329115+0.1663298755452648j), 3.533435900425363e-15),
     ("ramp", 1.0, (6, 0, 0),
-     (-0.05306976169888178+0.15470130346607533j), 3.77727281497812e-15),
+     (-0.05306976169888179+0.1547013034660753j), 3.748940708599834e-15),
     ("ramp", 1.0, (4, 4, 4),
-     (219.67117730372357-3.9968028886505635e-15j), 1.412274744760231e-11),
+     (219.67117730372357-4.884981308350689e-15j), 1.4122716226619118e-11),
     ("ramp", 1.0, (8, 0, 4),
-     (0.8605065573265124+0.26181745696141484j), 3.9288584153918215e-14),
+     (0.8605065573265123+0.26181745696141506j), 3.8686512713012125e-14),
 ]
 
 
