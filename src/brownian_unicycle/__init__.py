@@ -22,8 +22,8 @@ from .general_moments import (MomentResult, MomentSpec, TermKey,
                               phase_step_vectors, term_keys,
                               theta_power_compositions)
 from .low_moments import (cov_xtheta, cov_ytheta, deterministic_pose,
-                          mean_squared_distance, mean_x, mean_y,
-                          orientation_distribution, second_moments)
+                          low_order_statistics, mean_squared_distance, mean_x,
+                          mean_y, orientation_distribution, second_moments)
 from .montecarlo import (SimConfig, TrialStatistics, collect_samples,
                          run_experiment, simulate_trial,
                          statistics_from_samples)
@@ -39,7 +39,7 @@ __all__ = [
     "cartesian_moment", "coefficient", "collect_samples", "complex_rate",
     "count_phase_step_vectors", "cov_xtheta", "cov_ytheta", "d2_closed",
     "d4_closed", "d4_moment", "deterministic_pose", "displacement_heading_moment",
-    "displacement_moment", "integrate_ordered",
+    "displacement_moment", "integrate_ordered", "low_order_statistics",
     "mean_heading", "mean_pose_closed", "mean_squared_distance", "mean_x",
     "mean_y", "orientation_distribution", "phase_step_vectors", "ratio",
     "run_experiment", "second_moments", "simulate_trial",

@@ -8,20 +8,23 @@ two sample points; substituting ``t2 = s' + s''`` maps them onto the
 tensor rule of :func:`~brownian_unicycle.quadrature.integrate_ordered`.
 
 A single one-dimensional integral, ``int_0^s t^power exp(i w
-mean_heading(t) - c t) dt`` (:func:`_heading_integral`), serves every
-first-order result: the mean position (``w = 1``, ``c = k_theta/2``),
-the shift-noise term ``int D`` of the second moments (``w = 2``, ``c = 2
-k_theta``), the noise-free pose (``w = 1``, ``c = 0``) and, with
+mean_heading(t) - c t) dt`` (:func:`_heading_integral`), serves the
+separate first-order functions: the mean position (``w = 1``, ``c =
+k_theta/2``), the noise-free pose (``w = 1``, ``c = 0``) and, with
 ``power = 1``, the position-heading covariances.
 
-Integrals that share a heading evaluation go through one call: the
-integrand returns their kernels as a stack (see
-:func:`~brownian_unicycle.quadrature.integrate_ordered`), so each grid
-point's heading is computed once for all of them. The three second
-moments come from two complex kernels, ``E = exp(i (h2 - h1) - k_theta
-(t2 - t1) / 2)`` and ``D E`` with ``D = exp(2 i h1 - 2 k_theta t1)``:
-``<x^2>`` and ``<y^2>`` take ``Re iint E +- Re iint D E`` and ``<x y>``
-takes ``Im iint D E``, plus shift-noise terms in ``int D``.
+The three second moments come from two complex kernels, ``E = exp(i
+(h2 - h1) - k_theta (t2 - t1) / 2)`` and ``D E`` with ``D = exp(2 i h1 -
+2 k_theta t1)``: ``<x^2>`` and ``<y^2>`` take ``Re iint E +- Re iint D E``
+and ``<x y>`` takes ``Im iint D E``, plus shift-noise terms in ``int D``.
+They make one pass over the cached dimension-2 grid of the tensor rule:
+the heading is evaluated once at its ``t1`` nodes and once at its ``t2``
+points, ``E`` is summed over ``t2`` first, and ``D``, a function of
+``t1`` alone, multiplies those per-``t1`` sums. The ``t1`` nodes are the
+dimension-1 grid's nodes, so ``int D`` is a sum over them with the 1-D
+rule's weights. ``<D^2>`` integrates ``Re E`` on the same pass, and
+:func:`low_order_statistics` adds the means and ``J`` below as sums over
+the ``t1`` nodes, with every error estimate.
 
 The position-heading covariances are ``k_theta`` times the parts of
 ``J = int_0^s t exp(i mean_heading(t) - k_theta t/2) dt``:
@@ -33,10 +36,16 @@ oracle.
 
 from __future__ import annotations
 
+import cmath
+from itertools import chain
+from typing import NamedTuple
+
 import numpy as np
 
 from .exceptions import NumericalConsistencyError
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_ordered
+from .quadrature import (CHAIN_ROUNDOFF, DEFAULT_SETTINGS, QuadratureSettings,
+                         _non_finite_error, _rule_sums, _simplex_grid,
+                         integrate_ordered)
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
 
@@ -96,6 +105,79 @@ def mean_y(profile: SpeedRatioProfile, params: NoiseParams, s: float,
                              settings)[0].imag
 
 
+class _PairGrid(NamedTuple):
+    """The dimension-2 tensor grid on ``[0, s]`` with the heading evaluated
+    on it once, at ``t1`` and at ``t2``.
+
+    ``ts``, ``jw`` and ``rules`` are the grid's coordinates, weights and
+    rule indices (:func:`~brownian_unicycle.quadrature._simplex_grid`).
+    ``w1``, ``t1`` and ``h1`` are the 1-D rule's weights, the nodes and the
+    heading at the ``t1`` nodes, rule axis first. ``phase`` and ``decay``
+    are ``h2 - h1`` and ``exp(-k_theta (t2 - t1) / 2)`` on the grid, the
+    parts of ``E``.
+    """
+
+    ts: tuple
+    jw: np.ndarray
+    rules: tuple
+    w1: np.ndarray
+    t1: np.ndarray
+    h1: np.ndarray
+    phase: np.ndarray
+    decay: np.ndarray
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _pair_grid(profile, kt, s, settings) -> _PairGrid:
+    """The :class:`_PairGrid` of ``profile`` and ``k_theta`` on ``[0, s]``."""
+    if s < 0.0:
+        raise ValueError("s must be non-negative")
+    (t1, t2), jw, rules = _simplex_grid(2, settings.nodes_per_level)
+    _, w1, _ = _simplex_grid(1, settings.nodes_per_level)
+    t1, t2 = s * t1, s * t2
+    h1 = mean_heading(profile, t1)
+    return _PairGrid((t1, t2), s ** 2 * jw, rules, s * w1, t1[..., 0],
+                     h1[..., 0], mean_heading(profile, t2) - h1,
+                     np.exp(-0.5 * kt * (t2 - t1)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _second_order_sums(grid: _PairGrid, kt):
+    """``E`` times the weights, ``D = exp(2 i h1 - 2 k_theta t1)`` at the
+    ``t1`` nodes, and the coarse and fine rule sums of ``iint E``,
+    ``iint D E`` and ``int D``, as pairs of Python complexes.
+
+    ``E`` is summed over ``t2`` first and ``D`` multiplies those sums;
+    ``int D`` takes the 1-D rule's weights at the same nodes. The coarse
+    rule's padding adds zeros. A non-finite sum raises
+    :class:`IntegrandEvaluationError` at the first non-finite value of
+    ``E``, then of ``D E``, coarse rule first, in grid order.
+    """
+    e_jw = np.empty(grid.jw.shape, complex)
+    decay_jw = grid.decay * grid.jw
+    for part, trig in ((e_jw.real, np.cos), (e_jw.imag, np.sin)):
+        trig(grid.phase, out=part)
+        part *= decay_jw
+    d = np.exp(2j * grid.h1 - 2.0 * kt * grid.t1)
+    terms = np.empty((3,) + d.shape, complex)
+    terms[0] = e_jw.sum(axis=-1)
+    np.multiply(d, terms[0], out=terms[1])
+    np.multiply(d, grid.w1, out=terms[2])
+    sums = terms.sum(axis=-1).tolist()
+    if not all(map(cmath.isfinite, chain.from_iterable(sums))):
+        raise _non_finite_error((e_jw, d[..., None] * e_jw), grid.ts, grid.jw)
+    return e_jw, d, sums
+
+
+def _second_moments(k_r, s, ie, ide, i_d):
+    """``(<x^2>, <y^2>, <x y>)`` from ``iint E``, ``iint D E`` and
+    ``int D``."""
+    kr2 = 0.5 * k_r
+    return (float(ie.real + ide.real + kr2 * (s + i_d.real)),
+            float(ie.real - ide.real + kr2 * (s - i_d.real)),
+            float(ide.imag + kr2 * i_d.imag))
+
+
 def second_moments(profile: SpeedRatioProfile, params: NoiseParams, s: float,
                    settings: QuadratureSettings = DEFAULT_SETTINGS
                    ) -> tuple[float, float, float]:
@@ -106,26 +188,53 @@ def second_moments(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     factor of the inner point), over the ordered pair ``t1 <= t2``:
     ``<x^2> = Re iint E + Re iint D E + k_r/2 * (s + Re int D)``,
     ``<y^2> = Re iint E - Re iint D E + k_r/2 * (s - Re int D)`` and
-    ``<x y> = Im iint D E + k_r/2 * Im int D``. Both double integrals
-    come from one stacked call.
+    ``<x y> = Im iint D E + k_r/2 * Im int D``. All three integrals come
+    from one pass over the dimension-2 tensor grid.
     """
     kt = params.k_theta
+    _, _, sums = _second_order_sums(_pair_grid(profile, kt, s, settings), kt)
+    return _second_moments(params.k_r, s, *(fine for _, fine in sums))
 
-    def pair(ts):
-        t1, t2 = ts
-        h1 = mean_heading(profile, t1)
-        e = np.exp(1j * (mean_heading(profile, t2) - h1) - 0.5 * kt * (t2 - t1))
-        d = np.exp(2j * h1 - 2.0 * kt * t1)
-        return np.stack((e, d * e))
 
-    (ie, ide), _ = integrate_ordered(pair, 2, s, settings)
-    i_d, _ = _heading_integral(profile, s, 2, 2.0 * kt, settings)
+def low_order_statistics(profile: SpeedRatioProfile, params: NoiseParams,
+                         s: float,
+                         settings: QuadratureSettings = DEFAULT_SETTINGS
+                         ) -> dict[str, tuple[float, float]]:
+    """Means, second moments and position-heading covariances, each with
+    its error estimate, from one pass over the dimension-2 tensor grid.
 
+    Returns ``{name: (value, err_estimate)}`` for ``mean_x``, ``mean_y``,
+    ``m_xx``, ``m_yy``, ``m_xy`` (the three of :func:`second_moments`),
+    ``cov_xtheta`` and ``cov_ytheta``. The values are those of the
+    separate functions up to roundoff: the means and ``J`` of the
+    covariances are sums over the grid's ``t1`` nodes with the 1-D rule's
+    weights. Each integral's estimate is the tensor rule's, the distance
+    between the fine and the coarse rule plus ``CHAIN_ROUNDOFF`` times the
+    fine rule's summed magnitudes; a statistic adds the estimates of its
+    integrals times the moduli of their coefficients. A non-finite sum
+    raises like :func:`second_moments`.
+    """
+    kt = params.k_theta
+    grid = _pair_grid(profile, kt, s, settings)
+    e_jw, d, second = _second_order_sums(grid, kt)
+    mean = np.exp(1j * grid.h1 - 0.5 * kt * grid.t1)
+    first = np.stack((mean * grid.w1, grid.t1 * mean * grid.w1))
+    sums = first.sum(axis=-1).tolist() + second
+    abs_rows = np.abs(e_jw[1]).sum(axis=-1)
+    magnitudes = (*np.abs(first[:, 1]).sum(axis=-1).tolist(), abs_rows.sum(),
+                  (np.abs(d[1]) * abs_rows).sum(),
+                  np.abs(d[1] * grid.w1[1]).sum())
+    (z, j, ie, ide, i_d), (e_z, e_j, e_e, e_de, e_d) = zip(*(
+        (fine, abs(fine - coarse) + CHAIN_ROUNDOFF * float(magnitude))
+        for (coarse, fine), magnitude in zip(sums, magnitudes)))
+    m_xx, m_yy, m_xy = _second_moments(params.k_r, s, ie, ide, i_d)
     kr2 = 0.5 * params.k_r
-    m_xx = ie.real + ide.real + kr2 * (s + i_d.real)
-    m_yy = ie.real - ide.real + kr2 * (s - i_d.real)
-    m_xy = ide.imag + kr2 * i_d.imag
-    return float(m_xx), float(m_yy), float(m_xy)
+    return {"mean_x": (z.real, e_z), "mean_y": (z.imag, e_z),
+            "m_xx": (m_xx, e_e + e_de + kr2 * e_d),
+            "m_yy": (m_yy, e_e + e_de + kr2 * e_d),
+            "m_xy": (m_xy, e_de + kr2 * e_d),
+            "cov_xtheta": (-kt * j.imag, kt * e_j),
+            "cov_ytheta": (kt * j.real, kt * e_j)}
 
 
 def cov_xtheta(profile: SpeedRatioProfile, params: NoiseParams, s: float,
@@ -159,16 +268,15 @@ def mean_squared_distance_with_error(profile: SpeedRatioProfile,
                                      params: NoiseParams, s: float,
                                      settings: QuadratureSettings = DEFAULT_SETTINGS
                                      ) -> tuple[float, float]:
-    """:func:`mean_squared_distance` and the error estimate of its integral."""
-    kt = params.k_theta
+    """:func:`mean_squared_distance` and the error estimate of its integral.
 
-    def f(ts):
-        t1, t2 = ts
-        dth = mean_heading(profile, t2) - mean_heading(profile, t1)
-        return np.exp(-0.5 * kt * (t2 - t1)) * np.cos(dth)
-
-    value, err = integrate_ordered(f, 2, s, settings)
-    return params.k_r * s + 2.0 * value.real, 2.0 * err
+    The integrand is ``Re E`` of :func:`second_moments`, on the same one
+    pass over the dimension-2 tensor grid.
+    """
+    grid = _pair_grid(profile, params.k_theta, s, settings)
+    coarse, fine, floor = _rule_sums(
+        lambda _: grid.decay * np.cos(grid.phase), grid.ts, grid.jw, grid.rules)
+    return params.k_r * s + 2.0 * fine.real, 2.0 * (abs(fine - coarse) + floor)
 
 
 def checked_mean_squared_distance(profile: SpeedRatioProfile,

@@ -18,9 +18,9 @@ cached: the ``G``-node rule is padded to ``G + 2`` nodes per level with
 zero-weight copies of its last node, and the two rules are stacked on a
 leading rule axis. A call scales that grid to ``[0, s]`` (coordinates by
 ``s``, weights by ``s**beta``) and evaluates the integrand once for both
-rules. An integrand may return a stack of kernels along a leading axis;
-the grid is then evaluated once for the whole stack, and the call
-returns one value and one error estimate per kernel.
+rules. The level-1 coordinates of the dimension-2 grid are the nodes of
+the dimension-1 grid, so a caller that needs several integrals of one
+heading (:mod:`low_moments`) reads them all from one dimension-2 grid.
 
 The chain rule (:class:`ChainRule`, :func:`integrate_chains`) serves
 integrands that are products of per-gap factors,
@@ -52,6 +52,7 @@ settings object.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -155,42 +156,50 @@ def _simplex_grid(beta: int, n_nodes: int):
         t_prev = t
     for arr in ts + [jw]:
         arr.setflags(write=False)
-    rules = tuple((Ellipsis, rule) + (slice(None, n),) * beta
+    rules = tuple((rule,) + (slice(None, n),) * beta
                   for rule, n in enumerate((n_nodes, n_nodes + 2)))
     return tuple(ts), jw, rules
+
+
+def _non_finite_error(prods, ts, jw):
+    """The :class:`IntegrandEvaluationError` of a non-finite rule sum.
+
+    ``prods`` are integrand values times ``jw`` on the grid ``ts``, with
+    the rule axis in front. ``point`` holds the coordinates of the first
+    non-finite product, taken rule by rule, then product by product, then
+    in grid order; it is ``None`` when finite products overflow the sum.
+    """
+    for rule in range(2):
+        for prod in prods:
+            bad = ~np.isfinite(np.broadcast_to(prod, jw.shape)[rule])
+            if bad.any():
+                at = (rule,) + tuple(np.argwhere(bad)[0])
+                point = tuple(float(np.broadcast_to(t, jw.shape)[at])
+                              for t in ts)
+                return IntegrandEvaluationError(
+                    f"integrand returned a non-finite value at {point}",
+                    point=point)
+    return IntegrandEvaluationError("the rule sum overflowed")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rule_sums(f, ts, jw, rules):
     """Sums of ``f(ts) * jw`` over the coarse and the fine rule of one
-    grid, and the fine rule's roundoff floor.
+    grid, as Python complexes, and the fine rule's roundoff floor.
 
     ``rules`` holds the two rules' indices into the products, which carry
-    the rule axis in front of the ``beta`` coordinate axes. Each sum is a
-    complex, or a complex array for a stack of kernels; the floor,
-    ``CHAIN_ROUNDOFF`` times the summed ``|f * jw|`` of the fine rule, is
-    a float, or a float array with one entry per kernel. A non-finite sum
-    raises :class:`IntegrandEvaluationError` at the first non-finite
-    product, taken rule by rule, then kernel by kernel, then in grid
-    order; numpy's floating-point warnings stay silent.
+    the rule axis in front of the ``beta`` coordinate axes. The floor is
+    ``CHAIN_ROUNDOFF`` times the summed ``|f * jw|`` of the fine rule, a
+    float. Finiteness is checked on the two sums; a non-finite sum raises
+    the error of :func:`_non_finite_error`. numpy's floating-point
+    warnings stay silent.
     """
-    beta = len(ts)
     prod = np.asarray(f(ts)) * jw
-    axes = tuple(range(-beta, 0))
-    sums = [prod[rule].sum(axis=axes) for rule in rules]
-    if not np.isfinite(sums).all():
-        bad = np.moveaxis(~np.isfinite(prod), -beta - 1, 0)
-        if not bad.any():
-            raise IntegrandEvaluationError("the rule sum overflowed")
-        idx = np.argwhere(bad)[0]
-        at = (idx[0],) + tuple(idx[-beta:])
-        point = tuple(float(np.broadcast_to(t, jw.shape)[at]) for t in ts)
-        raise IntegrandEvaluationError(
-            f"integrand returned a non-finite value at {point}", point=point)
-    coarse, fine = (total.astype(complex) if total.ndim else complex(total)
-                    for total in sums)
-    floor = CHAIN_ROUNDOFF * np.abs(prod[rules[-1]]).sum(axis=axes)
-    return coarse, fine, floor if floor.ndim else float(floor)
+    coarse, fine = (complex(prod[rule].sum()) for rule in rules)
+    if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
+        raise _non_finite_error((prod,), ts, jw)
+    floor = CHAIN_ROUNDOFF * float(np.abs(prod[rules[-1]]).sum())
+    return coarse, fine, floor
 
 
 def integrate_ordered(f, beta: int, s: float,
@@ -202,15 +211,12 @@ def integrate_ordered(f, beta: int, s: float,
     f : callable
         Receives a tuple of ``beta`` broadcast-compatible coordinate
         arrays ``(t1, ..., t_beta)`` with ``t1 <= ... <= t_beta`` and must
-        return the (possibly complex) integrand values elementwise. The
-        arrays carry a leading rule axis in front of the ``beta``
-        coordinate axes (both rules of the pair in one call), so ``f``
-        must not rely on their number of axes. It may instead return a
-        stack of ``k`` integrands along a leading axis, in front of the
-        rule axis (each slice broadcast against the coordinates), so that
-        work shared by the kernels, such as the heading, is done once per
-        grid. ``f`` runs with numpy's overflow, invalid and divide
-        warnings off: a non-finite value raises instead.
+        return the (possibly complex) integrand values elementwise, one
+        integrand per call. The arrays carry a leading rule axis in front
+        of the ``beta`` coordinate axes (both rules of the pair in one
+        call), so ``f`` must not rely on their number of axes. ``f`` runs
+        with numpy's overflow, invalid and divide warnings off: a
+        non-finite value raises instead.
     beta : int
         Dimension of the nested integral, at most ``MAX_TENSOR_DIM``;
         ``beta == 0`` returns ``(1, 0)`` by the empty-integral convention.
@@ -222,9 +228,8 @@ def integrate_ordered(f, beta: int, s: float,
     (value, err_estimate) : tuple[complex, float]
         The fine rule's sum, and its distance from the coarse rule's plus
         the roundoff floor ``CHAIN_ROUNDOFF * sum |f * jw|`` of the fine
-        rule. For a stack, arrays of shape ``(k,)``: complex values, and
-        each kernel's own error estimate. At ``s == 0`` every weight
-        vanishes, so the result is zeros of the integrand's shape.
+        rule. At ``s == 0`` every weight vanishes, so the result is
+        ``(0j, 0.0)``.
 
     Raises
     ------
@@ -256,6 +261,42 @@ def integrate_ordered(f, beta: int, s: float,
 
 # -- chain rule ----------------------------------------------------------------
 
+def _pieces(m: int, steps):
+    """Points, weights and basis values of :func:`_decay_weights` on the
+    pieces between 0, ``steps`` and 1.
+
+    For each end ``e`` among the ``m`` Gauss nodes ``x`` of ``[0, 1]`` and
+    1 (axis 0), and each piece (axis 1): its ``PIECE_NODES`` Gauss points
+    as distances ``back`` from the end, their weights, and the Lagrange
+    basis ``l_k`` of the nodes at ``e - back`` (last axis ``k``).
+    """
+    x, w = _gauss_unit(m)
+    ends = np.append(x, 1.0)
+    breaks = np.minimum(ends[:, None], np.array([0.0, *steps, 1.0]))
+    px, pw = _gauss_unit(PIECE_NODES)
+    span = np.diff(breaks)
+    back = breaks[:, :-1, None] + span[:, :, None] * px
+    # l_k at every point, in barycentric form (Berrut & Trefethen, SIAM
+    # Rev. 46, 2004), with Gauss nodes' weights (-1)^k sqrt(x_k (1 - x_k) w_k).
+    diff = (ends[:, None, None] - back)[..., None] - x
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        basis = (-1.0) ** np.arange(m) * np.sqrt(x * (1.0 - x) * w) / diff
+        basis /= basis.sum(axis=-1, keepdims=True)
+    rows = hit.any(axis=-1)
+    basis[rows] = hit[rows]
+    return back, span[:, :, None] * pw, basis
+
+
+@lru_cache(maxsize=64)
+def _unit_pieces(m: int):
+    """:func:`_pieces` of every rate up to 1: one piece from 0 to each end."""
+    pieces = _pieces(m, ())
+    for arr in pieces:
+        arr.setflags(write=False)
+    return pieces
+
+
 @lru_cache(maxsize=1024)
 def _decay_weights(m: int, rate: float):
     """Weights of the ``m`` Gauss nodes ``x`` of ``[0, 1]`` under the decay
@@ -266,30 +307,17 @@ def _decay_weights(m: int, rate: float):
 
     An integral runs back from ``e`` over pieces that end at ``2**j /
     rate < 1``, ``j <= 6`` (beyond, the decay is below ``e^-64``), on
-    ``PIECE_NODES`` Gauss points each, so no rate outgrows its rule. Below
-    ``rate = 1`` it integrates ``expm1(-rate (e - x)) l_k(x)`` and adds the
-    ``rate = 0`` weights, so its roundoff vanishes with ``rate``.
+    ``PIECE_NODES`` Gauss points each, so no rate outgrows its rule. Up to
+    ``rate = 1`` there is one piece and its basis values, which do not
+    depend on the rate, are built once per ``m``. Below ``rate = 1`` it
+    integrates ``expm1(-rate (e - x)) l_k(x)`` and adds the ``rate = 0``
+    weights, so its roundoff vanishes with ``rate``.
     """
-    x, w = _gauss_unit(m)
-    ends = np.append(x, 1.0)
     steps = [2.0 ** j / rate for j in range(7) if 2.0 ** j < rate]
-    breaks = np.minimum(ends[:, None], np.array([0.0, *steps, 1.0]))
-    px, pw = _gauss_unit(PIECE_NODES)
-    span = np.diff(breaks)
-    # (end, piece, point): distance back from the end, and weight.
-    back = breaks[:, :-1, None] + span[:, :, None] * px
+    back, weights, basis = _pieces(m, steps) if steps else _unit_pieces(m)
     small = 0.0 < rate < 1.0
     decay = (np.expm1 if small else np.exp)(-rate * back)
-    # l_k at every point, in barycentric form (Berrut & Trefethen, SIAM
-    # Rev. 46, 2004), with Gauss nodes' weights (-1)^k sqrt(x_k (1 - x_k) w_k).
-    diff = (ends[:, None, None] - back)[..., None] - x
-    hit = diff == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        basis = (-1.0) ** np.arange(m) * np.sqrt(x * (1.0 - x) * w) / diff
-        basis /= basis.sum(axis=-1, keepdims=True)
-    rows = hit.any(axis=-1)
-    basis[rows] = hit[rows]
-    out = np.einsum("epq,epqk->ek", span[:, :, None] * pw * decay, basis)
+    out = np.einsum("epq,epqk->ek", weights * decay, basis)
     if small:
         out += np.vstack(_decay_weights(m, 0.0))
     out.setflags(write=False)

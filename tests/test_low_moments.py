@@ -6,16 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from brownian_unicycle import (NoiseParams, QuadratureSettings,
-                               SpeedRatioProfile, cov_xtheta, cov_ytheta,
-                               d2_closed,
+from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
+                               QuadratureSettings, SpeedRatioProfile,
+                               cov_xtheta, cov_ytheta, d2_closed,
                                deterministic_pose,
                                displacement_heading_moment,
                                displacement_moment, integrate_ordered,
-                               low_moments, mean_heading, mean_pose_closed,
+                               low_moments, low_order_statistics,
+                               mean_heading, mean_pose_closed,
                                mean_squared_distance, mean_x, mean_y,
-                               orientation_distribution, second_moments)
+                               orientation_distribution, quadrature,
+                               second_moments)
 from brownian_unicycle.quadrature import DEFAULT_SETTINGS
+from tensor_oracle import two_call_rule
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
@@ -226,24 +229,33 @@ def test_zero_length_returns_float_zeros(profile):
 
 
 def test_second_moments_evaluate_heading_once_per_grid(monkeypatch):
-    # One stacked 2-D call and one 1-D call, each a coarse and a fine grid
-    # with the heading evaluated at t1 and t2 (2-D) or t (1-D). Both are
-    # looked up as module attributes, where the benchmark's tracer
-    # patches them.
-    calls = {"integrate_ordered": 0, "mean_heading": 0}
+    # One pass over the dimension-2 grid: the heading at its t1 nodes and
+    # at its t2 points, once each, and no 1-D call for int D. The heading
+    # is looked up as a module attribute, where the benchmark's tracer
+    # patches it.
+    settings_ = QuadratureSettings(nodes_per_level=7)
+    s = 0.8
+    calls = {"integrate_ordered": [], "mean_heading": []}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(args)
             return fn(*args, **kwargs)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(low_moments, name,
                             counting(name, getattr(low_moments, name)))
-    second_moments(TABLE, NoiseParams(0.2, 0.5), 0.8)
-    assert calls["integrate_ordered"] == 2
-    assert calls["mean_heading"] <= 6
+    ts, _, _ = quadrature._simplex_grid(2, 7)
+    for call in (second_moments, low_moments.mean_squared_distance_with_error,
+                 low_order_statistics):
+        calls["mean_heading"].clear()
+        call(TABLE, NoiseParams(0.2, 0.5), s, settings_)
+        assert calls["integrate_ordered"] == []
+        assert len(calls["mean_heading"]) == 2
+        for (profile, t), grid_t in zip(calls["mean_heading"], ts):
+            assert profile is TABLE
+            assert np.array_equal(t, s * grid_t)
 
 
 # The three one-dimensional heading integrals as separate code paths, each
@@ -366,3 +378,123 @@ def test_d2_estimate_bounds_closed_form_error_sweep():
         value, err = low_moments.mean_squared_distance_with_error(
             SpeedRatioProfile.constant(mu0, s_max=s), params, s)
         assert abs(value - d2_closed(mu0, params, s)) <= err
+
+
+# -- one pass over the dimension-2 grid against the two-call rule --------------
+
+def _literal_kernels(profile, kt):
+    """``E(t1, t2)`` and ``D(t)`` of :func:`second_moments`, written out."""
+    def e(ts):
+        t1, t2 = ts
+        return np.exp(1j * (mean_heading(profile, t2) - mean_heading(profile, t1))
+                      - 0.5 * kt * (t2 - t1))
+
+    def d(t):
+        return np.exp(2j * mean_heading(profile, t) - 2.0 * kt * t)
+
+    return e, d
+
+
+def _second_order_oracle(profile, params, s, nodes):
+    """``{name: (value, estimate)}`` of the second moments and ``<D^2>``
+    from the two-call rule: ``E`` and ``D E`` as one stack, ``int D`` as
+    its own 1-D integral, and the real ``<D^2>`` kernel."""
+    kt = params.k_theta
+    e, d = _literal_kernels(profile, kt)
+    (ie, ide), diffs, floors = two_call_rule(
+        lambda ts: np.stack(np.broadcast_arrays(e(ts), d(ts[0]) * e(ts))),
+        2, s, nodes)
+    e_e, e_de = diffs + floors
+    i_d, diff, floor = two_call_rule(lambda ts: d(ts[0]), 1, s, nodes)
+    e_d = diff + floor
+    kr2 = 0.5 * params.k_r
+
+    def real_kernel(ts):
+        t1, t2 = ts
+        return np.exp(-0.5 * kt * (t2 - t1)) * np.cos(
+            mean_heading(profile, t2) - mean_heading(profile, t1))
+
+    msd, diff, floor = two_call_rule(real_kernel, 2, s, nodes)
+    return {"m_xx": (ie.real + ide.real + kr2 * (s + i_d.real),
+                     e_e + e_de + kr2 * e_d),
+            "m_yy": (ie.real - ide.real + kr2 * (s - i_d.real),
+                     e_e + e_de + kr2 * e_d),
+            "m_xy": (ide.imag + kr2 * i_d.imag, e_de + kr2 * e_d),
+            "msd": (params.k_r * s + 2.0 * msd.real, 2.0 * (diff + floor))}
+
+
+def _close(got, want, rel=1e-14):
+    return abs(got - want) <= rel * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
+@pytest.mark.parametrize("theta0", [0.0, -1.3])
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.55, 1.0])   # 0.55: a table knot
+def test_one_pass_matches_two_call_rule(profile, theta0, s):
+    profile = _shifted(profile, theta0)
+    for params in (NoiseParams(0.4, 0.7), NoiseParams(1.0, 0.0)):
+        for nodes in (24, 7):
+            settings_ = QuadratureSettings(nodes_per_level=nodes)
+            want = _second_order_oracle(profile, params, s, nodes)
+            stats = low_order_statistics(profile, params, s, settings_)
+            moments = second_moments(profile, params, s, settings_)
+            for name, value in zip(("m_xx", "m_yy", "m_xy"), moments):
+                assert value == stats[name][0]
+                assert _close(value, want[name][0])
+                assert _close(stats[name][1], want[name][1])
+            value, err = low_moments.mean_squared_distance_with_error(
+                profile, params, s, settings_)
+            assert _close(value, want["msd"][0])
+            assert _close(err, want["msd"][1])
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
+@pytest.mark.parametrize("s", [0.0, 0.55, 1.0])
+def test_low_order_statistics_equal_separate_calls(profile, s):
+    for params in (NoiseParams(0.3, 0.7), NoiseParams(0.0, 0.0)):
+        for settings_ in (DEFAULT_SETTINGS, QuadratureSettings(nodes_per_level=7)):
+            stats = low_order_statistics(profile, params, s, settings_)
+            args = (profile, params, s, settings_)
+            separate = {"mean_x": mean_x(*args), "mean_y": mean_y(*args),
+                        **dict(zip(("m_xx", "m_yy", "m_xy"),
+                                   second_moments(*args))),
+                        "cov_xtheta": cov_xtheta(*args),
+                        "cov_ytheta": cov_ytheta(*args)}
+            assert stats.keys() == separate.keys()
+            for name, want in separate.items():
+                value, err = stats[name]
+                assert type(value) is float and type(err) is float
+                assert _close(value, want), name
+                assert err >= 0.0
+            # The means and covariances carry the 1-D rule's estimates.
+            _, z_err = low_moments._heading_integral(
+                profile, s, 1, 0.5 * params.k_theta, settings_)
+            _, j_err = low_moments._heading_integral(
+                profile, s, 1, 0.5 * params.k_theta, settings_, 1)
+            assert _close(stats["mean_x"][1], z_err)
+            assert _close(stats["cov_ytheta"][1], params.k_theta * j_err)
+
+
+def test_heading_overflow_raises_at_the_two_call_point():
+    # mu = 1e306 s^3: the heading passes the largest float near s = 5.2,
+    # inside the grid on [0, 8].
+    profile = SpeedRatioProfile.polynomial((0.0, 0.0, 0.0, 1e306), s_max=8.0)
+    params = NoiseParams(0.2, 0.3)
+    e, d = _literal_kernels(profile, params.k_theta)
+    with pytest.raises(IntegrandEvaluationError) as want, \
+            np.errstate(over="ignore", invalid="ignore"):
+        two_call_rule(lambda ts: np.stack(np.broadcast_arrays(e(ts), d(ts[0]) * e(ts))),
+                      2, 8.0, 24)
+    for call in (second_moments, low_order_statistics,
+                 low_moments.mean_squared_distance_with_error):
+        with pytest.raises(IntegrandEvaluationError) as got:
+            call(profile, params, 8.0)
+        assert len(got.value.point) == 2
+        assert np.allclose(got.value.point, want.value.point, rtol=1e-15, atol=0.0)
+
+
+def test_one_pass_refuses_negative_length():
+    for call in (second_moments, low_order_statistics,
+                 low_moments.mean_squared_distance_with_error):
+        with pytest.raises(ValueError):
+            call(RAMP, NoiseParams(0.3, 0.3), -0.1)

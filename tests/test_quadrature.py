@@ -286,65 +286,7 @@ def test_invalid_arguments():
         QuadratureSettings(rel_tol=0.0)
 
 
-STACK_KERNELS = (
-    lambda ts: np.exp(1j * 3.0 * ts[-1] - 0.5 * ts[0]),
-    lambda ts: np.cos(2.0 * ts[0]) * np.exp(-sum(ts)) + 0.0 * ts[-1],
-    lambda ts: (1.0 + ts[0]) ** 2 + 0.0 * ts[-1],
-)
-
-
-def _stacked(ts):
-    return np.stack(np.broadcast_arrays(*(k(ts) for k in STACK_KERNELS)))
-
-
-@pytest.mark.parametrize("beta", [1, 2])
-@pytest.mark.parametrize("nodes", [5, 24])
-def test_stacked_integrand_matches_scalar_calls(beta, nodes):
-    settings_ = QuadratureSettings(nodes_per_level=nodes)
-    values, errs = integrate_ordered(_stacked, beta, 0.8, settings_)
-    assert values.shape == errs.shape == (len(STACK_KERNELS),)
-    assert values.dtype == complex and errs.dtype == float
-    for kernel, value, err in zip(STACK_KERNELS, values, errs):
-        ref, ref_err = integrate_ordered(kernel, beta, 0.8, settings_)
-        assert abs(value - ref) <= 1e-15 * abs(ref)
-        assert err == pytest.approx(ref_err, rel=1e-6, abs=1e-15)
-    # Each kernel carries its own estimate, not a shared one.
-    assert len(set(errs.tolist())) == len(STACK_KERNELS)
-
-
-@pytest.mark.parametrize("beta", [1, 2])
-def test_stacked_integrand_zero_length_domain(beta):
-    values, errs = integrate_ordered(_stacked, beta, 0.0)
-    assert values.shape == errs.shape == (len(STACK_KERNELS),)
-    assert not values.any() and not errs.any()
-    value, err = integrate_ordered(STACK_KERNELS[0], beta, 0.0)
-    assert (value, err) == (0j, 0.0)
-
-
-@pytest.mark.parametrize("beta", [1, 2])
-def test_non_finite_stacked_kernel_reports_point(beta):
-    def f(ts):
-        bad = np.where(ts[-1] > 0.5, np.nan, 1.0)
-        return np.stack(np.broadcast_arrays(np.ones_like(ts[-1]), bad))
-
-    with pytest.raises(IntegrandEvaluationError) as info:
-        integrate_ordered(f, beta, 1.0)
-    assert len(info.value.point) == beta
-    assert info.value.point[-1] > 0.5
-
-
-def test_stacked_integrand_keeps_argument_checks():
-    with pytest.raises(ValueError):
-        integrate_ordered(_stacked, MAX_TENSOR_DIM + 1, 1.0)
-    with pytest.raises(ValueError):
-        integrate_ordered(_stacked, -1, 1.0)
-    with pytest.raises(ValueError):
-        integrate_ordered(_stacked, 2, -1.0)
-    value, err = integrate_ordered(_stacked, 0, 1.0)
-    assert (value, err) == (1.0 + 0.0j, 0.0)
-
-
-# -- stacked tensor rule against the two-call rule ------------------------------
+# -- tensor rule against the two-call rule --------------------------------------
 
 EPS = float(np.finfo(float).eps)
 # Knots at 0.4 and 0.7: the heading is piecewise quadratic.
@@ -362,11 +304,13 @@ def _heading_kernel(ts):
     return out
 
 
-def _heading_stack(ts):
-    kernels = (_heading_kernel(ts),
-               np.cos(mean_heading(TABLE_PROFILE, ts[-1]) - ts[0]),
-               (1.0 + ts[0]) ** 2)
-    return np.stack(np.broadcast_arrays(*kernels))
+# Three kernels: the heading product, a cosine of the heading against t1,
+# and a polynomial.
+HEADING_KERNELS = (
+    _heading_kernel,
+    lambda ts: np.cos(mean_heading(TABLE_PROFILE, ts[-1]) - ts[0]),
+    lambda ts: (1.0 + ts[0]) ** 2,
+)
 
 
 def _assert_matches_oracle(got, want, beta):
@@ -398,29 +342,43 @@ def _stacked_rule(f, beta, s, nodes):
     return fine, abs(fine - coarse) + floor
 
 
-@pytest.mark.parametrize("integrand", [_heading_kernel, _heading_stack],
+@pytest.mark.parametrize("kernels", [HEADING_KERNELS[:1], HEADING_KERNELS],
                          ids=["scalar", "stacked"])
 @pytest.mark.parametrize("s_case", S_CASES)
 @pytest.mark.parametrize("beta,nodes", [
     (beta, nodes) for beta in range(1, 6) for nodes in (2, 7, 24)
     # 24 nodes at dimension 5 is 16 million points per rule.
     if (beta, nodes) != (5, 24)])
-def test_stacked_rule_matches_two_call_rule(beta, nodes, s_case, integrand):
+def test_stacked_rule_matches_two_call_rule(beta, nodes, s_case, kernels):
+    # "stacked": the three kernels, one per call.
     s = S_CASES[s_case]
-    got = _stacked_rule(integrand, beta, s, nodes)
-    ref, difference, floor = two_call_rule(integrand, beta, s, nodes)
-    _assert_matches_oracle(got, (ref, difference + floor), beta)
+    for kernel in kernels:
+        ref, difference, floor = two_call_rule(kernel, beta, s, nodes)
+        _assert_matches_oracle(_stacked_rule(kernel, beta, s, nodes),
+                               (ref, difference + floor), beta)
 
 
 def _nan_above(threshold, stacked):
-    """NaN wherever the outermost point exceeds ``threshold``; in kernel 1
-    of a stack only."""
-    def f(ts):
-        bad = np.where(ts[0] > threshold, np.nan, 1.0) * np.exp(1j * ts[-1])
-        if not stacked:
-            return bad
-        return np.stack(np.broadcast_arrays(np.exp(1j * ts[-1]), bad))
-    return f
+    """Kernels, NaN wherever the outermost point exceeds ``threshold``: one,
+    or the second of a stack of two."""
+    def bad(ts):
+        return np.where(ts[0] > threshold, np.nan, 1.0) * np.exp(1j * ts[-1])
+    return (lambda ts: np.exp(1j * ts[-1]), bad) if stacked else (bad,)
+
+
+def _first_non_finite(kernels, beta, s, nodes):
+    """The tensor rule's error for ``kernels`` on one grid: the rule sums
+    of a single kernel, or the search over a stack's products (rule by
+    rule, then kernel by kernel) that the one-pass second moments run."""
+    if len(kernels) == 1:
+        with pytest.raises(IntegrandEvaluationError) as info:
+            _stacked_rule(kernels[0], beta, s, nodes)
+        return info.value
+    ts, jw, _ = quadrature._simplex_grid(beta, nodes)
+    ts, jw = tuple(s * t for t in ts), s ** beta * jw
+    with np.errstate(invalid="ignore"):
+        return quadrature._non_finite_error(
+            tuple(kernel(ts) * jw for kernel in kernels), ts, jw)
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
@@ -437,12 +395,12 @@ def test_non_finite_point_matches_two_call_rule(beta, where, stacked):
     # copies) is bad in the coarse rule, which is evaluated first.
     threshold = (0.5 * (coarse_last + fine_last) if where == "fine_last"
                  else coarse_last * (1.0 - 1e-12))
-    f = _nan_above(threshold, stacked)
-    with pytest.raises(IntegrandEvaluationError) as got:
-        _stacked_rule(f, beta, s, nodes)
+    kernels = _nan_above(threshold, stacked)
     with pytest.raises(IntegrandEvaluationError) as want:
-        two_call_rule(f, beta, s, nodes)
-    point, ref = got.value.point, want.value.point
+        two_call_rule(lambda ts: np.stack(np.broadcast_arrays(
+            *(kernel(ts) for kernel in kernels))), beta, s, nodes)
+    point = _first_non_finite(kernels, beta, s, nodes).point
+    ref = want.value.point
     assert len(point) == beta
     assert point[0] == ref[0] == (fine_last if where == "fine_last" else coarse_last)
     assert np.allclose(point, ref, rtol=4 * EPS, atol=0.0)
@@ -462,3 +420,48 @@ def test_grid_cache_keyed_by_dimension_and_nodes(beta, nodes):
     for s in np.random.default_rng(beta).uniform(0.0, 1.2, 50):
         integrate_ordered(_heading_kernel, beta, float(s), settings_)
     assert quadrature._simplex_grid.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("nodes", [2, 7, 24, 64])
+def test_pair_grid_t1_nodes_are_the_line_grid(nodes):
+    # The one-pass second moments read int D from the t1 nodes of the
+    # dimension-2 grid with the dimension-1 grid's weights.
+    (t1, _), _, _ = quadrature._simplex_grid(2, nodes)
+    (t,), _, _ = quadrature._simplex_grid(1, nodes)
+    assert np.array_equal(t1[..., 0], t)
+
+
+def _decay_weights_reference(m, rate):
+    """``_decay_weights`` with its pieces built at every call, uncached."""
+    x, w = quadrature._gauss_unit(m)
+    ends = np.append(x, 1.0)
+    steps = [2.0 ** j / rate for j in range(7) if 2.0 ** j < rate]
+    breaks = np.minimum(ends[:, None], np.array([0.0, *steps, 1.0]))
+    px, pw = quadrature._gauss_unit(quadrature.PIECE_NODES)
+    span = np.diff(breaks)
+    back = breaks[:, :-1, None] + span[:, :, None] * px
+    small = 0.0 < rate < 1.0
+    decay = (np.expm1 if small else np.exp)(-rate * back)
+    diff = (ends[:, None, None] - back)[..., None] - x
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        basis = (-1.0) ** np.arange(m) * np.sqrt(x * (1.0 - x) * w) / diff
+        basis /= basis.sum(axis=-1, keepdims=True)
+    rows = hit.any(axis=-1)
+    basis[rows] = hit[rows]
+    out = np.einsum("epq,epqk->ek", span[:, :, None] * pw * decay, basis)
+    if small:
+        out += np.vstack(_decay_weights_reference(m, 0.0))
+    return out[:-1], out[-1]
+
+
+@pytest.mark.parametrize("m", [20, 24, 26])
+def test_decay_weights_equal_uncached_pieces(m):
+    # Up to rate 1 the pieces are built once per m; the weights must not
+    # change by a bit.
+    rates = [0.0, 1.0, 3.0, 40.0,
+             *(10.0 ** np.random.default_rng(m).uniform(-6.0, 0.0, 40)).tolist()]
+    for rate in rates:
+        for got, want in zip(quadrature._decay_weights(m, rate),
+                             _decay_weights_reference(m, rate)):
+            assert np.array_equal(got, want), rate
