@@ -27,7 +27,7 @@ from .low_moments import (cov_xtheta, cov_ytheta, deterministic_pose,
 from .montecarlo import (SimConfig, TrialStatistics, collect_samples,
                          run_experiment, simulate_trial,
                          statistics_from_samples)
-from .quadrature import QuadratureSettings, integrate_ordered
+from .quadrature import QuadratureSettings
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading, ratio
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "cartesian_moment", "coefficient", "collect_samples", "complex_rate",
     "count_phase_step_vectors", "cov_xtheta", "cov_ytheta", "d2_closed",
     "d4_closed", "d4_moment", "deterministic_pose", "displacement_heading_moment",
-    "displacement_moment", "integrate_ordered", "low_order_statistics",
+    "displacement_moment", "low_order_statistics",
     "mean_heading", "mean_pose_closed", "mean_squared_distance", "mean_x",
     "mean_y", "orientation_distribution", "phase_step_vectors", "ratio",
     "run_experiment", "second_moments", "simulate_trial",

@@ -120,24 +120,17 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     return constant + value.real
 
 
-def mean_squared_distance(profile: SpeedRatioProfile, params: NoiseParams,
-                          s: float,
-                          settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """The ``<D^2>`` of :func:`variance_d2`, refused as by
-    :func:`~brownian_unicycle.low_moments.checked_mean_squared_distance`."""
-    return checked_mean_squared_distance(profile, params, s, settings)[0]
-
-
 def variance_d2(profile: SpeedRatioProfile, params: NoiseParams, s: float,
                 settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Variance of the squared distance, ``<D^4> - <D^2>^2``.
 
     Raises :class:`NumericalConsistencyError` when ``<D^2>`` has no
-    correct digit (:func:`mean_squared_distance`), or if cancellation
-    drives the result below ``-VARIANCE_SLACK`` instead of clamping
-    silently.
+    correct digit
+    (:func:`~brownian_unicycle.low_moments.checked_mean_squared_distance`),
+    or if cancellation drives the result below ``-VARIANCE_SLACK`` instead
+    of clamping silently.
     """
-    d2 = mean_squared_distance(profile, params, s, settings)
+    d2, _ = checked_mean_squared_distance(profile, params, s, settings)
     return variance_from_moments(d4_moment(profile, params, s, settings), d2)
 
 

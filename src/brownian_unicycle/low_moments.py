@@ -5,7 +5,9 @@ the deterministic heading, with the heading-noise decay ``exp(-k_theta *
 s' / 2)`` attached to each displacement factor. The two-dimensional
 integrals are stated over ``(s', s'')`` with ``s''`` the gap between the
 two sample points; substituting ``t2 = s' + s''`` maps them onto the
-tensor rule of :func:`~brownian_unicycle.quadrature.integrate_ordered`.
+tensor grid of :mod:`~brownian_unicycle.quadrature`, on which this module
+evaluates its integrands and which sums them
+(:func:`~brownian_unicycle.quadrature._rule_sums`).
 
 A single one-dimensional integral, ``int_0^s t^power exp(i w
 mean_heading(t) - c t) dt`` (:func:`_heading_integral`), serves the
@@ -44,8 +46,7 @@ import numpy as np
 
 from .exceptions import NumericalConsistencyError
 from .quadrature import (CHAIN_ROUNDOFF, DEFAULT_SETTINGS, QuadratureSettings,
-                         _non_finite_error, _rule_sums, _simplex_grid,
-                         integrate_ordered)
+                         _non_finite_error, _rule_sums, _scaled_grid)
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
 
@@ -59,16 +60,14 @@ def orientation_distribution(profile: SpeedRatioProfile, params: NoiseParams,
 _POSE_SETTINGS = QuadratureSettings(nodes_per_level=64)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _heading_integral(profile, s, w, c, settings, power=0):
     """``int_0^s t^power exp(i w mean_heading(t) - c t) dt`` and its error
-    estimate."""
-
-    def f(ts):
-        t = ts[0]
-        e = np.exp(1j * w * mean_heading(profile, t) - c * t)
-        return t ** power * e if power else e
-
-    return integrate_ordered(f, 1, s, settings)
+    estimate, on the dimension-1 grid."""
+    ts, jw, rules = _scaled_grid(1, s, settings.nodes_per_level)
+    t = ts[0]
+    e = np.exp(1j * w * mean_heading(profile, t) - c * t)
+    return _rule_sums(t ** power * e if power else e, ts, jw, rules)
 
 
 def deterministic_pose(profile: SpeedRatioProfile, s: float,
@@ -110,7 +109,7 @@ class _PairGrid(NamedTuple):
     on it once, at ``t1`` and at ``t2``.
 
     ``ts``, ``jw`` and ``rules`` are the grid's coordinates, weights and
-    rule indices (:func:`~brownian_unicycle.quadrature._simplex_grid`).
+    rule indices (:func:`~brownian_unicycle.quadrature._scaled_grid`).
     ``w1``, ``t1`` and ``h1`` are the 1-D rule's weights, the nodes and the
     heading at the ``t1`` nodes, rule axis first. ``phase`` and ``decay``
     are ``h2 - h1`` and ``exp(-k_theta (t2 - t1) / 2)`` on the grid, the
@@ -130,14 +129,11 @@ class _PairGrid(NamedTuple):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _pair_grid(profile, kt, s, settings) -> _PairGrid:
     """The :class:`_PairGrid` of ``profile`` and ``k_theta`` on ``[0, s]``."""
-    if s < 0.0:
-        raise ValueError("s must be non-negative")
-    (t1, t2), jw, rules = _simplex_grid(2, settings.nodes_per_level)
-    _, w1, _ = _simplex_grid(1, settings.nodes_per_level)
-    t1, t2 = s * t1, s * t2
+    (t1, t2), jw, rules = _scaled_grid(2, s, settings.nodes_per_level)
+    _, w1, _ = _scaled_grid(1, s, settings.nodes_per_level)
     h1 = mean_heading(profile, t1)
-    return _PairGrid((t1, t2), s ** 2 * jw, rules, s * w1, t1[..., 0],
-                     h1[..., 0], mean_heading(profile, t2) - h1,
+    return _PairGrid((t1, t2), jw, rules, w1, t1[..., 0], h1[..., 0],
+                     mean_heading(profile, t2) - h1,
                      np.exp(-0.5 * kt * (t2 - t1)))
 
 
@@ -259,24 +255,27 @@ def mean_squared_distance(profile: SpeedRatioProfile, params: NoiseParams,
     """Mean of the squared distance from the start point.
 
     ``k_r*s + 2 * iint exp(-k_theta (t2-t1)/2) cos(heading(t2) - heading(t1))``
-    over the ordered pair ``t1 <= t2``.
+    over the ordered pair ``t1 <= t2``, refused like
+    :func:`checked_mean_squared_distance` when no digit is right.
     """
-    return mean_squared_distance_with_error(profile, params, s, settings)[0]
+    return checked_mean_squared_distance(profile, params, s, settings)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def mean_squared_distance_with_error(profile: SpeedRatioProfile,
                                      params: NoiseParams, s: float,
                                      settings: QuadratureSettings = DEFAULT_SETTINGS
                                      ) -> tuple[float, float]:
-    """:func:`mean_squared_distance` and the error estimate of its integral.
+    """The mean squared distance and the error estimate of its integral,
+    unchecked.
 
     The integrand is ``Re E`` of :func:`second_moments`, on the same one
     pass over the dimension-2 tensor grid.
     """
     grid = _pair_grid(profile, params.k_theta, s, settings)
-    coarse, fine, floor = _rule_sums(
-        lambda _: grid.decay * np.cos(grid.phase), grid.ts, grid.jw, grid.rules)
-    return params.k_r * s + 2.0 * fine.real, 2.0 * (abs(fine - coarse) + floor)
+    value, err = _rule_sums(grid.decay * np.cos(grid.phase), grid.ts, grid.jw,
+                            grid.rules)
+    return params.k_r * s + 2.0 * value.real, 2.0 * err
 
 
 def checked_mean_squared_distance(profile: SpeedRatioProfile,

@@ -1,26 +1,26 @@
 """Nested quadrature over the ordered region 0 <= s1 <= ... <= s_beta <= s.
 
-Two engines share this module.
+The chain rule serves every moment term of this package; the tensor grid
+and its sums serve the low-order statistics of :mod:`low_moments`.
 
-The tensor rule (:func:`integrate_ordered`) takes any callable integrand
-of dimension 1 or 2, the low-order statistics. It maps level ``b`` onto
-Gauss-Legendre nodes of the unit interval spanning ``[s_{b-1}, s]``,
+The tensor grid maps level ``b`` onto Gauss-Legendre nodes of the unit
+interval spanning ``[s_{b-1}, s]``,
 
     t_b = t_{b-1} + (s - t_{b-1}) * x_b,      jacobian prod_b (s - t_{b-1}),
 
 which turns the ordered region into a tensor-product rule on the unit
-cube. Cost is ``nodes_per_level ** beta``, so dimensions above
-``MAX_TENSOR_DIM`` are refused: they go through the chain rule. The
-returned error estimate is the difference between the rules with ``G``
-and ``G + 2`` nodes per level plus a roundoff floor. Both rules share one
-grid, built once per ``(beta, G)`` on the unit simplex (``s = 1``) and
-cached: the ``G``-node rule is padded to ``G + 2`` nodes per level with
-zero-weight copies of its last node, and the two rules are stacked on a
-leading rule axis. A call scales that grid to ``[0, s]`` (coordinates by
-``s``, weights by ``s**beta``) and evaluates the integrand once for both
-rules. The level-1 coordinates of the dimension-2 grid are the nodes of
-the dimension-1 grid, so a caller that needs several integrals of one
-heading (:mod:`low_moments`) reads them all from one dimension-2 grid.
+cube, at a cost of ``nodes_per_level ** beta``. It holds the rules with
+``G`` and ``G + 2`` nodes per level, built once per ``(beta, G)`` on the
+unit simplex (``s = 1``) and cached: the ``G``-node rule is padded to
+``G + 2`` nodes per level with zero-weight copies of its last node, and
+the two rules are stacked on a leading rule axis. :func:`_scaled_grid`
+scales it to ``[0, s]`` (coordinates by ``s``, weights by ``s**beta``);
+the caller evaluates its integrand there once for both rules, and
+:func:`_rule_sums` sums those values into the fine rule's integral and
+its error estimate, the distance between the rules plus a roundoff
+floor. The level-1 coordinates of the dimension-2 grid are the nodes of
+the dimension-1 grid, so :mod:`low_moments` reads every integral of one
+heading from one dimension-2 grid.
 
 The chain rule (:class:`ChainRule`, :func:`integrate_chains`) serves
 integrands that are products of per-gap factors,
@@ -61,10 +61,6 @@ from math import isqrt
 import numpy as np
 
 from .exceptions import AccuracyWarning, IntegrandEvaluationError
-
-#: Largest dimension the tensor rule accepts; higher-dimensional integrals
-#: of this package are products of gap factors and go through the chain.
-MAX_TENSOR_DIM = 2
 
 #: Gauss points per panel of the chain rule's coarse and fine rules.
 PANEL_NODES = (20, 24)
@@ -182,80 +178,36 @@ def _non_finite_error(prods, ts, jw):
     return IntegrandEvaluationError("the rule sum overflowed")
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _rule_sums(f, ts, jw, rules):
-    """Sums of ``f(ts) * jw`` over the coarse and the fine rule of one
-    grid, as Python complexes, and the fine rule's roundoff floor.
+def _scaled_grid(beta: int, s: float, n_nodes: int):
+    """The grid of :func:`_simplex_grid` scaled to ``[0, s]``: coordinates
+    times ``s``, weights times ``s**beta``, and the rule indices.
 
-    ``rules`` holds the two rules' indices into the products, which carry
-    the rule axis in front of the ``beta`` coordinate axes. The floor is
-    ``CHAIN_ROUNDOFF`` times the summed ``|f * jw|`` of the fine rule, a
-    float. Finiteness is checked on the two sums; a non-finite sum raises
-    the error of :func:`_non_finite_error`. numpy's floating-point
-    warnings stay silent.
+    Raises :class:`ValueError` when ``s`` is negative.
     """
-    prod = np.asarray(f(ts)) * jw
+    if s < 0.0:
+        raise ValueError("s must be non-negative")
+    ts, jw, rules = _simplex_grid(beta, n_nodes)
+    return tuple(s * t for t in ts), s ** beta * jw, rules
+
+
+def _rule_sums(values, ts, jw, rules):
+    """The fine rule's sum of ``values * jw``, a Python complex, and its
+    error estimate, a float, on the grid ``ts`` of :func:`_scaled_grid`.
+
+    ``values`` are the integrand's values on the grid, broadcast against
+    ``jw``; ``rules`` holds the two rules' indices into the products. The
+    estimate is the distance between the fine and the coarse rule's sums
+    plus ``CHAIN_ROUNDOFF`` times the fine rule's summed ``|values * jw|``;
+    at ``s == 0`` every weight vanishes and the result is ``(0j, 0.0)``. A
+    non-finite sum raises the error of :func:`_non_finite_error`. Callers
+    turn numpy's overflow, invalid and divide warnings off around the
+    evaluation of ``values`` and this call, once: the error replaces them.
+    """
+    prod = np.asarray(values) * jw
     coarse, fine = (complex(prod[rule].sum()) for rule in rules)
     if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
         raise _non_finite_error((prod,), ts, jw)
     floor = CHAIN_ROUNDOFF * float(np.abs(prod[rules[-1]]).sum())
-    return coarse, fine, floor
-
-
-def integrate_ordered(f, beta: int, s: float,
-                      settings: QuadratureSettings = DEFAULT_SETTINGS):
-    """Integrate ``f`` over the ordered region of dimension ``beta``.
-
-    Parameters
-    ----------
-    f : callable
-        Receives a tuple of ``beta`` broadcast-compatible coordinate
-        arrays ``(t1, ..., t_beta)`` with ``t1 <= ... <= t_beta`` and must
-        return the (possibly complex) integrand values elementwise, one
-        integrand per call. The arrays carry a leading rule axis in front
-        of the ``beta`` coordinate axes (both rules of the pair in one
-        call), so ``f`` must not rely on their number of axes. ``f`` runs
-        with numpy's overflow, invalid and divide warnings off: a
-        non-finite value raises instead.
-    beta : int
-        Dimension of the nested integral, at most ``MAX_TENSOR_DIM``;
-        ``beta == 0`` returns ``(1, 0)`` by the empty-integral convention.
-    s : float
-        Upper endpoint of the ordered region.
-
-    Returns
-    -------
-    (value, err_estimate) : tuple[complex, float]
-        The fine rule's sum, and its distance from the coarse rule's plus
-        the roundoff floor ``CHAIN_ROUNDOFF * sum |f * jw|`` of the fine
-        rule. At ``s == 0`` every weight vanishes, so the result is
-        ``(0j, 0.0)``.
-
-    Raises
-    ------
-    ValueError
-        When ``beta`` is negative or above ``MAX_TENSOR_DIM`` (integrate
-        products of gap factors with :func:`integrate_chains`), or ``s``
-        is negative.
-    IntegrandEvaluationError
-        When a rule sum is not finite. ``point`` holds the ``beta``
-        coordinates of the first non-finite value, the coarse rule
-        searched before the fine one, or is ``None`` when finite values
-        overflow the sum.
-    """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if beta > MAX_TENSOR_DIM:
-        raise ValueError(
-            f"the tensor rule stops at dimension {MAX_TENSOR_DIM}, got {beta}; "
-            "integrate products of gap factors with the chain rule")
-    if beta == 0:
-        return 1.0 + 0.0j, 0.0
-    if s < 0.0:
-        raise ValueError("s must be non-negative")
-    ts, jw, rules = _simplex_grid(beta, settings.nodes_per_level)
-    coarse, fine, floor = _rule_sums(f, tuple(s * t for t in ts),
-                                     s ** beta * jw, rules)
     return fine, abs(fine - coarse) + floor
 
 

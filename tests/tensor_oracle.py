@@ -2,11 +2,13 @@
 
 ``two_call_rule`` builds the ``G``- and ``(G+2)``-node Gauss-Legendre
 tensor rules of the ordered region on ``[0, s]`` itself and evaluates the
-integrand once per rule. The package's tensor rule serves dimensions 1
-and 2 only; this oracle checks it there, its grid and rule sums at
-dimensions 3-5 too, and the chain rule at every dimension. ``chain``
-evaluates one product of gap factors on one chain rule, the form in which
-the tests hand their integrands to the chain rule.
+integrand once per rule. It checks the package's tensor grid and rule
+sums at dimensions 1-5 (the low-order statistics use 1 and 2; at
+dimension 1 the two agree bit for bit), computes the separate integrals
+of the low-order statistics' oracles, and checks the chain rule at every
+dimension. ``chain`` evaluates one product of gap factors on one chain
+rule, the form in which the tests hand their integrands to the chain
+rule.
 """
 
 import numpy as np

@@ -25,12 +25,13 @@ from brownian_unicycle import (NoiseParams, QuadratureSettings, SimConfig,
                                count_phase_step_vectors, cov_xtheta,
                                cov_ytheta, d2_closed, d4_closed, d4_moment,
                                displacement_heading_moment,
-                               displacement_moment, integrate_ordered,
-                               mean_squared_distance, mean_x, mean_y,
-                               phase_step_vectors, second_moments,
-                               statistics_from_samples, term_keys,
+                               displacement_moment, mean_squared_distance,
+                               mean_x, mean_y, phase_step_vectors,
+                               second_moments, statistics_from_samples,
+                               term_keys,
                                variance_d2, variance_d2_closed)
-from brownian_unicycle.quadrature import MAX_TENSOR_DIM, integrate_chains
+from brownian_unicycle import quadrature
+from brownian_unicycle.quadrature import integrate_chains
 from tensor_oracle import chain
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
@@ -268,8 +269,10 @@ def test_criterion_6_property_suites():
     ok_volume = True
     quick = QuadratureSettings(nodes_per_level=6)
     for beta in range(1, 6):
-        if beta <= MAX_TENSOR_DIM:
-            value, _ = integrate_ordered(lambda ts: 1.0, beta, 1.3, quick)
+        if beta <= 2:  # the tensor grid: the fine rule's summed weights
+            _, jw, rules = quadrature._scaled_grid(beta, 1.3,
+                                                   quick.nodes_per_level)
+            value = jw[rules[-1]].sum()
         else:  # the chain rule: a product of beta unit gap factors
             def ones(rule, beta=beta):
                 n = rule.t.size

@@ -421,14 +421,15 @@ def test_reproduce_analytic_columns_compute_d2_once(config_path, capsys,
         want[level] = (low_moments.mean_squared_distance(ramp, params, 1.0, settings),
                        fourth_moment.variance_d2(ramp, params, 1.0, settings))
     calls = []
-    msd = low_moments.mean_squared_distance
+    checked = low_moments.checked_mean_squared_distance
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return msd(*args, **kwargs)
+        return checked(*args, **kwargs)
 
-    monkeypatch.setattr(low_moments, "mean_squared_distance", counting)
-    monkeypatch.setattr(fourth_moment, "mean_squared_distance", counting)
+    # The public <D^2> and variance_d2 both read the checked one.
+    monkeypatch.setattr(low_moments, "checked_mean_squared_distance", counting)
+    monkeypatch.setattr(fourth_moment, "checked_mean_squared_distance", counting)
     assert main(["--config", config_path, "reproduce", "table2",
                  "--trials", "10"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]

@@ -876,7 +876,7 @@ def test_exact_moment_50_digits_matches_exact_chains(p, q, mu0, k, s, rel):
     assert abs(_exact_moment_50(p, q, mu0, k, s) - exact) <= rel * abs(exact)
 
 
-def test_error_estimate_bounds_true_error_sweep():
+def test_error_estimate_bounds_true_error_sweep(monkeypatch):
     # Random constant-profile moments against their 50-digit values; the
     # estimate adds the roundoff floors of the closes and of the moduli.
     rng = np.random.default_rng(20261018)
@@ -891,3 +891,13 @@ def test_error_estimate_bounds_true_error_sweep():
             res = displacement_moment(p, q, profile, NoiseParams(k, k), s)
         exact = _exact_moment_50(p, q, mu0, k, s)
         assert abs(res.value - exact) <= res.err_estimate, (p, q, mu0, k, s)
+    # <u^4> 6.8e-19 off, where the chain's estimate is 3.8e-19: only the
+    # moduli term (7.9e-18) bounds the error.
+    mu0, k, s = 15.828998650913945, 0.04377970286456897, 0.8077057566533672
+    profile = SpeedRatioProfile.constant(mu0, s_max=1.0)
+    exact = _exact_moment_50(4, 0, mu0, k, s)
+    res = displacement_moment(4, 0, profile, NoiseParams(k, k), s)
+    assert abs(res.value - exact) <= res.err_estimate
+    monkeypatch.setattr(general_moments, "MODULUS_ROUNDOFF", 0.0)
+    res = displacement_moment(4, 0, profile, NoiseParams(k, k), s)
+    assert abs(res.value - exact) > res.err_estimate

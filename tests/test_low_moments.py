@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
+                               NumericalConsistencyError,
                                QuadratureSettings, SpeedRatioProfile,
                                cov_xtheta, cov_ytheta, d2_closed,
                                deterministic_pose,
                                displacement_heading_moment,
-                               displacement_moment, integrate_ordered,
-                               low_moments, low_order_statistics,
-                               mean_heading, mean_pose_closed,
-                               mean_squared_distance, mean_x, mean_y,
+                               displacement_moment, low_moments,
+                               low_order_statistics, mean_heading,
+                               mean_pose_closed, mean_squared_distance,
+                               mean_x, mean_y,
                                orientation_distribution, quadrature,
                                second_moments)
 from brownian_unicycle.quadrature import DEFAULT_SETTINGS
@@ -90,6 +91,19 @@ def test_mean_squared_distance_reference_values():
     prof = SpeedRatioProfile.constant(0.0, s_max=2.0)
     assert mean_squared_distance(prof, NoiseParams(0.0, 0.0), 2.0) == \
         pytest.approx(4.0, rel=1e-12)
+
+
+def test_mean_squared_distance_refuses_no_correct_digit():
+    # After 100 rad of turning the tensor rule's <D^2> is 0.122 with an
+    # estimate of 1.3, where <D^2> is 0.226: no digit is right.
+    profile = SpeedRatioProfile.constant(5.0, s_max=20.0)
+    params = NoiseParams(0.01, 0.01)
+    value, err = low_moments.mean_squared_distance_with_error(profile, params,
+                                                              20.0)
+    assert abs(value - d2_closed(5.0, params, 20.0)) > 0.1
+    assert err > abs(value)
+    with pytest.raises(NumericalConsistencyError):
+        mean_squared_distance(profile, params, 20.0)
 
 
 def test_covariances_vanish_without_heading_noise():
@@ -175,17 +189,18 @@ def five_kernel_second_moments(profile, params, s, settings=DEFAULT_SETTINGS):
         cs = damped_sin2(t1)
         return combine(cc, cs, np.cos(dth), np.sin(dth)) * env
 
-    xx, _ = integrate_ordered(
+    nodes = settings.nodes_per_level
+    xx, _, _ = two_call_rule(
         lambda ts: kernel(ts, lambda cc, cs, c, d: (1.0 + cc) * c - cs * d),
-        2, s, settings)
-    yy, _ = integrate_ordered(
+        2, s, nodes)
+    yy, _, _ = two_call_rule(
         lambda ts: kernel(ts, lambda cc, cs, c, d: (1.0 - cc) * c + cs * d),
-        2, s, settings)
-    xy, _ = integrate_ordered(
+        2, s, nodes)
+    xy, _, _ = two_call_rule(
         lambda ts: kernel(ts, lambda cc, cs, c, d: cs * c + cc * d),
-        2, s, settings)
-    int_cc, _ = integrate_ordered(lambda ts: damped_cos2(ts[0]), 1, s, settings)
-    int_cs, _ = integrate_ordered(lambda ts: damped_sin2(ts[0]), 1, s, settings)
+        2, s, nodes)
+    int_cc, _, _ = two_call_rule(lambda ts: damped_cos2(ts[0]), 1, s, nodes)
+    int_cs, _, _ = two_call_rule(lambda ts: damped_sin2(ts[0]), 1, s, nodes)
     kr2 = 0.5 * params.k_r
     return (xx.real + kr2 * (s + int_cc.real),
             yy.real + kr2 * (s - int_cc.real),
@@ -230,12 +245,12 @@ def test_zero_length_returns_float_zeros(profile):
 
 def test_second_moments_evaluate_heading_once_per_grid(monkeypatch):
     # One pass over the dimension-2 grid: the heading at its t1 nodes and
-    # at its t2 points, once each, and no 1-D call for int D. The heading
-    # is looked up as a module attribute, where the benchmark's tracer
-    # patches it.
+    # at its t2 points, once each, and no 1-D heading integral for int D.
+    # The heading is looked up as a module attribute, where the
+    # benchmark's tracer patches it.
     settings_ = QuadratureSettings(nodes_per_level=7)
     s = 0.8
-    calls = {"integrate_ordered": [], "mean_heading": []}
+    calls = {"_heading_integral": [], "mean_heading": []}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -251,7 +266,7 @@ def test_second_moments_evaluate_heading_once_per_grid(monkeypatch):
                  low_order_statistics):
         calls["mean_heading"].clear()
         call(TABLE, NoiseParams(0.2, 0.5), s, settings_)
-        assert calls["integrate_ordered"] == []
+        assert calls["_heading_integral"] == []
         assert len(calls["mean_heading"]) == 2
         for (profile, t), grid_t in zip(calls["mean_heading"], ts):
             assert profile is TABLE
@@ -259,7 +274,14 @@ def test_second_moments_evaluate_heading_once_per_grid(monkeypatch):
 
 
 # The three one-dimensional heading integrals as separate code paths, each
-# copied from the version before they shared one integrand.
+# copied from the version before they shared one integrand, on the two-call
+# rule: at dimension 1 it is bit-identical to the package's tensor grid.
+
+def _one_dim(f, s, nodes):
+    """``(value, err_estimate)`` of ``int_0^s f`` on the two-call rule."""
+    value, difference, floor = two_call_rule(f, 1, s, nodes)
+    return value, difference + floor
+
 
 def _mean_xy_oracle(profile, params, s, settings):
     kt = params.k_theta
@@ -268,8 +290,7 @@ def _mean_xy_oracle(profile, params, s, settings):
         t = ts[0]
         return np.exp(1j * mean_heading(profile, t) - 0.5 * kt * t)
 
-    value, err = integrate_ordered(f, 1, s, settings)
-    return value, err
+    return _one_dim(f, s, settings.nodes_per_level)
 
 
 def _shift_integral_oracle(profile, params, s, settings):
@@ -279,13 +300,11 @@ def _shift_integral_oracle(profile, params, s, settings):
         t = ts[0]
         return np.exp(2j * mean_heading(profile, t) - 2.0 * kt * t)
 
-    return integrate_ordered(single, 1, s, settings)
+    return _one_dim(single, s, settings.nodes_per_level)
 
 
 def _pose_oracle(profile, s):
-    z, _ = integrate_ordered(
-        lambda ts: np.exp(1j * mean_heading(profile, ts[0])), 1, s,
-        QuadratureSettings(nodes_per_level=64))
+    z, _ = _one_dim(lambda ts: np.exp(1j * mean_heading(profile, ts[0])), s, 64)
     return (z.real, z.imag, mean_heading(profile, s))
 
 
@@ -309,19 +328,22 @@ def test_heading_integrals_equal_separate_paths(profile, theta0, s):
 
 
 def test_pose_integrates_once_through_module_attribute(monkeypatch):
+    # The heading at the end point, and on non-constant profiles once on
+    # the 64-node grid (both rules, 66 points each), looked up as a module
+    # attribute.
     calls = []
-    original = low_moments.integrate_ordered
+    original = low_moments.mean_heading
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counting(profile, t):
+        calls.append(np.size(t))
+        return original(profile, t)
 
-    monkeypatch.setattr(low_moments, "integrate_ordered", counting)
+    monkeypatch.setattr(low_moments, "mean_heading", counting)
     for profile in (RAMP, TABLE):
         deterministic_pose(profile, 0.8)
-    assert calls == [1, 1]
+    assert calls == [1, 2 * 66] * 2
     deterministic_pose(CONST, 0.8)
-    assert calls == [1, 1]
+    assert calls == [1, 2 * 66] * 2 + [1]
 
 
 # The two real covariance integrands, copied from the version before the
@@ -338,8 +360,9 @@ def _cov_oracle(profile, params, s, settings):
         t = ts[0]
         return t * np.cos(mean_heading(profile, t)) * np.exp(-0.5 * kt * t)
 
-    return (-kt * integrate_ordered(fx, 1, s, settings)[0].real,
-            kt * integrate_ordered(fy, 1, s, settings)[0].real)
+    nodes = settings.nodes_per_level
+    return (-kt * two_call_rule(fx, 1, s, nodes)[0].real,
+            kt * two_call_rule(fy, 1, s, nodes)[0].real)
 
 
 @pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)

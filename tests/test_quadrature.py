@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brownian_unicycle import (IntegrandEvaluationError, QuadratureSettings,
-                               SpeedRatioProfile, integrate_ordered,
-                               mean_heading)
+                               SpeedRatioProfile, mean_heading)
 from brownian_unicycle import quadrature
-from brownian_unicycle.quadrature import (MAX_TENSOR_DIM, ChainRule,
-                                          integrate_chains)
+from brownian_unicycle.quadrature import ChainRule, integrate_chains
 from tensor_oracle import chain, two_call_rule
 
 
@@ -35,22 +33,27 @@ def _single_chain(first, gaps, tail=1.0):
     return evaluate
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _grid_integral(f, beta, s, nodes=24):
+    """``(value, err_estimate)`` of the ordered integral of ``f`` on the
+    package's tensor grid: ``f`` evaluated on the grid scaled to ``[0, s]``,
+    its values summed by the rule sums, with numpy's warnings off as in
+    the low-order statistics."""
+    ts, jw, rules = quadrature._scaled_grid(beta, s, nodes)
+    return quadrature._rule_sums(f(ts), ts, jw, rules)
+
+
 def _point_product(factors, s, settings_=QuadratureSettings()):
-    """Ordered integral of ``prod_b factors[b](t_b)``: on the tensor rule up
-    to ``MAX_TENSOR_DIM``, on the chain rule above."""
+    """Ordered integral of ``prod_b factors[b](t_b)``: on the tensor grid at
+    dimensions 1 and 2 (those of the low-order statistics), on the chain
+    rule above."""
     beta = len(factors)
-    if beta <= MAX_TENSOR_DIM:
-        return integrate_ordered(
+    if beta <= 2:
+        return _grid_integral(
             lambda ts: math.prod(g(t) for g, t in zip(factors, ts)),
-            beta, s, settings_)
+            beta, s, settings_.nodes_per_level)
     return integrate_chains(_single_chain(factors[0], factors[1:]), [1.0], s,
                             settings_)
-
-
-def test_empty_integral_convention():
-    value, err = integrate_ordered(lambda ts: 1.0, 0, 1.0)
-    assert value == 1.0 + 0.0j
-    assert err == 0.0
 
 
 def test_zero_length_domain():
@@ -74,7 +77,7 @@ def test_simplex_volume_beta4_s2():
 
 def test_exponential_pair_closed_form():
     # 1-D reduction done by hand: int_0^1 e^{t1} (e - e^{t1}) dt1 = (e-1)^2/2.
-    value, _ = integrate_ordered(lambda ts: np.exp(ts[0] + ts[1]), 2, 1.0)
+    value, _ = _grid_integral(lambda ts: np.exp(ts[0] + ts[1]), 2, 1.0)
     assert value.real == pytest.approx((math.e - 1.0) ** 2 / 2.0, rel=1e-13)
 
 
@@ -119,7 +122,7 @@ def test_error_estimate_decreases_with_refinement():
 
     errs = []
     for g in (4, 8, 16):
-        _, err = integrate_ordered(f, 2, 1.0, QuadratureSettings(nodes_per_level=g))
+        _, err = _grid_integral(f, 2, 1.0, g)
         errs.append(err)
     assert errs[0] > errs[1] > errs[2]
 
@@ -135,7 +138,7 @@ def test_scipy_cross_check_two_dim():
         return np.exp(-0.5 * kt * (t2 - t1)) * np.cos(
             mean_heading(profile, t2) - mean_heading(profile, t1))
 
-    value, _ = integrate_ordered(f, 2, 1.0)
+    value, _ = _grid_integral(f, 2, 1.0)
     th = lambda u: 5.0 * u * u
     ref, ref_err = sci.dblquad(
         lambda t2, t1: math.exp(-0.5 * kt * (t2 - t1)) * math.cos(th(t2) - th(t1)),
@@ -144,7 +147,7 @@ def test_scipy_cross_check_two_dim():
 
 
 def test_complex_integrand_supported():
-    value, _ = integrate_ordered(lambda ts: np.exp(1j * ts[0]), 1, 1.0)
+    value, _ = _grid_integral(lambda ts: np.exp(1j * ts[0]), 1, 1.0)
     assert value.real == pytest.approx(math.sin(1.0), rel=1e-13)
     assert value.imag == pytest.approx(1.0 - math.cos(1.0), rel=1e-13)
 
@@ -258,11 +261,6 @@ def test_panel_rule_integrates_decay_exactly(rate, m):
     assert np.abs(op @ t - (t - fall) / rate).max() * rate <= 1e-13
 
 
-def test_tensor_rule_refuses_high_dimensions():
-    with pytest.raises(ValueError):
-        integrate_ordered(lambda ts: 1.0, MAX_TENSOR_DIM + 1, 1.0)
-
-
 def test_non_finite_integrand_reports_point():
     def f(ts):
         out = np.asarray(1.0 / (ts[0] - ts[0] + 1.0)).copy()
@@ -270,23 +268,25 @@ def test_non_finite_integrand_reports_point():
         return out
 
     with pytest.raises(IntegrandEvaluationError) as info:
-        integrate_ordered(f, 2, 1.0)
+        _grid_integral(f, 2, 1.0)
     assert info.value.point is not None
     assert len(info.value.point) == 2
 
 
 def test_invalid_arguments():
     with pytest.raises(ValueError):
-        integrate_ordered(lambda ts: 1.0, -1, 1.0)
-    with pytest.raises(ValueError):
-        integrate_ordered(lambda ts: 1.0, 2, -1.0)
+        _grid_integral(lambda ts: 1.0, 2, -1.0)
     with pytest.raises(ValueError):
         QuadratureSettings(nodes_per_level=1)
     with pytest.raises(ValueError):
         QuadratureSettings(rel_tol=0.0)
 
 
-# -- tensor rule against the two-call rule --------------------------------------
+# -- tensor grid against the two-call rule --------------------------------------
+#
+# The grid and its rule sums are written for any dimension. The package
+# uses dimensions 1 and 2; from dimension 3 on a level has coordinate axes
+# on both sides, which those do not exercise.
 
 EPS = float(np.finfo(float).eps)
 # Knots at 0.4 and 0.7: the heading is piecewise quadratic.
@@ -324,24 +324,6 @@ def _assert_matches_oracle(got, want, beta):
     assert np.all(np.abs(err - ref_err) <= bound)
 
 
-def _stacked_rule(f, beta, s, nodes):
-    """The tensor rule's stacked evaluation at any dimension.
-
-    Up to ``MAX_TENSOR_DIM`` this is :func:`integrate_ordered`. Above it
-    the same cached grid and rule sums run without the public dimension
-    gate: they are written for any dimension, and from dimension 3 on a
-    level has coordinate axes on both sides, which dimensions 1 and 2 do
-    not exercise.
-    """
-    if beta <= MAX_TENSOR_DIM:
-        return integrate_ordered(f, beta, s,
-                                 QuadratureSettings(nodes_per_level=nodes))
-    ts, jw, rules = quadrature._simplex_grid(beta, nodes)
-    coarse, fine, floor = quadrature._rule_sums(
-        f, tuple(s * t for t in ts), s ** beta * jw, rules)
-    return fine, abs(fine - coarse) + floor
-
-
 @pytest.mark.parametrize("kernels", [HEADING_KERNELS[:1], HEADING_KERNELS],
                          ids=["scalar", "stacked"])
 @pytest.mark.parametrize("s_case", S_CASES)
@@ -354,7 +336,7 @@ def test_stacked_rule_matches_two_call_rule(beta, nodes, s_case, kernels):
     s = S_CASES[s_case]
     for kernel in kernels:
         ref, difference, floor = two_call_rule(kernel, beta, s, nodes)
-        _assert_matches_oracle(_stacked_rule(kernel, beta, s, nodes),
+        _assert_matches_oracle(_grid_integral(kernel, beta, s, nodes),
                                (ref, difference + floor), beta)
 
 
@@ -367,15 +349,14 @@ def _nan_above(threshold, stacked):
 
 
 def _first_non_finite(kernels, beta, s, nodes):
-    """The tensor rule's error for ``kernels`` on one grid: the rule sums
-    of a single kernel, or the search over a stack's products (rule by
-    rule, then kernel by kernel) that the one-pass second moments run."""
+    """The tensor grid's error for ``kernels``: the rule sums of a single
+    kernel, or the search over a stack's products (rule by rule, then
+    kernel by kernel) that the one-pass second moments run."""
     if len(kernels) == 1:
         with pytest.raises(IntegrandEvaluationError) as info:
-            _stacked_rule(kernels[0], beta, s, nodes)
+            _grid_integral(kernels[0], beta, s, nodes)
         return info.value
-    ts, jw, _ = quadrature._simplex_grid(beta, nodes)
-    ts, jw = tuple(s * t for t in ts), s ** beta * jw
+    ts, jw, _ = quadrature._scaled_grid(beta, s, nodes)
     with np.errstate(invalid="ignore"):
         return quadrature._non_finite_error(
             tuple(kernel(ts) * jw for kernel in kernels), ts, jw)
@@ -383,7 +364,7 @@ def _first_non_finite(kernels, beta, s, nodes):
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
 @pytest.mark.parametrize("where", ["fine_last", "coarse_last"])
-# "stacked" names the evaluation checked: both rules in one integrand call.
+# "stacked" names the evaluation checked: both rules on one grid.
 @pytest.mark.parametrize("beta", [1, 2, 3], ids=lambda beta: f"stacked-{beta}")
 def test_non_finite_point_matches_two_call_rule(beta, where, stacked):
     nodes, s = 7, 0.9
@@ -408,17 +389,16 @@ def test_non_finite_point_matches_two_call_rule(beta, where, stacked):
 
 def test_sum_overflow_of_finite_values_raises():
     with pytest.raises(IntegrandEvaluationError) as info:
-        integrate_ordered(lambda ts: np.full(np.shape(ts[0]), 1e308), 1, 4.0)
+        _grid_integral(lambda ts: np.full(np.shape(ts[0]), 1e308), 1, 4.0)
     assert info.value.point is None
 
 
 @pytest.mark.parametrize("beta,nodes", [(1, 24), (2, 24), (1, 64)])
 def test_grid_cache_keyed_by_dimension_and_nodes(beta, nodes):
-    settings_ = QuadratureSettings(nodes_per_level=nodes)
-    integrate_ordered(_heading_kernel, beta, 1.0, settings_)
+    _grid_integral(_heading_kernel, beta, 1.0, nodes)
     misses = quadrature._simplex_grid.cache_info().misses
     for s in np.random.default_rng(beta).uniform(0.0, 1.2, 50):
-        integrate_ordered(_heading_kernel, beta, float(s), settings_)
+        _grid_integral(_heading_kernel, beta, float(s), nodes)
     assert quadrature._simplex_grid.cache_info().misses == misses
 
 
