@@ -29,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from .exceptions import NumericalConsistencyError
+from .exceptions import IntegrandEvaluationError, NumericalConsistencyError
 from .general_moments import _GapFactors, _panel_cuts
 from .low_moments import checked_mean_squared_distance
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_chains
@@ -71,7 +71,11 @@ def _d4_chains(params: NoiseParams, s: float):
     constant = 0.0
     chains = []
     for kr_power, s_power, prefactor, kernels in DISTANCE4_KERNELS:
-        weight = prefactor * params.k_r ** kr_power * s ** s_power
+        try:
+            weight = prefactor * params.k_r ** kr_power * s ** s_power
+        except OverflowError:
+            raise IntegrandEvaluationError(
+                f"k_r = {params.k_r:g} overflows k_r**{kr_power} s**{s_power}") from None
         if kernels:
             chains += [(weight, kernel) for kernel in kernels]
         else:

@@ -9,17 +9,13 @@ interval spanning ``[s_{b-1}, s]``,
     t_b = t_{b-1} + (s - t_{b-1}) * x_b,      jacobian prod_b (s - t_{b-1}),
 
 which turns the ordered region into a tensor-product rule on the unit
-cube, at a cost of ``nodes_per_level ** beta``. It holds the rules with
-``G`` and ``G + 2`` nodes per level, built once per ``(beta, G)`` on the
-unit simplex (``s = 1``) and cached: the ``G``-node rule is padded to
-``G + 2`` nodes per level with zero-weight copies of its last node, and
-the two rules are stacked on a leading rule axis. :func:`_scaled_grid`
-scales it to ``[0, s]`` (coordinates by ``s``, weights by ``s**beta``);
-the caller evaluates its integrand there once for both rules, and
-:func:`_rule_sums` sums those values into the fine rule's integral and
-its error estimate, the distance between the rules plus a roundoff
-floor. The level-1 coordinates of the dimension-2 grid are the nodes of
-the dimension-1 grid, so :mod:`low_moments` reads every integral of one
+cube, at a cost of ``nodes_per_level ** beta``. :func:`_simplex_grid`
+builds one Gauss rule per ``(beta, n)`` on the unit simplex (``s = 1``)
+and caches it; :func:`_scaled_grid` scales it to ``[0, s]`` (coordinates
+by ``s``, weights by ``s**beta``), and :func:`_grid_sum` sums the
+integrand's values times the weights, refusing a non-finite sum. The
+level-1 coordinates of the dimension-2 grid are the nodes of the
+dimension-1 grid, so :mod:`low_moments` reads every integral of one
 heading from one dimension-2 grid.
 
 The chain rule (:class:`ChainRule`, :func:`integrate_chains`) serves
@@ -87,7 +83,9 @@ class QuadratureSettings:
     Parameters
     ----------
     nodes_per_level : int
-        Gauss-Legendre nodes per nesting level of the tensor rule (>= 2).
+        Gauss-Legendre nodes ``G`` per nesting level of the tensor rule
+        (>= 2): the low-order statistics sum its ``G + 2``-node rule, and
+        the ``G``-node rule too where they estimate an error.
     rel_tol : float
         Relative accuracy target of the chain rule: the moment engines
         (:func:`~brownian_unicycle.displacement_heading_moment`,
@@ -124,91 +122,64 @@ def _gauss_unit(n: int):
 
 @lru_cache(maxsize=256)
 def _simplex_grid(beta: int, n_nodes: int):
-    """The ``n_nodes`` and ``n_nodes + 2`` rules on the unit simplex
-    (``s = 1``), stacked on a leading rule axis of length 2.
-
-    The coarse rule is padded to ``n_nodes + 2`` nodes per level with
-    zero-weight copies of its last node, so both rules share one shape;
-    every padded point repeats a real point of the coarse rule.
-    Coordinate ``t_b`` (``b = 1..beta``) has shape ``(2,) + (n,) * b +
-    (1,) * (beta - b)`` and the weight*jacobian tensor ``(2,) + (n,) *
-    beta``, with ``n = n_nodes + 2``. Also returns, for
-    :func:`_rule_sums`, each rule's index: the coarse one leaves the
-    padding out of its sum, which keeps its summation order.
-    """
+    """The ``n_nodes``-node rule on the unit simplex (``s = 1``): coordinate
+    ``t_b`` (``b = 1..beta``) has shape ``(n_nodes,) * b + (1,) * (beta -
+    b)`` and the weight*jacobian tensor ``(n_nodes,) * beta``."""
     x, w = _gauss_unit(n_nodes)
-    fine_x, fine_w = _gauss_unit(n_nodes + 2)
-    nodes = np.stack((np.concatenate((x, x[-1:], x[-1:])), fine_x))
-    weights = np.stack((np.concatenate((w, [0.0, 0.0])), fine_w))
     ts = []
     t_prev = np.zeros(())
     jw = np.ones(())
     for b in range(beta):
-        shape = (2,) + (1,) * b + (n_nodes + 2,) + (1,) * (beta - 1 - b)
+        shape = (1,) * b + (n_nodes,) + (1,) * (beta - 1 - b)
         gap = 1.0 - t_prev
-        t = t_prev + gap * nodes.reshape(shape)
-        jw = jw * gap * weights.reshape(shape)
+        t = t_prev + gap * x.reshape(shape)
+        jw = jw * gap * w.reshape(shape)
         ts.append(t)
         t_prev = t
     for arr in ts + [jw]:
         arr.setflags(write=False)
-    rules = tuple((rule,) + (slice(None, n),) * beta
-                  for rule, n in enumerate((n_nodes, n_nodes + 2)))
-    return tuple(ts), jw, rules
+    return tuple(ts), jw
 
 
 def _non_finite_error(prods, ts, jw):
     """The :class:`IntegrandEvaluationError` of a non-finite rule sum.
 
-    ``prods`` are integrand values times ``jw`` on the grid ``ts``, with
-    the rule axis in front. ``point`` holds the coordinates of the first
-    non-finite product, taken rule by rule, then product by product, then
-    in grid order; it is ``None`` when finite products overflow the sum.
+    ``prods`` are integrand values times ``jw`` on the grid ``ts``.
+    ``point`` holds the coordinates of the first non-finite product, taken
+    product by product, then in grid order; it is ``None`` when finite
+    products overflow the sum.
     """
-    for rule in range(2):
-        for prod in prods:
-            bad = ~np.isfinite(np.broadcast_to(prod, jw.shape)[rule])
-            if bad.any():
-                at = (rule,) + tuple(np.argwhere(bad)[0])
-                point = tuple(float(np.broadcast_to(t, jw.shape)[at])
-                              for t in ts)
-                return IntegrandEvaluationError(
-                    f"integrand returned a non-finite value at {point}",
-                    point=point)
+    for prod in prods:
+        bad = ~np.isfinite(np.broadcast_to(prod, jw.shape))
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0])
+            point = tuple(float(np.broadcast_to(t, jw.shape)[at]) for t in ts)
+            return IntegrandEvaluationError(
+                f"integrand returned a non-finite value at {point}",
+                point=point)
     return IntegrandEvaluationError("the rule sum overflowed")
 
 
 def _scaled_grid(beta: int, s: float, n_nodes: int):
     """The grid of :func:`_simplex_grid` scaled to ``[0, s]``: coordinates
-    times ``s``, weights times ``s**beta``, and the rule indices.
+    times ``s``, weights times ``s**beta``.
 
     Raises :class:`ValueError` when ``s`` is negative.
     """
     if s < 0.0:
         raise ValueError("s must be non-negative")
-    ts, jw, rules = _simplex_grid(beta, n_nodes)
-    return tuple(s * t for t in ts), s ** beta * jw, rules
+    ts, jw = _simplex_grid(beta, n_nodes)
+    return tuple(s * t for t in ts), s ** beta * jw
 
 
-def _rule_sums(values, ts, jw, rules):
-    """The fine rule's sum of ``values * jw``, a Python complex, and its
-    error estimate, a float, on the grid ``ts`` of :func:`_scaled_grid`.
-
-    ``values`` are the integrand's values on the grid, broadcast against
-    ``jw``; ``rules`` holds the two rules' indices into the products. The
-    estimate is the distance between the fine and the coarse rule's sums
-    plus ``CHAIN_ROUNDOFF`` times the fine rule's summed ``|values * jw|``;
-    at ``s == 0`` every weight vanishes and the result is ``(0j, 0.0)``. A
-    non-finite sum raises the error of :func:`_non_finite_error`. Callers
-    turn numpy's overflow, invalid and divide warnings off around the
-    evaluation of ``values`` and this call, once: the error replaces them.
-    """
-    prod = np.asarray(values) * jw
-    coarse, fine = (complex(prod[rule].sum()) for rule in rules)
-    if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
+def _grid_sum(prod, ts, jw) -> complex:
+    """The sum of ``prod``, values times ``jw`` on the grid ``ts``, refused by
+    :func:`_non_finite_error` when not finite: callers turn numpy's
+    floating-point warnings off around its evaluation and this call."""
+    total = complex(prod.sum())
+    if not cmath.isfinite(total):
         raise _non_finite_error((prod,), ts, jw)
-    floor = CHAIN_ROUNDOFF * float(np.abs(prod[rules[-1]]).sum())
-    return fine, abs(fine - coarse) + floor
+    return total
 
 
 # -- chain rule ----------------------------------------------------------------
@@ -364,7 +335,8 @@ def integrate_chains(evaluate, scales, s: float,
     points per panel, then at the fine count on twice the panels while the
     last two sums differ by more than ``settings.rel_tol`` relative and
     the roundoff floor; when the next rule would pass the cap it warns
-    (:class:`AccuracyWarning`) instead.
+    (:class:`AccuracyWarning`) instead. A ``decay`` that is not finite
+    raises :class:`IntegrandEvaluationError`.
 
     Returns
     -------
@@ -378,6 +350,9 @@ def integrate_chains(evaluate, scales, s: float,
     scales = np.asarray(scales)
     if s == 0.0 or scales.size == 0:
         return 0j, 0.0
+    if not np.isfinite(decay):
+        raise IntegrandEvaluationError(
+            f"the chains' decay rate {decay} is not finite: k_theta is too large")
     coarse_m, fine_m = PANEL_NODES
     cap = min(CHAIN_MAX_NODES, isqrt(CHAIN_MAX_BYTES // (8 * operators)))
     cuts = np.asarray(cuts, dtype=float)

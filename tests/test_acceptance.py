@@ -269,10 +269,10 @@ def test_criterion_6_property_suites():
     ok_volume = True
     quick = QuadratureSettings(nodes_per_level=6)
     for beta in range(1, 6):
-        if beta <= 2:  # the tensor grid: the fine rule's summed weights
-            _, jw, rules = quadrature._scaled_grid(beta, 1.3,
-                                                   quick.nodes_per_level)
-            value = jw[rules[-1]].sum()
+        if beta <= 2:  # the tensor grid: the summed weights of the
+            # (G+2)-node rule, whose sums the low-order statistics return
+            _, jw = quadrature._scaled_grid(beta, 1.3, quick.nodes_per_level + 2)
+            value = jw.sum()
         else:  # the chain rule: a product of beta unit gap factors
             def ones(rule, beta=beta):
                 n = rule.t.size

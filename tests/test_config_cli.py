@@ -163,6 +163,22 @@ def test_non_finite_integrand_exits_4(tmp_path, capsys, command):
     assert err.startswith("non-finite integrand:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("noise,command", [
+    ({"k_r": 1e200, "k_theta": 0.01}, ["d4"]),
+    ({"k_r": 0.01, "k_theta": 1e308}, ["moment", "2", "0", "0"]),
+    ({"k_r": 0.01, "k_theta": 1e308}, ["d4"]),
+], ids=["d4-k_r", "moment-k_theta", "d4-k_theta"])
+def test_huge_noise_exits_4(tmp_path, capsys, noise, command):
+    # k_r**2 of the <D^4> table passes the float range, and so does the
+    # decay 0.5 w^2 k_theta that grades the chain rule's panels.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(BASE_DOC, noise=noise)), encoding="utf-8")
+    assert main(["--config", str(path), *command]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("non-finite integrand:") and err.count("\n") == 1
+    assert ("k_r" if noise["k_r"] > 1.0 else "k_theta") in err
+
+
 @pytest.mark.parametrize("command", ["d2", "d4"])
 def test_d2_with_no_correct_digit_exits_4(tmp_path, capsys, command):
     # 100 rad of turning: the tensor rule's <D^2> reads 0.1217 with an

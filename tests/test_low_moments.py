@@ -19,7 +19,7 @@ from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
                                orientation_distribution, quadrature,
                                second_moments)
 from brownian_unicycle.quadrature import DEFAULT_SETTINGS
-from tensor_oracle import two_call_rule
+from tensor_oracle import one_rule, two_call_rule
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
@@ -244,10 +244,12 @@ def test_zero_length_returns_float_zeros(profile):
 
 
 def test_second_moments_evaluate_heading_once_per_grid(monkeypatch):
-    # One pass over the dimension-2 grid: the heading at its t1 nodes and
-    # at its t2 points, once each, and no 1-D heading integral for int D.
-    # The heading is looked up as a module attribute, where the
-    # benchmark's tracer patches it.
+    # One pass over a dimension-2 grid: the heading at its t1 nodes and at
+    # its t2 points, once each, and no 1-D heading integral for int D. The
+    # value-only second moments take one pass, on the (G+2)-node rule; the
+    # calls with an estimate take one per rule, the G-node rule first. The
+    # heading is looked up as a module attribute, where the benchmark's
+    # tracer patches it.
     settings_ = QuadratureSettings(nodes_per_level=7)
     s = 0.8
     calls = {"_heading_integral": [], "mean_heading": []}
@@ -261,21 +263,25 @@ def test_second_moments_evaluate_heading_once_per_grid(monkeypatch):
     for name in calls:
         monkeypatch.setattr(low_moments, name,
                             counting(name, getattr(low_moments, name)))
-    ts, _, _ = quadrature._simplex_grid(2, 7)
-    for call in (second_moments, low_moments.mean_squared_distance_with_error,
-                 low_order_statistics):
+    coarse, _ = quadrature._simplex_grid(2, 7)
+    fine, _ = quadrature._simplex_grid(2, 9)
+    for call, grids in ((second_moments, fine),
+                        (low_moments.mean_squared_distance_with_error,
+                         coarse + fine),
+                        (low_order_statistics, coarse + fine)):
         calls["mean_heading"].clear()
         call(TABLE, NoiseParams(0.2, 0.5), s, settings_)
         assert calls["_heading_integral"] == []
-        assert len(calls["mean_heading"]) == 2
-        for (profile, t), grid_t in zip(calls["mean_heading"], ts):
+        assert len(calls["mean_heading"]) == len(grids)
+        for (profile, t), grid_t in zip(calls["mean_heading"], grids):
             assert profile is TABLE
             assert np.array_equal(t, s * grid_t)
 
 
 # The three one-dimensional heading integrals as separate code paths, each
 # copied from the version before they shared one integrand, on the two-call
-# rule: at dimension 1 it is bit-identical to the package's tensor grid.
+# rule: at dimension 1 its (G+2)-node sum is bit-identical to the package's
+# value-only pass.
 
 def _one_dim(f, s, nodes):
     """``(value, err_estimate)`` of ``int_0^s f`` on the two-call rule."""
@@ -315,22 +321,21 @@ def test_heading_integrals_equal_separate_paths(profile, theta0, s):
     profile = _shifted(profile, theta0)
     for params in (NoiseParams(0.3, 0.7), NoiseParams(0.0, 0.0)):
         for settings_ in (DEFAULT_SETTINGS, QuadratureSettings(nodes_per_level=7)):
-            z, err = low_moments._heading_integral(
+            z = low_moments._heading_integral(
                 profile, s, 1, 0.5 * params.k_theta, settings_)
-            assert (z, err) == _mean_xy_oracle(profile, params, s, settings_)
+            assert z == _mean_xy_oracle(profile, params, s, settings_)[0]
             assert mean_x(profile, params, s, settings_) == z.real
             assert mean_y(profile, params, s, settings_) == z.imag
             assert low_moments._heading_integral(
                 profile, s, 2, 2.0 * params.k_theta, settings_) == \
-                _shift_integral_oracle(profile, params, s, settings_)
+                _shift_integral_oracle(profile, params, s, settings_)[0]
     if profile.kind != "constant":
         assert deterministic_pose(profile, s) == _pose_oracle(profile, s)
 
 
 def test_pose_integrates_once_through_module_attribute(monkeypatch):
     # The heading at the end point, and on non-constant profiles once on
-    # the 64-node grid (both rules, 66 points each), looked up as a module
-    # attribute.
+    # the 66-node rule of the 64-node grid, looked up as a module attribute.
     calls = []
     original = low_moments.mean_heading
 
@@ -341,9 +346,9 @@ def test_pose_integrates_once_through_module_attribute(monkeypatch):
     monkeypatch.setattr(low_moments, "mean_heading", counting)
     for profile in (RAMP, TABLE):
         deterministic_pose(profile, 0.8)
-    assert calls == [1, 2 * 66] * 2
+    assert calls == [1, 66] * 2
     deterministic_pose(CONST, 0.8)
-    assert calls == [1, 2 * 66] * 2 + [1]
+    assert calls == [1, 66] * 2 + [1]
 
 
 # The two real covariance integrands, copied from the version before the
@@ -383,8 +388,8 @@ def test_covariances_match_real_integrand_oracle(profile, theta0, s):
 def test_covariances_share_the_weighted_heading_integral():
     params = NoiseParams(0.3, 0.7)
     for profile in (CONST, RAMP, TABLE):
-        j, _ = low_moments._heading_integral(profile, 0.8, 1, 0.35,
-                                             DEFAULT_SETTINGS, 1)
+        j = low_moments._heading_integral(profile, 0.8, 1, 0.35,
+                                          DEFAULT_SETTINGS, 1)
         assert cov_xtheta(profile, params, 0.8) == -0.7 * j.imag
         assert cov_ytheta(profile, params, 0.8) == 0.7 * j.real
 
@@ -487,33 +492,51 @@ def test_low_order_statistics_equal_separate_calls(profile, s):
             for name, want in separate.items():
                 value, err = stats[name]
                 assert type(value) is float and type(err) is float
-                assert _close(value, want), name
+                assert value == want, name
                 assert err >= 0.0
-            # The means and covariances carry the 1-D rule's estimates.
-            _, z_err = low_moments._heading_integral(
-                profile, s, 1, 0.5 * params.k_theta, settings_)
-            _, j_err = low_moments._heading_integral(
-                profile, s, 1, 0.5 * params.k_theta, settings_, 1)
+            # The means and covariances carry the 1-D rule pair's estimates.
+            kt = params.k_theta
+            _, z_err = _mean_xy_oracle(profile, params, s, settings_)
+            _, j_err = _one_dim(
+                lambda ts: ts[0] * np.exp(1j * mean_heading(profile, ts[0])
+                                          - 0.5 * kt * ts[0]),
+                s, settings_.nodes_per_level)
             assert _close(stats["mean_x"][1], z_err)
-            assert _close(stats["cov_ytheta"][1], params.k_theta * j_err)
+            assert _close(stats["cov_ytheta"][1], kt * j_err)
 
 
 def test_heading_overflow_raises_at_the_two_call_point():
     # mu = 1e306 s^3: the heading passes the largest float near s = 5.2,
-    # inside the grid on [0, 8].
+    # inside the grid on [0, 8]. The calls with an estimate raise at the
+    # two-call rule's point, the coarse rule's first; the value-only calls
+    # at the first point of the (G+2)-node rule they evaluate.
     profile = SpeedRatioProfile.polynomial((0.0, 0.0, 0.0, 1e306), s_max=8.0)
     params = NoiseParams(0.2, 0.3)
     e, d = _literal_kernels(profile, params.k_theta)
-    with pytest.raises(IntegrandEvaluationError) as want, \
-            np.errstate(over="ignore", invalid="ignore"):
-        two_call_rule(lambda ts: np.stack(np.broadcast_arrays(e(ts), d(ts[0]) * e(ts))),
-                      2, 8.0, 24)
-    for call in (second_moments, low_order_statistics,
-                 low_moments.mean_squared_distance_with_error):
-        with pytest.raises(IntegrandEvaluationError) as got:
-            call(profile, params, 8.0)
-        assert len(got.value.point) == 2
-        assert np.allclose(got.value.point, want.value.point, rtol=1e-15, atol=0.0)
+
+    def stack(ts):
+        return np.stack(np.broadcast_arrays(e(ts), d(ts[0]) * e(ts)))
+
+    def line(ts):
+        t = ts[0]
+        return np.exp(1j * mean_heading(profile, t) - 0.5 * params.k_theta * t)
+
+    expected = [(two_call_rule, stack, 2, 24,
+                 (low_order_statistics,
+                  low_moments.mean_squared_distance_with_error)),
+                (one_rule, stack, 2, 26, (second_moments,)),
+                (one_rule, line, 1, 26,
+                 (mean_x, mean_y, cov_xtheta, cov_ytheta))]
+    for rule, f, beta, nodes, calls in expected:
+        with pytest.raises(IntegrandEvaluationError) as want, \
+                np.errstate(over="ignore", invalid="ignore"):
+            rule(f, beta, 8.0, nodes)
+        for call in calls:
+            with pytest.raises(IntegrandEvaluationError) as got:
+                call(profile, params, 8.0)
+            assert len(got.value.point) == beta
+            assert np.allclose(got.value.point, want.value.point, rtol=1e-15,
+                               atol=0.0)
 
 
 def test_one_pass_refuses_negative_length():

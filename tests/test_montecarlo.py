@@ -8,11 +8,15 @@ import pytest
 
 from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
                                SimConfig, SpeedRatioProfile, collect_samples,
-                               d2_closed, deterministic_pose, montecarlo,
-                               run_experiment, simulate_trial,
+                               d2_closed, deterministic_pose, mean_heading,
+                               montecarlo, run_experiment, simulate_trial,
                                statistics_from_samples)
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
+RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), s_max=1.0)
+# mu(s) = 5 + 3 sin(2 pi s) on 21 knots.
+TABLE = SpeedRatioProfile.table(
+    [(i / 20, 5.0 + 3.0 * math.sin(2.0 * math.pi * i / 20)) for i in range(21)])
 
 
 def _config(profile=CONST, k=0.01, steps=1000, trials=100, seed=42, s=1.0):
@@ -229,6 +233,44 @@ def test_weak_convergence_envelope():
     for count in (1000, 10000):
         stats = statistics_from_samples(samples, count).quantities["d2"]
         assert abs(stats.mean - analytic) < 4 * stats.se
+
+
+def discrete_d2(profile, params, s, steps):
+    """The sampler's exact ``E[D^2]`` after ``steps`` steps of ``ds``.
+
+    With ``h_j`` the mean heading at ``j ds`` and ``r = e^{-k_theta ds/2}``,
+    ``E[D^2] = n (ds^2 + k_r ds) + ds^2 * 2 Re sum_{j>k} e^{i (h_j - h_k)}
+    r^{j-k}``: the length increments are independent of the heading, and
+    ``theta_j - theta_k`` carries ``j - k`` heading increments. The double
+    sum runs in O(n) through the carry ``sum_{k<j} e^{-i h_k} r^{j-k}``.
+    """
+    ds = s / steps
+    r = math.exp(-0.5 * params.k_theta * ds)
+    carry, total = 0j, 0j
+    for z in np.exp(1j * mean_heading(profile, ds * np.arange(1, steps + 1))).tolist():
+        total += z * carry
+        carry = r * (carry + z.conjugate())
+    return steps * (ds * ds + params.k_r * ds) + ds * ds * 2.0 * total.real
+
+
+@pytest.mark.parametrize("profile", [RAMP, TABLE], ids=["ramp", "table"])
+def test_sampled_d2_matches_exact_discrete_expectation(profile):
+    cfg = _config(profile, k=1.0, steps=1000, trials=4000, seed=7)
+    stats = run_experiment(cfg).quantities["d2"]
+    want = discrete_d2(profile, cfg.params, 1.0, cfg.steps)
+    assert abs(stats.mean - want) <= 4 * stats.se
+
+
+@pytest.mark.parametrize("k,bias", [(0.01, 1.772e-6), (1.0, 1.989e-7)])
+def test_discrete_d2_bias_is_second_order(k, bias):
+    # The scheme's <D^2> against the closed form on the constant profile:
+    # its relative bias at 1000 steps, and a quarter of it at 2000.
+    params = NoiseParams(k, k)
+    exact = d2_closed(5.0, params, 1.0)
+    coarse, fine = (discrete_d2(CONST, params, 1.0, steps) - exact
+                    for steps in (1000, 2000))
+    assert coarse / exact == pytest.approx(bias, rel=1e-3)
+    assert coarse / fine == pytest.approx(4.0, abs=1e-4)
 
 
 def test_rotation_invariance_at_matched_seeds():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from brownian_unicycle import (IntegrandEvaluationError, QuadratureSettings,
                                SpeedRatioProfile, mean_heading)
-from brownian_unicycle import quadrature
+from brownian_unicycle import low_moments, quadrature
 from brownian_unicycle.quadrature import ChainRule, integrate_chains
-from tensor_oracle import chain, two_call_rule
+from tensor_oracle import chain, one_rule, two_call_rule
 
 
 def ordered_monomial_integral(powers, s) -> Fraction:
@@ -34,13 +34,24 @@ def _single_chain(first, gaps, tail=1.0):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _grid_rule(f, beta, s, nodes):
+    """``(value, magnitude)`` of the ordered integral of ``f`` on the
+    package's ``nodes``-node tensor grid scaled to ``[0, s]``: the grid sum
+    of ``f * jw`` and the sum of ``|f * jw|``, with numpy's warnings off as
+    in the low-order statistics."""
+    ts, jw = quadrature._scaled_grid(beta, s, nodes)
+    prod = f(ts) * jw
+    return quadrature._grid_sum(prod, ts, jw), float(np.abs(prod).sum())
+
+
 def _grid_integral(f, beta, s, nodes=24):
-    """``(value, err_estimate)`` of the ordered integral of ``f`` on the
-    package's tensor grid: ``f`` evaluated on the grid scaled to ``[0, s]``,
-    its values summed by the rule sums, with numpy's warnings off as in
-    the low-order statistics."""
-    ts, jw, rules = quadrature._scaled_grid(beta, s, nodes)
-    return quadrature._rule_sums(f(ts), ts, jw, rules)
+    """``(value, err_estimate)`` of the ordered integral of ``f`` as the
+    low-order statistics report it: the ``nodes + 2``-node rule's sum, and
+    the estimate from it and the ``nodes``-node rule's sum, coarse rule
+    first."""
+    coarse, _ = _grid_rule(f, beta, s, nodes)
+    fine, magnitude = _grid_rule(f, beta, s, nodes + 2)
+    return fine, low_moments._estimate(coarse, fine, magnitude)
 
 
 def _point_product(factors, s, settings_=QuadratureSettings()):
@@ -284,7 +295,7 @@ def test_invalid_arguments():
 
 # -- tensor grid against the two-call rule --------------------------------------
 #
-# The grid and its rule sums are written for any dimension. The package
+# The grid and its sum are written for any dimension. The package
 # uses dimensions 1 and 2; from dimension 3 on a level has coordinate axes
 # on both sides, which those do not exercise.
 
@@ -332,9 +343,14 @@ def _assert_matches_oracle(got, want, beta):
     # 24 nodes at dimension 5 is 16 million points per rule.
     if (beta, nodes) != (5, 24)])
 def test_stacked_rule_matches_two_call_rule(beta, nodes, s_case, kernels):
-    # "stacked": the three kernels, one per call.
+    # "stacked": the three kernels, one per call. Each rule's sum matches
+    # the oracle's rule, and so does the estimate of the pair.
     s = S_CASES[s_case]
     for kernel in kernels:
+        for n in (nodes, nodes + 2):
+            (value, _), (ref, _) = (_grid_rule(kernel, beta, s, n),
+                                    one_rule(kernel, beta, s, n))
+            _assert_matches_oracle((value, 0.0), (ref, 0.0), beta)
         ref, difference, floor = two_call_rule(kernel, beta, s, nodes)
         _assert_matches_oracle(_grid_integral(kernel, beta, s, nodes),
                                (ref, difference + floor), beta)
@@ -349,22 +365,26 @@ def _nan_above(threshold, stacked):
 
 
 def _first_non_finite(kernels, beta, s, nodes):
-    """The tensor grid's error for ``kernels``: the rule sums of a single
-    kernel, or the search over a stack's products (rule by rule, then
-    kernel by kernel) that the one-pass second moments run."""
+    """The tensor grid's error for ``kernels``, coarse rule first: the rule
+    sums of a single kernel, or the search over a stack's products (kernel
+    by kernel) that the one-pass second moments run on each rule."""
     if len(kernels) == 1:
         with pytest.raises(IntegrandEvaluationError) as info:
             _grid_integral(kernels[0], beta, s, nodes)
         return info.value
-    ts, jw, _ = quadrature._scaled_grid(beta, s, nodes)
-    with np.errstate(invalid="ignore"):
-        return quadrature._non_finite_error(
-            tuple(kernel(ts) * jw for kernel in kernels), ts, jw)
+    for n in (nodes, nodes + 2):
+        ts, jw = quadrature._scaled_grid(beta, s, n)
+        with np.errstate(invalid="ignore"):
+            prods = tuple(kernel(ts) * jw for kernel in kernels)
+        if not all(np.isfinite(prod).all() for prod in prods):
+            return quadrature._non_finite_error(prods, ts, jw)
+    raise AssertionError("every product is finite")
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
 @pytest.mark.parametrize("where", ["fine_last", "coarse_last"])
-# "stacked" names the evaluation checked: both rules on one grid.
+# "stacked" in the ids of beta names the evaluation checked: the rule pair
+# of the estimate-bearing statistics.
 @pytest.mark.parametrize("beta", [1, 2, 3], ids=lambda beta: f"stacked-{beta}")
 def test_non_finite_point_matches_two_call_rule(beta, where, stacked):
     nodes, s = 7, 0.9
@@ -372,8 +392,8 @@ def test_non_finite_point_matches_two_call_rule(beta, where, stacked):
         s * (0.5 * (np.polynomial.legendre.leggauss(n)[0][-1] + 1.0))
         for n in (nodes, nodes + 2))
     # Above the midpoint only the fine rule's last outer node is bad; just
-    # below the coarse rule's last node, that node (and its zero-weight
-    # copies) is bad in the coarse rule, which is evaluated first.
+    # below the coarse rule's last node, that node is bad in the coarse
+    # rule, which is evaluated first.
     threshold = (0.5 * (coarse_last + fine_last) if where == "fine_last"
                  else coarse_last * (1.0 - 1e-12))
     kernels = _nan_above(threshold, stacked)
@@ -395,20 +415,24 @@ def test_sum_overflow_of_finite_values_raises():
 
 @pytest.mark.parametrize("beta,nodes", [(1, 24), (2, 24), (1, 64)])
 def test_grid_cache_keyed_by_dimension_and_nodes(beta, nodes):
+    # One grid per (beta, rule): the pair of rules misses twice, then never.
+    quadrature._simplex_grid.cache_clear()
     _grid_integral(_heading_kernel, beta, 1.0, nodes)
-    misses = quadrature._simplex_grid.cache_info().misses
+    assert quadrature._simplex_grid.cache_info().misses == 2
     for s in np.random.default_rng(beta).uniform(0.0, 1.2, 50):
         _grid_integral(_heading_kernel, beta, float(s), nodes)
-    assert quadrature._simplex_grid.cache_info().misses == misses
+    assert quadrature._simplex_grid.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("nodes", [2, 7, 24, 64])
 def test_pair_grid_t1_nodes_are_the_line_grid(nodes):
     # The one-pass second moments read int D from the t1 nodes of the
     # dimension-2 grid with the dimension-1 grid's weights.
-    (t1, _), _, _ = quadrature._simplex_grid(2, nodes)
-    (t,), _, _ = quadrature._simplex_grid(1, nodes)
-    assert np.array_equal(t1[..., 0], t)
+    (t1, t2), jw = quadrature._simplex_grid(2, nodes)
+    (t,), w = quadrature._simplex_grid(1, nodes)
+    assert t1.shape == (nodes, 1) and t2.shape == jw.shape == (nodes, nodes)
+    assert w.shape == (nodes,)
+    assert np.array_equal(t1[:, 0], t)
 
 
 def _decay_weights_reference(m, rate):
