@@ -157,7 +157,7 @@ def d2(ctx, out_path):
         err, method = 0.0, "closed-form"
     else:
         value, err = low_moments.checked_mean_squared_distance(
-            cfg.profile, cfg.noise, s, cfg.settings)
+            cfg.profile, cfg.noise, s)
         method = "quadrature"
     record = {"quantity": "d2", "s": s, "value": value,
               "err_estimate": err, "method": method}
@@ -178,7 +178,7 @@ def d4(ctx, out_path):
         method = "closed-form"
     else:
         d2_value, _ = low_moments.checked_mean_squared_distance(
-            cfg.profile, cfg.noise, s, cfg.settings)
+            cfg.profile, cfg.noise, s)
         value = fourth_moment.d4_moment(cfg.profile, cfg.noise, s, cfg.settings)
         method = "quadrature"
     variance = fourth_moment.variance_from_moments(value, d2_value)
@@ -226,7 +226,7 @@ def _reproduce_analytic(table: str, params: NoiseParams, settings):
         var = constant_ratio.variance_d2_closed(5.0, params, 1.0)
         return mean, var
     profile = _reproduce_profile(table)
-    mean = low_moments.mean_squared_distance(profile, params, 1.0, settings)
+    mean = low_moments.mean_squared_distance(profile, params, 1.0)
     var = fourth_moment.variance_from_moments(
         fourth_moment.d4_moment(profile, params, 1.0, settings), mean)
     return mean, var

@@ -10,15 +10,18 @@ Schema (sections ``sim`` and ``quadrature`` are optional):
       "noise":      {"k_r": 0.01, "k_theta": 0.01},
       "sim":        {"s_final": 1.0, "steps": 10000,
                      "trials": 100000, "master_seed": 0},
-      "quadrature": {"nodes_per_level": 24, "rel_tol": 1e-9}
+      "quadrature": {"rel_tol": 1e-9}
     }
 
-Loading is strict about unknown profile kinds and invalid values, and
-ignores sections and ``quadrature`` keys it does not read (such as the
-``output`` section and the ``max_dim_deterministic`` and ``qmc_samples``
-keys of older configs); every failure is reported as
-:class:`ConfigError` so the CLI can map it to its exit code. ``dump_config`` emits a document that loads back to an
-equivalent configuration.
+``rel_tol`` is the accuracy target of the moment engines' chain rule; the
+low-order statistics run on a panel rule that takes no setting. Loading is
+strict about unknown profile kinds and invalid values, and ignores
+sections and ``quadrature`` keys it does not read (such as the ``output``
+section and the ``nodes_per_level``, ``max_dim_deterministic`` and
+``qmc_samples`` keys of older configs); every failure is reported as
+:class:`ConfigError` so the CLI can map it to its exit code.
+``dump_config`` emits a document that loads back to an equivalent
+configuration.
 """
 
 from __future__ import annotations
@@ -85,10 +88,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
         quad_doc = doc.get("quadrature", {})
         settings = QuadratureSettings(
-            nodes_per_level=int(quad_doc.get("nodes_per_level",
-                                             DEFAULT_SETTINGS.nodes_per_level)),
-            rel_tol=float(quad_doc.get("rel_tol", DEFAULT_SETTINGS.rel_tol)),
-        )
+            rel_tol=float(quad_doc.get("rel_tol", DEFAULT_SETTINGS.rel_tol)))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -119,8 +119,5 @@ def dump_config(cfg: ExperimentConfig) -> dict:
             "trials": cfg.sim.trials,
             "master_seed": cfg.sim.master_seed,
         },
-        "quadrature": {
-            "nodes_per_level": cfg.settings.nodes_per_level,
-            "rel_tol": cfg.settings.rel_tol,
-        },
+        "quadrature": {"rel_tol": cfg.settings.rel_tol},
     }

@@ -134,7 +134,7 @@ def variance_d2(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     or if cancellation drives the result below ``-VARIANCE_SLACK`` instead
     of clamping silently.
     """
-    d2, _ = checked_mean_squared_distance(profile, params, s, settings)
+    d2, _ = checked_mean_squared_distance(profile, params, s)
     return variance_from_moments(d4_moment(profile, params, s, settings), d2)
 
 

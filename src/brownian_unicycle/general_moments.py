@@ -44,8 +44,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .exceptions import (EnvelopeWarning, NumericalConsistencyError,
-                         TermKeyError)
+from .exceptions import (EnvelopeWarning, IntegrandEvaluationError,
+                         NumericalConsistencyError, TermKeyError)
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_chains
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
@@ -679,9 +679,14 @@ def displacement_heading_moment(p: int, q: int, r: int,
     plan = _plan(p, q, r)
     kr, kt = params.k_r, params.k_theta
     common = kt ** (0.5 * r) * cmath.exp(1j * (p - q) * profile.theta0)
-    total = complex(common * s ** (r // 2) * np.sum(
-        plan.const_coef * kr ** plan.const_n * s ** plan.const_m))
-    scales = plan.coef * (kr ** plan.n * s ** plan.m) * common
+    # An overflow raises below; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = complex(common * s ** (r // 2) * np.sum(
+            plan.const_coef * kr ** plan.const_n * s ** plan.const_m))
+        scales = plan.coef * (kr ** plan.n * s ** plan.m) * common
+    if not (cmath.isfinite(total) and np.isfinite(scales).all()):
+        raise IntegrandEvaluationError(
+            f"k_r = {kr:g} overflows the terms' factors k_r**n s**m")
     if not scales.any():
         return MomentResult(total, 0.0, plan.terms)
     walk = plan.walk

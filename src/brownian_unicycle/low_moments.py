@@ -1,58 +1,83 @@
 """Heading integrals: the noise-free pose and the low-order statistics.
 
 Every quantity here is an explicit one- or two-dimensional integral over
-the deterministic heading, with the heading-noise decay ``exp(-k_theta *
-s' / 2)`` attached to each displacement factor. The two-dimensional
-integrals are stated over ``(s', s'')`` with ``s''`` the gap between the
-two sample points; substituting ``t2 = s' + s''`` maps them onto the
-tensor grid of :mod:`~brownian_unicycle.quadrature`, on which this module
-evaluates its integrands and which sums them
-(:func:`~brownian_unicycle.quadrature._grid_sum`).
+the deterministic heading ``h``, with the heading-noise decay attached to
+each displacement factor, and all of them run on one Gauss-Legendre panel
+rule of ``[0, s]`` (:func:`_panels`, :func:`_rule`). Its panels are cut
+at the table knots, graded toward 0 when ``2 k_theta s`` passes
+``PANEL_DECAY`` (as the chain rule of :mod:`quadrature` grades them), and
+split into equal panels of at most ``PANEL_TURN`` of heading turn,
+measured by a bound of ``|mu|`` on each segment; the node count ``m`` per
+panel follows from the largest turn and decay of a panel
+(:func:`_node_count`).
+Each segment's heading is evaluated at its own nodes from its own
+quadratic (a table) or closed form.
 
-A pass evaluates one Gauss rule, ``G = nodes_per_level``: the value-only
-functions make one, on the ``(G + 2)``-node rule; those that report an
-error estimate make one at ``G`` and then one at ``G + 2`` nodes
-(:func:`_estimate`). A non-finite sum raises at its first rule's first
-non-finite point.
+The one-dimensional integrals are Gauss sums on the panels: the mean
+position ``Z = int_0^s exp(i h(t) - k_theta t / 2) dt`` (without the decay,
+the noise-free pose), ``J``, the same integral with a factor ``t``, and
+``int D`` with ``D = exp(2 i h - 2 k_theta t)``. The position-heading
+covariances are ``cov(x, theta) = -k_theta Im J`` and ``cov(y, theta) =
+k_theta Re J``: the factor ``t`` comes from differentiating the mean
+position under the integral sign.
 
-A single one-dimensional integral, ``int_0^s t^power exp(i w
-mean_heading(t) - c t) dt`` (:func:`_heading_integral`), serves the
-separate first-order functions: the mean position (``w = 1``, ``c =
-k_theta/2``), the noise-free pose (``w = 1``, ``c = 0``) and, with
-``power = 1``, the position-heading covariances.
+The two-dimensional integrals are ``iint_{u < t} E(t, u) f(u)`` with
+``E = exp(i (h(t) - h(u)) - c (t - u))``, ``c = k_theta / 2``, and ``f =
+1`` or ``D``. ``E`` is separable, so the inner integral ``I(t) = int_0^t
+E(t, u) f(u) du`` is a prefix integral (:func:`_pair_sums`). On a
+panel ``[p0, p0 + H]``, with ``g = exp(-i (h(u) - h(p0))) f(u)`` at its
+nodes,
 
-The three second moments come from two complex kernels, ``E = exp(i
-(h2 - h1) - k_theta (t2 - t1) / 2)`` and ``D E`` with ``D = exp(2 i h1 -
-2 k_theta t1)``: ``<x^2>`` and ``<y^2>`` take ``Re iint E +- Re iint D E``
-and ``<x y>`` takes ``Im iint D E``, plus shift-noise terms in ``int D``.
-They make one pass over a cached dimension-2 grid of the tensor rule:
-the heading is evaluated once at its ``t1`` nodes and once at its ``t2``
-points, ``E`` is summed over ``t2`` first, and ``D``, a function of
-``t1`` alone, multiplies those per-``t1`` sums. The ``t1`` nodes are the
-dimension-1 grid's nodes, so ``int D`` is a sum over them with the 1-D
-rule's weights. ``<D^2>`` integrates ``Re E`` on the same pass, and
-:func:`low_order_statistics` adds the means and ``J`` below as sums over
-the ``t1`` nodes, with every error estimate.
+    I(t) = exp(i (h(t) - h(p0))) [exp(-c (t - p0)) C + H (S_c g)(t)],
+    C <- exp(i dh) (exp(-c H) C + H W_c g),
 
-The position-heading covariances are ``k_theta`` times the parts of
-``J = int_0^s t exp(i mean_heading(t) - k_theta t/2) dt``:
-``cov(x, theta) = -k_theta Im J`` and ``cov(y, theta) = k_theta Re J``.
-The factor ``t`` comes from differentiating the mean position under the
-integral sign; the finite-difference form survives only as a test
-oracle.
+where ``C = I(p0)`` is one complex number carried from panel to panel,
+``dh`` is the panel's turn and ``S_c``, ``W_c`` are
+:func:`~brownian_unicycle.quadrature._decay_weights` at the rate ``c H``,
+which integrate the gap's decay exactly. No exponent grows, and the cost
+is ``O(n m)`` for ``n`` nodes. ``<D^2> = k_r s + 2 Re iint E``, and the
+second moments are ``<x^2> = Re iint E + Re iint D E + k_r/2 (s + Re int
+D)``, ``<y^2> = Re iint E - Re iint D E + k_r/2 (s - Re int D)`` and ``<x
+y> = Im iint D E + k_r/2 Im int D``.
+
+The value-only functions evaluate the rule of ``m`` nodes per panel;
+:func:`low_order_statistics` and :func:`mean_squared_distance_with_error`
+also evaluate the one of ``m - ESTIMATE_STEP`` nodes on the same panels,
+and estimate each error from the two. A turn bound that is not finite
+raises :class:`~brownian_unicycle.exceptions.IntegrandEvaluationError`
+with the end of its segment as the point, before any rule is built, and
+a sum that is not finite raises it without one.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import NumericalConsistencyError
-from .quadrature import (CHAIN_ROUNDOFF, DEFAULT_SETTINGS, QuadratureSettings,
-                         _grid_sum, _non_finite_error, _scaled_grid)
-from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
+from .exceptions import (EnvelopeRefusal, IntegrandEvaluationError,
+                         NumericalConsistencyError, ProfileDomainError)
+from .quadrature import (CHAIN_ROUNDOFF, PANEL_DECAY, _decay_weights,
+                         _gauss_unit)
+from .trajectory import (NoiseParams, SpeedRatioProfile, mean_heading,
+                         polynomial_heading)
+
+#: Largest heading turn of one panel, by the segment's bound of ``|mu|``.
+PANEL_TURN = 2.0 * math.pi
+#: Gauss points per panel: ``NODES_MIN`` plus ``NODES_PER_RATE`` per unit
+#: of the largest ``|2 i turn - decay|`` of a panel.
+NODES_MIN = 6
+NODES_PER_RATE = 0.6
+#: Gauss points per panel fewer in the coarse rule of an error estimate.
+ESTIMATE_STEP = 4
+#: Most panels of one rule.
+MAX_PANELS = 2 ** 15
+#: Machine epsilon: decays ``c H`` closer than ``4 EPS`` share weights.
+EPS = float(np.finfo(float).eps)
 
 
 def orientation_distribution(profile: SpeedRatioProfile, params: NoiseParams,
@@ -61,118 +86,395 @@ def orientation_distribution(profile: SpeedRatioProfile, params: NoiseParams,
     return mean_heading(profile, s), params.k_theta * s
 
 
-#: Tensor rule of the noise-free pose of non-constant profiles.
-_POSE_SETTINGS = QuadratureSettings(nodes_per_level=64)
+# -- the panel rule ------------------------------------------------------------
+
+class _Panels(NamedTuple):
+    """The panels of ``[0, s]`` and the node count ``m`` of their rule.
+
+    Row ``p`` of ``coef`` holds panel ``p``'s start ``p0``, width ``H`` and,
+    for constant and table profiles, the heading ``h0 + B x + C x^2`` in
+    the panel coordinate ``x = (t - p0) / H`` (zeros for a polynomial,
+    whose heading is evaluated at the nodes).
+    """
+
+    coef: np.ndarray
+    m: int
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.coef[:, 0]
+
+    @property
+    def width(self) -> np.ndarray:
+        return self.coef[:, 1]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _heading_integral(profile, s, w, c, settings, power=0):
-    """``int_0^s t^power exp(i w mean_heading(t) - c t) dt`` on the
-    ``(G + 2)``-node dimension-1 grid, a Python complex."""
-    ts, jw = _scaled_grid(1, s, settings.nodes_per_level + 2)
-    t = ts[0]
-    e = np.exp(1j * w * mean_heading(profile, t) - c * t)
-    return _grid_sum((t ** power * e if power else e) * jw, ts, jw)
+class _Rule(NamedTuple):
+    """The ``m``-node rule on :class:`_Panels`: nodes ``t`` and weights
+    ``wt`` with shape ``(panels, m)``, the distance ``into`` of each node
+    from its panel's start, the heading ``h`` at the nodes and ``local``,
+    its rise ``B x + C x^2`` from the panel's start (zero for a polynomial:
+    see :func:`_rise`)."""
+
+    panels: _Panels
+    t: np.ndarray
+    wt: np.ndarray
+    into: np.ndarray
+    h: np.ndarray
+    local: np.ndarray
 
 
-def _estimate(coarse, fine, magnitude):
-    """``|fine - coarse|`` plus ``CHAIN_ROUNDOFF`` times ``magnitude``, the
-    fine rule's summed ``|values * jw|``."""
-    return abs(fine - coarse) + CHAIN_ROUNDOFF * float(magnitude)
+def _node_count(turn: float, decay: float) -> int:
+    """Gauss points per panel for the largest turn and sampled decay of a
+    panel: the second-order integrands turn twice as fast as the
+    heading."""
+    return NODES_MIN + math.ceil(NODES_PER_RATE * math.hypot(2.0 * turn, decay))
 
 
-def deterministic_pose(profile: SpeedRatioProfile, s: float,
-                       settings: QuadratureSettings = _POSE_SETTINGS):
+def _bound(profile: SpeedRatioProfile, end: float) -> float:
+    """A bound of ``|mu|`` on ``[0, end]`` for a constant or polynomial
+    profile, in Python floats, where an overflow gives inf without a
+    numpy warning."""
+    bound = 0.0
+    for coeff in reversed(profile.coeffs or (profile.mu0,)):
+        bound = bound * end + abs(coeff)
+    return bound
+
+
+def _refuse_turn(end: float):
+    raise IntegrandEvaluationError(
+        f"the heading's turn bound up to t = {end} is not finite",
+        point=(end,))
+
+
+def _refuse_count(turn: float, s: float, count: int):
+    raise EnvelopeRefusal(
+        f"the heading may turn {turn:.3g} rad over [0, {s}]: the rule would "
+        f"need {count} panels, more than {MAX_PANELS}")
+
+
+def _panels(profile: SpeedRatioProfile, kt: float, s: float) -> _Panels:
+    """The panels of ``profile`` on ``[0, s]``, ``s > 0``, for the heading
+    noise ``kt``.
+
+    Segments end at the table knots inside ``(0, s)``; when the largest
+    sampled decay ``2 kt`` times ``s`` passes ``PANEL_DECAY``, more cuts
+    grade them toward 0, doubling from ``PANEL_DECAY / (2 kt)``, so that
+    no decay outgrows the first panel. Each segment gets ``ceil(bound *
+    length / PANEL_TURN)`` equal panels, with ``bound`` a bound of ``|mu|``
+    on it: the larger ``|mu|`` at a table segment's ends, ``sum_k |c_k|
+    b^k`` for a polynomial on ``[a, b]``. The largest ``|mu|`` times the
+    longest segment bounds every segment's turn, so segments are split
+    only when it passes ``PANEL_TURN``. A turn bound that is not finite
+    raises :class:`IntegrandEvaluationError` at the end of the first
+    segment where it is not, and a rule of more than ``MAX_PANELS`` panels
+    :class:`EnvelopeRefusal`.
+    """
+    rate = 2.0 * kt
+    if not math.isfinite(rate):
+        raise IntegrandEvaluationError(
+            f"the decay rate 2 k_theta = {rate} is not finite: k_theta is "
+            "too large")
+    table = profile.kind == "table"
+    # Panels start off the table knots when the decay grades them or a
+    # segment is split.
+    off_knots = rate * s > PANEL_DECAY
+    if not (table or off_knots):
+        # One segment, in Python floats: the common case, without the
+        # array work below.
+        turn = _bound(profile, s) * s
+        if not math.isfinite(turn):
+            _refuse_turn(s)
+        count = max(math.ceil(turn / PANEL_TURN), 1)
+        if count > MAX_PANELS:
+            _refuse_count(turn, s, count)
+        width = s / count
+        m = _node_count(turn / count, rate * width)
+        mu = profile.mu0
+        if count == 1:
+            return _Panels(np.array(((0.0, s, profile.theta0, mu * s, 0.0),)), m)
+        start = width * np.arange(count)
+        return _Panels(np.array([start, np.full(count, width),
+                                 profile.theta0 + mu * start,
+                                 np.full(count, mu * width),
+                                 np.zeros(count)]).T, m)
+    if table:
+        ks, kmu, kh, slope = profile._panels
+        n = bisect.bisect_left(profile.knots_s, s, 1)
+        ends = ks[:n + 1].copy()
+        ends[n] = s
+    else:
+        ends = np.array((0.0, s))
+    if off_knots:
+        doublings = math.ceil(math.log2(rate * s / PANEL_DECAY))
+        ends = np.union1d(ends, PANEL_DECAY / rate * 2.0 ** np.arange(doublings))
+    lengths = ends[1:] - ends[:-1]
+    width_max = max(lengths.tolist())
+    if table:
+        # |mu| at the knots: mu is linear in between.
+        largest = max(map(abs, profile.knots_mu[:n + 1])) * width_max
+    else:
+        bound = np.array([_bound(profile, end) for end in ends[1:].tolist()])
+        largest = max(bound.tolist()) * width_max
+    if not math.isfinite(largest) or largest > PANEL_TURN:
+        if table:
+            # The larger |mu| at the knots around each segment.
+            bound = np.abs(kmu)
+            bound = np.maximum(bound[:-1], bound[1:])[
+                np.searchsorted(ks, ends[:-1], side="right") - 1]
+        # Python floats: an overflow gives inf without a numpy warning.
+        for end, b, length in zip(ends[1:].tolist(), bound.tolist(),
+                                  lengths.tolist()):
+            if not math.isfinite(b * length):
+                _refuse_turn(end)
+    width = lengths
+    if largest > PANEL_TURN:
+        turn = bound * lengths
+        counts = np.ceil(turn / PANEL_TURN)
+        if counts.sum() > MAX_PANELS:
+            _refuse_count(float(turn.sum()), s, int(counts.sum()))
+        largest = float((turn / counts).max())
+        counts = counts.astype(int)
+        width = np.repeat(lengths / counts, counts)
+        width_max = float(width.max())
+        at = np.arange(width.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        ends = np.append(np.repeat(ends[:-1], counts) + at * width, s)
+        off_knots = True
+    start = ends[:-1]
+    m = _node_count(largest, min(rate * width_max, PANEL_DECAY))
+    if not table:
+        mu = profile.mu0
+        return _Panels(np.array([start, width, profile.theta0 + mu * start,
+                                 mu * width, np.zeros_like(width)]).T, m)
+    if off_knots:
+        knot = np.searchsorted(ks, start, side="right") - 1
+        h0, mu, half_slope = (mean_heading(profile, start),
+                              np.interp(start, ks, kmu), 0.5 * slope[knot])
+    else:
+        h0, mu, half_slope = kh[:n], kmu[:n], 0.5 * slope[:n]
+    return _Panels(np.array([start, width, h0, mu * width,
+                             half_slope * width * width]).T, m)
+
+
+@lru_cache(maxsize=64)
+def _basis(m: int) -> np.ndarray:
+    """The matrices that take the rows of :class:`_Panels` ``coef`` to the
+    panels' ``t``, ``into``, ``h``, ``local`` and ``wt`` at the ``m`` Gauss
+    nodes ``x`` of ``[0, 1]``, stacked."""
+    x, w = _gauss_unit(m)
+    basis = np.zeros((5, 5, m))
+    basis[0, 0] = 1.0                   # t = p0 + H x
+    basis[0, 1] = basis[1, 1] = x       # into = H x
+    basis[2, 2] = 1.0                   # h = h0 + B x + C x^2
+    basis[2, 3] = basis[3, 3] = x       # local = B x + C x^2
+    basis[2, 4] = basis[3, 4] = x * x
+    basis[4, 1] = w                     # wt = H w
+    basis.setflags(write=False)
+    return basis
+
+
+def _rule(profile: SpeedRatioProfile, panels: _Panels, m: int) -> _Rule:
+    """The ``m``-node rule on ``panels``: one product of their ``coef``
+    with :func:`_basis`, and a polynomial's heading at the nodes."""
+    t, into, h, local, wt = panels.coef @ _basis(m)
+    if profile.kind == "polynomial":
+        h = polynomial_heading(profile, t)
+    return _Rule(panels, t, wt, into, h, local)
+
+
+def _rise(profile: SpeedRatioProfile, rule: _Rule):
+    """The heading at each panel's start, its rise from there at the nodes,
+    and its turn across each panel: for constant and table profiles from
+    the panel's quadratic, which carries no roundoff of the start's
+    heading."""
+    coef = rule.panels.coef
+    if profile.kind != "polynomial":
+        return coef[:, 2], rule.local, coef[:, 3] + coef[:, 4]
+    h = polynomial_heading(profile, np.append(coef[:, 0], coef[-1, 0]
+                                               + coef[-1, 1]))
+    return h[:-1], rule.h - h[:-1, None], h[1:] - h[:-1]
+
+
+def _check_length(profile: SpeedRatioProfile, s: float) -> None:
+    # Written so that NaN, which compares false either way, fails too.
+    if not (0.0 <= s <= profile.s_max):
+        raise ProfileDomainError(
+            f"curve length {s} outside [0, {profile.s_max}]")
+
+
+def _rules(profile, kt, s, estimate) -> list:
+    """The rule of ``profile`` and ``kt`` on ``[0, s]``, ``s > 0``, and with
+    ``estimate`` the coarse rule of the same panels before it."""
+    panels = _panels(profile, kt, s)
+    counts = (panels.m - ESTIMATE_STEP, panels.m) if estimate else (panels.m,)
+    return [_rule(profile, panels, m) for m in counts]
+
+
+# -- sums on one rule ----------------------------------------------------------
+
+def _finite(value: complex) -> complex:
+    """``value``, refused when it is not finite."""
+    if not cmath.isfinite(value):
+        raise IntegrandEvaluationError("the rule sum is not finite")
+    return value
+
+
+def _estimate(coarse: complex, fine: complex, modulus: float) -> float:
+    """``|fine - coarse|`` plus ``CHAIN_ROUNDOFF`` times the fine rule's sum
+    of the moduli of its terms."""
+    return abs(fine - coarse) + CHAIN_ROUNDOFF * modulus
+
+
+def _trig(rule: _Rule):
+    """``cos h`` and ``sin h`` at the nodes."""
+    return np.cos(rule.h), np.sin(rule.h)
+
+
+def _line_weights(rule: _Rule, kt: float, power: int = 0) -> np.ndarray:
+    """``t^power exp(-kt t / 2)`` times the weights: the moduli of the terms
+    of ``Z`` (``power = 0``) and ``J`` (``power = 1``)."""
+    e = np.exp(-0.5 * kt * rule.t)
+    e *= rule.wt
+    if power:
+        e *= rule.t
+    return e
+
+
+def _line_sum(trig, weights) -> complex:
+    """``sum weights exp(i h)`` from :func:`_trig`, as two real dot
+    products."""
+    return _finite(complex(np.vdot(trig[0], weights),
+                           np.vdot(trig[1], weights)))
+
+
+def _carry(a, b) -> np.ndarray:
+    """``C_p`` of ``C_0 = 0``, ``C_{p+1} = a_p C_p + b_p``, for ``b`` and the
+    result of shape ``(panels, columns)``: a Python loop over the
+    panels."""
+    a = a.tolist()
+    out = []
+    for column in b.T.tolist():
+        c, carried = 0j, []
+        for a_p, b_p in zip(a, column):
+            carried.append(c)
+            c = a_p * c + b_p
+        out.append(carried)
+    return np.array(out).T
+
+
+def _runs(c: float, width: list) -> list:
+    """``(first, end)`` of each run of consecutive panels whose decays ``c
+    H`` lie in one interval of ``4 eps``, for the panel widths ``width``."""
+    scale = c / (4.0 * EPS)
+    if math.floor(scale * max(width)) == math.floor(scale * min(width)):
+        return [(0, len(width))]
+    keys = [math.floor(scale * w) for w in width]
+    cuts = [p for p in range(1, len(keys)) if keys[p] != keys[p - 1]]
+    return list(zip([0, *cuts], [*cuts, len(keys)]))
+
+
+def _pair_sums(profile, rule: _Rule, kt: float, second: bool,
+               moduli: bool = False):
+    """``iint E`` on ``rule`` and, when ``second``, ``iint D E`` and ``int D``,
+    and with ``moduli`` the sums of the moduli of their terms as well.
+
+    The inner integral is the prefix carry of the module docstring: the
+    real weight matrices of each panel act on the real and imaginary parts
+    of its node values at once. A run of panels whose decays ``c H`` lie in
+    one interval of ``4 eps`` (the knot spacings of a uniform table, or
+    any panels without decay) shares the weights of its first panel,
+    which changes a decay factor by at most ``4 eps`` relative. The outer
+    integral is the Gauss sum of ``I`` over the nodes.
+    """
+    c = 0.5 * kt
+    m = rule.t.shape[1]
+    width = rule.panels.width
+    h0, local, turn = _rise(profile, rule)
+    phase = np.exp(1j * local)
+    # g[..., 0] = exp(-i (h - h0)) and g[..., 1] = that times D = exp(2 i h -
+    # 2 kt t).
+    g = np.empty(phase.shape + (1 + second,), complex)
+    np.conjugate(phase, out=g[..., 0])
+    if second:
+        np.exp(1j * (rule.h + h0[:, None]) - 2.0 * kt * rule.t, out=g[..., 1])
+    flat = g.view(float)
+    inner, ends = np.empty_like(flat), np.empty_like(flat[:, 0])
+    widths = width.tolist()
+    for a, b in _runs(c, widths):
+        own, end = _decay_weights(m, c * widths[a])
+        np.matmul(widths[a] * own, flat[a:b], out=inner[a:b])
+        np.matmul(widths[a] * end, flat[a:b], out=ends[a:b])
+    inner, ends = inner.view(complex), ends.view(complex)
+    turn = np.exp(1j * turn)
+    carried = _carry(turn * np.exp(-c * width), turn[:, None] * ends)
+    # I at the nodes, without exp(i (h - h0)).
+    inner += np.exp(-c * rule.into)[..., None] * carried[:, None]
+    weighted = rule.wt * phase
+    sums = (weighted.ravel() @ inner.reshape(-1, g.shape[-1])).tolist()
+    if second:
+        sums.append(complex(np.dot(weighted.ravel(), g[..., 1].ravel())))
+    sums = [_finite(value) for value in sums]
+    if not moduli:
+        return sums
+    mods = (rule.wt[..., None] * np.abs(inner)).sum(axis=(0, 1)).tolist()
+    if second:
+        mods.append(float(np.exp(-2.0 * kt * rule.t).ravel() @ rule.wt.ravel()))
+    return sums, mods
+
+
+# -- the statistics ------------------------------------------------------------
+
+def _mean_integral(profile, kt, s, power=0) -> complex:
+    """``int_0^s t^power exp(i h(t) - kt t / 2) dt`` on the rule of
+    ``kt``."""
+    _check_length(profile, s)
+    if s == 0.0:
+        return 0j
+    rule, = _rules(profile, kt, s, False)
+    return _line_sum(_trig(rule), _line_weights(rule, kt, power))
+
+
+def deterministic_pose(profile: SpeedRatioProfile, s: float):
     """Noise-free pose ``(x, y, theta)`` after curve length ``s``.
 
     ``x + i y = int_0^s exp(i * mean_heading)``. Constant profiles take
     the exact one-level chain of
     :func:`~brownian_unicycle.constant_ratio.mean_pose_closed` without
-    noise; other kinds integrate on the ``(G + 2)``-node rule of the tensor
-    grid, ``G = 64`` by default.
+    noise; other kinds sum the panel rule.
     """
-    th = mean_heading(profile, s)
     if profile.kind == "constant":
         # constant_ratio imports this module through fourth_moment.
         from .constant_ratio import mean_pose_closed
         z = mean_pose_closed(profile.mu0, NoiseParams(0.0, 0.0),
                              profile.theta0, s)
     else:
-        z = _heading_integral(profile, s, 1, 0.0, settings)
+        z = _mean_integral(profile, 0.0, s)
+    th = mean_heading(profile, s)
     return (z.real, z.imag, th)
 
 
-def mean_x(profile: SpeedRatioProfile, params: NoiseParams, s: float,
-           settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def mean_x(profile: SpeedRatioProfile, params: NoiseParams, s: float) -> float:
     """``integral_0^s cos(mean_heading) * exp(-k_theta s'/2) ds'``."""
-    return _heading_integral(profile, s, 1, 0.5 * params.k_theta,
-                             settings).real
+    return _mean_integral(profile, params.k_theta, s).real
 
 
-def mean_y(profile: SpeedRatioProfile, params: NoiseParams, s: float,
-           settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def mean_y(profile: SpeedRatioProfile, params: NoiseParams, s: float) -> float:
     """Sine analogue of :func:`mean_x`."""
-    return _heading_integral(profile, s, 1, 0.5 * params.k_theta,
-                             settings).imag
+    return _mean_integral(profile, params.k_theta, s).imag
 
 
-class _PairGrid(NamedTuple):
-    """The dimension-2 tensor grid of one rule on ``[0, s]`` with the
-    heading evaluated on it once, at ``t1`` and at ``t2``.
-
-    ``ts`` and ``jw`` are the grid's coordinates and weights
-    (:func:`~brownian_unicycle.quadrature._scaled_grid`). ``w1``, ``t1``
-    and ``h1`` are the 1-D rule's weights, the nodes and the heading at the
-    ``t1`` nodes. ``phase`` and ``decay`` are ``h2 - h1`` and
-    ``exp(-k_theta (t2 - t1) / 2)`` on the grid, the parts of ``E``.
-    """
-
-    ts: tuple
-    jw: np.ndarray
-    w1: np.ndarray
-    t1: np.ndarray
-    h1: np.ndarray
-    phase: np.ndarray
-    decay: np.ndarray
+def cov_xtheta(profile: SpeedRatioProfile, params: NoiseParams,
+               s: float) -> float:
+    """Covariance of x with the heading, ``-k_theta * int s' sin(mean_heading) e^{-k_theta s'/2}``."""
+    kt = params.k_theta
+    return -kt * _mean_integral(profile, kt, s, 1).imag
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _pair_grid(profile, kt, s, n_nodes) -> _PairGrid:
-    """The :class:`_PairGrid` of ``profile`` and ``k_theta`` on the
-    ``n_nodes``-node rule of ``[0, s]``."""
-    (t1, t2), jw = _scaled_grid(2, s, n_nodes)
-    _, w1 = _scaled_grid(1, s, n_nodes)
-    h1 = mean_heading(profile, t1)
-    return _PairGrid((t1, t2), jw, w1, t1[:, 0], h1[:, 0],
-                     mean_heading(profile, t2) - h1,
-                     np.exp(-0.5 * kt * (t2 - t1)))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _second_order_sums(grid: _PairGrid, kt):
-    """``E`` times the weights, ``D = exp(2 i h1 - 2 k_theta t1)`` at the
-    ``t1`` nodes, and the rule sums of ``iint E``, ``iint D E`` and
-    ``int D``, as Python complexes.
-
-    ``E`` is summed over ``t2`` first and ``D`` multiplies those sums;
-    ``int D`` takes the 1-D rule's weights at the same nodes. A non-finite
-    sum raises :class:`IntegrandEvaluationError` at the first non-finite
-    value of ``E``, then of ``D E``, in grid order.
-    """
-    e_jw = np.empty(grid.jw.shape, complex)
-    decay_jw = grid.decay * grid.jw
-    for part, trig in ((e_jw.real, np.cos), (e_jw.imag, np.sin)):
-        trig(grid.phase, out=part)
-        part *= decay_jw
-    d = np.exp(2j * grid.h1 - 2.0 * kt * grid.t1)
-    terms = np.empty((3,) + d.shape, complex)
-    terms[0] = e_jw.sum(axis=-1)
-    np.multiply(d, terms[0], out=terms[1])
-    np.multiply(d, grid.w1, out=terms[2])
-    sums = terms.sum(axis=-1).tolist()
-    if not all(map(cmath.isfinite, sums)):
-        raise _non_finite_error((e_jw, d[:, None] * e_jw), grid.ts, grid.jw)
-    return e_jw, d, sums
+def cov_ytheta(profile: SpeedRatioProfile, params: NoiseParams,
+               s: float) -> float:
+    """Covariance of y with the heading, ``+k_theta * int s' cos(mean_heading) e^{-k_theta s'/2}``."""
+    kt = params.k_theta
+    return kt * _mean_integral(profile, kt, s, 1).real
 
 
 def _second_moments(k_r, s, ie, ide, i_d):
@@ -184,9 +486,8 @@ def _second_moments(k_r, s, ie, ide, i_d):
             float(ide.imag + kr2 * i_d.imag))
 
 
-def second_moments(profile: SpeedRatioProfile, params: NoiseParams, s: float,
-                   settings: QuadratureSettings = DEFAULT_SETTINGS
-                   ) -> tuple[float, float, float]:
+def second_moments(profile: SpeedRatioProfile, params: NoiseParams,
+                   s: float) -> tuple[float, float, float]:
     """Second moments ``(<x^2>, <y^2>, <x y>)`` of the position.
 
     With ``h`` the heading, ``E = exp(i (h2 - h1) - k_theta (t2 - t1)/2)``
@@ -194,49 +495,52 @@ def second_moments(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     factor of the inner point), over the ordered pair ``t1 <= t2``:
     ``<x^2> = Re iint E + Re iint D E + k_r/2 * (s + Re int D)``,
     ``<y^2> = Re iint E - Re iint D E + k_r/2 * (s - Re int D)`` and
-    ``<x y> = Im iint D E + k_r/2 * Im int D``. All three integrals come
-    from one pass over the ``(G + 2)``-node rule of the dimension-2 tensor
-    grid.
+    ``<x y> = Im iint D E + k_r/2 * Im int D``, on one panel rule.
     """
-    kt = params.k_theta
-    grid = _pair_grid(profile, kt, s, settings.nodes_per_level + 2)
-    return _second_moments(params.k_r, s, *_second_order_sums(grid, kt)[2])
+    _check_length(profile, s)
+    if s == 0.0:
+        return _second_moments(params.k_r, s, 0j, 0j, 0j)
+    rule, = _rules(profile, params.k_theta, s, False)
+    return _second_moments(params.k_r, s,
+                           *_pair_sums(profile, rule, params.k_theta, True))
 
 
 def low_order_statistics(profile: SpeedRatioProfile, params: NoiseParams,
-                         s: float,
-                         settings: QuadratureSettings = DEFAULT_SETTINGS
-                         ) -> dict[str, tuple[float, float]]:
+                         s: float) -> dict[str, tuple[float, float]]:
     """Means, second moments and position-heading covariances, each with
-    its error estimate, from one pass over each rule of the dimension-2
-    tensor grid.
+    its error estimate, from one heading evaluation on each rule of the
+    estimate pair.
 
     Returns ``{name: (value, err_estimate)}`` for ``mean_x``, ``mean_y``,
     ``m_xx``, ``m_yy``, ``m_xy`` (the three of :func:`second_moments`),
     ``cov_xtheta`` and ``cov_ytheta``. The values are those of the
-    separate functions: the means and ``J`` of the covariances are sums
-    over the grid's ``t1`` nodes, the 1-D rule's nodes, with its weights.
-    Each integral's estimate is :func:`_estimate` of the ``G``- and ``(G +
-    2)``-node passes; a statistic adds the estimates of its integrals
-    times the moduli of their coefficients. A non-finite sum raises at the
-    first non-finite point of ``E``, then of ``D E``, on the ``G``-node
-    rule first.
+    separate functions, on the rule of ``m`` nodes per panel. Each
+    integral's estimate is :func:`_estimate` of the ``m - ESTIMATE_STEP``-
+    and ``m``-node rules; a statistic adds the estimates of its integrals
+    times the moduli of their coefficients.
     """
+    _check_length(profile, s)
     kt = params.k_theta
-    passes = []
-    for n_nodes in (settings.nodes_per_level, settings.nodes_per_level + 2):
-        grid = _pair_grid(profile, kt, s, n_nodes)
-        e_jw, d, second = _second_order_sums(grid, kt)
-        mean = np.exp(1j * grid.h1 - 0.5 * kt * grid.t1)
-        first = np.stack((mean * grid.w1, grid.t1 * mean * grid.w1))
-        passes.append(first.sum(axis=-1).tolist() + second)
-    # The magnitudes of the fine rule, the last pass.
-    abs_rows = np.abs(e_jw).sum(axis=-1)
-    magnitudes = (*np.abs(first).sum(axis=-1).tolist(), abs_rows.sum(),
-                  (np.abs(d) * abs_rows).sum(), np.abs(d * grid.w1).sum())
-    (z, j, ie, ide, i_d), (e_z, e_j, e_e, e_de, e_d) = zip(*(
-        (fine, _estimate(coarse, fine, magnitude))
-        for coarse, fine, magnitude in zip(*passes, magnitudes)))
+
+    def integrals(rule, moduli):
+        # Z, J, iint E, iint D E and int D, and with moduli the sums of
+        # the moduli of their terms.
+        trig = _trig(rule)
+        lines = [_line_weights(rule, kt, power) for power in (0, 1)]
+        sums = [_line_sum(trig, e) for e in lines]
+        if not moduli:
+            return sums + _pair_sums(profile, rule, kt, True)
+        pairs, mods = _pair_sums(profile, rule, kt, True, moduli=True)
+        return sums + pairs, [float(e.sum()) for e in lines] + mods
+
+    if s == 0.0:
+        sums, estimates = [0j] * 5, [0.0] * 5
+    else:
+        coarse_rule, rule = _rules(profile, kt, s, True)
+        sums, mods = integrals(rule, True)
+        estimates = [_estimate(c, f, mod) for c, f, mod
+                     in zip(integrals(coarse_rule, False), sums, mods)]
+    (z, j, ie, ide, i_d), (e_z, e_j, e_e, e_de, e_d) = sums, estimates
     m_xx, m_yy, m_xy = _second_moments(params.k_r, s, ie, ide, i_d)
     kr2 = 0.5 * params.k_r
     return {"mean_x": (z.real, e_z), "mean_y": (z.imag, e_z),
@@ -247,70 +551,46 @@ def low_order_statistics(profile: SpeedRatioProfile, params: NoiseParams,
             "cov_ytheta": (kt * j.real, kt * e_j)}
 
 
-def cov_xtheta(profile: SpeedRatioProfile, params: NoiseParams, s: float,
-               settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Covariance of x with the heading, ``-k_theta * int s' sin(mean_heading) e^{-k_theta s'/2}``."""
-    kt = params.k_theta
-    j = _heading_integral(profile, s, 1, 0.5 * kt, settings, 1)
-    return -kt * j.imag
-
-
-def cov_ytheta(profile: SpeedRatioProfile, params: NoiseParams, s: float,
-               settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Covariance of y with the heading, ``+k_theta * int s' cos(mean_heading) e^{-k_theta s'/2}``."""
-    kt = params.k_theta
-    j = _heading_integral(profile, s, 1, 0.5 * kt, settings, 1)
-    return kt * j.real
-
-
 def mean_squared_distance(profile: SpeedRatioProfile, params: NoiseParams,
-                          s: float,
-                          settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+                          s: float) -> float:
     """Mean of the squared distance from the start point.
 
     ``k_r*s + 2 * iint exp(-k_theta (t2-t1)/2) cos(heading(t2) - heading(t1))``
     over the ordered pair ``t1 <= t2``, refused like
     :func:`checked_mean_squared_distance` when no digit is right.
     """
-    return checked_mean_squared_distance(profile, params, s, settings)[0]
+    return checked_mean_squared_distance(profile, params, s)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def mean_squared_distance_with_error(profile: SpeedRatioProfile,
-                                     params: NoiseParams, s: float,
-                                     settings: QuadratureSettings = DEFAULT_SETTINGS
+                                     params: NoiseParams, s: float
                                      ) -> tuple[float, float]:
     """The mean squared distance and the error estimate of its integral,
     unchecked.
 
-    The integrand is ``Re E`` of :func:`second_moments`, summed in one pass
-    over each rule of the dimension-2 tensor grid; the estimate is
-    :func:`_estimate` of the two passes.
+    The integral is ``Re iint E`` of :func:`second_moments`, on each rule
+    of the estimate pair; the estimate is :func:`_estimate` of the two.
     """
-    sums = []
-    for n_nodes in (settings.nodes_per_level, settings.nodes_per_level + 2):
-        grid = _pair_grid(profile, params.k_theta, s, n_nodes)
-        prod = grid.decay * np.cos(grid.phase) * grid.jw
-        sums.append(_grid_sum(prod, grid.ts, grid.jw))
-    coarse, fine = sums
-    return (params.k_r * s + 2.0 * fine.real,
-            2.0 * _estimate(coarse, fine, np.abs(prod).sum()))
+    _check_length(profile, s)
+    if s == 0.0:
+        return params.k_r * s, 0.0
+    kt = params.k_theta
+    coarse_rule, rule = _rules(profile, kt, s, True)
+    (coarse,) = _pair_sums(profile, coarse_rule, kt, False)
+    (fine,), (mod,) = _pair_sums(profile, rule, kt, False, moduli=True)
+    return params.k_r * s + 2.0 * fine.real, 2.0 * _estimate(coarse, fine, mod)
 
 
 def checked_mean_squared_distance(profile: SpeedRatioProfile,
-                                  params: NoiseParams, s: float,
-                                  settings: QuadratureSettings = DEFAULT_SETTINGS
+                                  params: NoiseParams, s: float
                                   ) -> tuple[float, float]:
     """:func:`mean_squared_distance_with_error`, refused when no digit is
     right.
 
     Raises :class:`NumericalConsistencyError` when the error estimate
-    exceeds the value's magnitude: the tensor rule does not follow a
-    heading that turns many times (constant ``mu0 = 5``, ``K = 0.01``,
-    ``s = 20`` gives 0.122 with an estimate of 1.3, where ``<D^2>`` is
-    0.226).
+    exceeds the value's magnitude.
     """
-    value, err = mean_squared_distance_with_error(profile, params, s, settings)
+    value, err = mean_squared_distance_with_error(profile, params, s)
     if err > abs(value):
         raise NumericalConsistencyError(
             f"<D^2> = {value:.6g} has no correct digit: its error "

@@ -1,34 +1,16 @@
 """Nested quadrature over the ordered region 0 <= s1 <= ... <= s_beta <= s.
 
-The chain rule serves every moment term of this package; the tensor grid
-and its sums serve the low-order statistics of :mod:`low_moments`.
-
-The tensor grid maps level ``b`` onto Gauss-Legendre nodes of the unit
-interval spanning ``[s_{b-1}, s]``,
-
-    t_b = t_{b-1} + (s - t_{b-1}) * x_b,      jacobian prod_b (s - t_{b-1}),
-
-which turns the ordered region into a tensor-product rule on the unit
-cube, at a cost of ``nodes_per_level ** beta``. :func:`_simplex_grid`
-builds one Gauss rule per ``(beta, n)`` on the unit simplex (``s = 1``)
-and caches it; :func:`_scaled_grid` scales it to ``[0, s]`` (coordinates
-by ``s``, weights by ``s**beta``), and :func:`_grid_sum` sums the
-integrand's values times the weights, refusing a non-finite sum. The
-level-1 coordinates of the dimension-2 grid are the nodes of the
-dimension-1 grid, so :mod:`low_moments` reads every integral of one
-heading from one dimension-2 grid.
-
 The chain rule (:class:`ChainRule`, :func:`integrate_chains`) serves
-integrands that are products of per-gap factors,
+every moment term of this package, integrands that are products of
+per-gap factors,
 
-    prod_{b=1..beta} K_b(t_{b-1}, t_b) * tail(s - t_beta),   t_0 = 0,
+    prod_{b=1..beta} K_b(t_{b-1}, t_b) * tail(s - t_beta),   t_0 = 0.
 
-which is every moment term of this package. Such an integral is ``beta``
-applications of a Volterra operator: ``F_1(t) = K_1(0, t)``,
-``F_b(t) = int_0^t K_b(u, t) F_{b-1}(u) du``, and the result is
-``int_0^s F_beta(u) tail(s - u) du``. Each ``F_b`` lives at the Gauss
-points of panels of ``[0, s]``, which the moment engines cut at the table
-knots and after every ``2 pi`` of heading turn (Pachon, Platte &
+Such an integral is ``beta`` applications of a Volterra operator:
+``F_1(t) = K_1(0, t)``, ``F_b(t) = int_0^t K_b(u, t) F_{b-1}(u) du``, and
+the result is ``int_0^s F_beta(u) tail(s - u) du``. Each ``F_b`` lives at
+the Gauss points of panels of ``[0, s]``, which the moment engines cut at
+the table knots and after every ``2 pi`` of heading turn (Pachon, Platte &
 Trefethen, IMA J. Numer. Anal. 30, 2010). For node ``t_j`` each panel
 integrates ``K F`` through its interpolant on the panel's nodes: the
 earlier panels in full, its own up to ``t_j`` through the spectral
@@ -40,7 +22,9 @@ thus becomes the operator ``kernel * omega``, once per rule, and every
 level is ``M_K @ F``: a moment with ``D`` distinct gap factors and ``L``
 node-value vectors per level (one per state and heading power of its
 walk in :mod:`general_moments`) costs ``O((D + L) n**2)``, and converges
-spectrally on every profile kind.
+spectrally on every profile kind. The low-order statistics of
+:mod:`low_moments` apply the same panel weights (:func:`_decay_weights`)
+to their separable kernels, one prefix carry per panel.
 
 All reductions run in a fixed order; results are bit-stable for a given
 settings object.
@@ -48,7 +32,6 @@ settings object.
 
 from __future__ import annotations
 
-import cmath
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -82,10 +65,6 @@ class QuadratureSettings:
 
     Parameters
     ----------
-    nodes_per_level : int
-        Gauss-Legendre nodes ``G`` per nesting level of the tensor rule
-        (>= 2): the low-order statistics sum its ``G + 2``-node rule, and
-        the ``G``-node rule too where they estimate an error.
     rel_tol : float
         Relative accuracy target of the chain rule: the moment engines
         (:func:`~brownian_unicycle.displacement_heading_moment`,
@@ -94,12 +73,9 @@ class QuadratureSettings:
         rule would pass the node cap of :func:`integrate_chains`.
     """
 
-    nodes_per_level: int = 24
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.nodes_per_level < 2:
-            raise ValueError("nodes_per_level must be >= 2")
         if not (self.rel_tol > 0.0):
             raise ValueError("rel_tol must be positive")
 
@@ -116,70 +92,6 @@ def _gauss_unit(n: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-# -- tensor rule ---------------------------------------------------------------
-
-@lru_cache(maxsize=256)
-def _simplex_grid(beta: int, n_nodes: int):
-    """The ``n_nodes``-node rule on the unit simplex (``s = 1``): coordinate
-    ``t_b`` (``b = 1..beta``) has shape ``(n_nodes,) * b + (1,) * (beta -
-    b)`` and the weight*jacobian tensor ``(n_nodes,) * beta``."""
-    x, w = _gauss_unit(n_nodes)
-    ts = []
-    t_prev = np.zeros(())
-    jw = np.ones(())
-    for b in range(beta):
-        shape = (1,) * b + (n_nodes,) + (1,) * (beta - 1 - b)
-        gap = 1.0 - t_prev
-        t = t_prev + gap * x.reshape(shape)
-        jw = jw * gap * w.reshape(shape)
-        ts.append(t)
-        t_prev = t
-    for arr in ts + [jw]:
-        arr.setflags(write=False)
-    return tuple(ts), jw
-
-
-def _non_finite_error(prods, ts, jw):
-    """The :class:`IntegrandEvaluationError` of a non-finite rule sum.
-
-    ``prods`` are integrand values times ``jw`` on the grid ``ts``.
-    ``point`` holds the coordinates of the first non-finite product, taken
-    product by product, then in grid order; it is ``None`` when finite
-    products overflow the sum.
-    """
-    for prod in prods:
-        bad = ~np.isfinite(np.broadcast_to(prod, jw.shape))
-        if bad.any():
-            at = tuple(np.argwhere(bad)[0])
-            point = tuple(float(np.broadcast_to(t, jw.shape)[at]) for t in ts)
-            return IntegrandEvaluationError(
-                f"integrand returned a non-finite value at {point}",
-                point=point)
-    return IntegrandEvaluationError("the rule sum overflowed")
-
-
-def _scaled_grid(beta: int, s: float, n_nodes: int):
-    """The grid of :func:`_simplex_grid` scaled to ``[0, s]``: coordinates
-    times ``s``, weights times ``s**beta``.
-
-    Raises :class:`ValueError` when ``s`` is negative.
-    """
-    if s < 0.0:
-        raise ValueError("s must be non-negative")
-    ts, jw = _simplex_grid(beta, n_nodes)
-    return tuple(s * t for t in ts), s ** beta * jw
-
-
-def _grid_sum(prod, ts, jw) -> complex:
-    """The sum of ``prod``, values times ``jw`` on the grid ``ts``, refused by
-    :func:`_non_finite_error` when not finite: callers turn numpy's
-    floating-point warnings off around its evaluation and this call."""
-    total = complex(prod.sum())
-    if not cmath.isfinite(total):
-        raise _non_finite_error((prod,), ts, jw)
-    return total
 
 
 # -- chain rule ----------------------------------------------------------------

@@ -159,6 +159,15 @@ def ratio(profile: SpeedRatioProfile, s):
     return out if np.ndim(s) else float(out)
 
 
+def polynomial_heading(profile: SpeedRatioProfile, s):
+    """The heading of a polynomial profile at ``s`` by Horner's rule, with
+    no domain check."""
+    out = 0.0
+    for k in range(len(profile.coeffs) - 1, -1, -1):
+        out = out * s + profile.coeffs[k] / (k + 1)
+    return profile.theta0 + out * s
+
+
 def mean_heading(profile: SpeedRatioProfile, s):
     """Noise-free heading ``theta0 + integral_0^s mu``, unwrapped.
 
@@ -170,10 +179,7 @@ def mean_heading(profile: SpeedRatioProfile, s):
     if profile.kind == "constant":
         out = profile.theta0 + profile.mu0 * arr
     elif profile.kind == "polynomial":
-        out = np.zeros_like(arr)
-        for k in range(len(profile.coeffs) - 1, -1, -1):
-            out = out * arr + profile.coeffs[k] / (k + 1)
-        out = profile.theta0 + out * arr
+        out = polynomial_heading(profile, arr)
     else:
         ks, kmu, kh, slope = profile._panels
         # Panel holding each point; searching the interior knots keeps

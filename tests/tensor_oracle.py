@@ -3,12 +3,11 @@
 ``one_rule`` builds an ``n``-node Gauss-Legendre tensor rule of the
 ordered region on ``[0, s]`` itself and evaluates the integrand on it;
 ``two_call_rule`` calls it at ``G`` and ``G + 2`` nodes. They check the
-package's tensor grid and its sums rule by rule at dimensions 1-5 (the
-low-order statistics use 1 and 2; at dimension 1 the two agree bit for
-bit), compute the separate integrals of the low-order statistics'
-oracles, and check the chain rule at every dimension. ``chain`` evaluates one product of gap factors on one chain
-rule, the form in which the tests hand their integrands to the chain
-rule.
+chain rule at every dimension (``test_chain_matches_tensor_rule*``), and
+the low-order statistics' tests use them on the triangle of every knot
+piece of their references. The package has no tensor rule of its own.
+``chain`` evaluates one product of gap factors on one chain rule, the form
+in which the tests hand their integrands to the chain rule.
 """
 
 import numpy as np

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sci
 
-from brownian_unicycle import (NoiseParams, QuadratureSettings, SimConfig,
+from brownian_unicycle import (NoiseParams, SimConfig,
                                SpeedRatioProfile, collect_samples,
                                count_phase_step_vectors, cov_xtheta,
                                cov_ytheta, d2_closed, d4_closed, d4_moment,
@@ -30,7 +30,6 @@ from brownian_unicycle import (NoiseParams, QuadratureSettings, SimConfig,
                                second_moments, statistics_from_samples,
                                term_keys,
                                variance_d2, variance_d2_closed)
-from brownian_unicycle import quadrature
 from brownian_unicycle.quadrature import integrate_chains
 from tensor_oracle import chain
 
@@ -267,12 +266,13 @@ def test_criterion_6_property_suites():
                    "trace identity <x^2>+<y^2> = <D^2>"))
 
     ok_volume = True
-    quick = QuadratureSettings(nodes_per_level=6)
+    line = SpeedRatioProfile.constant(0.0, s_max=1.3)
+    still = NoiseParams(0.0, 0.0)
     for beta in range(1, 6):
-        if beta <= 2:  # the tensor grid: the summed weights of the
-            # (G+2)-node rule, whose sums the low-order statistics return
-            _, jw = quadrature._scaled_grid(beta, 1.3, quick.nodes_per_level + 2)
-            value = jw.sum()
+        if beta <= 2:  # the low-order panel rule: int 1 is the mean x of a
+            # straight line without noise, iint 1 half its <D^2>
+            value = complex(mean_x(line, still, 1.3) if beta == 1 else
+                            0.5 * mean_squared_distance(line, still, 1.3))
         else:  # the chain rule: a product of beta unit gap factors
             def ones(rule, beta=beta):
                 n = rule.t.size

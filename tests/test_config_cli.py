@@ -57,7 +57,6 @@ def test_config_defaults():
     assert cfg.sim.steps == 10000
     assert cfg.sim.trials == 100000
     assert cfg.sim.s_final == 2.0
-    assert cfg.settings.nodes_per_level == 24
     assert cfg.settings == QuadratureSettings()
 
 
@@ -165,12 +164,14 @@ def test_non_finite_integrand_exits_4(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("noise,command", [
     ({"k_r": 1e200, "k_theta": 0.01}, ["d4"]),
+    ({"k_r": 1e200, "k_theta": 0.01}, ["moment", "4", "0", "0"]),
     ({"k_r": 0.01, "k_theta": 1e308}, ["moment", "2", "0", "0"]),
     ({"k_r": 0.01, "k_theta": 1e308}, ["d4"]),
-], ids=["d4-k_r", "moment-k_theta", "d4-k_theta"])
+], ids=["d4-k_r", "moment-k_r", "moment-k_theta", "d4-k_theta"])
 def test_huge_noise_exits_4(tmp_path, capsys, noise, command):
-    # k_r**2 of the <D^4> table passes the float range, and so does the
-    # decay 0.5 w^2 k_theta that grades the chain rule's panels.
+    # k_r**2 of the <D^4> table and of the moment's terms pass the float
+    # range, and so does the decay 0.5 w^2 k_theta that grades the chain
+    # rule's panels.
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(dict(BASE_DOC, noise=noise)), encoding="utf-8")
     assert main(["--config", str(path), *command]) == 4
@@ -179,16 +180,32 @@ def test_huge_noise_exits_4(tmp_path, capsys, noise, command):
     assert ("k_r" if noise["k_r"] > 1.0 else "k_theta") in err
 
 
-@pytest.mark.parametrize("command", ["d2", "d4"])
-def test_d2_with_no_correct_digit_exits_4(tmp_path, capsys, command):
-    # 100 rad of turning: the tensor rule's <D^2> reads 0.1217 with an
-    # estimate of 1.3, against the closed form's 0.2257.
+def _long_config(tmp_path):
+    # 100 rad of turning: constant mu0 = 5, K = 0.01, s = 20.
     doc = dict(BASE_DOC, sim=dict(BASE_DOC["sim"], s_final=20.0),
                noise={"k_r": 0.01, "k_theta": 0.01}, quadrature={})
     doc["profile"] = dict(BASE_DOC["profile"], s_max=20.0)
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["--config", str(path), command]) == 4
+    return str(path)
+
+
+def test_d2_on_a_long_curve_prints_the_closed_form(tmp_path, capsys):
+    assert main(["--config", _long_config(tmp_path), "d2"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    want = d2_closed(5.0, NoiseParams(0.01, 0.01), 20.0)
+    assert abs(record["value"] - want) <= 1e-12 * want
+    assert record["err_estimate"] < 1e-6 * want
+
+
+@pytest.mark.parametrize("command", ["d2", "d4"])
+def test_d2_with_no_correct_digit_exits_4(tmp_path, capsys, monkeypatch,
+                                          command):
+    # A <D^2> whose estimate exceeds its magnitude is refused by d2 and by
+    # the variance of d4.
+    monkeypatch.setattr(low_moments, "mean_squared_distance_with_error",
+                        lambda *args: (0.1217, 1.3))
+    assert main(["--config", _long_config(tmp_path), command]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numerical consistency failure:")
@@ -434,7 +451,7 @@ def test_reproduce_analytic_columns_compute_d2_once(config_path, capsys,
     want = {}
     for level in (0.01, 1.0):
         params = NoiseParams(level, level)
-        want[level] = (low_moments.mean_squared_distance(ramp, params, 1.0, settings),
+        want[level] = (low_moments.mean_squared_distance(ramp, params, 1.0),
                        fourth_moment.variance_d2(ramp, params, 1.0, settings))
     calls = []
     checked = low_moments.checked_mean_squared_distance

@@ -10,7 +10,7 @@ from brownian_unicycle import (AccuracyWarning, NoiseParams,
                                d4_closed, d4_moment, deterministic_pose,
                                displacement_moment, mean_squared_distance,
                                variance_d2, variance_d2_closed)
-from brownian_unicycle import fourth_moment
+from brownian_unicycle import fourth_moment, low_moments
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
@@ -112,13 +112,19 @@ def test_catastrophic_cancellation_raises(monkeypatch):
         fourth_moment.variance_d2(CONST, NoiseParams(0.01, 0.01), 1.0)
 
 
-def test_variance_refuses_d2_without_a_correct_digit():
-    # After 100 rad of turning the tensor rule's <D^2> has no correct digit
-    # (0.12 with an estimate of 1.3, where <D^2> is 0.23): the variance
-    # refuses it, as CLI d2 and d4 do, where it returned 0.087 for 0.051.
+def test_variance_refuses_d2_without_a_correct_digit(monkeypatch):
+    # After 100 rad of turning <D^2> and the variance match the closed
+    # forms; a <D^2> whose estimate exceeds its magnitude is refused, as CLI
+    # d2 and d4 refuse it.
     params = NoiseParams(0.01, 0.01)
+    long = SpeedRatioProfile.constant(5.0, s_max=20.0)
+    assert variance_d2(long, params, 20.0) == pytest.approx(
+        variance_d2_closed(5.0, params, 20.0), rel=1e-12)
+    monkeypatch.setattr(low_moments, "mean_squared_distance_with_error",
+                        lambda *args: (0.12, 1.3))
     with pytest.raises(NumericalConsistencyError):
-        variance_d2(SpeedRatioProfile.constant(5.0, s_max=20.0), params, 20.0)
+        variance_d2(long, params, 20.0)
+    monkeypatch.undo()
     assert variance_d2(CONST, params, 1.0) == pytest.approx(
         variance_d2_closed(5.0, params, 1.0), rel=1e-12)
 

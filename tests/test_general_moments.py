@@ -284,9 +284,8 @@ def test_cartesian_mirrors_conjugate_moments(monkeypatch, i, j, k):
 def test_envelope_warning():
     params = NoiseParams(0.0, 0.1)
     tiny = SpeedRatioProfile.constant(1.0, s_max=0.01)
-    quick = QuadratureSettings(nodes_per_level=4)
     with pytest.warns(EnvelopeWarning):
-        displacement_heading_moment(0, 0, 5, tiny, params, 0.01, quick)
+        displacement_heading_moment(0, 0, 5, tiny, params, 0.01)
 
 
 def test_negative_orders_rejected():

@@ -1,4 +1,10 @@
-"""First/second order statistics against closed forms and cross-paths."""
+"""First/second order statistics against closed forms and cross-paths.
+
+The references here share no code with the panel rule of the package:
+they cut ``[0, s]`` at the table knots into short pieces and integrate
+each piece, and each ordered pair of pieces, with Gauss-Legendre rules
+(the triangle of a piece on the tensor rule of ``tensor_oracle``).
+"""
 
 import dataclasses
 import math
@@ -6,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
-                               NumericalConsistencyError,
-                               QuadratureSettings, SpeedRatioProfile,
+from brownian_unicycle import (EnvelopeRefusal, IntegrandEvaluationError,
+                               NoiseParams,
+                               NumericalConsistencyError, SpeedRatioProfile,
                                cov_xtheta, cov_ytheta, d2_closed,
                                deterministic_pose,
                                displacement_heading_moment,
@@ -16,15 +22,95 @@ from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
                                low_order_statistics, mean_heading,
                                mean_pose_closed, mean_squared_distance,
                                mean_x, mean_y,
-                               orientation_distribution, quadrature,
-                               second_moments)
-from brownian_unicycle.quadrature import DEFAULT_SETTINGS
+                               orientation_distribution, second_moments)
 from tensor_oracle import one_rule, two_call_rule
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
 TABLE = SpeedRatioProfile.table(
     [(i / 20, 10.0 * i / 20 + 3.0 * math.sin(7.0 * i / 20)) for i in range(21)])
+NAMES = ("mean_x", "mean_y", "m_xx", "m_yy", "m_xy", "cov_xtheta",
+         "cov_ytheta")
+
+
+# -- knot-piece references ------------------------------------------------------
+
+def _cuts(profile, s, length=0.05):
+    """``[0, s]`` cut at the table knots inside and into equal pieces of at
+    most ``length`` between them."""
+    ends = [0.0, *(k for k in profile.knots_s if 0.0 < k < s), s]
+    cuts = []
+    for a, b in zip(ends, ends[1:]):
+        pieces = max(1, math.ceil((b - a) / length))
+        cuts.extend(a + (b - a) * np.arange(pieces) / pieces)
+    return np.append(cuts, s)
+
+
+def _gauss(cuts, nodes):
+    """Nodes and weights of ``nodes`` Gauss points on every piece, by
+    piece."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    width = np.diff(cuts)[:, None]
+    return cuts[:-1, None] + 0.5 * width * (x + 1.0), 0.5 * width * w
+
+
+def _line(f, profile, s, nodes=16):
+    """``int_0^s f(t) dt`` on the pieces of :func:`_cuts`."""
+    if s == 0.0:
+        return 0j
+    t, w = _gauss(_cuts(profile, s), nodes)
+    return complex(np.sum(w * f(t)))
+
+
+def _ordered(f, profile, s, nodes=16):
+    """``iint_{t1 <= t2} f(t1, t2)`` on the pieces of :func:`_cuts`: each
+    ordered pair of pieces on the tensor Gauss rule, each piece's own
+    triangle on :func:`tensor_oracle.one_rule`."""
+    if s == 0.0:
+        return 0j
+    cuts = _cuts(profile, s)
+    t, w = _gauss(cuts, nodes)
+    total = 0j
+    for j in range(len(cuts) - 1):
+        if j:
+            earlier, weights = t[:j].ravel(), w[:j].ravel()
+            total += w[j] @ f(earlier[None, :], t[j][:, None]) @ weights
+        a = cuts[j]
+        total += one_rule(lambda ts: f(a + ts[0], a + ts[1]), 2,
+                          cuts[j + 1] - a, nodes)[0]
+    return total
+
+
+def _literal_kernels(profile, kt):
+    """``E(t1, t2)`` and ``D(t)`` of :func:`second_moments`, written out."""
+    def e(t1, t2):
+        return np.exp(1j * (mean_heading(profile, t2) - mean_heading(profile, t1))
+                      - 0.5 * kt * (t2 - t1))
+
+    def d(t):
+        return np.exp(2j * mean_heading(profile, t) - 2.0 * kt * t)
+
+    return e, d
+
+
+def _reference(profile, params, s):
+    """``{name: value}`` of :func:`low_order_statistics` from the literal
+    integrands on the knot-piece references."""
+    kt, kr2 = params.k_theta, 0.5 * params.k_r
+    e, d = _literal_kernels(profile, kt)
+    z = _line(lambda t: np.exp(1j * mean_heading(profile, t) - 0.5 * kt * t),
+              profile, s)
+    j = _line(lambda t: t * np.exp(1j * mean_heading(profile, t) - 0.5 * kt * t),
+              profile, s)
+    i_d = _line(d, profile, s)
+    ie = _ordered(e, profile, s)
+    ide = _ordered(lambda t1, t2: d(t1) * e(t1, t2), profile, s)
+    return {"mean_x": z.real, "mean_y": z.imag,
+            "m_xx": ie.real + ide.real + kr2 * (s + i_d.real),
+            "m_yy": ie.real - ide.real + kr2 * (s - i_d.real),
+            "m_xy": ide.imag + kr2 * i_d.imag,
+            "cov_xtheta": -kt * j.imag, "cov_ytheta": kt * j.real,
+            "msd": params.k_r * s + 2.0 * ie.real}
 
 
 def test_orientation_distribution():
@@ -93,17 +179,44 @@ def test_mean_squared_distance_reference_values():
         pytest.approx(4.0, rel=1e-12)
 
 
-def test_mean_squared_distance_refuses_no_correct_digit():
-    # After 100 rad of turning the tensor rule's <D^2> is 0.122 with an
-    # estimate of 1.3, where <D^2> is 0.226: no digit is right.
-    profile = SpeedRatioProfile.constant(5.0, s_max=20.0)
+def test_mean_squared_distance_refuses_no_correct_digit(monkeypatch):
+    # An error estimate above the value's magnitude is refused, by the
+    # public <D^2> and the checked one.
+    monkeypatch.setattr(low_moments, "mean_squared_distance_with_error",
+                        lambda *args: (0.122, 1.3))
+    for call in (mean_squared_distance,
+                 low_moments.checked_mean_squared_distance):
+        with pytest.raises(NumericalConsistencyError):
+            call(CONST, NoiseParams(0.01, 0.01), 1.0)
+
+
+@pytest.mark.parametrize("s", [20.0, 200.0])
+def test_long_curves_match_closed_forms(s):
+    # Constant mu0 = 5, K = 0.01: the heading turns 100 and 1000 rad.
+    profile = SpeedRatioProfile.constant(5.0, s_max=s)
     params = NoiseParams(0.01, 0.01)
-    value, err = low_moments.mean_squared_distance_with_error(profile, params,
-                                                              20.0)
-    assert abs(value - d2_closed(5.0, params, 20.0)) > 0.1
-    assert err > abs(value)
-    with pytest.raises(NumericalConsistencyError):
-        mean_squared_distance(profile, params, 20.0)
+    d2 = d2_closed(5.0, params, s)
+    value, err = low_moments.mean_squared_distance_with_error(profile, params, s)
+    assert abs(value - d2) <= 1e-12 * d2
+    assert abs(value - d2) <= err
+    assert mean_squared_distance(profile, params, s) == value
+    m_xx, m_yy, _ = second_moments(profile, params, s)
+    assert abs(m_xx + m_yy - d2) <= 1e-12 * d2
+    z = mean_pose_closed(5.0, params, 0.0, s)
+    assert abs(complex(mean_x(profile, params, s), mean_y(profile, params, s))
+               - z) <= 1e-11
+
+
+@pytest.mark.parametrize("k", [10.0, 100.0, 1000.0])
+def test_strong_decay_matches_closed_forms(k):
+    # The decay grades the panels toward 0: the pose is within a few eps of
+    # the closed form, and <D^2> too.
+    params = NoiseParams(k, k)
+    d2 = d2_closed(5.0, params, 1.0)
+    assert abs(mean_squared_distance(CONST, params, 1.0) - d2) <= 1e-14 * d2
+    z = mean_pose_closed(5.0, params, 0.0, 1.0)
+    got = complex(mean_x(CONST, params, 1.0), mean_y(CONST, params, 1.0))
+    assert abs(got - z) <= 2e-15 * abs(z)
 
 
 def test_covariances_vanish_without_heading_noise():
@@ -171,8 +284,9 @@ def test_consistency_with_general_moments():
     assert res101.value.imag == pytest.approx(cov_ytheta(RAMP, params, 1.0), rel=1e-8)
 
 
-def five_kernel_second_moments(profile, params, s, settings=DEFAULT_SETTINGS):
-    """Oracle: each second moment and shift integral as its own real call."""
+def five_kernel_second_moments(profile, params, s):
+    """Oracle: each second moment and shift integral as its own real
+    integral, on the knot-piece references."""
     kt = params.k_theta
 
     def damped_cos2(t):
@@ -181,26 +295,21 @@ def five_kernel_second_moments(profile, params, s, settings=DEFAULT_SETTINGS):
     def damped_sin2(t):
         return np.sin(2.0 * mean_heading(profile, t)) * np.exp(-2.0 * kt * t)
 
-    def kernel(ts, combine):
-        t1, t2 = ts
-        dth = mean_heading(profile, t2) - mean_heading(profile, t1)
-        env = np.exp(-0.5 * kt * (t2 - t1))
-        cc = damped_cos2(t1)
-        cs = damped_sin2(t1)
-        return combine(cc, cs, np.cos(dth), np.sin(dth)) * env
+    def kernel(combine):
+        def f(t1, t2):
+            dth = mean_heading(profile, t2) - mean_heading(profile, t1)
+            env = np.exp(-0.5 * kt * (t2 - t1))
+            return combine(damped_cos2(t1), damped_sin2(t1), np.cos(dth),
+                           np.sin(dth)) * env
+        return f
 
-    nodes = settings.nodes_per_level
-    xx, _, _ = two_call_rule(
-        lambda ts: kernel(ts, lambda cc, cs, c, d: (1.0 + cc) * c - cs * d),
-        2, s, nodes)
-    yy, _, _ = two_call_rule(
-        lambda ts: kernel(ts, lambda cc, cs, c, d: (1.0 - cc) * c + cs * d),
-        2, s, nodes)
-    xy, _, _ = two_call_rule(
-        lambda ts: kernel(ts, lambda cc, cs, c, d: cs * c + cc * d),
-        2, s, nodes)
-    int_cc, _, _ = two_call_rule(lambda ts: damped_cos2(ts[0]), 1, s, nodes)
-    int_cs, _, _ = two_call_rule(lambda ts: damped_sin2(ts[0]), 1, s, nodes)
+    xx = _ordered(kernel(lambda cc, cs, c, d: (1.0 + cc) * c - cs * d),
+                  profile, s)
+    yy = _ordered(kernel(lambda cc, cs, c, d: (1.0 - cc) * c + cs * d),
+                  profile, s)
+    xy = _ordered(kernel(lambda cc, cs, c, d: cs * c + cc * d), profile, s)
+    int_cc = _line(damped_cos2, profile, s)
+    int_cs = _line(damped_sin2, profile, s)
     kr2 = 0.5 * params.k_r
     return (xx.real + kr2 * (s + int_cc.real),
             yy.real + kr2 * (s - int_cc.real),
@@ -222,12 +331,11 @@ def _shifted(profile, theta0):
 ])
 def test_second_moments_match_five_kernel_oracle(profile, theta0, params, s):
     profile = _shifted(profile, theta0)
-    for settings_ in (DEFAULT_SETTINGS, QuadratureSettings(nodes_per_level=7)):
-        got = second_moments(profile, params, s, settings_)
-        want = five_kernel_second_moments(profile, params, s, settings_)
-        for g, w in zip(got, want):
-            assert type(g) is float
-            assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+    got = second_moments(profile, params, s)
+    want = five_kernel_second_moments(profile, params, s)
+    for g, w in zip(got, want):
+        assert type(g) is float
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
 
 
 @pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
@@ -243,75 +351,53 @@ def test_zero_length_returns_float_zeros(profile):
     assert [math.copysign(1.0, v) for v in values] == [1.0] * 5 + [-1.0] + [1.0] * 2
 
 
-def test_second_moments_evaluate_heading_once_per_grid(monkeypatch):
-    # One pass over a dimension-2 grid: the heading at its t1 nodes and at
-    # its t2 points, once each, and no 1-D heading integral for int D. The
-    # value-only second moments take one pass, on the (G+2)-node rule; the
-    # calls with an estimate take one per rule, the G-node rule first. The
-    # heading is looked up as a module attribute, where the benchmark's
-    # tracer patches it.
-    settings_ = QuadratureSettings(nodes_per_level=7)
-    s = 0.8
-    calls = {"_heading_integral": [], "mean_heading": []}
+def test_calls_evaluate_one_rule_or_the_estimate_pair(monkeypatch):
+    # A value-only call evaluates the rule of m nodes per panel; a call that
+    # reports an estimate evaluates the rules of m - ESTIMATE_STEP and m
+    # nodes on the same panels. The heading is not looked up through
+    # mean_heading on a table's knot segments.
+    rules, headings = [], []
+    rule = low_moments._rule
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name].append(args)
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(profile, panels, m):
+        rules.append((panels, m))
+        return rule(profile, panels, m)
 
-    for name in calls:
-        monkeypatch.setattr(low_moments, name,
-                            counting(name, getattr(low_moments, name)))
-    coarse, _ = quadrature._simplex_grid(2, 7)
-    fine, _ = quadrature._simplex_grid(2, 9)
-    for call, grids in ((second_moments, fine),
-                        (low_moments.mean_squared_distance_with_error,
-                         coarse + fine),
-                        (low_order_statistics, coarse + fine)):
-        calls["mean_heading"].clear()
-        call(TABLE, NoiseParams(0.2, 0.5), s, settings_)
-        assert calls["_heading_integral"] == []
-        assert len(calls["mean_heading"]) == len(grids)
-        for (profile, t), grid_t in zip(calls["mean_heading"], grids):
-            assert profile is TABLE
-            assert np.array_equal(t, s * grid_t)
+    monkeypatch.setattr(low_moments, "_rule", counting)
+    monkeypatch.setattr(low_moments, "mean_heading",
+                        lambda *args: headings.append(args))
+    params = NoiseParams(0.2, 0.5)
+    for call, pair in ((mean_x, False), (cov_ytheta, False),
+                       (second_moments, False),
+                       (low_moments.mean_squared_distance_with_error, True),
+                       (low_order_statistics, True)):
+        rules.clear()
+        call(TABLE, params, 0.8)
+        panels = low_moments._panels(TABLE, params.k_theta, 0.8)
+        counts = [m for _, m in rules]
+        assert counts == ([panels.m - low_moments.ESTIMATE_STEP, panels.m]
+                          if pair else [panels.m])
+        assert all(p is rules[0][0] for p, _ in rules)
+        assert np.array_equal(rules[0][0].start, panels.start)
+    assert headings == []
 
 
-# The three one-dimensional heading integrals as separate code paths, each
-# copied from the version before they shared one integrand, on the two-call
-# rule: at dimension 1 its (G+2)-node sum is bit-identical to the package's
-# value-only pass.
+# The one-dimensional heading integrals as separate integrands, each copied
+# from the version before they shared one, on the knot-piece reference.
 
-def _one_dim(f, s, nodes):
-    """``(value, err_estimate)`` of ``int_0^s f`` on the two-call rule."""
-    value, difference, floor = two_call_rule(f, 1, s, nodes)
-    return value, difference + floor
-
-
-def _mean_xy_oracle(profile, params, s, settings):
+def _mean_xy_oracle(profile, params, s):
     kt = params.k_theta
-
-    def f(ts):
-        t = ts[0]
-        return np.exp(1j * mean_heading(profile, t) - 0.5 * kt * t)
-
-    return _one_dim(f, s, settings.nodes_per_level)
-
-
-def _shift_integral_oracle(profile, params, s, settings):
-    kt = params.k_theta
-
-    def single(ts):
-        t = ts[0]
-        return np.exp(2j * mean_heading(profile, t) - 2.0 * kt * t)
-
-    return _one_dim(single, s, settings.nodes_per_level)
+    return _line(lambda t: np.exp(1j * mean_heading(profile, t) - 0.5 * kt * t),
+                 profile, s)
 
 
 def _pose_oracle(profile, s):
-    z, _ = _one_dim(lambda ts: np.exp(1j * mean_heading(profile, ts[0])), s, 64)
+    z = _line(lambda t: np.exp(1j * mean_heading(profile, t)), profile, s)
     return (z.real, z.imag, mean_heading(profile, s))
+
+
+def _near(got, want, rel=1e-13):
+    return abs(got - want) <= rel * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
@@ -320,54 +406,48 @@ def _pose_oracle(profile, s):
 def test_heading_integrals_equal_separate_paths(profile, theta0, s):
     profile = _shifted(profile, theta0)
     for params in (NoiseParams(0.3, 0.7), NoiseParams(0.0, 0.0)):
-        for settings_ in (DEFAULT_SETTINGS, QuadratureSettings(nodes_per_level=7)):
-            z = low_moments._heading_integral(
-                profile, s, 1, 0.5 * params.k_theta, settings_)
-            assert z == _mean_xy_oracle(profile, params, s, settings_)[0]
-            assert mean_x(profile, params, s, settings_) == z.real
-            assert mean_y(profile, params, s, settings_) == z.imag
-            assert low_moments._heading_integral(
-                profile, s, 2, 2.0 * params.k_theta, settings_) == \
-                _shift_integral_oracle(profile, params, s, settings_)[0]
-    if profile.kind != "constant":
-        assert deterministic_pose(profile, s) == _pose_oracle(profile, s)
+        z = _mean_xy_oracle(profile, params, s)
+        assert _near(mean_x(profile, params, s), z.real)
+        assert _near(mean_y(profile, params, s), z.imag)
+    for got, want in zip(deterministic_pose(profile, s), _pose_oracle(profile, s)):
+        assert _near(got, want)
 
 
 def test_pose_integrates_once_through_module_attribute(monkeypatch):
-    # The heading at the end point, and on non-constant profiles once on
-    # the 66-node rule of the 64-node grid, looked up as a module attribute.
-    calls = []
-    original = low_moments.mean_heading
+    # The heading at the end point, looked up as a module attribute, and on
+    # non-constant profiles one panel rule for the position.
+    calls, rules = [], []
+    original, rule = low_moments.mean_heading, low_moments._rule
 
     def counting(profile, t):
         calls.append(np.size(t))
         return original(profile, t)
 
+    def counting_rule(*args):
+        rules.append(args[0].kind)
+        return rule(*args)
+
     monkeypatch.setattr(low_moments, "mean_heading", counting)
-    for profile in (RAMP, TABLE):
+    monkeypatch.setattr(low_moments, "_rule", counting_rule)
+    for profile in (RAMP, TABLE, CONST):
         deterministic_pose(profile, 0.8)
-    assert calls == [1, 66] * 2
-    deterministic_pose(CONST, 0.8)
-    assert calls == [1, 66] * 2 + [1]
+    assert calls == [1, 1, 1]
+    assert rules == ["polynomial", "table"]
 
 
 # The two real covariance integrands, copied from the version before the
 # pair became the imaginary and real parts of one complex heading integral.
 
-def _cov_oracle(profile, params, s, settings):
+def _cov_oracle(profile, params, s):
     kt = params.k_theta
 
-    def fx(ts):
-        t = ts[0]
+    def fx(t):
         return t * np.sin(mean_heading(profile, t)) * np.exp(-0.5 * kt * t)
 
-    def fy(ts):
-        t = ts[0]
+    def fy(t):
         return t * np.cos(mean_heading(profile, t)) * np.exp(-0.5 * kt * t)
 
-    nodes = settings.nodes_per_level
-    return (-kt * two_call_rule(fx, 1, s, nodes)[0].real,
-            kt * two_call_rule(fy, 1, s, nodes)[0].real)
+    return (-kt * _line(fx, profile, s).real, kt * _line(fy, profile, s).real)
 
 
 @pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
@@ -377,27 +457,23 @@ def test_covariances_match_real_integrand_oracle(profile, theta0, s):
     profile = _shifted(profile, theta0)
     for params in (NoiseParams(0.3, 0.7), NoiseParams(1.0, 1.0),
                    NoiseParams(0.0, 0.01)):
-        for settings_ in (DEFAULT_SETTINGS, QuadratureSettings(nodes_per_level=7)):
-            got = (cov_xtheta(profile, params, s, settings_),
-                   cov_ytheta(profile, params, s, settings_))
-            for g, w in zip(got, _cov_oracle(profile, params, s, settings_)):
-                assert type(g) is float
-                assert abs(g - w) <= 1e-14 * max(1.0, abs(w))
+        got = (cov_xtheta(profile, params, s), cov_ytheta(profile, params, s))
+        for g, w in zip(got, _cov_oracle(profile, params, s)):
+            assert type(g) is float
+            assert _near(g, w, 1e-14)
 
 
 def test_covariances_share_the_weighted_heading_integral():
     params = NoiseParams(0.3, 0.7)
     for profile in (CONST, RAMP, TABLE):
-        j = low_moments._heading_integral(profile, 0.8, 1, 0.35,
-                                          DEFAULT_SETTINGS, 1)
+        j = low_moments._mean_integral(profile, 0.7, 0.8, 1)
         assert cov_xtheta(profile, params, 0.8) == -0.7 * j.imag
         assert cov_ytheta(profile, params, 0.8) == 0.7 * j.real
 
 
 def test_d2_estimate_bounds_closed_form_error_sweep():
-    # The tensor rule's estimate carries a roundoff floor: without it the
-    # coarse/fine difference falls below the true error at about half of
-    # these points, by up to about 1e-13 relative.
+    # The estimate carries a roundoff floor: the coarse/fine difference
+    # alone can fall below the true error near roundoff.
     rng = np.random.default_rng(20)
     for _ in range(400):
         mu0, s = rng.uniform(0.0, 20.0), rng.uniform(0.0, 5.0)
@@ -408,50 +484,29 @@ def test_d2_estimate_bounds_closed_form_error_sweep():
         assert abs(value - d2_closed(mu0, params, s)) <= err
 
 
-# -- one pass over the dimension-2 grid against the two-call rule --------------
+# -- the panel rule against the knot-piece reference ----------------------------
 
-def _literal_kernels(profile, kt):
-    """``E(t1, t2)`` and ``D(t)`` of :func:`second_moments`, written out."""
-    def e(ts):
-        t1, t2 = ts
-        return np.exp(1j * (mean_heading(profile, t2) - mean_heading(profile, t1))
-                      - 0.5 * kt * (t2 - t1))
-
-    def d(t):
-        return np.exp(2j * mean_heading(profile, t) - 2.0 * kt * t)
-
-    return e, d
-
-
-def _second_order_oracle(profile, params, s, nodes):
-    """``{name: (value, estimate)}`` of the second moments and ``<D^2>``
-    from the two-call rule: ``E`` and ``D E`` as one stack, ``int D`` as
-    its own 1-D integral, and the real ``<D^2>`` kernel."""
-    kt = params.k_theta
-    e, d = _literal_kernels(profile, kt)
-    (ie, ide), diffs, floors = two_call_rule(
-        lambda ts: np.stack(np.broadcast_arrays(e(ts), d(ts[0]) * e(ts))),
-        2, s, nodes)
-    e_e, e_de = diffs + floors
-    i_d, diff, floor = two_call_rule(lambda ts: d(ts[0]), 1, s, nodes)
-    e_d = diff + floor
-    kr2 = 0.5 * params.k_r
-
-    def real_kernel(ts):
-        t1, t2 = ts
-        return np.exp(-0.5 * kt * (t2 - t1)) * np.cos(
-            mean_heading(profile, t2) - mean_heading(profile, t1))
-
-    msd, diff, floor = two_call_rule(real_kernel, 2, s, nodes)
-    return {"m_xx": (ie.real + ide.real + kr2 * (s + i_d.real),
-                     e_e + e_de + kr2 * e_d),
-            "m_yy": (ie.real - ide.real + kr2 * (s - i_d.real),
-                     e_e + e_de + kr2 * e_d),
-            "m_xy": (ide.imag + kr2 * i_d.imag, e_de + kr2 * e_d),
-            "msd": (params.k_r * s + 2.0 * msd.real, 2.0 * (diff + floor))}
+def _piecewise_two_call(f, profile, s, nodes=12):
+    """``(value, estimate)`` of ``iint_{t1 <= t2} f`` with the two-call rule
+    on the triangle of every knot piece and the tensor rule of ``nodes + 2``
+    points on every ordered pair of pieces."""
+    if s == 0.0:
+        return 0j, 0.0
+    cuts = _cuts(profile, s)
+    t, w = _gauss(cuts, nodes + 2)
+    total, estimate = 0j, 0.0
+    for j in range(len(cuts) - 1):
+        if j:
+            total += w[j] @ f(t[:j].ravel()[None, :], t[j][:, None]) @ w[:j].ravel()
+        a = cuts[j]
+        value, difference, floor = two_call_rule(
+            lambda ts: f(a + ts[0], a + ts[1]), 2, cuts[j + 1] - a, nodes)
+        total += value
+        estimate += difference + floor
+    return total, estimate
 
 
-def _close(got, want, rel=1e-14):
+def _close(got, want, rel=1e-12):
     return abs(got - want) <= rel * max(1.0, abs(want))
 
 
@@ -459,84 +514,102 @@ def _close(got, want, rel=1e-14):
 @pytest.mark.parametrize("theta0", [0.0, -1.3])
 @pytest.mark.parametrize("s", [0.0, 0.3, 0.55, 1.0])   # 0.55: a table knot
 def test_one_pass_matches_two_call_rule(profile, theta0, s):
+    # The second moments and <D^2> against E and D E on the two-call rule,
+    # triangle by knot piece: within 1e-12, and within each estimate.
     profile = _shifted(profile, theta0)
     for params in (NoiseParams(0.4, 0.7), NoiseParams(1.0, 0.0)):
-        for nodes in (24, 7):
-            settings_ = QuadratureSettings(nodes_per_level=nodes)
-            want = _second_order_oracle(profile, params, s, nodes)
-            stats = low_order_statistics(profile, params, s, settings_)
-            moments = second_moments(profile, params, s, settings_)
-            for name, value in zip(("m_xx", "m_yy", "m_xy"), moments):
-                assert value == stats[name][0]
-                assert _close(value, want[name][0])
-                assert _close(stats[name][1], want[name][1])
-            value, err = low_moments.mean_squared_distance_with_error(
-                profile, params, s, settings_)
-            assert _close(value, want["msd"][0])
-            assert _close(err, want["msd"][1])
+        kt, kr2 = params.k_theta, 0.5 * params.k_r
+        e, d = _literal_kernels(profile, kt)
+        ie, e_e = _piecewise_two_call(e, profile, s)
+        ide, e_de = _piecewise_two_call(lambda t1, t2: d(t1) * e(t1, t2),
+                                        profile, s)
+        i_d = _line(d, profile, s)
+        want = {"m_xx": ie.real + ide.real + kr2 * (s + i_d.real),
+                "m_yy": ie.real - ide.real + kr2 * (s - i_d.real),
+                "m_xy": ide.imag + kr2 * i_d.imag}
+        stats = low_order_statistics(profile, params, s)
+        moments = second_moments(profile, params, s)
+        for name, value in zip(("m_xx", "m_yy", "m_xy"), moments):
+            assert value == stats[name][0]
+            assert _close(value, want[name])
+            assert abs(value - want[name]) <= stats[name][1] + e_e + e_de
+        value, err = low_moments.mean_squared_distance_with_error(
+            profile, params, s)
+        msd = params.k_r * s + 2.0 * ie.real
+        assert _close(value, msd)
+        assert abs(value - msd) <= err + 2.0 * e_e
 
 
 @pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
 @pytest.mark.parametrize("s", [0.0, 0.55, 1.0])
 def test_low_order_statistics_equal_separate_calls(profile, s):
     for params in (NoiseParams(0.3, 0.7), NoiseParams(0.0, 0.0)):
-        for settings_ in (DEFAULT_SETTINGS, QuadratureSettings(nodes_per_level=7)):
-            stats = low_order_statistics(profile, params, s, settings_)
-            args = (profile, params, s, settings_)
-            separate = {"mean_x": mean_x(*args), "mean_y": mean_y(*args),
-                        **dict(zip(("m_xx", "m_yy", "m_xy"),
-                                   second_moments(*args))),
-                        "cov_xtheta": cov_xtheta(*args),
-                        "cov_ytheta": cov_ytheta(*args)}
-            assert stats.keys() == separate.keys()
-            for name, want in separate.items():
-                value, err = stats[name]
-                assert type(value) is float and type(err) is float
-                assert value == want, name
-                assert err >= 0.0
-            # The means and covariances carry the 1-D rule pair's estimates.
-            kt = params.k_theta
-            _, z_err = _mean_xy_oracle(profile, params, s, settings_)
-            _, j_err = _one_dim(
-                lambda ts: ts[0] * np.exp(1j * mean_heading(profile, ts[0])
-                                          - 0.5 * kt * ts[0]),
-                s, settings_.nodes_per_level)
-            assert _close(stats["mean_x"][1], z_err)
-            assert _close(stats["cov_ytheta"][1], kt * j_err)
+        stats = low_order_statistics(profile, params, s)
+        args = (profile, params, s)
+        separate = {"mean_x": mean_x(*args), "mean_y": mean_y(*args),
+                    **dict(zip(("m_xx", "m_yy", "m_xy"),
+                               second_moments(*args))),
+                    "cov_xtheta": cov_xtheta(*args),
+                    "cov_ytheta": cov_ytheta(*args)}
+        assert stats.keys() == separate.keys()
+        for name, want in separate.items():
+            value, err = stats[name]
+            assert type(value) is float and type(err) is float
+            assert value == want, name
+            assert err >= 0.0
 
 
-def test_heading_overflow_raises_at_the_two_call_point():
+def _table_point(rng):
+    return NoiseParams(*[math.exp(rng.uniform(math.log(0.01), 0.0))] * 2), \
+        rng.uniform(0.2, 1.0)
+
+
+SINE_TABLE = SpeedRatioProfile.table(
+    [(i / 20, 5.0 + 3.0 * math.sin(2.0 * math.pi * i / 20)) for i in range(21)])
+LONG_TABLE = SpeedRatioProfile.table(
+    [(i / 40, 5.0 + 3.0 * math.sin(2.0 * math.pi * i / 40)) for i in range(401)])
+
+
+@pytest.mark.parametrize("profile,points", [
+    (SINE_TABLE, [_table_point(np.random.default_rng(7)) for _ in range(40)]),
+    (LONG_TABLE, [(NoiseParams(1.0, 1.0), 10.0), (NoiseParams(0.01, 0.01), 10.0)]),
+], ids=["21_knots", "401_knots"])
+def test_estimates_bound_the_error_on_tables(profile, points):
+    # mu = 5 + 3 sin(2 pi s) sampled on 21 knots at 40 drawn (K, s), and on
+    # 401 knots at s = 10: every value of low_order_statistics lies within
+    # its estimate of the knot-piece reference, and within 1e-12.
+    for params, s in points:
+        want = _reference(profile, params, s)
+        stats = low_order_statistics(profile, params, s)
+        for name in NAMES:
+            value, err = stats[name]
+            assert abs(value - want[name]) <= err, (name, params, s)
+            assert _close(value, want[name]), (name, params, s)
+
+
+def test_heading_overflow_raises_with_a_point():
     # mu = 1e306 s^3: the heading passes the largest float near s = 5.2,
-    # inside the grid on [0, 8]. The calls with an estimate raise at the
-    # two-call rule's point, the coarse rule's first; the value-only calls
-    # at the first point of the (G+2)-node rule they evaluate.
+    # and the bound of its turn on [0, 8] is not finite. Every low-order
+    # call raises at the end of that segment, before any rule is built.
     profile = SpeedRatioProfile.polynomial((0.0, 0.0, 0.0, 1e306), s_max=8.0)
     params = NoiseParams(0.2, 0.3)
-    e, d = _literal_kernels(profile, params.k_theta)
+    calls = (mean_x, mean_y, cov_xtheta, cov_ytheta, second_moments,
+             low_order_statistics, low_moments.mean_squared_distance_with_error,
+             mean_squared_distance)
+    for call in calls:
+        with pytest.raises(IntegrandEvaluationError) as got:
+            call(profile, params, 8.0)
+        assert got.value.point == (8.0,)
+    with pytest.raises(IntegrandEvaluationError) as got:
+        deterministic_pose(profile, 8.0)
+    assert got.value.point == (8.0,)
 
-    def stack(ts):
-        return np.stack(np.broadcast_arrays(e(ts), d(ts[0]) * e(ts)))
 
-    def line(ts):
-        t = ts[0]
-        return np.exp(1j * mean_heading(profile, t) - 0.5 * params.k_theta * t)
-
-    expected = [(two_call_rule, stack, 2, 24,
-                 (low_order_statistics,
-                  low_moments.mean_squared_distance_with_error)),
-                (one_rule, stack, 2, 26, (second_moments,)),
-                (one_rule, line, 1, 26,
-                 (mean_x, mean_y, cov_xtheta, cov_ytheta))]
-    for rule, f, beta, nodes, calls in expected:
-        with pytest.raises(IntegrandEvaluationError) as want, \
-                np.errstate(over="ignore", invalid="ignore"):
-            rule(f, beta, 8.0, nodes)
-        for call in calls:
-            with pytest.raises(IntegrandEvaluationError) as got:
-                call(profile, params, 8.0)
-            assert len(got.value.point) == beta
-            assert np.allclose(got.value.point, want.value.point, rtol=1e-15,
-                               atol=0.0)
+def test_rule_of_too_many_panels_is_refused():
+    # 1e6 rad of turning would take 159 155 panels of at most 2 pi.
+    profile = SpeedRatioProfile.constant(1e6, s_max=1.0)
+    with pytest.raises(EnvelopeRefusal):
+        mean_x(profile, NoiseParams(0.1, 0.1), 1.0)
 
 
 def test_one_pass_refuses_negative_length():
