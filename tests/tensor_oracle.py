@@ -5,7 +5,9 @@ ordered region on ``[0, s]`` itself and evaluates the integrand on it;
 ``two_call_rule`` calls it at ``G`` and ``G + 2`` nodes. They check the
 chain rule at every dimension (``test_chain_matches_tensor_rule*``), and
 the low-order statistics' tests use them on the triangle of every knot
-piece of their references. The package has no tensor rule of its own.
+piece of their references. The package has no tensor rule of its own;
+``test_stacked_rule_matches_two_call_rule`` checks this one on its own
+terms.
 ``chain`` evaluates one product of gap factors on one chain rule, the form
 in which the tests hand their integrands to the chain rule.
 """

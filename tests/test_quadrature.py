@@ -13,8 +13,9 @@ from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
                                mean_heading, mean_squared_distance, mean_x,
                                mean_y)
 from brownian_unicycle import quadrature
-from brownian_unicycle.quadrature import ChainRule, integrate_chains
-from tensor_oracle import chain, two_call_rule
+from brownian_unicycle.quadrature import (CHAIN_ROUNDOFF, ChainRule,
+                                          integrate_chains)
+from tensor_oracle import chain, one_rule, two_call_rule
 
 
 def ordered_monomial_integral(powers, s) -> Fraction:
@@ -242,6 +243,94 @@ def test_invalid_arguments():
                          -1.0)
     with pytest.raises(ValueError):
         QuadratureSettings(rel_tol=0.0)
+
+
+# -- the tensor-rule oracle on its own terms --------------------------------------
+#
+# tensor_oracle's rule is the reference of the chain rule at every
+# dimension and of the low-order statistics' knot-piece references. With
+# no tensor rule left in the package to cross-check it, it is checked here
+# at dimensions 1 to 5: from dimension 3 on a level has coordinate axes on
+# both sides.
+
+EPS = float(np.finfo(float).eps)
+# Knots at 0.4 and 0.7: the heading is piecewise quadratic.
+TABLE_PROFILE = SpeedRatioProfile.table([(0.0, 2.0), (0.4, 9.0), (0.7, -3.0),
+                                         (1.2, 5.0)])
+S_CASES = {"zero": 0.0, "knot": 0.4, "s_max": 1.2}
+
+
+def _heading_kernel(ts):
+    """Product over levels of exp(i b heading(t_b) - 0.3 (t_b - t_{b-1}))."""
+    out, t_prev = 1.0, 0.0
+    for b, t in enumerate(ts, start=1):
+        out = out * np.exp(1j * b * mean_heading(TABLE_PROFILE, t) - 0.3 * (t - t_prev))
+        t_prev = t
+    return out
+
+
+def _polynomial_kernel(ts):
+    return (1.0 + ts[0]) ** 2
+
+
+# Three kernels: the heading product, a cosine of the heading against t1,
+# and a polynomial.
+HEADING_KERNELS = (
+    _heading_kernel,
+    lambda ts: np.cos(mean_heading(TABLE_PROFILE, ts[-1]) - ts[0]),
+    _polynomial_kernel,
+)
+
+
+def _assert_matches_oracle(got, want):
+    (value, err), (ref, ref_err) = got, want
+    bound = 4 * EPS * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(value - ref) <= bound)
+    assert np.all(np.abs(err - ref_err) <= bound)
+
+
+@pytest.mark.parametrize("kernels", [HEADING_KERNELS[:1], HEADING_KERNELS],
+                         ids=["scalar", "stacked"])
+@pytest.mark.parametrize("s_case", S_CASES)
+@pytest.mark.parametrize("beta,nodes", [
+    (beta, nodes) for beta in range(1, 6) for nodes in (2, 7, 24)
+    # 24 nodes at dimension 5 is 16 million points per rule.
+    if (beta, nodes) != (5, 24)])
+def test_stacked_rule_matches_two_call_rule(beta, nodes, s_case, kernels):
+    # "stacked": the three kernels, in one call each and as one stack along
+    # a leading axis. Each kernel's entry of the stack matches its own call
+    # on both rules, and its two-call value and estimate.
+    s = S_CASES[s_case]
+
+    def stack(ts):
+        return np.stack(np.broadcast_arrays(*(kernel(ts) for kernel in kernels)))
+
+    rules = {n: one_rule(stack, beta, s, n) for n in (nodes, nodes + 2)}
+    (coarse, _), (fine, magnitude) = rules[nodes], rules[nodes + 2]
+    for i, kernel in enumerate(kernels):
+        for n, (values, moduli) in rules.items():
+            _assert_matches_oracle((values[i], moduli[i]),
+                                   one_rule(kernel, beta, s, n))
+        ref, difference, floor = two_call_rule(kernel, beta, s, nodes)
+        estimate = abs(fine[i] - coarse[i]) + CHAIN_ROUNDOFF * magnitude[i]
+        _assert_matches_oracle((fine[i], estimate), (ref, difference + floor))
+    # Independently of the oracle's layout: at dimension 1 each rule is the
+    # package's Gauss rule on [0, s], and the polynomial kernel is exact
+    # where its degree in each collapsed coordinate (beta + 1 in the
+    # outermost, with the jacobian) is at most 2 n - 1.
+    for n, (values, _) in rules.items():
+        if beta == 1:
+            x, w = quadrature._gauss_unit(n)
+            gauss = [complex(np.sum(s * w * kernel((s * x,))))
+                     for kernel in kernels]
+            assert np.allclose(values, gauss, rtol=4 * EPS, atol=0.0)
+        if _polynomial_kernel in kernels and beta + 1 <= 2 * n - 1:
+            zeros = (0,) * (beta - 1)
+            exact = float(sum(c * ordered_monomial_integral((k, *zeros), s)
+                              for k, c in enumerate((1, 2, 1))))
+            got = values[kernels.index(_polynomial_kernel)]
+            assert got.real == pytest.approx(exact, rel=1e-13, abs=0.0)
+            assert got.imag == 0.0
 
 
 def _decay_weights_reference(m, rate):
