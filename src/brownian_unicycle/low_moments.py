@@ -76,7 +76,7 @@ NODES_PER_RATE = 0.6
 ESTIMATE_STEP = 4
 #: Most panels of one rule.
 MAX_PANELS = 2 ** 15
-#: Machine epsilon: decays ``c H`` closer than ``4 EPS`` share weights.
+#: Machine epsilon: decays ``c H`` within ``4 EPS`` share weights.
 EPS = float(np.finfo(float).eps)
 
 
@@ -362,15 +362,16 @@ def _carry(a, b) -> np.ndarray:
     return np.array(out).T
 
 
-def _runs(c: float, width: list) -> list:
-    """``(first, end)`` of each run of consecutive panels whose decays ``c
-    H`` lie in one interval of ``4 eps``, for the panel widths ``width``."""
-    scale = c / (4.0 * EPS)
-    if math.floor(scale * max(width)) == math.floor(scale * min(width)):
-        return [(0, len(width))]
-    keys = [math.floor(scale * w) for w in width]
-    cuts = [p for p in range(1, len(keys)) if keys[p] != keys[p - 1]]
-    return list(zip([0, *cuts], [*cuts, len(keys)]))
+def _runs(rates: list) -> list:
+    """``(first, end)`` of each run of consecutive panels whose decays
+    ``rates`` lie within ``4 eps`` of the decay of the run's first panel."""
+    if max(rates) - min(rates) <= 4.0 * EPS:
+        return [(0, len(rates))]
+    firsts = [0]
+    for p, rate in enumerate(rates):
+        if abs(rate - rates[firsts[-1]]) > 4.0 * EPS:
+            firsts.append(p)
+    return list(zip(firsts, [*firsts[1:], len(rates)]))
 
 
 def _pair_sums(profile, rule: _Rule, kt: float, second: bool,
@@ -380,11 +381,12 @@ def _pair_sums(profile, rule: _Rule, kt: float, second: bool,
 
     The inner integral is the prefix carry of the module docstring: the
     real weight matrices of each panel act on the real and imaginary parts
-    of its node values at once. A run of panels whose decays ``c H`` lie in
-    one interval of ``4 eps`` (the knot spacings of a uniform table, or
-    any panels without decay) shares the weights of its first panel,
-    which changes a decay factor by at most ``4 eps`` relative. The outer
-    integral is the Gauss sum of ``I`` over the nodes.
+    of its node values at once, and the panel's own width ``H`` scales
+    them. A run of panels whose decays ``c H`` lie within ``4 eps`` of its
+    first's (the knot spacings of a uniform table, or any panels without
+    decay) shares the decay weights of its first panel, which changes a
+    decay factor by at most ``4 eps`` relative. The outer integral is the
+    Gauss sum of ``I`` over the nodes.
     """
     c = 0.5 * kt
     m = rule.t.shape[1]
@@ -399,11 +401,13 @@ def _pair_sums(profile, rule: _Rule, kt: float, second: bool,
         np.exp(1j * (rule.h + h0[:, None]) - 2.0 * kt * rule.t, out=g[..., 1])
     flat = g.view(float)
     inner, ends = np.empty_like(flat), np.empty_like(flat[:, 0])
-    widths = width.tolist()
-    for a, b in _runs(c, widths):
-        own, end = _decay_weights(m, c * widths[a])
-        np.matmul(widths[a] * own, flat[a:b], out=inner[a:b])
-        np.matmul(widths[a] * end, flat[a:b], out=ends[a:b])
+    rates = (c * width).tolist()
+    for a, b in _runs(rates):
+        own, end = _decay_weights(m, rates[a])
+        np.matmul(own, flat[a:b], out=inner[a:b])
+        np.matmul(end, flat[a:b], out=ends[a:b])
+    inner *= width[:, None, None]
+    ends *= width[:, None]
     inner, ends = inner.view(complex), ends.view(complex)
     turn = np.exp(1j * turn)
     carried = _carry(turn * np.exp(-c * width), turn[:, None] * ends)

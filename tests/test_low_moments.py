@@ -568,16 +568,25 @@ SINE_TABLE = SpeedRatioProfile.table(
     [(i / 20, 5.0 + 3.0 * math.sin(2.0 * math.pi * i / 20)) for i in range(21)])
 LONG_TABLE = SpeedRatioProfile.table(
     [(i / 40, 5.0 + 3.0 * math.sin(2.0 * math.pi * i / 40)) for i in range(401)])
+# Uneven knots, whose segments split into 1, 2, 1 and 3 panels on [0, 1].
+UNEVEN_TABLE = SpeedRatioProfile.table(
+    [(0.0, 1.0), (0.1, 40.0), (0.35, 2.0), (0.4, 30.0), (1.0, 5.0)])
+# No or next to no heading noise, where every panel shares one decay.
+CALM = (NoiseParams(1.0, 0.0), NoiseParams(0.0, 0.0), NoiseParams(1.0, 1e-15))
 
 
 @pytest.mark.parametrize("profile,points", [
     (SINE_TABLE, [_table_point(np.random.default_rng(7)) for _ in range(40)]),
     (LONG_TABLE, [(NoiseParams(1.0, 1.0), 10.0), (NoiseParams(0.01, 0.01), 10.0)]),
-], ids=["21_knots", "401_knots"])
+    (TABLE, [(params, s) for params in CALM for s in (0.52, 0.97)]),
+    (UNEVEN_TABLE, [(params, s) for params in CALM for s in (0.63, 1.0)]),
+], ids=["21_knots", "401_knots", "off_knots", "uneven_knots"])
 def test_estimates_bound_the_error_on_tables(profile, points):
     # mu = 5 + 3 sin(2 pi s) sampled on 21 knots at 40 drawn (K, s), and on
-    # 401 knots at s = 10: every value of low_order_statistics lies within
-    # its estimate of the knot-piece reference, and within 1e-12.
+    # 401 knots at s = 10; panels of unequal widths (a short last panel off
+    # the knots, uneven knots) without decay: every value of
+    # low_order_statistics and <D^2> lies within its estimate of the
+    # knot-piece reference, and within 1e-12.
     for params, s in points:
         want = _reference(profile, params, s)
         stats = low_order_statistics(profile, params, s)
@@ -585,6 +594,22 @@ def test_estimates_bound_the_error_on_tables(profile, points):
             value, err = stats[name]
             assert abs(value - want[name]) <= err, (name, params, s)
             assert _close(value, want[name]), (name, params, s)
+        value, err = low_moments.mean_squared_distance_with_error(
+            profile, params, s)
+        assert abs(value - want["msd"]) <= err, (params, s)
+        assert _close(value, want["msd"]), (params, s)
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
+def test_huge_heading_noise_leaves_the_translational_noise(profile):
+    # At k_theta = 1e300 the heading decorrelates at once: <x^2> = <y^2> =
+    # k_r s / 2, <D^2> = k_r s, and the means and <x y> vanish.
+    params = NoiseParams(1.0, 1e300)
+    stats = low_order_statistics(profile, params, 1.0)
+    want = {"m_xx": 0.5, "m_yy": 0.5}
+    for name in NAMES:
+        assert abs(stats[name][0] - want.get(name, 0.0)) <= 1e-15, name
+    assert mean_squared_distance(profile, params, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_heading_overflow_raises_with_a_point():
