@@ -83,12 +83,28 @@ class QuadratureSettings:
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
+def _legendre(n: int, x: np.ndarray):
+    """``P_n(x)`` and ``P_n'(x)`` from the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+
+
 @lru_cache(maxsize=64)
 def _gauss_unit(n: int):
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights mapped to [0, 1].
+
+    numpy's ``leggauss`` nodes take one Newton step, and the weights are
+    ``2 / ((1 - x^2) P_n'(x)^2)`` at them: ``leggauss``' own weights are
+    off by up to 1e-13 relative at 24 nodes, these by about ``n eps``.
+    """
+    x, _ = np.polynomial.legendre.leggauss(n)
+    p, dp = _legendre(n, x)
+    x = x - p / dp
+    _, dp = _legendre(n, x)
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     x = 0.5 * (x + 1.0)
-    w = 0.5 * w
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

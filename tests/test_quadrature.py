@@ -314,13 +314,14 @@ def test_stacked_rule_matches_two_call_rule(beta, nodes, s_case, kernels):
         ref, difference, floor = two_call_rule(kernel, beta, s, nodes)
         estimate = abs(fine[i] - coarse[i]) + CHAIN_ROUNDOFF * magnitude[i]
         _assert_matches_oracle((fine[i], estimate), (ref, difference + floor))
-    # Independently of the oracle's layout: at dimension 1 each rule is the
-    # package's Gauss rule on [0, s], and the polynomial kernel is exact
-    # where its degree in each collapsed coordinate (beta + 1 in the
+    # Independently of the oracle's layout: at dimension 1 each rule is
+    # numpy's Gauss-Legendre rule on [0, s], and the polynomial kernel is
+    # exact where its degree in each collapsed coordinate (beta + 1 in the
     # outermost, with the jacobian) is at most 2 n - 1.
     for n, (values, _) in rules.items():
         if beta == 1:
-            x, w = quadrature._gauss_unit(n)
+            x, w = np.polynomial.legendre.leggauss(n)
+            x, w = 0.5 * (x + 1.0), 0.5 * w
             gauss = [complex(np.sum(s * w * kernel((s * x,))))
                      for kernel in kernels]
             assert np.allclose(values, gauss, rtol=4 * EPS, atol=0.0)
@@ -331,6 +332,43 @@ def test_stacked_rule_matches_two_call_rule(beta, nodes, s_case, kernels):
             got = values[kernels.index(_polynomial_kernel)]
             assert got.real == pytest.approx(exact, rel=1e-13, abs=0.0)
             assert got.imag == 0.0
+
+
+def _reference_weights(n):
+    """40-digit Gauss-Legendre weights of [0, 1]: each node polished by
+    Newton steps on mpmath's ``P_n``, then ``1 / ((1 - x^2) P_n'(x)^2)``."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        def derivative(x):
+            return n * (x * mpmath.legendre(n, x) - mpmath.legendre(n - 1, x)) / (x * x - 1)
+
+        weights = []
+        for start in np.polynomial.legendre.leggauss(n)[0]:
+            x = mpmath.mpf(start)
+            for _ in range(3):
+                x -= mpmath.legendre(n, x) / derivative(x)
+            weights.append(1 / ((1 - x * x) * derivative(x) ** 2))
+        return weights
+
+
+@pytest.mark.parametrize("n", [2, 5, 18, 24, 30, 40, 41, 50, 64])
+def test_gauss_weights_match_40_digits(n):
+    # Within 4 n eps up to 40 nodes; beyond, at least 10x closer than
+    # numpy's leggauss weights, which are off by 1e-13 at 24 nodes.
+    import mpmath
+
+    want = _reference_weights(n)
+
+    def error(weights):
+        return max(float(abs((mpmath.mpf(float(w)) - ref) / ref))
+                   for w, ref in zip(weights, want))
+
+    got = error(quadrature._gauss_unit(n)[1])
+    if n <= 40:
+        assert got <= 4 * n * EPS
+    else:
+        assert 10 * got <= error(0.5 * np.polynomial.legendre.leggauss(n)[1])
 
 
 def _decay_weights_reference(m, rate):
