@@ -14,8 +14,8 @@ kernel ``(decay, phase)`` contributes
 
 inside one nested ordered integral of dimension ``len(decay)``, as the
 decomposition prints it, per sample point. :func:`d4_moment` evaluates
-each kernel in gap form on the gap factors, panel cuts and chain rule of
-the general moments; that sampling and the integration engine are all it
+each kernel in gap form on the gap factors, panels and chain rule of the
+general moments; that sampling and the integration engine are all it
 shares with them. The two conjugate three-dimensional classes are already
 combined into their real cosine form, and the dimension-0 class is the
 pure ``2 k_r^2 s^2`` term.
@@ -30,9 +30,10 @@ import itertools
 import numpy as np
 
 from .exceptions import IntegrandEvaluationError, NumericalConsistencyError
-from .general_moments import _GapFactors, _panel_cuts
+from .general_moments import _GapFactors
 from .low_moments import checked_mean_squared_distance
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_chains
+from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings, _check_length,
+                         integrate_chains, panels)
 from .trajectory import NoiseParams, SpeedRatioProfile
 
 DISTANCE4_KERNELS = (
@@ -96,9 +97,13 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     heading power 0), of modulus at most 1; per point the factors grow
     like ``e^{2 k_theta t}``. The chains run in the walk's rotating frame:
     a gap from weight ``G_b`` to ``G_{b+1}`` multiplies by the step phase
-    ``E_{G_b} conj(E_{G_{b+1}})``, and the close by ``E_{G_beta}``.
+    ``E_{G_b} conj(E_{G_{b+1}})``, and the close by ``E_{G_beta}``, on the
+    panels of the largest ``|G_b| = 2`` and dimension 4.
     """
+    _check_length(profile, s)
     constant, chains = _d4_chains(params, s)
+    if s == 0.0:
+        return constant
     weights = [tuple(itertools.accumulate(reversed(phase)))[::-1]
                for _, (_, phase) in chains]
 
@@ -118,9 +123,9 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     # Gap weights 0, +-1 and +-2 at heading power 0, as _Walk.operators
     # counts them: three operators (the last one the product), its weight
     # matrix and one for the O(n) arrays.
-    value, _ = integrate_chains(evaluate, [w for w, _ in chains], s, settings,
-                                _panel_cuts(profile, s), 2.0 * params.k_theta,
-                                operators=5)
+    value, _ = integrate_chains(evaluate, [w for w, _ in chains],
+                                panels(profile, s, params.k_theta, 2, 4),
+                                settings, operators=5)
     return constant + value.real
 
 

@@ -46,7 +46,8 @@ import numpy as np
 
 from .exceptions import (EnvelopeWarning, IntegrandEvaluationError,
                          NumericalConsistencyError, TermKeyError)
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_chains
+from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings, _check_length,
+                         integrate_chains, panels)
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
 #: Guaranteed cost envelope; larger requests work but warn.
@@ -58,9 +59,9 @@ MAX_HEADING_POWER = 4
 #: times the largest share (0.004 eps) that 640 random constant-ratio
 #: moments showed against 50-digit values on the global Chebyshev rule.
 #: On the heading-free operators the chain floor alone does not always
-#: cover the error: ``<u^4>`` at constant ``mu0 = 15.83``, ``K = 0.0438``,
-#: ``s = 0.808`` is 6.8e-19 off with a chain estimate of 3.8e-19, and this
-#: term adds 7.9e-18. Over random moments with ``p, q <= 6``, ``mu0`` up to
+#: cover the error: ``<w^4>`` at constant ``mu0 = 13.97``, ``K = 0.0147``,
+#: ``s = 0.913`` is 2.5e-18 off with a chain estimate of 1.7e-18, and this
+#: term adds 1.1e-17. Over random moments with ``p, q <= 6``, ``mu0`` up to
 #: 25 and ``K`` in [0.003, 3] it is up to 99% of an estimate.
 MODULUS_ROUNDOFF = float(np.finfo(float).eps) / 16
 
@@ -391,25 +392,6 @@ class _GapFactors:
         return out
 
 
-def _panel_cuts(profile: SpeedRatioProfile, s: float) -> np.ndarray:
-    """Interior panel edges on ``[0, s]``: the table knots inside ``(0, s)``
-    and a cut after every ``2 pi`` of heading turn, interpolated in the
-    running sum of absolute heading steps, 64 per segment between knots (at
-    most one cut per step). A non-finite heading places no cut."""
-    knots = np.array([k for k in profile.knots_s if 0.0 < k < s])
-    ends = np.concatenate(([0.0], knots, [s]))
-    # np.linspace(a, b, 64, endpoint=False) on every segment, at once.
-    grid = np.append(np.arange(64) * (np.diff(ends) / 64)[:, None]
-                     + ends[:-1, None], s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        turn = np.cumsum(np.abs(np.diff(mean_heading(profile, grid))))
-    if not np.isfinite(turn[-1]) or turn[-1] <= 2.0 * np.pi:
-        return knots
-    spacing = max(2.0 * np.pi, turn[-1] / turn.size)
-    return np.union1d(knots, np.interp(np.arange(spacing, turn[-1], spacing),
-                                       np.append(0.0, turn), grid))
-
-
 #: The steps -2, -1, 1, 2 of a walk state's counts, in slot order.
 _STEPS = (-2, -1, 1, 2)
 
@@ -514,6 +496,7 @@ class _Walk:
         self._close_u = np.array([index[u] for u, _ in closes], dtype=int)
         self._close_tail = (r - self._close_h) // 2
         beta = [sum(u) + 1 for u, _ in closes]
+        self.dimension = max(beta)
         self._close_beta = np.array(beta, dtype=int)
         self._close_inverse_factorial = np.array([1.0 / factorial(b)
                                                   for b in beta])
@@ -665,17 +648,20 @@ def displacement_heading_moment(p: int, q: int, r: int,
     The terms of one key share its exact integer coefficient; those of
     dimension ``beta >= 1`` are nested integrals of gap-factor chains,
     summed by the lattice walk of :class:`_Walk` on the chain rule of
-    :mod:`quadrature`, on the panels of :func:`_panel_cuts`, with one close
-    per key, last step and heading power before the tail. Dimension-0 terms
-    use the empty-integral-equals-1 convention with the trailing gap factor
-    ``s**(r/2)`` applied analytically. The enumeration and the walk depend
-    on the orders only and are built once per orders (:func:`_plan`). The
-    error estimate is that of the summed closes (coarse/fine difference
-    plus roundoff floor) plus ``MODULUS_ROUNDOFF`` times the bound
-    :meth:`_Walk.moduli`; ``terms_evaluated`` counts the enumerated terms,
-    vectors times compositions summed over the keys.
+    :mod:`quadrature`, on the panels of its largest phase weight and close
+    dimension, with one close per key, last step and heading power before
+    the tail. Dimension-0 terms use the empty-integral-equals-1 convention
+    with the trailing gap factor ``s**(r/2)`` applied analytically. The
+    enumeration and the walk depend on the orders only and are built once
+    per orders (:func:`_plan`). The error estimate is that of the summed
+    closes (coarse/fine difference plus roundoff floor) plus
+    ``MODULUS_ROUNDOFF`` times the bound :meth:`_Walk.moduli`;
+    ``terms_evaluated`` counts the enumerated terms, vectors times
+    compositions summed over the keys. An ``s`` outside ``[0, s_max]``
+    raises :class:`~brownian_unicycle.exceptions.ProfileDomainError`.
     """
     _check_envelope(MomentSpec(p, q, r))
+    _check_length(profile, s)
     plan = _plan(p, q, r)
     kr, kt = params.k_r, params.k_theta
     common = kt ** (0.5 * r) * cmath.exp(1j * (p - q) * profile.theta0)
@@ -687,17 +673,17 @@ def displacement_heading_moment(p: int, q: int, r: int,
     if not (cmath.isfinite(total) and np.isfinite(scales).all()):
         raise IntegrandEvaluationError(
             f"k_r = {kr:g} overflows the terms' factors k_r**n s**m")
-    if not scales.any():
+    if s == 0.0 or not scales.any():
         return MomentResult(total, 0.0, plan.terms)
     walk = plan.walk
 
     def evaluate(rule):
         return walk.evaluate(_GapFactors(rule, profile, kt, r))
 
-    value, err = integrate_chains(evaluate, scales, s, settings,
-                                  _panel_cuts(profile, s),
-                                  0.5 * kt * walk.largest_weight ** 2,
-                                  walk.operators)
+    value, err = integrate_chains(
+        evaluate, scales,
+        panels(profile, s, kt, walk.largest_weight, walk.dimension),
+        settings, walk.operators)
     # A rotating chain sum can cancel far below the moduli of its closes,
     # while the roundoff of its sampled phases scales with the integral of
     # the integrand's modulus.

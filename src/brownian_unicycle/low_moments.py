@@ -3,14 +3,11 @@
 Every quantity here is an explicit one- or two-dimensional integral over
 the deterministic heading ``h``, with the heading-noise decay attached to
 each displacement factor, and all of them run on one Gauss-Legendre panel
-rule of ``[0, s]`` (:func:`_panels`, :func:`_rule`). Its panels are cut
-at the table knots, graded toward 0 when ``2 k_theta s`` passes
-``PANEL_DECAY`` (as the chain rule of :mod:`quadrature` grades them), and
-split into equal panels of at most ``PANEL_TURN`` of heading turn,
-measured by a bound of ``|mu|`` on each segment; the node count ``m`` per
-panel follows from the largest turn and decay of a panel
-(:func:`_node_count`).
-Each segment's heading is evaluated at its own nodes from its own
+rule of ``[0, s]``: the panels of :func:`~brownian_unicycle.quadrature.panels`
+for an integrand of dimension 2 and phase weight 2 (``D`` below), which
+grades them toward 0 when ``2 k_theta s`` passes ``PANEL_DECAY`` and takes
+``m`` from the largest turn and decay of a panel, and :func:`_rule` on
+them. Each segment's heading is evaluated at its own nodes from its own
 quadratic (a table) or closed form.
 
 The one-dimensional integrals are Gauss sums on the panels: the mean
@@ -51,31 +48,18 @@ a sum that is not finite raises it without one.
 
 from __future__ import annotations
 
-import bisect
 import cmath
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (EnvelopeRefusal, IntegrandEvaluationError,
-                         NumericalConsistencyError, ProfileDomainError)
-from .quadrature import (CHAIN_ROUNDOFF, PANEL_DECAY, _decay_weights,
-                         _gauss_unit)
+from .exceptions import IntegrandEvaluationError, NumericalConsistencyError
+from .quadrature import (CHAIN_ROUNDOFF, ESTIMATE_STEP, _check_length,
+                         _decay_weights, _gauss_unit, _Panels, panels)
 from .trajectory import (NoiseParams, SpeedRatioProfile, mean_heading,
                          polynomial_heading)
 
-#: Largest heading turn of one panel, by the segment's bound of ``|mu|``.
-PANEL_TURN = 2.0 * math.pi
-#: Gauss points per panel: ``NODES_MIN`` plus ``NODES_PER_RATE`` per unit
-#: of the largest ``|2 i turn - decay|`` of a panel.
-NODES_MIN = 6
-NODES_PER_RATE = 0.6
-#: Gauss points per panel fewer in the coarse rule of an error estimate.
-ESTIMATE_STEP = 4
-#: Most panels of one rule.
-MAX_PANELS = 2 ** 15
 #: Machine epsilon: decays ``c H`` within ``4 EPS`` share weights.
 EPS = float(np.finfo(float).eps)
 
@@ -88,33 +72,12 @@ def orientation_distribution(profile: SpeedRatioProfile, params: NoiseParams,
 
 # -- the panel rule ------------------------------------------------------------
 
-class _Panels(NamedTuple):
-    """The panels of ``[0, s]`` and the node count ``m`` of their rule.
-
-    Row ``p`` of ``coef`` holds panel ``p``'s start ``p0``, width ``H`` and,
-    for constant and table profiles, the heading ``h0 + B x + C x^2`` in
-    the panel coordinate ``x = (t - p0) / H`` (zeros for a polynomial,
-    whose heading is evaluated at the nodes).
-    """
-
-    coef: np.ndarray
-    m: int
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.coef[:, 0]
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.coef[:, 1]
-
-
 class _Rule(NamedTuple):
-    """The ``m``-node rule on :class:`_Panels`: nodes ``t`` and weights
-    ``wt`` with shape ``(panels, m)``, the distance ``into`` of each node
-    from its panel's start, the heading ``h`` at the nodes and ``local``,
-    its rise ``B x + C x^2`` from the panel's start (zero for a polynomial:
-    see :func:`_rise`)."""
+    """The ``m``-node rule on :class:`~brownian_unicycle.quadrature._Panels`:
+    nodes ``t`` and weights ``wt`` with shape ``(panels, m)``, the distance
+    ``into`` of each node from its panel's start, the heading ``h`` at the
+    nodes and ``local``, its rise ``B x + C x^2`` from the panel's start
+    (zero for a polynomial: see :func:`_rise`)."""
 
     panels: _Panels
     t: np.ndarray
@@ -124,141 +87,9 @@ class _Rule(NamedTuple):
     local: np.ndarray
 
 
-def _node_count(turn: float, decay: float) -> int:
-    """Gauss points per panel for the largest turn and sampled decay of a
-    panel: the second-order integrands turn twice as fast as the
-    heading."""
-    return NODES_MIN + math.ceil(NODES_PER_RATE * math.hypot(2.0 * turn, decay))
-
-
-def _bound(profile: SpeedRatioProfile, end: float) -> float:
-    """A bound of ``|mu|`` on ``[0, end]`` for a constant or polynomial
-    profile, in Python floats, where an overflow gives inf without a
-    numpy warning."""
-    bound = 0.0
-    for coeff in reversed(profile.coeffs or (profile.mu0,)):
-        bound = bound * end + abs(coeff)
-    return bound
-
-
-def _refuse_turn(end: float):
-    raise IntegrandEvaluationError(
-        f"the heading's turn bound up to t = {end} is not finite",
-        point=(end,))
-
-
-def _refuse_count(turn: float, s: float, count: int):
-    raise EnvelopeRefusal(
-        f"the heading may turn {turn:.3g} rad over [0, {s}]: the rule would "
-        f"need {count} panels, more than {MAX_PANELS}")
-
-
-def _panels(profile: SpeedRatioProfile, kt: float, s: float) -> _Panels:
-    """The panels of ``profile`` on ``[0, s]``, ``s > 0``, for the heading
-    noise ``kt``.
-
-    Segments end at the table knots inside ``(0, s)``; when the largest
-    sampled decay ``2 kt`` times ``s`` passes ``PANEL_DECAY``, more cuts
-    grade them toward 0, doubling from ``PANEL_DECAY / (2 kt)``, so that
-    no decay outgrows the first panel. Each segment gets ``ceil(bound *
-    length / PANEL_TURN)`` equal panels, with ``bound`` a bound of ``|mu|``
-    on it: the larger ``|mu|`` at a table segment's ends, ``sum_k |c_k|
-    b^k`` for a polynomial on ``[a, b]``. The largest ``|mu|`` times the
-    longest segment bounds every segment's turn, so segments are split
-    only when it passes ``PANEL_TURN``. A turn bound that is not finite
-    raises :class:`IntegrandEvaluationError` at the end of the first
-    segment where it is not, and a rule of more than ``MAX_PANELS`` panels
-    :class:`EnvelopeRefusal`.
-    """
-    rate = 2.0 * kt
-    if not math.isfinite(rate):
-        raise IntegrandEvaluationError(
-            f"the decay rate 2 k_theta = {rate} is not finite: k_theta is "
-            "too large")
-    table = profile.kind == "table"
-    # Panels start off the table knots when the decay grades them or a
-    # segment is split.
-    off_knots = rate * s > PANEL_DECAY
-    if not (table or off_knots):
-        # One segment, in Python floats: the common case, without the
-        # array work below.
-        turn = _bound(profile, s) * s
-        if not math.isfinite(turn):
-            _refuse_turn(s)
-        count = max(math.ceil(turn / PANEL_TURN), 1)
-        if count > MAX_PANELS:
-            _refuse_count(turn, s, count)
-        width = s / count
-        m = _node_count(turn / count, rate * width)
-        mu = profile.mu0
-        if count == 1:
-            return _Panels(np.array(((0.0, s, profile.theta0, mu * s, 0.0),)), m)
-        start = width * np.arange(count)
-        return _Panels(np.array([start, np.full(count, width),
-                                 profile.theta0 + mu * start,
-                                 np.full(count, mu * width),
-                                 np.zeros(count)]).T, m)
-    if table:
-        ks, kmu, kh, slope = profile._panels
-        n = bisect.bisect_left(profile.knots_s, s, 1)
-        ends = ks[:n + 1].copy()
-        ends[n] = s
-    else:
-        ends = np.array((0.0, s))
-    if off_knots:
-        doublings = math.ceil(math.log2(rate * s / PANEL_DECAY))
-        ends = np.union1d(ends, PANEL_DECAY / rate * 2.0 ** np.arange(doublings))
-    lengths = ends[1:] - ends[:-1]
-    width_max = max(lengths.tolist())
-    if table:
-        # |mu| at the knots: mu is linear in between.
-        largest = max(map(abs, profile.knots_mu[:n + 1])) * width_max
-    else:
-        bound = np.array([_bound(profile, end) for end in ends[1:].tolist()])
-        largest = max(bound.tolist()) * width_max
-    if not math.isfinite(largest) or largest > PANEL_TURN:
-        if table:
-            # The larger |mu| at the knots around each segment.
-            bound = np.abs(kmu)
-            bound = np.maximum(bound[:-1], bound[1:])[
-                np.searchsorted(ks, ends[:-1], side="right") - 1]
-        # Python floats: an overflow gives inf without a numpy warning.
-        for end, b, length in zip(ends[1:].tolist(), bound.tolist(),
-                                  lengths.tolist()):
-            if not math.isfinite(b * length):
-                _refuse_turn(end)
-    width = lengths
-    if largest > PANEL_TURN:
-        turn = bound * lengths
-        counts = np.ceil(turn / PANEL_TURN)
-        if counts.sum() > MAX_PANELS:
-            _refuse_count(float(turn.sum()), s, int(counts.sum()))
-        largest = float((turn / counts).max())
-        counts = counts.astype(int)
-        width = np.repeat(lengths / counts, counts)
-        width_max = float(width.max())
-        at = np.arange(width.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        ends = np.append(np.repeat(ends[:-1], counts) + at * width, s)
-        off_knots = True
-    start = ends[:-1]
-    m = _node_count(largest, min(rate * width_max, PANEL_DECAY))
-    if not table:
-        mu = profile.mu0
-        return _Panels(np.array([start, width, profile.theta0 + mu * start,
-                                 mu * width, np.zeros_like(width)]).T, m)
-    if off_knots:
-        knot = np.searchsorted(ks, start, side="right") - 1
-        h0, mu, half_slope = (mean_heading(profile, start),
-                              np.interp(start, ks, kmu), 0.5 * slope[knot])
-    else:
-        h0, mu, half_slope = kh[:n], kmu[:n], 0.5 * slope[:n]
-    return _Panels(np.array([start, width, h0, mu * width,
-                             half_slope * width * width]).T, m)
-
-
 @lru_cache(maxsize=64)
 def _basis(m: int) -> np.ndarray:
-    """The matrices that take the rows of :class:`_Panels` ``coef`` to the
+    """The matrices that take the rows of ``_Panels.coef`` to the
     panels' ``t``, ``into``, ``h``, ``local`` and ``wt`` at the ``m`` Gauss
     nodes ``x`` of ``[0, 1]``, stacked."""
     x, w = _gauss_unit(m)
@@ -295,19 +126,13 @@ def _rise(profile: SpeedRatioProfile, rule: _Rule):
     return h[:-1], rule.h - h[:-1, None], h[1:] - h[:-1]
 
 
-def _check_length(profile: SpeedRatioProfile, s: float) -> None:
-    # Written so that NaN, which compares false either way, fails too.
-    if not (0.0 <= s <= profile.s_max):
-        raise ProfileDomainError(
-            f"curve length {s} outside [0, {profile.s_max}]")
-
-
 def _rules(profile, kt, s, estimate) -> list:
     """The rule of ``profile`` and ``kt`` on ``[0, s]``, ``s > 0``, and with
-    ``estimate`` the coarse rule of the same panels before it."""
-    panels = _panels(profile, kt, s)
-    counts = (panels.m - ESTIMATE_STEP, panels.m) if estimate else (panels.m,)
-    return [_rule(profile, panels, m) for m in counts]
+    ``estimate`` the coarse rule of the same panels before it: the panels
+    of an integrand of dimension 2 and phase weight 2 (``D``)."""
+    at = panels(profile, s, kt, 2, 2)
+    counts = (at.m - ESTIMATE_STEP, at.m) if estimate else (at.m,)
+    return [_rule(profile, at, m) for m in counts]
 
 
 # -- sums on one rule ----------------------------------------------------------

@@ -1,30 +1,33 @@
 """Nested quadrature over the ordered region 0 <= s1 <= ... <= s_beta <= s.
 
-The chain rule (:class:`ChainRule`, :func:`integrate_chains`) serves
-every moment term of this package, integrands that are products of
-per-gap factors,
+One panel policy serves every integral of this package: :func:`panels`
+cuts ``[0, s]`` at the table knots, grades the panels toward 0 where a
+fast decay has a layer, splits them after at most ``PANEL_TURN`` of
+heading turn (Pachon, Platte & Trefethen, IMA J. Numer. Anal. 30, 2010),
+and sets the node count ``m`` per panel from the largest phase and decay
+of a panel and the integrand's dimension. The low-order statistics of
+:mod:`low_moments` sum on it directly; the chain rule (:class:`ChainRule`,
+:func:`integrate_chains`) serves every moment term, integrands that are
+products of per-gap factors,
 
     prod_{b=1..beta} K_b(t_{b-1}, t_b) * tail(s - t_beta),   t_0 = 0.
 
 Such an integral is ``beta`` applications of a Volterra operator:
 ``F_1(t) = K_1(0, t)``, ``F_b(t) = int_0^t K_b(u, t) F_{b-1}(u) du``, and
 the result is ``int_0^s F_beta(u) tail(s - u) du``. Each ``F_b`` lives at
-the Gauss points of panels of ``[0, s]``, which the moment engines cut at
-the table knots and after every ``2 pi`` of heading turn (Pachon, Platte &
-Trefethen, IMA J. Numer. Anal. 30, 2010). For node ``t_j`` each panel
-integrates ``K F`` through its interpolant on the panel's nodes: the
-earlier panels in full, its own up to ``t_j`` through the spectral
-integration matrix ``S[i, k] = int_0^{x_i} l_k`` (Greengard, SIAM J.
-Numer. Anal. 28, 1991). A gap's decay ``e^{-c (t - u)}`` is not sampled
-but folded into those weights, exactly at any rate, and the panels are
-graded toward 0, where fast-decaying chains have a layer. A gap factor
-thus becomes the operator ``kernel * omega``, once per rule, and every
-level is ``M_K @ F``: a moment with ``D`` distinct gap factors and ``L``
-node-value vectors per level (one per state and heading power of its
-walk in :mod:`general_moments`) costs ``O((D + L) n**2)``, and converges
-spectrally on every profile kind. The low-order statistics of
-:mod:`low_moments` apply the same panel weights (:func:`_decay_weights`)
-to their separable kernels, one prefix carry per panel.
+the Gauss points of the panels. For node ``t_j`` each panel integrates
+``K F`` through its interpolant on the panel's nodes: the earlier panels
+in full, its own up to ``t_j`` through the spectral integration matrix
+``S[i, k] = int_0^{x_i} l_k`` (Greengard, SIAM J. Numer. Anal. 28, 1991).
+A gap's decay ``e^{-c (t - u)}`` is folded into those weights, exactly at
+any rate. A gap factor thus becomes the operator
+``kernel * omega``, once per rule, and every level is ``M_K @ F``: a
+moment with ``D`` distinct gap factors and ``L`` node-value vectors per
+level (one per state and heading power of its walk in
+:mod:`general_moments`) costs ``O((D + L) n**2)``, and converges
+spectrally on every profile kind. The low-order statistics apply the same
+panel weights (:func:`_decay_weights`) to their separable kernels, one
+prefix carry per panel.
 
 All reductions run in a fixed order; results are bit-stable for a given
 settings object.
@@ -32,26 +35,38 @@ settings object.
 
 from __future__ import annotations
 
+import bisect
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import AccuracyWarning, IntegrandEvaluationError
+from .exceptions import (AccuracyWarning, EnvelopeRefusal,
+                         IntegrandEvaluationError, ProfileDomainError)
+from .trajectory import SpeedRatioProfile, mean_heading
 
-#: Gauss points per panel of the chain rule's coarse and fine rules.
-PANEL_NODES = (20, 24)
-#: Panels of the whole curve at the first pair, shared out by length.
-PANELS_PER_LENGTH = 2
 #: Gauss points per piece of the integrals behind a panel's decay weights.
 PIECE_NODES = 24
-#: Decay rate times width of the first panel, when a chain's decay grades
-#: the panels toward 0.
+#: Largest sampled decay rate times width of the first panel, when the
+#: decay grades the panels toward 0.
 PANEL_DECAY = 16.0
-#: Largest node count of a chain rule (an operator then takes 26 MB).
-CHAIN_MAX_NODES = 1280
+#: Largest heading turn of one panel, by the segment's bound of ``|mu|``.
+PANEL_TURN = 2.0 * math.pi
+#: Gauss points per panel: ``NODES_MIN`` plus the integrand's dimension
+#: plus ``NODES_PER_RATE`` per unit of the largest ``|i w turn - decay|``
+#: of a panel, for the phase weight ``w``.
+NODES_MIN = 4
+NODES_PER_RATE = 0.6
+#: Gauss points per panel between the two rules of an error estimate.
+ESTIMATE_STEP = 4
+#: Most panels of one rule.
+MAX_PANELS = 2 ** 15
+#: Largest node count of a chain rule (a real operator then takes 20 MB):
+#: the first pair of ``<D^4>`` at 500 rad of turn, 80 panels of 20 nodes.
+CHAIN_MAX_NODES = 1600
 #: Memory the ``n x n`` arrays of one chain evaluation may take, which
 #: caps ``n`` below ``CHAIN_MAX_NODES`` when there are many of them.
 CHAIN_MAX_BYTES = 160 * 2 ** 20
@@ -108,6 +123,176 @@ def _gauss_unit(n: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+# -- the panels ----------------------------------------------------------------
+
+class _Panels(NamedTuple):
+    """The panels of ``[0, s]`` and the node count ``m`` of their rule.
+
+    Row ``p`` of ``coef`` holds panel ``p``'s start ``p0``, width ``H`` and,
+    for constant and table profiles, the heading ``h0 + B x + C x^2`` in
+    the panel coordinate ``x = (t - p0) / H`` (zeros for a polynomial,
+    whose heading is evaluated at the nodes). ``graded`` counts the cuts
+    that the decay grading added.
+    """
+
+    coef: np.ndarray
+    m: int
+    graded: int = 0
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.coef[:, 0]
+
+    @property
+    def width(self) -> np.ndarray:
+        return self.coef[:, 1]
+
+
+def _check_length(profile: SpeedRatioProfile, s: float) -> None:
+    # Written so that NaN, which compares false either way, fails too.
+    if not (0.0 <= s <= profile.s_max):
+        raise ProfileDomainError(
+            f"curve length {s} outside [0, {profile.s_max}]")
+
+
+def _node_count(turn: float, decay: float, weight, dimension: int) -> int:
+    """Gauss points per panel for the largest turn and sampled decay of a
+    panel: an integrand of phase weight ``weight`` turns ``weight`` times
+    as fast as the heading."""
+    return (NODES_MIN + dimension
+            + math.ceil(NODES_PER_RATE * math.hypot(weight * turn, decay)))
+
+
+def _bound(profile: SpeedRatioProfile, end: float) -> float:
+    """A bound of ``|mu|`` on ``[0, end]`` for a constant or polynomial
+    profile, in Python floats, where an overflow gives inf without a
+    numpy warning."""
+    bound = 0.0
+    for coeff in reversed(profile.coeffs or (profile.mu0,)):
+        bound = bound * end + abs(coeff)
+    return bound
+
+
+def _refuse_turn(end: float):
+    raise IntegrandEvaluationError(
+        f"the heading's turn bound up to t = {end} is not finite",
+        point=(end,))
+
+
+def _refuse_count(turn: float, s: float, count: int):
+    raise EnvelopeRefusal(
+        f"the heading may turn {turn:.3g} rad over [0, {s}]: the rule would "
+        f"need {count} panels, more than {MAX_PANELS}")
+
+
+def panels(profile: SpeedRatioProfile, s: float, k_theta: float, weight,
+           dimension: int) -> _Panels:
+    """The panels of ``profile`` on ``[0, s]``, ``s > 0``, for an integrand
+    of dimension ``dimension`` whose factors turn with phase weights up to
+    ``weight`` and decay at rates up to ``weight**2 k_theta / 2``.
+
+    Segments end at the table knots inside ``(0, s)``; when that largest
+    decay ``rate`` times ``s`` passes ``PANEL_DECAY``, more cuts grade them
+    toward 0, doubling from ``PANEL_DECAY / rate``, so that no decay
+    outgrows the first panel. Each segment gets ``ceil(bound * length /
+    PANEL_TURN)`` equal panels, with ``bound`` a bound of ``|mu|`` on it:
+    the larger ``|mu|`` at a table segment's ends, ``sum_k |c_k| b^k`` for
+    a polynomial on ``[a, b]``. The largest ``|mu|`` times the longest
+    segment bounds every segment's turn, so segments are split only when
+    it passes ``PANEL_TURN``. The node count ``m`` is :func:`_node_count`
+    of the largest turn and decay of a panel. A decay rate or turn bound
+    that is not finite raises :class:`IntegrandEvaluationError`, the
+    latter at the end of the first segment where it is not, and a rule of
+    more than ``MAX_PANELS`` panels :class:`EnvelopeRefusal`.
+    """
+    rate = 0.5 * weight * weight * k_theta
+    if not math.isfinite(rate):
+        raise IntegrandEvaluationError(
+            f"the decay rate {weight}^2 k_theta / 2 = {rate} is not finite: "
+            "k_theta is too large")
+    table = profile.kind == "table"
+    # Panels start off the table knots when the decay grades them or a
+    # segment is split.
+    off_knots = rate * s > PANEL_DECAY
+    if not (table or off_knots):
+        # One segment, in Python floats: the common case, without the
+        # array work below.
+        turn = _bound(profile, s) * s
+        if not math.isfinite(turn):
+            _refuse_turn(s)
+        count = max(math.ceil(turn / PANEL_TURN), 1)
+        if count > MAX_PANELS:
+            _refuse_count(turn, s, count)
+        width = s / count
+        m = _node_count(turn / count, rate * width, weight, dimension)
+        mu = profile.mu0
+        if count == 1:
+            return _Panels(np.array(((0.0, s, profile.theta0, mu * s, 0.0),)), m)
+        start = width * np.arange(count)
+        return _Panels(np.array([start, np.full(count, width),
+                                 profile.theta0 + mu * start,
+                                 np.full(count, mu * width),
+                                 np.zeros(count)]).T, m)
+    if table:
+        ks, kmu, kh, slope = profile._panels
+        n = bisect.bisect_left(profile.knots_s, s, 1)
+        ends = ks[:n + 1].copy()
+        ends[n] = s
+    else:
+        ends = np.array((0.0, s))
+    graded = 0
+    if off_knots:
+        graded = math.ceil(math.log2(rate * s / PANEL_DECAY))
+        ends = np.union1d(ends, PANEL_DECAY / rate * 2.0 ** np.arange(graded))
+    lengths = ends[1:] - ends[:-1]
+    width_max = max(lengths.tolist())
+    if table:
+        # |mu| at the knots: mu is linear in between.
+        largest = max(map(abs, profile.knots_mu[:n + 1])) * width_max
+    else:
+        bound = np.array([_bound(profile, end) for end in ends[1:].tolist()])
+        largest = max(bound.tolist()) * width_max
+    if not math.isfinite(largest) or largest > PANEL_TURN:
+        if table:
+            # The larger |mu| at the knots around each segment.
+            bound = np.abs(kmu)
+            bound = np.maximum(bound[:-1], bound[1:])[
+                np.searchsorted(ks, ends[:-1], side="right") - 1]
+        # Python floats: an overflow gives inf without a numpy warning.
+        for end, b, length in zip(ends[1:].tolist(), bound.tolist(),
+                                  lengths.tolist()):
+            if not math.isfinite(b * length):
+                _refuse_turn(end)
+    width = lengths
+    if largest > PANEL_TURN:
+        turn = bound * lengths
+        counts = np.ceil(turn / PANEL_TURN)
+        if counts.sum() > MAX_PANELS:
+            _refuse_count(float(turn.sum()), s, int(counts.sum()))
+        largest = float((turn / counts).max())
+        counts = counts.astype(int)
+        width = np.repeat(lengths / counts, counts)
+        width_max = float(width.max())
+        at = np.arange(width.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        ends = np.append(np.repeat(ends[:-1], counts) + at * width, s)
+        off_knots = True
+    start = ends[:-1]
+    m = _node_count(largest, min(rate * width_max, PANEL_DECAY), weight,
+                    dimension)
+    if not table:
+        mu = profile.mu0
+        return _Panels(np.array([start, width, profile.theta0 + mu * start,
+                                 mu * width, np.zeros_like(width)]).T, m, graded)
+    if off_knots:
+        knot = np.searchsorted(ks, start, side="right") - 1
+        h0, mu, half_slope = (mean_heading(profile, start),
+                              np.interp(start, ks, kmu), 0.5 * slope[knot])
+    else:
+        h0, mu, half_slope = kh[:n], kmu[:n], 0.5 * slope[:n]
+    return _Panels(np.array([start, width, h0, mu * width,
+                             half_slope * width * width]).T, m, graded)
 
 
 # -- chain rule ----------------------------------------------------------------
@@ -176,8 +361,9 @@ def _decay_weights(m: int, rate: float):
 
 
 class ChainRule:
-    """Volterra chains on ``m`` Gauss-Legendre points ``t`` per panel
-    between consecutive ``edges``, ascending from 0 to ``s > 0``.
+    """Volterra chains on ``m`` Gauss-Legendre points ``t`` per panel, the
+    panels starting at the ascending ``start`` with the widths ``width``,
+    from 0 to ``s > 0``.
 
     ``u[j, k]`` starts the gap that ends at ``t[j]`` for node ``k``: ``t[k]``
     in earlier panels and in ``t[j]``'s own, where a kernel past ``t[j]``
@@ -188,22 +374,22 @@ class ChainRule:
     matrices of the others applied in turn, and a :meth:`tail_vector` row.
     """
 
-    def __init__(self, edges, m: int) -> None:
+    def __init__(self, start, width, m: int) -> None:
         x, w = _gauss_unit(m)
-        self._width = np.diff(edges)
-        self.s = float(edges[-1])
-        self.t = (edges[:-1, None] + self._width[:, None] * x).ravel()
-        self._weights = (self._width[:, None] * w).ravel()
+        self._width = width
+        self.s = float(start[-1] + width[-1])
+        self.t = (start[:, None] + width[:, None] * x).ravel()
+        self._weights = (width[:, None] * w).ravel()
         # The panel structure every operator shares: each node's panel, the
         # distinct widths and each panel's among them, and for each node
         # the earlier panels (reach 1, else 0) and its distance past their
         # ends.
-        panels = self._width.size
+        panels = width.size
         self._panel = np.repeat(np.arange(panels), m)
-        self._widths = sorted(set(self._width.tolist()))
-        self._width_class = np.searchsorted(self._widths, self._width)
+        self._widths = sorted(set(width.tolist()))
+        self._width_class = np.searchsorted(self._widths, width)
         self._reach = (np.arange(panels) < self._panel[:, None]).astype(float)
-        self._past = np.maximum(self.t[:, None] - edges[1:], 0.0)
+        self._past = np.maximum(self.t[:, None] - (start + width), 0.0)
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -242,65 +428,43 @@ class ChainRule:
         return self._weights * tail
 
 
-def integrate_chains(evaluate, scales, s: float,
+def integrate_chains(evaluate, scales, panels: _Panels,
                      settings: QuadratureSettings = DEFAULT_SETTINGS,
-                     cuts=(), decay: float = 0.0, operators: int = 1):
+                     operators: int = 1):
     """``sum_i scales[i] * chain_i`` on refined pairs of panel rules.
 
     ``evaluate(rule)`` returns the nested integrals ``chain_i``, products
     of gap factors of dimension >= 1 or sums of such, on one
-    :class:`ChainRule`, aligned with ``scales``. Each segment between 0,
-    the ascending ``cuts`` inside ``(0, s)`` and ``s`` gets
-    ``ceil(PANELS_PER_LENGTH * length / s)`` equal panels. Chains whose
-    factors decay at rates up to ``decay`` can fall like ``e^{-decay t}``
-    near 0, so more cuts grade the panels there geometrically, doubling
-    from ``PANEL_DECAY / decay`` up to ``s / PANELS_PER_LENGTH``; a decay
-    inside a gap is integrated exactly (:meth:`ChainRule.operator`).
-    ``operators`` counts the ``n x n`` float arrays ``evaluate`` holds at
-    once; they may take ``CHAIN_MAX_BYTES``, which with ``CHAIN_MAX_NODES``
-    caps the node count ``n``. Every other cut is dropped until the first
-    fine rule fits the cap. The sum runs on the pair of ``PANEL_NODES``
-    points per panel, then at the fine count on twice the panels while the
-    last two sums differ by more than ``settings.rel_tol`` relative and
-    the roundoff floor; when the next rule would pass the cap it warns
-    (:class:`AccuracyWarning`) instead. A ``decay`` that is not finite
-    raises :class:`IntegrandEvaluationError`.
+    :class:`ChainRule`, aligned with ``scales``. The sum runs on the
+    ``m``- and ``m + ESTIMATE_STEP``-node rules of ``panels`` (of
+    :func:`panels`), then on the finer count with every panel halved while
+    the last two sums differ by more than ``settings.rel_tol`` relative
+    and the roundoff floor. ``operators`` counts the ``n x n`` float
+    arrays ``evaluate`` holds at once; they may take ``CHAIN_MAX_BYTES``,
+    which with ``CHAIN_MAX_NODES`` caps the node count ``n``. A first pair
+    past the cap raises :class:`EnvelopeRefusal`, naming what drives the
+    count (``s`` or ``k_theta``); a later rule past it warns
+    (:class:`AccuracyWarning`) and returns the last sum.
 
     Returns
     -------
     (value, err_estimate) : tuple[complex, float]
-        The last sum, and its distance from the one before (the coarse
-        rule of the pair, then the previous fine rule) plus the roundoff
+        The last sum, and its distance from the one before (the coarser
+        rule of the pair, then the previous finer rule) plus the roundoff
         floor ``CHAIN_ROUNDOFF * sum_i |scales[i] * chain_i|``.
     """
-    if s < 0.0:
-        raise ValueError("s must be non-negative")
     scales = np.asarray(scales)
-    if s == 0.0 or scales.size == 0:
-        return 0j, 0.0
-    if not np.isfinite(decay):
-        raise IntegrandEvaluationError(
-            f"the chains' decay rate {decay} is not finite: k_theta is too large")
-    coarse_m, fine_m = PANEL_NODES
-    cap = min(CHAIN_MAX_NODES, isqrt(CHAIN_MAX_BYTES // (8 * operators)))
-    cuts = np.asarray(cuts, dtype=float)
-    if decay * s > PANELS_PER_LENGTH * PANEL_DECAY:
-        doublings = np.log2(decay * s / (PANELS_PER_LENGTH * PANEL_DECAY))
-        cuts = np.union1d(cuts, PANEL_DECAY / decay
-                          * 2.0 ** np.arange(np.ceil(doublings)))
-    while True:
-        ends = np.concatenate(([0.0], cuts, [s]))
-        counts = np.ceil(PANELS_PER_LENGTH / s * np.diff(ends)).astype(int)
-        if fine_m * counts.sum() <= cap or not cuts.size:
-            break
-        cuts = cuts[1::2]
-
-    def edges():
-        # np.linspace(a, b, k, endpoint=False) on every segment, at once.
-        start = np.repeat(ends[:-1], counts)
-        step = np.repeat(np.diff(ends) / counts, counts)
-        at = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        return np.append(at * step + start, s)
+    cap = min(CHAIN_MAX_NODES, math.isqrt(CHAIN_MAX_BYTES // (8 * operators)))
+    start, width = panels.start, panels.width
+    fine_m = panels.m + ESTIMATE_STEP
+    count = width.size
+    if fine_m * count > cap:
+        cause = (f"k_theta: {panels.graded} cuts grade its decay toward 0"
+                 if 2 * panels.graded >= count else "s: the heading's turn")
+        raise EnvelopeRefusal(
+            f"the chain rule would need {fine_m * count} nodes ({count} "
+            f"panels of {fine_m}), more than its cap of {cap}; the panel "
+            f"count is driven by {cause}")
 
     def total(rule):
         # A non-finite sum raises below; numpy's warnings would only
@@ -313,20 +477,21 @@ def integrate_chains(evaluate, scales, s: float,
                 f"chain integral is not finite on the {rule.t.size}-node rule")
         return value, float(np.abs(terms).sum())
 
-    panels = edges()
-    coarse, _ = total(ChainRule(panels, coarse_m))
+    coarse, _ = total(ChainRule(start, width, panels.m))
     while True:
-        fine, magnitude = total(ChainRule(panels, fine_m))
+        fine, magnitude = total(ChainRule(start, width, fine_m))
         diff = abs(fine - coarse)
         floor = CHAIN_ROUNDOFF * magnitude
         if diff <= max(settings.rel_tol * abs(fine), floor):
             return fine, diff + floor
-        if 2 * fine_m * counts.sum() > cap:
+        if 2 * fine_m * width.size > cap:
             warnings.warn(
-                f"chain refinement stopped at {fine_m * counts.sum()} nodes "
+                f"chain refinement stopped at {fine_m * width.size} nodes "
                 f"with the error estimate {diff + floor:.3e} above rel_tol = "
                 f"{settings.rel_tol:.1e} times the chain sum {abs(fine):.3e}",
                 AccuracyWarning, stacklevel=3)
             return fine, diff + floor
-        coarse, counts = fine, 2 * counts
-        panels = edges()
+        # Every panel halved.
+        width = np.repeat(0.5 * width, 2)
+        start = np.column_stack((start, start + width[::2])).ravel()
+        coarse = fine

@@ -198,6 +198,19 @@ def test_d2_on_a_long_curve_prints_the_closed_form(tmp_path, capsys):
     assert record["err_estimate"] < 1e-6 * want
 
 
+def test_moment_past_the_node_cap_exits_3(tmp_path, capsys):
+    # 1000 rad of turning: constant mu0 = 5, K = 0.01, s = 200.
+    doc = dict(BASE_DOC, sim=dict(BASE_DOC["sim"], s_final=200.0),
+               noise={"k_r": 0.01, "k_theta": 0.01}, quadrature={})
+    doc["profile"] = dict(BASE_DOC["profile"], s_max=200.0)
+    path = tmp_path / "longer.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), "moment", "2", "2", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["d2", "d4"])
 def test_d2_with_no_correct_digit_exits_4(tmp_path, capsys, monkeypatch,
                                           command):

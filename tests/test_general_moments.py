@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brownian_unicycle import (AccuracyWarning, EnvelopeWarning, NoiseParams,
+from brownian_unicycle import (AccuracyWarning, EnvelopeRefusal,
+                               EnvelopeWarning, NoiseParams,
                                QuadratureSettings, SpeedRatioProfile, TermKey,
                                TermKeyError, cartesian_moment, coefficient,
                                count_phase_step_vectors, cov_xtheta,
@@ -342,12 +343,13 @@ def _rule_chain(rule, factor, weights, gamma):
 
 def _gap_chain(profile, params, s, weights, gamma, settings=QuadratureSettings()):
     """One term's nested integral on the refined chain rule, on the panels
-    the moment engines cut for ``profile``."""
+    of its largest phase weight and its dimension."""
     def evaluate(rule):
         factor = _sampled_factors(rule, profile, params.k_theta)
         return np.array([_rule_chain(rule, factor, weights, gamma)])
-    return integrate_chains(evaluate, [1.0], s, settings,
-                            general_moments._panel_cuts(profile, s))
+    at = quadrature.panels(profile, s, params.k_theta, max(map(abs, weights)),
+                           len(weights))
+    return integrate_chains(evaluate, [1.0], at, settings)
 
 
 def _tensor_term(profile, params, s, weights, gamma):
@@ -453,16 +455,19 @@ def test_six_zero_zero_small_noise_within_error_estimate():
 @pytest.mark.parametrize("k", [0.01, 1.0])
 def test_refinement_error_estimate_fast_rotation(monkeypatch, k):
     # At mu0 = 40 the running phases of <u^6> turn by up to 240 rad over
-    # the unit length, up to 38 rad on a panel of the first pair (one per
-    # 2 pi of heading): the pair disagrees, so the panels must be halved.
+    # the unit length, up to 38 rad on a panel (one per 2 pi of heading).
+    # With a third of the nodes per unit of that phase the first pair
+    # disagrees, so the panels must be halved.
     panel_counts = set()
     rule = quadrature.ChainRule
 
-    def spy(edges, m):
-        panel_counts.add(len(edges) - 1)
-        return rule(edges, m)
+    def spy(start, width, m):
+        panel_counts.add(width.size)
+        return rule(start, width, m)
 
     monkeypatch.setattr(quadrature, "ChainRule", spy)
+    monkeypatch.setattr(quadrature, "NODES_PER_RATE",
+                        quadrature.NODES_PER_RATE / 3)
     profile = SpeedRatioProfile.constant(40.0, s_max=1.0)
     res = displacement_moment(6, 0, profile, NoiseParams(k, k), 1.0)
     exact = _exact_moment(6, 0, 40.0, k, 1.0)
@@ -508,10 +513,10 @@ def test_error_estimate_bounds_true_error_on_table_profile():
         assert res.err_estimate <= 1e-6 * ref
 
 
-@pytest.mark.parametrize("s", [20.0, 50.0])
+@pytest.mark.parametrize("s", [20.0, 50.0, 100.0])
 def test_long_curves_match_closed_forms(s):
-    # 100 and 250 rad of turning at mu0 = 5: the panels are cut after every
-    # 2 pi of heading, so the turning costs no digits.
+    # 100, 250 and 500 rad of turning at mu0 = 5: the panels are cut after
+    # every 2 pi of heading, so the turning costs no digits.
     params = NoiseParams(0.01, 0.01)
     profile = SpeedRatioProfile.constant(5.0, s_max=s)
     d4 = d4_closed(5.0, params, s)
@@ -523,6 +528,40 @@ def test_long_curves_match_closed_forms(s):
                   d2_closed(5.0, params, s)))
     for value, exact in pairs:
         assert abs(value - exact) <= 1e-12 * exact
+
+
+def test_curve_past_the_node_cap_is_refused():
+    # 1000 rad of turning at mu0 = 5 takes 160 panels: the first pair of
+    # <D^2> and <D^4> passes the node cap, which the heading's turn over s
+    # drives.
+    params = NoiseParams(0.01, 0.01)
+    profile = SpeedRatioProfile.constant(5.0, s_max=200.0)
+    for p in (1, 2):
+        with pytest.raises(EnvelopeRefusal, match="driven by s"):
+            displacement_moment(p, p, profile, params, 200.0)
+    with pytest.raises(EnvelopeRefusal, match="driven by s"):
+        d4_moment(profile, params, 200.0)
+
+
+@pytest.mark.parametrize("k", [1e50, 1e100, 1e300])
+def test_huge_heading_noise_is_right_or_refused(k):
+    # The heading decorrelates at once: <u^2> tends to k_r s / 2 = 0.5 at
+    # k_r = k_theta = k, within O(1 / k), and <D^4> to its constant class
+    # 2 k_r^2 s^2 at k_r = 1. The decay grading that resolves the layer
+    # near 0 takes log2(k) panels, past the node cap: refused, never a
+    # value outside its estimate.
+    try:
+        res = displacement_moment(2, 0, CONST, NoiseParams(k, k), 1.0)
+    except EnvelopeRefusal as exc:
+        assert "k_theta" in str(exc)
+    else:
+        assert abs(res.value - 0.5) <= res.err_estimate
+    try:
+        d4 = d4_moment(CONST, NoiseParams(1.0, k), 1.0)
+    except EnvelopeRefusal as exc:
+        assert "k_theta" in str(exc)
+    else:
+        assert abs(d4 - 2.0) <= 1e-9 * 2.0
 
 
 @pytest.mark.parametrize("p,q", [(8, 0), (6, 0), (5, 3)])
@@ -571,10 +610,11 @@ def test_one_operator_per_gap_factor_and_rule(monkeypatch):
     # Every gap after the first is an operator; with r = 0 its (w, g) is (w, 0).
     inner = {w for key in term_keys(4, 4) for c in phase_step_vectors(key)
              for w in _phase_weights(4, 4, c)[1:]}
-    # The ramp turns by 5 rad: no cut, one segment of PANELS_PER_LENGTH
-    # panels, and the first pair converges.
-    assert sorted(builds) == [quadrature.PANELS_PER_LENGTH * m
-                              for m in quadrature.PANEL_NODES]
+    # The first pair of the builder's panels converges.
+    walk = general_moments._plan(4, 4, 0).walk
+    at = quadrature.panels(RAMP, 1.0, 1.0, walk.largest_weight, walk.dimension)
+    assert sorted(builds) == [at.width.size * m for m in
+                              (at.m, at.m + quadrature.ESTIMATE_STEP)]
     assert max(builds.values()) <= len(inner)
 
 
@@ -597,26 +637,40 @@ def test_heading_sampled_at_nodes_only(monkeypatch, profile):
 
 
 def test_memory_of_a_capped_moment_stays_within_the_budget(monkeypatch):
-    # At mu0 = 40 the weight-8 phases of <u^8 theta~^4> turn by 320 rad: the
-    # rule refines to the node cap that a 4 MiB budget sets and warns. The
-    # n x n arrays that evaluation holds at once are counted by
-    # _Walk.operators; beside them it holds O(n) arrays, above all the
-    # walk's node values (r + 1 per state), allowed for four times over.
+    # At mu0 = 40 the weight-8 phases of <u^8 theta~^4> turn by 320 rad.
+    # With a third of the nodes per unit of phase the first pair disagrees,
+    # and the budget fits the first pair but not the halved panels: the
+    # rule stops at the cap and warns. The n x n arrays that evaluation
+    # holds at once are counted by _Walk.operators; beside them it holds
+    # O(n) arrays, above all the walk's node values (r + 1 per state),
+    # allowed for four times over. One node fewer under the cap refuses the
+    # moment before any rule is built.
     import tracemalloc
 
-    budget = 4 * 2 ** 20
-    monkeypatch.setattr(quadrature, "CHAIN_MAX_BYTES", budget)
+    monkeypatch.setattr(quadrature, "NODES_PER_RATE",
+                        quadrature.NODES_PER_RATE / 3)
+    profile = SpeedRatioProfile.constant(40.0, s_max=1.0)
+    params = NoiseParams(1.0, 1.0)
+    walk = general_moments._plan(8, 0, 4).walk
+    at = quadrature.panels(profile, 1.0, 1.0, walk.largest_weight,
+                           walk.dimension)
+    first = (at.m + quadrature.ESTIMATE_STEP) * at.width.size
     nodes = []
     rule = quadrature.ChainRule
 
-    def spy(edges, m):
-        out = rule(edges, m)
+    def spy(start, width, m):
+        out = rule(start, width, m)
         nodes.append(out.t.size)
         return out
 
     monkeypatch.setattr(quadrature, "ChainRule", spy)
-    profile = SpeedRatioProfile.constant(40.0, s_max=1.0)
-    params = NoiseParams(1.0, 1.0)
+    monkeypatch.setattr(quadrature, "CHAIN_MAX_BYTES",
+                        8 * walk.operators * (first - 1) ** 2)
+    with pytest.raises(EnvelopeRefusal, match=f"{first} nodes"):
+        displacement_heading_moment(8, 0, 4, profile, params, 1.0)
+    assert nodes == []
+    budget = 8 * walk.operators * first ** 2
+    monkeypatch.setattr(quadrature, "CHAIN_MAX_BYTES", budget)
     with pytest.warns(AccuracyWarning):
         displacement_heading_moment(8, 0, 4, profile, params, 1.0)
     nodes.clear()
@@ -627,8 +681,8 @@ def test_memory_of_a_capped_moment_stays_within_the_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    walk = general_moments._plan(8, 0, 4).walk
     n = max(nodes)
+    assert n == first
     assert 8 * walk.operators * (2 * n) ** 2 > budget
     allowance = 4 * 16 * n * (walk._r + 1) * (walk._size + 1)
     assert peak <= 8 * walk.operators * n * n + allowance
@@ -693,8 +747,9 @@ def _chain_by_chain(p, q, r, profile, params, s):
         rule.operator = operator
         return np.array([_rule_chain(rule, factor, *chain) for chain in chains])
 
-    value, _ = integrate_chains(evaluate, scales, s, QuadratureSettings(),
-                                general_moments._panel_cuts(profile, s))
+    walk = general_moments._plan(p, q, r).walk
+    at = quadrature.panels(profile, s, kt, walk.largest_weight, walk.dimension)
+    value, _ = integrate_chains(evaluate, scales, at)
     return total + value
 
 
@@ -727,51 +782,51 @@ def test_envelope_corners_meet_rel_tol(p, q, r, profile):
 #: at ``r = 0`` within its estimate of ``_exact_moment_50``.
 PINNED_MOMENTS = [
     ("constant", 0.01, (1, 1, 0),
-     (0.0870449801732513+0j), 6.661238382728424e-15),
+     (0.08704498017325131+0j), 1.1227030571499381e-14),
     ("constant", 0.01, (2, 0, 0),
-     (0.0017563167320980596-0.07472325511917093j), 1.2168043993691844e-15),
+     (0.0017563167320981277-0.074723255119171j), 1.3083668347137762e-15),
     ("constant", 0.01, (2, 2, 0),
-     (0.008994621728495819+0j), 1.9611741096781443e-15),
+     (0.008994621728495822+0j), 7.356164119966015e-15),
     ("constant", 0.01, (3, 1, 1),
-     (7.047503439006135e-05+0.00018992756286815817j), 1.0099151671961657e-17),
+     (7.047503439006162e-05+0.00018992756286815877j), 1.001637394864995e-17),
     ("constant", 0.01, (2, 2, 2),
-     (8.929110058651895e-05+0j), 1.9623954430032288e-17),
+     (8.92911005865188e-05+0j), 8.329372700924353e-17),
     ("constant", 0.01, (5, 0, 0),
-     (0.0008805315877030234-0.0008804855644535341j), 4.6424330953701805e-17),
+     (0.0008805315877029918-0.00088048556445354j), 9.644444789934659e-17),
     ("constant", 0.01, (6, 0, 0),
-     (7.791828295456017e-06+0.0002984816888903102j), 2.6968426446307035e-17),
+     (7.791828295462328e-06+0.00029848168889031455j), 4.0645568574115334e-17),
     ("constant", 1.0, (1, 1, 0),
-     (1.0731948770275213+0j), 6.098873786835703e-15),
+     (1.0731948770275213+0j), 6.762572470261957e-13),
     ("constant", 1.0, (2, 0, 0),
-     (-0.02757100771590737+0.0753926042365409j), 2.558909937310308e-15),
+     (-0.027571007715907318+0.07539260423654101j), 3.1966731794544133e-15),
     ("constant", 1.0, (2, 2, 0),
-     (2.3668647177787387+0j), 3.039596277972789e-14),
+     (2.3668647177787383+0j), 5.392111749654371e-13),
     ("constant", 1.0, (3, 1, 1),
-     (0.10892292531431043-0.06203421990123765j), 6.705464070570936e-15),
+     (0.10892292531431047-0.062034219901237225j), 6.912484887822708e-15),
     ("constant", 1.0, (2, 2, 2),
-     (2.5579346540044092+1.1102230246251565e-16j), 3.129422673607684e-14),
+     (2.557934654004409-1.1102230246251565e-16j), 1.2304874801334747e-11),
     ("constant", 1.0, (5, 0, 0),
-     (-0.004254757689445171-0.03111915423079383j), 8.359766176434226e-16),
+     (-0.004254757689445153-0.03111915423079386j), 8.731810442225923e-16),
     ("constant", 1.0, (6, 0, 0),
-     (0.005042853696090539-0.015310757343386947j), 7.152580021321108e-16),
+     (0.005042853696090581-0.01531075734338693j), 7.571025121091458e-16),
     ("ramp", 1.0, (1, 1, 0),
-     (1.114516869135723+0j), 5.787375074816732e-15),
+     (1.114516869135723+0j), 3.534706310546153e-14),
     ("ramp", 1.0, (2, 0, 0),
-     (0.1814032258432999+0.2294170909322988j), 4.865187402085964e-15),
+     (0.18140322584329993+0.229417090932299j), 4.892491755772481e-15),
     ("ramp", 1.0, (2, 2, 0),
-     (2.6401931415338797+0j), 3.082915834082241e-14),
+     (2.6401931415338797+0j), 3.438187201962291e-14),
     ("ramp", 1.0, (3, 1, 1),
-     (-0.41061124582967545-0.12957455048741717j), 9.398922696289608e-15),
+     (-0.41061124582967523-0.12957455048741706j), 9.50994499875212e-15),
     ("ramp", 1.0, (2, 2, 2),
-     (2.778210269277703-5.551115123125783e-17j), 3.293520944947525e-14),
+     (2.778210269277703+1.1102230246251565e-16j), 4.847697383258205e-14),
     ("ramp", 1.0, (5, 0, 0),
-     (-0.04581832035632902+0.1663298755452648j), 2.8713680232361117e-15),
+     (-0.045818320356328976+0.16632987554526477j), 2.8643889029207163e-15),
     ("ramp", 1.0, (6, 0, 0),
-     (-0.05306976169888164+0.15470130346607538j), 2.9062426367616463e-15),
+     (-0.053069761698881716+0.1547013034660755j), 2.9379819749011677e-15),
     ("ramp", 1.0, (4, 4, 4),
-     (219.6711773037235-8.881784197001252e-16j), 1.4037448322797448e-11),
+     (219.6711773037235-1.3322676295501878e-15j), 1.3981048993146491e-11),
     ("ramp", 1.0, (8, 0, 4),
-     (0.8605065573265118+0.26181745696141606j), 3.339939517938017e-14),
+     (0.8605065573265112+0.26181745696141645j), 3.3153986035279524e-14),
 ]
 
 

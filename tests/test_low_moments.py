@@ -18,7 +18,7 @@ from brownian_unicycle import (EnvelopeRefusal, IntegrandEvaluationError,
                                cov_xtheta, cov_ytheta, d2_closed,
                                deterministic_pose,
                                displacement_heading_moment,
-                               displacement_moment, low_moments,
+                               displacement_moment, low_moments, quadrature,
                                low_order_statistics, mean_heading,
                                mean_pose_closed, mean_squared_distance,
                                mean_x, mean_y,
@@ -354,8 +354,9 @@ def test_zero_length_returns_float_zeros(profile):
 def test_calls_evaluate_one_rule_or_the_estimate_pair(monkeypatch):
     # A value-only call evaluates the rule of m nodes per panel; a call that
     # reports an estimate evaluates the rules of m - ESTIMATE_STEP and m
-    # nodes on the same panels. The heading is not looked up through
-    # mean_heading on a table's knot segments.
+    # nodes on the same panels, those of panels() for dimension 2 and phase
+    # weight 2. The heading is not looked up through mean_heading on a
+    # table's knot segments.
     rules, headings = [], []
     rule = low_moments._rule
 
@@ -364,8 +365,9 @@ def test_calls_evaluate_one_rule_or_the_estimate_pair(monkeypatch):
         return rule(profile, panels, m)
 
     monkeypatch.setattr(low_moments, "_rule", counting)
-    monkeypatch.setattr(low_moments, "mean_heading",
-                        lambda *args: headings.append(args))
+    for module in (low_moments, quadrature):
+        monkeypatch.setattr(module, "mean_heading",
+                            lambda *args: headings.append(args))
     params = NoiseParams(0.2, 0.5)
     for call, pair in ((mean_x, False), (cov_ytheta, False),
                        (second_moments, False),
@@ -373,9 +375,9 @@ def test_calls_evaluate_one_rule_or_the_estimate_pair(monkeypatch):
                        (low_order_statistics, True)):
         rules.clear()
         call(TABLE, params, 0.8)
-        panels = low_moments._panels(TABLE, params.k_theta, 0.8)
+        panels = quadrature.panels(TABLE, 0.8, params.k_theta, 2, 2)
         counts = [m for _, m in rules]
-        assert counts == ([panels.m - low_moments.ESTIMATE_STEP, panels.m]
+        assert counts == ([panels.m - quadrature.ESTIMATE_STEP, panels.m]
                           if pair else [panels.m])
         assert all(p is rules[0][0] for p, _ in rules)
         assert np.array_equal(rules[0][0].start, panels.start)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
                                QuadratureSettings, SpeedRatioProfile,
-                               mean_heading, mean_squared_distance, mean_x,
-                               mean_y)
+                               d4_moment, displacement_moment, mean_heading,
+                               mean_squared_distance, mean_x, mean_y)
 from brownian_unicycle import quadrature
 from brownian_unicycle.quadrature import (CHAIN_ROUNDOFF, ChainRule,
                                           integrate_chains)
@@ -36,15 +36,27 @@ def _single_chain(first, gaps, tail=1.0):
     return evaluate
 
 
+def _still(s, dimension):
+    """The panels of an integrand of ``dimension`` factors on ``[0, s]``
+    that neither turns nor decays: one panel."""
+    return quadrature.panels(SpeedRatioProfile.constant(0.0, s_max=s), s, 0.0,
+                             0, dimension)
+
+
 def _point_product(factors, s, settings_=QuadratureSettings()):
     """Ordered integral of ``prod_b factors[b](t_b)`` on the chain rule."""
-    return integrate_chains(_single_chain(factors[0], factors[1:]), [1.0], s,
-                            settings_)
+    return integrate_chains(_single_chain(factors[0], factors[1:]), [1.0],
+                            _still(s, len(factors)), settings_)
 
 
 def test_zero_length_domain():
-    value, err = _point_product([np.ones_like] * 3, 0.0)
-    assert value == 0.0
+    # The moment engines integrate nothing at s = 0: only the dimension-0
+    # terms are left, exactly.
+    profile = SpeedRatioProfile.constant(5.0, s_max=1.0)
+    params = NoiseParams(0.3, 0.2)
+    res = displacement_moment(1, 1, profile, params, 0.0)
+    assert (res.value, res.err_estimate) == (0j, 0.0)
+    assert d4_moment(profile, params, 0.0) == 0.0
 
 
 def test_simplex_volumes():
@@ -122,12 +134,14 @@ def test_complex_integrand_supported():
 def test_chain_volume_and_product():
     s = 1.0
     ones = lambda t: np.ones_like(t)
-    value, err = integrate_chains(_single_chain(ones, [ones] * 5), [1.0], s)
+    value, err = integrate_chains(_single_chain(ones, [ones] * 5), [1.0],
+                                  _still(s, 6))
     assert value.real == pytest.approx(1.0 / 720.0, rel=1e-12)
     assert err < 1e-12 * value.real
 
     ident = lambda t: t
-    value, err = integrate_chains(_single_chain(ident, [ident] * 5), [1.0], s)
+    value, err = integrate_chains(_single_chain(ident, [ident] * 5), [1.0],
+                                  _still(s, 6))
     # The product is symmetric, so the ordered integral is the cube mean
     # (s/2)^6 times the ordered-region volume.
     exact = (0.5 ** 6) / 720.0
@@ -138,8 +152,8 @@ def test_chain_volume_and_product():
 def test_chain_deterministic_for_fixed_settings():
     ex = np.exp
     evaluate = _single_chain(ex, [ex] * 5)
-    a = integrate_chains(evaluate, [1.0], 1.0)
-    b = integrate_chains(evaluate, [1.0], 1.0)
+    a = integrate_chains(evaluate, [1.0], _still(1.0, 6))
+    b = integrate_chains(evaluate, [1.0], _still(1.0, 6))
     assert a == b
     # exp(sum t) is symmetric: beta! times the ordered integral is (e - 1)^6.
     assert a[0].real * math.factorial(6) == pytest.approx((math.e - 1.0) ** 6,
@@ -153,7 +167,8 @@ def test_chain_deterministic_for_fixed_settings():
                                   pytest.param(5, marks=pytest.mark.slow)])
 def test_chain_matches_tensor_rule_on_gap_kernels(profile, beta):
     # Gap factors exp(i w (heading(t) - heading(u)) - (t - u)) (t - u) with
-    # weights 1, -2, 1, ..., and a tail (s - t_beta)^2.
+    # weights 1, -2, 1, ..., and a tail (s - t_beta)^2: the panels of phase
+    # weight 2 and decay w^2 k_theta / 2 = 1.
     s = 0.9
     weights = [(1, -2)[b % 2] for b in range(beta)]
 
@@ -180,19 +195,27 @@ def test_chain_matches_tensor_rule_on_gap_kernels(profile, beta):
     # ref_err is the reference's coarse/fine difference: how far it has
     # converged, without the roundoff floor of its error estimate.
     ref, ref_err, _ = two_call_rule(tensor_integrand, beta, s, 24)
-    value, err = integrate_chains(evaluate, [1.0], s)
+    value, err = integrate_chains(evaluate, [1.0],
+                                  quadrature.panels(profile, s, 0.5, 2, beta))
     assert ref_err <= 1e-13 * abs(ref)
     assert abs(value - ref) <= 1e-12 * abs(ref)
     assert abs(value - ref) <= err + ref_err
 
 
-@pytest.mark.parametrize("m", quadrature.PANEL_NODES)
+def _rule(edges, m):
+    """The chain rule of ``m`` nodes per panel between ``edges``."""
+    edges = np.array(edges)
+    return ChainRule(edges[:-1], np.diff(edges), m)
+
+
+# The fewest nodes per panel that panels() gives, and more.
+@pytest.mark.parametrize("m", [quadrature.NODES_MIN + 1, 12, 24])
 @pytest.mark.parametrize("edges", [(0.0, 0.7), (0.0, 0.1, 0.25, 0.7)],
                          ids=["one", "three"])
 def test_panel_rule_integrates_polynomials_exactly(edges, m):
     # Every operator row integrates a polynomial of degree < m from 0 to its
     # node, across panel edges, and the tail row integrates it over [0, s].
-    rule = ChainRule(np.array(edges), m)
+    rule = _rule(edges, m)
     n = rule.t.size
     ones = rule.operator(np.ones((n, n)))
     tail = rule.tail_vector(1.0)
@@ -213,13 +236,13 @@ def test_panel_rule_integrates_polynomials_exactly(edges, m):
     assert np.all(np.diff(rule.t) > 0.0)
 
 
-@pytest.mark.parametrize("m", quadrature.PANEL_NODES)
+@pytest.mark.parametrize("m", [quadrature.NODES_MIN + 1, 12, 24])
 @pytest.mark.parametrize("rate", [0.5, 30.0, 3e3, 1e6])
 def test_panel_rule_integrates_decay_exactly(rate, m):
     # The decay e^{-rate (t - u)} is integrated exactly against the panels'
     # interpolants, however fast: int_0^t e^{-rate (t - u)} u^a du for
     # a = 0, 1, relative to its scale 1 / rate.
-    rule = ChainRule(np.array((0.0, 0.1, 0.25, 0.7)), m)
+    rule = _rule((0.0, 0.1, 0.25, 0.7), m)
     n = rule.t.size
     op = rule.operator(np.ones((n, n)), rate)
     t = rule.t
@@ -238,9 +261,12 @@ def test_non_finite_integrand_reports_point():
 
 
 def test_invalid_arguments():
+    profile = SpeedRatioProfile.constant(5.0, s_max=1.0)
+    params = NoiseParams(0.3, 0.2)
     with pytest.raises(ValueError):
-        integrate_chains(_single_chain(np.ones_like, [np.ones_like]), [1.0],
-                         -1.0)
+        displacement_moment(1, 1, profile, params, -1.0)
+    with pytest.raises(ValueError):
+        d4_moment(profile, params, -1.0)
     with pytest.raises(ValueError):
         QuadratureSettings(rel_tol=0.0)
 
