@@ -297,40 +297,39 @@ def panels(profile: SpeedRatioProfile, s: float, k_theta: float, weight,
 
 # -- chain rule ----------------------------------------------------------------
 
-def _pieces(m: int, steps):
+def _piece(m: int, lo: float, hi: float):
     """Points, weights and basis values of :func:`_decay_weights` on the
-    pieces between 0, ``steps`` and 1.
+    piece from ``lo`` to ``hi`` back from each end.
 
     For each end ``e`` among the ``m`` Gauss nodes ``x`` of ``[0, 1]`` and
-    1 (axis 0), and each piece (axis 1): its ``PIECE_NODES`` Gauss points
-    as distances ``back`` from the end, their weights, and the Lagrange
-    basis ``l_k`` of the nodes at ``e - back`` (last axis ``k``).
+    1 (axis 0), the piece cut at ``e``: its ``PIECE_NODES`` Gauss points as
+    distances ``back`` from the end, their weights, and the Lagrange basis
+    ``l_k`` of the nodes at ``e - back`` (last axis ``k``).
     """
     x, w = _gauss_unit(m)
     ends = np.append(x, 1.0)
-    breaks = np.minimum(ends[:, None], np.array([0.0, *steps, 1.0]))
+    lo, hi = np.minimum(ends, lo), np.minimum(ends, hi)
     px, pw = _gauss_unit(PIECE_NODES)
-    span = np.diff(breaks)
-    back = breaks[:, :-1, None] + span[:, :, None] * px
+    back = lo[:, None] + (hi - lo)[:, None] * px
     # l_k at every point, in barycentric form (Berrut & Trefethen, SIAM
     # Rev. 46, 2004), with Gauss nodes' weights (-1)^k sqrt(x_k (1 - x_k) w_k).
-    diff = (ends[:, None, None] - back)[..., None] - x
+    diff = (ends[:, None] - back)[..., None] - x
     hit = diff == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         basis = (-1.0) ** np.arange(m) * np.sqrt(x * (1.0 - x) * w) / diff
         basis /= basis.sum(axis=-1, keepdims=True)
     rows = hit.any(axis=-1)
     basis[rows] = hit[rows]
-    return back, span[:, :, None] * pw, basis
+    return back, (hi - lo)[:, None] * pw, basis
 
 
-@lru_cache(maxsize=64)
-def _unit_pieces(m: int):
-    """:func:`_pieces` of every rate up to 1: one piece from 0 to each end."""
-    pieces = _pieces(m, ())
-    for arr in pieces:
+@lru_cache(maxsize=4)
+def _unit_piece(m: int):
+    """:func:`_piece` of every rate up to 1: from 0 to each end."""
+    piece = _piece(m, 0.0, 1.0)
+    for arr in piece:
         arr.setflags(write=False)
-    return pieces
+    return piece
 
 
 @lru_cache(maxsize=1024)
@@ -343,17 +342,22 @@ def _decay_weights(m: int, rate: float):
 
     An integral runs back from ``e`` over pieces that end at ``2**j /
     rate < 1``, ``j <= 6`` (beyond, the decay is below ``e^-64``), on
-    ``PIECE_NODES`` Gauss points each, so no rate outgrows its rule. Up to
-    ``rate = 1`` there is one piece and its basis values, which do not
+    ``PIECE_NODES`` Gauss points each, so no rate outgrows its rule; the
+    pieces are built and summed one at a time, nearest the end first. Up
+    to ``rate = 1`` there is one piece and its basis values, which do not
     depend on the rate, are built once per ``m``. Below ``rate = 1`` it
     integrates ``expm1(-rate (e - x)) l_k(x)`` and adds the ``rate = 0``
     weights, so its roundoff vanishes with ``rate``.
     """
-    steps = [2.0 ** j / rate for j in range(7) if 2.0 ** j < rate]
-    back, weights, basis = _pieces(m, steps) if steps else _unit_pieces(m)
+    cuts = [0.0, *(2.0 ** j / rate for j in range(7) if 2.0 ** j < rate), 1.0]
     small = 0.0 < rate < 1.0
-    decay = (np.expm1 if small else np.exp)(-rate * back)
-    out = np.einsum("epq,epqk->ek", weights * decay, basis)
+    out = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        back, weights, basis = (_piece(m, lo, hi) if len(cuts) > 2
+                                else _unit_piece(m))
+        decay = (np.expm1 if small else np.exp)(-rate * back)
+        part = np.einsum("eq,eqk->ek", weights * decay, basis)
+        out = part if out is None else out + part
     if small:
         out += np.vstack(_decay_weights(m, 0.0))
     out.setflags(write=False)

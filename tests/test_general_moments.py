@@ -802,13 +802,13 @@ PINNED_MOMENTS = [
     ("constant", 1.0, (2, 2, 0),
      (2.3668647177787383+0j), 5.392111749654371e-13),
     ("constant", 1.0, (3, 1, 1),
-     (0.10892292531431047-0.062034219901237225j), 6.912484887822708e-15),
+     (0.10892292531431047-0.06203421990123721j), 6.947155970503709e-15),
     ("constant", 1.0, (2, 2, 2),
-     (2.557934654004409-1.1102230246251565e-16j), 1.2304874801334747e-11),
+     (2.557934654004409+1.1102230246251565e-16j), 1.2304874799326239e-11),
     ("constant", 1.0, (5, 0, 0),
-     (-0.004254757689445153-0.03111915423079386j), 8.731810442225923e-16),
+     (-0.0042547576894451595-0.03111915423079386j), 8.872629937014975e-16),
     ("constant", 1.0, (6, 0, 0),
-     (0.005042853696090581-0.01531075734338693j), 7.571025121091458e-16),
+     (0.005042853696090576-0.015310757343386938j), 7.57102512109146e-16),
     ("ramp", 1.0, (1, 1, 0),
      (1.114516869135723+0j), 3.534706310546153e-14),
     ("ramp", 1.0, (2, 0, 0),
@@ -820,13 +820,13 @@ PINNED_MOMENTS = [
     ("ramp", 1.0, (2, 2, 2),
      (2.778210269277703+1.1102230246251565e-16j), 4.847697383258205e-14),
     ("ramp", 1.0, (5, 0, 0),
-     (-0.045818320356328976+0.16632987554526477j), 2.8643889029207163e-15),
+     (-0.04581832035632899+0.16632987554526477j), 2.859064708888361e-15),
     ("ramp", 1.0, (6, 0, 0),
-     (-0.053069761698881716+0.1547013034660755j), 2.9379819749011677e-15),
+     (-0.05306976169888171+0.15470130346607547j), 2.913886165378258e-15),
     ("ramp", 1.0, (4, 4, 4),
-     (219.6711773037235-1.3322676295501878e-15j), 1.3981048993146491e-11),
+     (219.6711773037235-4.884981308350689e-15j), 1.3985045796035142e-11),
     ("ramp", 1.0, (8, 0, 4),
-     (0.8605065573265112+0.26181745696141645j), 3.3153986035279524e-14),
+     (0.860506557326511+0.2618174569614165j), 3.325817460274096e-14),
 ]
 
 

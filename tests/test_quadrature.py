@@ -398,24 +398,27 @@ def test_gauss_weights_match_40_digits(n):
 
 
 def _decay_weights_reference(m, rate):
-    """``_decay_weights`` with its pieces built at every call, uncached."""
+    """``_decay_weights`` with its pieces built at every call, uncached, and
+    summed one at a time in the same order."""
     x, w = quadrature._gauss_unit(m)
     ends = np.append(x, 1.0)
-    steps = [2.0 ** j / rate for j in range(7) if 2.0 ** j < rate]
-    breaks = np.minimum(ends[:, None], np.array([0.0, *steps, 1.0]))
+    cuts = [0.0, *(2.0 ** j / rate for j in range(7) if 2.0 ** j < rate), 1.0]
     px, pw = quadrature._gauss_unit(quadrature.PIECE_NODES)
-    span = np.diff(breaks)
-    back = breaks[:, :-1, None] + span[:, :, None] * px
     small = 0.0 < rate < 1.0
-    decay = (np.expm1 if small else np.exp)(-rate * back)
-    diff = (ends[:, None, None] - back)[..., None] - x
-    hit = diff == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        basis = (-1.0) ** np.arange(m) * np.sqrt(x * (1.0 - x) * w) / diff
-        basis /= basis.sum(axis=-1, keepdims=True)
-    rows = hit.any(axis=-1)
-    basis[rows] = hit[rows]
-    out = np.einsum("epq,epqk->ek", span[:, :, None] * pw * decay, basis)
+    out = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        lo, hi = np.minimum(ends, lo), np.minimum(ends, hi)
+        back = lo[:, None] + (hi - lo)[:, None] * px
+        decay = (np.expm1 if small else np.exp)(-rate * back)
+        diff = (ends[:, None] - back)[..., None] - x
+        hit = diff == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            basis = (-1.0) ** np.arange(m) * np.sqrt(x * (1.0 - x) * w) / diff
+            basis /= basis.sum(axis=-1, keepdims=True)
+        rows = hit.any(axis=-1)
+        basis[rows] = hit[rows]
+        part = np.einsum("eq,eqk->ek", (hi - lo)[:, None] * pw * decay, basis)
+        out = part if out is None else out + part
     if small:
         out += np.vstack(_decay_weights_reference(m, 0.0))
     return out[:-1], out[-1]
@@ -431,3 +434,21 @@ def test_decay_weights_equal_uncached_pieces(m):
         for got, want in zip(quadrature._decay_weights(m, rate),
                              _decay_weights_reference(m, rate)):
             assert np.array_equal(got, want), rate
+
+
+def test_decay_weights_build_one_piece_at_a_time():
+    # At rate 60 the weights of 45 nodes run over seven pieces. Built one
+    # at a time, they hold the basis values of one piece (46 ends, 24
+    # points, 45 nodes) and a few arrays of its size, not those of all
+    # seven at once.
+    import tracemalloc
+
+    quadrature._gauss_unit(45)
+    quadrature._gauss_unit(quadrature.PIECE_NODES)
+    tracemalloc.start()
+    try:
+        quadrature._decay_weights.__wrapped__(45, 60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 46 * 24 * 45 * 8
