@@ -245,7 +245,11 @@ def panels(profile: SpeedRatioProfile, s: float, k_theta: float, weight,
     graded = 0
     if off_knots:
         graded = math.ceil(math.log2(rate * s / PANEL_DECAY))
-        ends = np.union1d(ends, PANEL_DECAY / rate * 2.0 ** np.arange(graded))
+        cuts = PANEL_DECAY / rate * 2.0 ** np.arange(graded)
+        # Sorted and deduplicated as by np.union1d, whose first call imports
+        # numpy.ma.
+        ends = np.sort(np.append(ends, cuts))
+        ends = ends[np.append(True, ends[1:] != ends[:-1])]
     lengths = ends[1:] - ends[:-1]
     width_max = max(lengths.tolist())
     if table:

@@ -452,3 +452,20 @@ def test_decay_weights_build_one_piece_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 46 * 24 * 45 * 8
+
+
+def test_graded_panels_leave_numpy_ma_unimported(subprocess_env):
+    # At K = 10 the decay grades the panels of mean_x and of <u^2>. Merging
+    # the grading cuts must not import numpy.ma, as np.union1d's first call
+    # does: 10-80 ms of every process's first graded rule.
+    import subprocess
+    import sys
+
+    script = ("import sys; from brownian_unicycle import *; "
+              "p = SpeedRatioProfile.constant(5.0); k = NoiseParams(10.0, 10.0); "
+              "mean_x(p, k, 1.0); displacement_moment(2, 0, p, k, 1.0); "
+              "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=subprocess_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
