@@ -657,8 +657,8 @@ def displacement_heading_moment(p: int, q: int, r: int,
     closes (coarse/fine difference plus roundoff floor) plus
     ``MODULUS_ROUNDOFF`` times the bound :meth:`_Walk.moduli`;
     ``terms_evaluated`` counts the enumerated terms, vectors times
-    compositions summed over the keys. An ``s`` outside ``[0, s_max]``
-    raises :class:`~brownian_unicycle.exceptions.ProfileDomainError`.
+    compositions summed over the keys; an ``s`` outside ``[0, s_max]`` is
+    refused (:class:`~brownian_unicycle.exceptions.ProfileDomainError`).
     """
     _check_envelope(MomentSpec(p, q, r))
     _check_length(profile, s)

@@ -20,14 +20,13 @@ the Gauss points of the panels. For node ``t_j`` each panel integrates
 in full, its own up to ``t_j`` through the spectral integration matrix
 ``S[i, k] = int_0^{x_i} l_k`` (Greengard, SIAM J. Numer. Anal. 28, 1991).
 A gap's decay ``e^{-c (t - u)}`` is folded into those weights, exactly at
-any rate. A gap factor thus becomes the operator
-``kernel * omega``, once per rule, and every level is ``M_K @ F``: a
-moment with ``D`` distinct gap factors and ``L`` node-value vectors per
-level (one per state and heading power of its walk in
-:mod:`general_moments`) costs ``O((D + L) n**2)``, and converges
-spectrally on every profile kind. The low-order statistics apply the same
-panel weights (:func:`_decay_weights`) to their separable kernels, one
-prefix carry per panel.
+any rate. A gap factor thus becomes the operator ``kernel * omega``, once
+per rule, and every level is ``M_K @ F``: a moment with ``D`` distinct gap
+factors and ``L`` node-value vectors per level (one per state and heading
+power of its walk in :mod:`general_moments`) costs ``O((D + L) n**2)``,
+and converges spectrally on every profile kind. The low-order statistics
+apply the same panel weights (:func:`_decay_weights`) to their separable
+kernels, one prefix carry per panel.
 
 All reductions run in a fixed order; results are bit-stable for a given
 settings object.
@@ -159,8 +158,7 @@ def _check_length(profile: SpeedRatioProfile, s: float) -> None:
 
 def _node_count(turn: float, decay: float, weight, dimension: int) -> int:
     """Gauss points per panel for the largest turn and sampled decay of a
-    panel: an integrand of phase weight ``weight`` turns ``weight`` times
-    as fast as the heading."""
+    panel, whose integrand turns ``weight`` times as fast as the heading."""
     return (NODES_MIN + dimension
             + math.ceil(NODES_PER_RATE * math.hypot(weight * turn, decay)))
 
@@ -246,8 +244,7 @@ def panels(profile: SpeedRatioProfile, s: float, k_theta: float, weight,
     if off_knots:
         graded = math.ceil(math.log2(rate * s / PANEL_DECAY))
         cuts = PANEL_DECAY / rate * 2.0 ** np.arange(graded)
-        # Sorted and deduplicated as by np.union1d, whose first call imports
-        # numpy.ma.
+        # np.union1d, without the import of numpy.ma on its first call.
         ends = np.sort(np.append(ends, cuts))
         ends = ends[np.append(True, ends[1:] != ends[:-1])]
     lengths = ends[1:] - ends[:-1]
@@ -303,13 +300,11 @@ def panels(profile: SpeedRatioProfile, s: float, k_theta: float, weight,
 
 def _piece(m: int, lo: float, hi: float):
     """Points, weights and basis values of :func:`_decay_weights` on the
-    piece from ``lo`` to ``hi`` back from each end.
-
-    For each end ``e`` among the ``m`` Gauss nodes ``x`` of ``[0, 1]`` and
-    1 (axis 0), the piece cut at ``e``: its ``PIECE_NODES`` Gauss points as
-    distances ``back`` from the end, their weights, and the Lagrange basis
-    ``l_k`` of the nodes at ``e - back`` (last axis ``k``).
-    """
+    piece from ``lo`` to ``hi`` back from each end ``e`` among the ``m``
+    Gauss nodes ``x`` of ``[0, 1]`` and 1 (axis 0), cut at ``e``: its
+    ``PIECE_NODES`` Gauss points as distances ``back`` from the end, their
+    weights, and the Lagrange basis ``l_k`` of the nodes at ``e - back``
+    (last axis ``k``)."""
     x, w = _gauss_unit(m)
     ends = np.append(x, 1.0)
     lo, hi = np.minimum(ends, lo), np.minimum(ends, hi)
@@ -463,16 +458,14 @@ def integrate_chains(evaluate, scales, panels: _Panels,
     """
     scales = np.asarray(scales)
     cap = min(CHAIN_MAX_NODES, math.isqrt(CHAIN_MAX_BYTES // (8 * operators)))
-    start, width = panels.start, panels.width
-    fine_m = panels.m + ESTIMATE_STEP
-    count = width.size
-    if fine_m * count > cap:
+    start, width, fine_m = panels.start, panels.width, panels.m + ESTIMATE_STEP
+    if fine_m * width.size > cap:
         cause = (f"k_theta: {panels.graded} cuts grade its decay toward 0"
-                 if 2 * panels.graded >= count else "s: the heading's turn")
+                 if 2 * panels.graded >= width.size else "s: the heading's turn")
         raise EnvelopeRefusal(
-            f"the chain rule would need {fine_m * count} nodes ({count} "
-            f"panels of {fine_m}), more than its cap of {cap}; the panel "
-            f"count is driven by {cause}")
+            f"the chain rule would need {fine_m * width.size} nodes ("
+            f"{width.size} panels of {fine_m}), more than its cap of {cap}; "
+            f"the panel count is driven by {cause}")
 
     def total(rule):
         # A non-finite sum raises below; numpy's warnings would only

@@ -830,7 +830,11 @@ PINNED_MOMENTS = [
 ]
 
 
-@pytest.mark.parametrize("label,k,order,value,err", PINNED_MOMENTS)
+# Named without the recorded figures, so that a re-recording keeps the names.
+@pytest.mark.parametrize(
+    "label,k,order,value,err", PINNED_MOMENTS,
+    ids=["{}-{}-{}-{}-{}".format(label, k, *order)
+         for label, k, order, *_ in PINNED_MOMENTS])
 def test_moments_bit_identical_to_recorded(label, k, order, value, err):
     profile = CONST if label == "constant" else RAMP
     res = displacement_heading_moment(*order, profile, NoiseParams(k, k), 0.95)
