@@ -116,16 +116,14 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
         for chain in weights:
             f = gaps.first(chain[0])[0]
             for w_prev, w in zip(chain, chain[1:]):
-                f = gaps.apply(w, 0, phase[w_prev - w] * f)
+                f = gaps.integrate(w, phase[w_prev - w] * f)
             out.append(tail @ (phase[chain[-1]] * f))
         return np.array(out)
 
-    # Gap weights 0, +-1 and +-2 at heading power 0, as _Walk.operators
-    # counts them: three operators (the last one the product), its weight
-    # matrix and one for the O(n) arrays.
+    # Node values: the five phases, a chain's values and the tail row.
     value, _ = integrate_chains(evaluate, [w for w, _ in chains],
                                 panels(profile, s, params.k_theta, 2, 4),
-                                settings, operators=5)
+                                settings, node_bytes=16 * 7)
     return constant + value.real
 
 

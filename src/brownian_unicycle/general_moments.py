@@ -304,12 +304,28 @@ def _gap_polynomials(r: int, w: int, kt: float) -> np.ndarray:
     return coef * (w * kt ** 0.5) ** expo
 
 
-def _real_matmul(a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """``a @ f`` for a real matrix ``a`` and complex node values ``f``, node
-    axis first, its last axis contiguous: on the real BLAS, as real values
-    with twice the columns."""
-    out = a @ f.view(float).reshape(len(f), -1)
-    return out.view(complex).reshape(f.shape)
+@functools.lru_cache(maxsize=256)
+def _gap_mixing(r: int, w: int, kt: float):
+    """How a gap of weight ``+-w`` takes prefix integrals to heading powers.
+
+    The gap of power ``g`` applies ``sum_e C[g, e] e! V^(e + 1)``
+    (:class:`_GapFactors`) and takes the heading power ``h'`` before it to
+    ``h = h' + g``. Returns the count of powers ``V^(e + 1)`` it reads and
+    the matrices of ``+w`` and ``-w`` that take ``V^(e + 1) F[h']``,
+    stacked by ``e`` and then ``h' <= r - e``, to the powers ``h``:
+    ``(+-1)^g C[g, e] e!`` with ``g = h - h'``, read only.
+    """
+    coef = _gap_polynomials(r, w, kt) * np.cumprod(
+        np.maximum(np.arange(r + 1), 1))
+    count = 1 + max(e for e in range(r + 1) if coef[:, e].any())
+    stack = [(e, h) for e in range(count) for h in range(r + 1 - e)]
+    mix = np.zeros((2, r + 1, len(stack)))
+    for k, (e, h) in enumerate(stack):
+        g = np.arange(r + 1 - h)
+        mix[0, h + g, k] = coef[g, e]
+        mix[1, h + g, k] = coef[g, e] * (-1.0) ** g
+    mix.setflags(write=False)
+    return count, mix
 
 
 class _GapFactors:
@@ -326,11 +342,11 @@ class _GapFactors:
     conj(E_w(u))`` with ``E_w = exp(i w (heading - theta0))``, so the
     heading is sampled once per rule, at ``rule.t``, and enters only
     through those node vectors (:meth:`phases`). What is left of an inner
-    factor is real and heading-free: the operator ``R_{w,g}(t - u) *
-    Omega_w`` of the rule, its decay in the weights ``Omega_w``
-    (:meth:`~brownian_unicycle.quadrature.ChainRule.operator`), built for
-    every ``g`` at the first use of ``w`` or ``-w`` from the powers ``(t -
-    u)^e`` that all of them share; ``R_{-w,g} = (-1)^g R_{w,g}``. The
+    factor is real and heading-free: ``x^e e^{-c x} / e!``, ``x = t - u``,
+    ``c = w^2 k_theta / 2``, is the ``(e + 1)``-fold convolution of
+    ``e^{-c x}``, so the factor applies ``sum_e C[g, e] e! V_c^(e + 1)``
+    with ``C`` of :func:`_gap_polynomials` and the prefix integral ``V_c``
+    of the rule (:meth:`integrate`); ``R_{-w,g} = (-1)^g R_{w,g}``. The
     phases and the ``i^g``, which multiply to ``i^h`` along a chain, are
     the caller's; each tail power becomes one tail row.
     """
@@ -341,11 +357,6 @@ class _GapFactors:
         self._r = r
         self._kt = kt
         self._heading = mean_heading(profile, rule.t) - profile.theta0
-        if r:
-            dt = rule.t[:, None] - rule.u
-            self._powers = np.cumprod(np.broadcast_to(dt, (r,) + dt.shape),
-                                      axis=0)
-        self._operators: dict[int, np.ndarray] = {}
         self._tails: dict[int, np.ndarray] = {}
 
     def phases(self, weights) -> np.ndarray:
@@ -362,27 +373,14 @@ class _GapFactors:
         return (_gap_polynomials(self._r, w, self._kt)
                 @ t ** np.arange(self._r + 1)[:, None]) * decay
 
-    def operators(self, w: int) -> np.ndarray:
-        """The operators ``R_{w,g}(t - u) * Omega_w`` of weight ``w >= 0``,
-        stacked by ``g``."""
-        ops = self._operators.get(w)
-        if ops is None:
-            if self._r:
-                n = self.rule.t.size
-                kernel = (_gap_polynomials(self._r, w, self._kt)[:, 1:]
-                          @ self._powers.reshape(self._r, -1)).reshape(-1, n, n)
-                kernel[0] = 1.0
-            else:
-                kernel = np.ones((1, 1, 1))
-            ops = self.rule.operator(kernel, 0.5 * w * w * self._kt)
-            self._operators[w] = ops
-        return ops
+    def mixing(self, w: int):
+        """:func:`_gap_mixing` of weight ``w >= 0`` on this moment."""
+        return _gap_mixing(self._r, w, self._kt)
 
-    def apply(self, w: int, g: int, f: np.ndarray) -> np.ndarray:
-        """The operator of weight ``w`` and power ``g`` applied to node values
-        ``f`` (node axis first), without ``i^g``."""
-        out = _real_matmul(self.operators(abs(w))[g], f)
-        return -out if w < 0 and g % 2 else out
+    def integrate(self, w: int, f: np.ndarray) -> np.ndarray:
+        """``V_c`` of node values ``f`` (node axis first), ``c = w^2 k_theta
+        / 2``."""
+        return self.rule.prefix(0.5 * w * w * self._kt, f)
 
     def tail(self, power: int) -> np.ndarray:
         out = self._tails.get(power)
@@ -414,9 +412,10 @@ class _Walk:
     spent so far, the node values
 
         F[0, h] = i^h E_{p-q} first(p - q, h),
-        F[u, h] = sum_g M[w(u), g] @ sum_{v in u} F[u - v, h - g]
+        F[u, h] = sum_g K[w(u), g] sum_{v in u} F[u - v, h - g]
 
-    (``1/g!`` folded into each factor) sum all those chain prefixes at
+    (``K`` the inner gap factor as an integral operator, ``1/g!`` folded
+    into it) sum all those chain prefixes at
     once. A close ``(u, h)`` is ``tail(r - h) @ F[u, h]``: for a key with
     step counts ``c`` and ``u = c - v``, the sum of its chains whose last
     step is ``v``, with tail power ``r - h`` (the last step sets no gap).
@@ -425,11 +424,11 @@ class _Walk:
     / i^h`` of :class:`_GapFactors`, where every operator is real and the
     heading enters through fixed node vectors: a predecessor ``u - v``
     comes in times the step phase ``E_{w(u - v)} conj(E_{w(u)}) = exp(-i
-    v heading)``,
+    v heading)``, and with ``c = w(u)^2 k_theta / 2``
 
         G[0, h] = first(p - q, h),
-        G[u, h] = sum_g R_{w(u),g}(t - u) Omega
-                  @ sum_v exp(-i v heading) G[u - v, h - g],
+        P[u, h] = sum_v exp(-i v heading) G[u - v, h],
+        G[u, h] = sum_g sum_e C[g, e] e! V_c^(e + 1) P[u, h - g],
 
     and a close multiplies ``G[u, h]`` by ``E_{w(u)}`` before its tail row;
     its ``i^h`` is left to its scale.
@@ -437,9 +436,11 @@ class _Walk:
     Only states below some close are visited. They run level by level
     (``|u|``), then by ``|w|``, then by weight and counts. A level sums
     its predecessors in one pass, adding them in step order ``-2, -1, 1,
-    2``; the states of one level sharing ``|w|`` go through each of their
-    operators as one matrix product, those of ``-w`` taking the sign
-    ``(-1)^g``. Results are therefore bit-reproducible.
+    2``; the states of one level sharing ``|w|`` go through the powers
+    ``V_c^(e + 1)`` together, each one prefix integral of the one before
+    over the heading powers it still reaches, and one real matrix product
+    per sign of ``w`` takes them to the heading powers after the gap
+    (:func:`_gap_mixing`). Results are therefore bit-reproducible.
     """
 
     def __init__(self, w0: int, r: int,
@@ -484,13 +485,9 @@ class _Walk:
             self._levels.append((lo, start, preds[lo:start], runs,
                                  np.array([slot[x[1]] for x in level])))
             lo = start
-        inner = {w for *_, runs, _ in self._levels for w, *_ in runs}
-        # n x n float arrays evaluate holds at once, while the last operator
-        # stack is built: r + 1 per inner |w| (the last one the product),
-        # its weight matrix, one for the O(n) arrays (panel blocks, node
-        # values), and for r > 0 its r + 1 kernels, the r gap powers and
-        # the rule's u.
-        self.operators = len(inner) * (r + 1) + 2 + (2 * r + 2 if r else 0)
+        # Bytes of node values evaluate holds per node: r + 1 complex ones
+        # per state and the all-zero one.
+        self.node_bytes = 16 * (r + 1) * (size + 1)
         self.largest_weight = int(self._weights[-1])
         self._close_h = np.array([h for _, h in closes], dtype=int)
         self._close_u = np.array([index[u] for u, _ in closes], dtype=int)
@@ -554,16 +551,19 @@ class _Walk:
         for lo, hi, preds, runs, _ in self._levels:
             prev = np.einsum("jhks,js->jhk", f[:, :, preds], steps, order="C")
             for w, a, mid, b in runs:
-                ops = factors.operators(w)
-                for g in range(r + 1):
-                    # Heading power h - g before the gap, h after it.
-                    part = _real_matmul(ops[g],
-                                        prev[:, :r + 1 - g, a - lo:b - lo])
-                    if g % 2:
-                        f[:, g:, a:mid] -= part[:, :, :mid - a]
-                        f[:, g:, mid:b] += part[:, :, mid - a:]
-                    else:
-                        f[:, g:, a:b] += part
+                count, mix = factors.mixing(w)
+                # V^(e + 1) of the heading powers h' <= r - e before the gap,
+                # stacked, as real values with twice the columns.
+                y, powers = prev[:, :, a - lo:b - lo], []
+                for e in range(count):
+                    y = factors.integrate(w, y[:, :r + 1 - e])
+                    powers.append(y)
+                y = np.concatenate(powers, axis=1).view(float)
+                split = 2 * (mid - a)
+                if mid > a:
+                    f[:, :, a:mid] += (mix[1] @ y[..., :split]).view(complex)
+                if b > mid:
+                    f[:, :, mid:b] += (mix[0] @ y[..., split:]).view(complex)
         ends = f[:, self._close_h, self._close_u] * phases[:, self._close_at]
         tails = np.array([factors.tail(power) for power in range(r // 2 + 1)])
         return np.einsum("jc,cj->c", ends, tails[self._close_tail])
@@ -683,7 +683,7 @@ def displacement_heading_moment(p: int, q: int, r: int,
     value, err = integrate_chains(
         evaluate, scales,
         panels(profile, s, kt, walk.largest_weight, walk.dimension),
-        settings, walk.operators)
+        settings, walk.node_bytes)
     # A rotating chain sum can cancel far below the moduli of its closes,
     # while the roundoff of its sampled phases scales with the integral of
     # the integrand's modulus.

@@ -31,8 +31,10 @@ nodes,
 where ``C = I(p0)`` is one complex number carried from panel to panel,
 ``dh`` is the panel's turn and ``S_c``, ``W_c`` are
 :func:`~brownian_unicycle.quadrature._decay_weights` at the rate ``c H``,
-which integrate the gap's decay exactly. No exponent grows, and the cost
-is ``O(n m)`` for ``n`` nodes. ``<D^2> = k_r s + 2 Re iint E``, and the
+which integrate the gap's decay exactly: the
+:class:`~brownian_unicycle.quadrature.PrefixCarry` of the moment engines,
+with the turn taken into the carry. No exponent grows, and the cost is
+``O(n m)`` for ``n`` nodes. ``<D^2> = k_r s + 2 Re iint E``, and the
 second moments are ``<x^2> = Re iint E + Re iint D E + k_r/2 (s + Re int
 D)``, ``<y^2> = Re iint E - Re iint D E + k_r/2 (s - Re int D)`` and ``<x
 y> = Im iint D E + k_r/2 Im int D``.
@@ -55,13 +57,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import IntegrandEvaluationError, NumericalConsistencyError
-from .quadrature import (CHAIN_ROUNDOFF, ESTIMATE_STEP, _check_length,
-                         _decay_weights, _gauss_unit, _Panels, panels)
+from .quadrature import (CHAIN_ROUNDOFF, ESTIMATE_STEP, PrefixCarry,
+                         _check_length, _gauss_unit, _Panels, panels)
 from .trajectory import (NoiseParams, SpeedRatioProfile, mean_heading,
                          polynomial_heading)
-
-#: Machine epsilon: decays ``c H`` within ``4 EPS`` share weights.
-EPS = float(np.finfo(float).eps)
 
 
 def orientation_distribution(profile: SpeedRatioProfile, params: NoiseParams,
@@ -172,50 +171,16 @@ def _line_sum(trig, weights) -> complex:
                            np.vdot(trig[1], weights)))
 
 
-def _carry(a, b) -> np.ndarray:
-    """``C_p`` of ``C_0 = 0``, ``C_{p+1} = a_p C_p + b_p``, for ``b`` and the
-    result of shape ``(panels, columns)``: a Python loop over the
-    panels."""
-    a = a.tolist()
-    out = []
-    for column in b.T.tolist():
-        c, carried = 0j, []
-        for a_p, b_p in zip(a, column):
-            carried.append(c)
-            c = a_p * c + b_p
-        out.append(carried)
-    return np.array(out).T
-
-
-def _runs(rates: list) -> list:
-    """``(first, end)`` of each run of consecutive panels whose decays
-    ``rates`` lie within ``4 eps`` of the decay of the run's first panel."""
-    if max(rates) - min(rates) <= 4.0 * EPS:
-        return [(0, len(rates))]
-    firsts = [0]
-    for p, rate in enumerate(rates):
-        if abs(rate - rates[firsts[-1]]) > 4.0 * EPS:
-            firsts.append(p)
-    return list(zip(firsts, [*firsts[1:], len(rates)]))
-
-
 def _pair_sums(profile, rule: _Rule, kt: float, second: bool,
                moduli: bool = False):
     """``iint E`` on ``rule`` and, when ``second``, ``iint D E`` and ``int D``,
     and with ``moduli`` the sums of the moduli of their terms as well.
 
-    The inner integral is the prefix carry of the module docstring: the
-    real weight matrices of each panel act on the real and imaginary parts
-    of its node values at once, and the panel's own width ``H`` scales
-    them. A run of panels whose decays ``c H`` lie within ``4 eps`` of its
-    first's (the knot spacings of a uniform table, or any panels without
-    decay) shares the decay weights of its first panel, which changes a
-    decay factor by at most ``4 eps`` relative. The outer integral is the
-    Gauss sum of ``I`` over the nodes.
+    The inner integral is the prefix carry of the module docstring, on
+    the panel-local values ``g`` with each panel's turn ``exp(i dh)`` taken
+    into the carry; the outer integral is the Gauss sum of ``I`` over the
+    nodes.
     """
-    c = 0.5 * kt
-    m = rule.t.shape[1]
-    width = rule.panels.width
     h0, local, turn = _rise(profile, rule)
     phase = np.exp(1j * local)
     # g[..., 0] = exp(-i (h - h0)) and g[..., 1] = that times D = exp(2 i h -
@@ -224,20 +189,9 @@ def _pair_sums(profile, rule: _Rule, kt: float, second: bool,
     np.conjugate(phase, out=g[..., 0])
     if second:
         np.exp(1j * (rule.h + h0[:, None]) - 2.0 * kt * rule.t, out=g[..., 1])
-    flat = g.view(float)
-    inner, ends = np.empty_like(flat), np.empty_like(flat[:, 0])
-    rates = (c * width).tolist()
-    for a, b in _runs(rates):
-        own, end = _decay_weights(m, rates[a])
-        np.matmul(own, flat[a:b], out=inner[a:b])
-        np.matmul(end, flat[a:b], out=ends[a:b])
-    inner *= width[:, None, None]
-    ends *= width[:, None]
-    inner, ends = inner.view(complex), ends.view(complex)
-    turn = np.exp(1j * turn)
-    carried = _carry(turn * np.exp(-c * width), turn[:, None] * ends)
     # I at the nodes, without exp(i (h - h0)).
-    inner += np.exp(-c * rule.into)[..., None] * carried[:, None]
+    inner = PrefixCarry(rule.panels.width, rule.t.shape[1], 0.5 * kt)(
+        g, np.exp(1j * turn))
     weighted = rule.wt * phase
     sums = (weighted.ravel() @ inner.reshape(-1, g.shape[-1])).tolist()
     if second:

@@ -15,18 +15,21 @@ products of per-gap factors,
 Such an integral is ``beta`` applications of a Volterra operator:
 ``F_1(t) = K_1(0, t)``, ``F_b(t) = int_0^t K_b(u, t) F_{b-1}(u) du``, and
 the result is ``int_0^s F_beta(u) tail(s - u) du``. Each ``F_b`` lives at
-the Gauss points of the panels. For node ``t_j`` each panel integrates
-``K F`` through its interpolant on the panel's nodes: the earlier panels
-in full, its own up to ``t_j`` through the spectral integration matrix
-``S[i, k] = int_0^{x_i} l_k`` (Greengard, SIAM J. Numer. Anal. 28, 1991).
-A gap's decay ``e^{-c (t - u)}`` is folded into those weights, exactly at
-any rate. A gap factor thus becomes the operator ``kernel * omega``, once
-per rule, and every level is ``M_K @ F``: a moment with ``D`` distinct gap
-factors and ``L`` node-value vectors per level (one per state and heading
-power of its walk in :mod:`general_moments`) costs ``O((D + L) n**2)``,
-and converges spectrally on every profile kind. The low-order statistics
-apply the same panel weights (:func:`_decay_weights`) to their separable
-kernels, one prefix carry per panel.
+the Gauss points of the panels. Every gap factor of this package is, up
+to node vectors of the heading, ``e^{-c x}`` times a polynomial in the
+gap ``x = t - u``, and ``x^e e^{-c x} / e!`` is the ``(e + 1)``-fold
+convolution of ``e^{-c x}``. So one operator serves every factor: the
+decay prefix integral ``V_c F(t) = int_0^t e^{-c (t - u)} F(u) du``,
+applied ``e + 1`` times for the power ``x^e``. :class:`PrefixCarry`
+applies it panel by panel: each panel integrates ``F`` through its
+interpolant on the panel's nodes, up to each node through the spectral
+integration matrix ``S[i, k] = int_0^{x_i} l_k`` (Greengard, SIAM J.
+Numer. Anal. 28, 1991) with the decay folded in exactly at any rate
+(:func:`_decay_weights`), and one carry ``C = V_c F(p0)`` crosses the
+panel ends, decayed by ``e^{-c H}`` per panel and never divided by it. A
+level costs ``O(n m)`` per column of node values for ``n`` nodes, and
+memory ``O(n)``; the low-order statistics run the same carry on their
+separable kernels, with each panel's turn taken into it.
 
 All reductions run in a fixed order; results are bit-stable for a given
 settings object.
@@ -38,7 +41,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -63,12 +66,11 @@ NODES_PER_RATE = 0.6
 ESTIMATE_STEP = 4
 #: Most panels of one rule.
 MAX_PANELS = 2 ** 15
-#: Largest node count of a chain rule (a real operator then takes 20 MB):
-#: the first pair of ``<D^4>`` at 500 rad of turn, 80 panels of 20 nodes.
-CHAIN_MAX_NODES = 1600
-#: Memory the ``n x n`` arrays of one chain evaluation may take, which
-#: caps ``n`` below ``CHAIN_MAX_NODES`` when there are many of them.
-CHAIN_MAX_BYTES = 160 * 2 ** 20
+#: Memory the node values of one chain evaluation may take, which caps
+#: its node count ``n``: ``(4,4,4)`` holds 5.8 kB a node.
+MAX_NODE_BYTES = 64 * 2 ** 20
+#: Machine epsilon: decays ``c H`` within ``4 EPS`` share weights.
+EPS = float(np.finfo(float).eps)
 #: Roundoff of a chain sum relative to the sum of its terms' magnitudes.
 CHAIN_ROUNDOFF = 64 * float(np.finfo(float).eps)
 
@@ -84,7 +86,8 @@ class QuadratureSettings:
         (:func:`~brownian_unicycle.displacement_heading_moment`,
         :func:`~brownian_unicycle.d4_moment`) halve their panels until
         the last two results agree to ``rel_tol``, or warn when the next
-        rule would pass the node cap of :func:`integrate_chains`.
+        rule would pass the node-value budget of :func:`integrate_chains`
+        or ``MAX_PANELS``.
     """
 
     rel_tol: float = 1e-9
@@ -332,12 +335,12 @@ def _unit_piece(m: int):
 
 
 @lru_cache(maxsize=1024)
-def _decay_weights(m: int, rate: float):
+def _decay_weights(m: int, rate: float) -> np.ndarray:
     """Weights of the ``m`` Gauss nodes ``x`` of ``[0, 1]`` under the decay
-    ``e^{-rate (e - x)}`` up to an end ``e``: ``S[i, k] = int_0^{x_i}
-    e^{-rate (x_i - x)} l_k(x) dx`` and ``W[k]``, the same up to 1, with
-    ``l_k`` the nodes' Lagrange basis (at ``rate = 0``, the spectral
-    integration matrix and the Gauss rule).
+    ``e^{-rate (e - x)}`` up to an end ``e``: rows ``S[i, k] = int_0^{x_i}
+    e^{-rate (x_i - x)} l_k(x) dx`` and, last, ``W[k]``, the same up to 1,
+    with ``l_k`` the nodes' Lagrange basis (at ``rate = 0``, the spectral
+    integration matrix and the Gauss rule), shape ``(m + 1, m)``.
 
     An integral runs back from ``e`` over pieces that end at ``2**j /
     rate < 1``, ``j <= 6`` (beyond, the decay is below ``e^-64``), on
@@ -358,9 +361,122 @@ def _decay_weights(m: int, rate: float):
         part = np.einsum("eq,eqk->ek", weights * decay, basis)
         out = part if out is None else out + part
     if small:
-        out += np.vstack(_decay_weights(m, 0.0))
+        out += _decay_weights(m, 0.0)
     out.setflags(write=False)
-    return out[:-1], out[-1]
+    return out
+
+
+def _runs(rates: list) -> list:
+    """``(first, end)`` of each run of consecutive panels whose decays
+    ``rates`` lie within ``4 eps`` of the decay of the run's first panel."""
+    if max(rates) - min(rates) <= 4.0 * EPS:
+        return [(0, len(rates))]
+    firsts = [0]
+    for p, rate in enumerate(rates):
+        if abs(rate - rates[firsts[-1]]) > 4.0 * EPS:
+            firsts.append(p)
+    return list(zip(firsts, [*firsts[1:], len(rates)]))
+
+
+def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``C_p`` of ``C_0 = 0``, ``C_{p+1} = a_p C_p + b_p`` for ``b`` and the
+    result of shape ``(panels, columns)``.
+
+    Up to 16 values per doubling step it would take (the one or two
+    columns of the low-order statistics) it runs a Python loop over the
+    panels, one multiply-add per value, which costs less than numpy's
+    calls. Beyond, it doubles: after the step of ``d``, row ``p`` holds the
+    recurrence run from ``p - 2d`` and ``a`` the products that carry it on,
+    in ``log2`` of the panel count steps. Neither divides by the decays,
+    which may underflow to 0.
+    """
+    if b.size <= 16 * len(b).bit_length():
+        a, out = a.tolist(), []
+        for column in b.T.tolist():
+            c, carried = 0j, []
+            for a_p, b_p in zip(a, column):
+                carried.append(c)
+                c = a_p * c + b_p
+            out.append(carried)
+        return np.array(out).T
+    out = np.empty_like(b)
+    out[0] = 0.0
+    out[1:] = b[:-1]
+    c, step = out[1:], 1
+    a = a[:-1, None].copy()
+    while step < len(c):
+        c[step:] += a[step:] * c[:-step]
+        if 2 * step < len(c):
+            a[step:] *= a[:-step]
+        step *= 2
+    return out
+
+
+class PrefixCarry:
+    """The decay prefix integral ``V_c F(t) = int_0^t e^{-c (t - u)} F(u)
+    du`` at the ``m`` Gauss points of each panel of the widths ``width``,
+    for ``c = rate``.
+
+    On a panel ``[p0, p0 + H]``, with ``C = V_c F(p0)`` carried in from the
+    panels before it,
+
+        V_c F(t) = e^{-c (t - p0)} C + H (S F)(t),    C <- e^{-c H} C + H W F,
+
+    where ``S`` and ``W`` are :func:`_decay_weights` at the rate ``c H``:
+    each panel integrates ``F`` through its interpolant on the panel's
+    nodes, with the decay exact at any rate. The rows ``S`` and the end
+    row ``W`` are built once here, shared by a run of panels whose decays
+    ``c H`` lie within ``4 eps`` of its first's (:func:`_runs`), and
+    the carry runs across the panels by :func:`_scan`. Applying them costs
+    ``O(n m)`` per column for ``n`` nodes, and they take ``O(m**2)`` memory
+    per run.
+    """
+
+    def __init__(self, width: np.ndarray, m: int, rate: float) -> None:
+        x, _ = _gauss_unit(m)
+        rates = (rate * width).tolist()
+        widths = width.tolist()
+        self._runs = []
+        for a, b in _runs(rates):
+            # A run of one width takes it into its weights; else each panel
+            # scales its own sums.
+            weights, scale = _decay_weights(m, rates[a]), None
+            if len(set(widths[a:b])) == 1:
+                weights = weights * widths[a]
+            else:
+                scale = width[a:b, None]
+            self._runs.append((a, b, weights[:-1], weights[-1], scale))
+        self._across = np.exp(-rate * width)
+        self._fall = np.exp(-rate * (width[:, None] * x))
+
+    def __call__(self, f: np.ndarray, turn=None) -> np.ndarray:
+        """``V_c F`` at the nodes, shape ``(panels, m, columns)``, for node
+        values ``f`` of shape ``(panels, m, ...)``, complex and contiguous.
+
+        With ``turn``, one complex factor per panel, the carry takes it on
+        where it crosses the panel's end: for ``F`` given in panel-local
+        frames, ``turn`` turns the frame of each panel into the next one's.
+        """
+        panels, m = f.shape[:2]
+        flat = f.reshape(panels, m, -1).view(float)
+        inner = np.empty_like(flat)
+        ends = np.empty((panels, flat.shape[2])) if panels > 1 else None
+        for a, b, own, end, scale in self._runs:
+            np.matmul(own, flat[a:b], out=inner[a:b])
+            if ends is not None:
+                np.matmul(end, flat[a:b], out=ends[a:b])
+            if scale is not None:
+                inner[a:b] *= scale[:, None]
+                if ends is not None:
+                    ends[a:b] *= scale
+        inner = inner.view(complex)
+        if ends is not None:
+            across, ends = self._across, ends.view(complex)
+            if turn is not None:
+                across = turn * across
+                ends *= turn[:, None]
+            inner += self._fall[..., None] * _scan(across, ends)[:, None]
+        return inner
 
 
 class ChainRule:
@@ -368,61 +484,28 @@ class ChainRule:
     panels starting at the ascending ``start`` with the widths ``width``,
     from 0 to ``s > 0``.
 
-    ``u[j, k]`` starts the gap that ends at ``t[j]`` for node ``k``: ``t[k]``
-    in earlier panels and in ``t[j]``'s own, where a kernel past ``t[j]``
-    is read at its analytic continuation to a negative gap, else ``t[j]``.
-    A gap's decay is not sampled there but passed to :meth:`operator`,
-    which integrates it exactly, so no sampled kernel grows with its gap.
-    A chain is its first factor's node values, the :meth:`operator`
-    matrices of the others applied in turn, and a :meth:`tail_vector` row.
+    A chain is its first factor's node values, each later gap factor
+    applied in turn through the :class:`PrefixCarry` of its decay rate
+    (:meth:`prefix`), and a :meth:`tail_vector` row.
     """
 
     def __init__(self, start, width, m: int) -> None:
         x, w = _gauss_unit(m)
-        self._width = width
+        self.start, self.width, self.m = start, width, m
         self.s = float(start[-1] + width[-1])
         self.t = (start[:, None] + width[:, None] * x).ravel()
         self._weights = (width[:, None] * w).ravel()
-        # The panel structure every operator shares: each node's panel, the
-        # distinct widths and each panel's among them, and for each node
-        # the earlier panels (reach 1, else 0) and its distance past their
-        # ends.
-        panels = width.size
-        self._panel = np.repeat(np.arange(panels), m)
-        self._widths = sorted(set(width.tolist()))
-        self._width_class = np.searchsorted(self._widths, width)
-        self._reach = (np.arange(panels) < self._panel[:, None]).astype(float)
-        self._past = np.maximum(self.t[:, None] - (start + width), 0.0)
+        self._carries: dict[float, PrefixCarry] = {}
 
-    @cached_property
-    def u(self) -> np.ndarray:
-        """Gap starts ``u[j, k]``, with shape ``(n, n)``."""
-        return np.where(self._panel > self._panel[:, None], self.t[:, None],
-                        self.t)
-
-    def operator(self, kernel, decay: float = 0.0) -> np.ndarray:
-        """Matrix of ``F -> int_0^t e^{-decay (t - u)} K(u, t) F(u) du`` on
-        the node values.
-
-        ``kernel`` holds ``K(u[j, k], t[j])`` with shape ``(n, n)``, or a
-        stack of them along a leading axis; each panel integrates ``K F``
-        through its interpolant on the panel's nodes. The matrix is
-        ``kernel * omega``: for node ``k`` in an earlier panel of width
-        ``h`` ending at ``b``, ``h W[k] e^{-decay (t[j] - b)}``; within
-        ``t[j]``'s own panel, ``h S[i, k]``; 0 after (``S`` and ``W`` of
-        :func:`_decay_weights` at the rate ``decay h``).
-        """
-        panels = self._width.size
-        m = self.t.size // panels
-        own, row = map(np.array, zip(*(_decay_weights(m, float(decay * width))
-                                       for width in self._widths)))
-        row = row[self._width_class] * self._width[:, None]
-        reach = self._reach * np.exp(-decay * self._past) if decay else self._reach
-        omega = (reach[:, :, None] * row).reshape(self.t.size, -1)
-        at = np.arange(panels)
-        omega.reshape(panels, m, panels, m)[at, :, at] = (
-            own[self._width_class] * self._width[:, None, None])
-        return kernel * omega
+    def prefix(self, rate: float, f: np.ndarray) -> np.ndarray:
+        """``V_c`` of :class:`PrefixCarry` at ``c = rate`` applied to node
+        values ``f`` (node axis first, complex), in the shape of ``f``; the
+        weights are built at the first use of each rate."""
+        carry = self._carries.get(rate)
+        if carry is None:
+            carry = self._carries[rate] = PrefixCarry(self.width, self.m, rate)
+        f = np.ascontiguousarray(f, dtype=complex)
+        return carry(f.reshape(self.width.size, self.m, -1)).reshape(f.shape)
 
     def tail_vector(self, tail) -> np.ndarray:
         """Row ``v`` with ``v @ f = int_0^s F(u) tail(s - u) du`` for node
@@ -433,7 +516,7 @@ class ChainRule:
 
 def integrate_chains(evaluate, scales, panels: _Panels,
                      settings: QuadratureSettings = DEFAULT_SETTINGS,
-                     operators: int = 1):
+                     node_bytes: int = 16):
     """``sum_i scales[i] * chain_i`` on refined pairs of panel rules.
 
     ``evaluate(rule)`` returns the nested integrals ``chain_i``, products
@@ -442,12 +525,12 @@ def integrate_chains(evaluate, scales, panels: _Panels,
     ``m``- and ``m + ESTIMATE_STEP``-node rules of ``panels`` (of
     :func:`panels`), then on the finer count with every panel halved while
     the last two sums differ by more than ``settings.rel_tol`` relative
-    and the roundoff floor. ``operators`` counts the ``n x n`` float
-    arrays ``evaluate`` holds at once; they may take ``CHAIN_MAX_BYTES``,
-    which with ``CHAIN_MAX_NODES`` caps the node count ``n``. A first pair
-    past the cap raises :class:`EnvelopeRefusal`, naming what drives the
-    count (``s`` or ``k_theta``); a later rule past it warns
-    (:class:`AccuracyWarning`) and returns the last sum.
+    and the roundoff floor. ``evaluate`` holds ``node_bytes`` of node
+    values per node, which may take ``MAX_NODE_BYTES`` in all. A first
+    pair past that budget raises :class:`EnvelopeRefusal`, naming what
+    drives the node count (``s`` or ``k_theta``); a later rule past it, or
+    past ``MAX_PANELS``, warns (:class:`AccuracyWarning`) and returns the
+    last sum.
 
     Returns
     -------
@@ -457,14 +540,15 @@ def integrate_chains(evaluate, scales, panels: _Panels,
         floor ``CHAIN_ROUNDOFF * sum_i |scales[i] * chain_i|``.
     """
     scales = np.asarray(scales)
-    cap = min(CHAIN_MAX_NODES, math.isqrt(CHAIN_MAX_BYTES // (8 * operators)))
+    cap = MAX_NODE_BYTES // node_bytes
     start, width, fine_m = panels.start, panels.width, panels.m + ESTIMATE_STEP
     if fine_m * width.size > cap:
         cause = (f"k_theta: {panels.graded} cuts grade its decay toward 0"
                  if 2 * panels.graded >= width.size else "s: the heading's turn")
         raise EnvelopeRefusal(
             f"the chain rule would need {fine_m * width.size} nodes ("
-            f"{width.size} panels of {fine_m}), more than its cap of {cap}; "
+            f"{width.size} panels of {fine_m}) of {node_bytes} bytes of node "
+            f"values each, more than its budget of {MAX_NODE_BYTES} bytes; "
             f"the panel count is driven by {cause}")
 
     def total(rule):
@@ -485,7 +569,7 @@ def integrate_chains(evaluate, scales, panels: _Panels,
         floor = CHAIN_ROUNDOFF * magnitude
         if diff <= max(settings.rel_tol * abs(fine), floor):
             return fine, diff + floor
-        if 2 * fine_m * width.size > cap:
+        if 2 * fine_m * width.size > cap or 2 * width.size > MAX_PANELS:
             warnings.warn(
                 f"chain refinement stopped at {fine_m * width.size} nodes "
                 f"with the error estimate {diff + floor:.3e} above rel_tol = "

@@ -8,23 +8,62 @@ the low-order statistics' tests use them on the triangle of every knot
 piece of their references. The package has no tensor rule of its own;
 ``test_stacked_rule_matches_two_call_rule`` checks this one on its own
 terms.
-``chain`` evaluates one product of gap factors on one chain rule, the form
-in which the tests hand their integrands to the chain rule.
+``chain`` evaluates one product of gap factors on the nodes of one chain
+rule with the oracles' own engine, the dense Nystrom operators of
+``operator``: a gap factor sampled at the node pairs ``gap_starts`` times
+one ``n x n`` weight matrix. The package applies its gap factors through
+the O(n) prefix carry instead; the two share the panels, the nodes and the
+decay weights of each panel, not the way a factor is applied.
 """
 
 import numpy as np
 
 from brownian_unicycle import IntegrandEvaluationError
-from brownian_unicycle.quadrature import CHAIN_ROUNDOFF
+from brownian_unicycle.quadrature import CHAIN_ROUNDOFF, _decay_weights
 
 
-def chain(rule, first, kernels, tail=1.0):
+def gap_starts(rule):
+    """Gap starts ``u[j, k]`` of the gap that ends at ``t[j]``, for node
+    ``k``, shape ``(n, n)``: ``t[k]`` in earlier panels and in ``t[j]``'s
+    own, where a kernel past ``t[j]`` is read at its analytic continuation
+    to a negative gap, else ``t[j]``."""
+    panel = np.repeat(np.arange(rule.width.size), rule.m)
+    return np.where(panel > panel[:, None], rule.t[:, None], rule.t)
+
+
+def operator(rule, kernel, decay=0.0):
+    """Matrix of ``F -> int_0^t e^{-decay (t - u)} K(u, t) F(u) du`` on the
+    node values of ``rule``.
+
+    ``kernel`` holds ``K(u[j, k], t[j])`` of :func:`gap_starts`, with shape
+    ``(n, n)``, or a stack of them along a leading axis; each panel
+    integrates ``K F`` through its interpolant on the panel's nodes. The
+    matrix is ``kernel * omega``: for node ``k`` in an earlier panel of
+    width ``h`` ending at ``b``, ``h W[k] e^{-decay (t[j] - b)}``; within
+    ``t[j]``'s own panel, ``h S[i, k]``; 0 after (``S`` and ``W`` of
+    ``_decay_weights`` at the rate ``decay h``).
+    """
+    start, width, m = rule.start, rule.width, rule.m
+    panels = width.size
+    panel = np.repeat(np.arange(panels), m)
+    weights = np.array([_decay_weights(m, float(decay * h)) * h
+                        for h in width.tolist()])
+    reach = (np.arange(panels) < panel[:, None]) * np.exp(
+        -decay * np.maximum(rule.t[:, None] - (start + width), 0.0))
+    omega = (reach[:, :, None] * weights[:, -1]).reshape(rule.t.size, -1)
+    at = np.arange(panels)
+    omega.reshape(panels, m, panels, m)[at, :, at] = weights[:, :-1]
+    return kernel * omega
+
+
+def chain(rule, first, kernels, tail=1.0, build=None):
     """Nested integral of one product of gap factors on ``rule``: the first
     factor's node values, the operators of ``kernels`` applied in turn,
-    then the tail row."""
+    then the tail row. ``build(kernel)`` makes an operator, by default
+    :func:`operator` without decay."""
     f = first
     for kernel in kernels:
-        f = rule.operator(kernel) @ f
+        f = (operator(rule, kernel) if build is None else build(kernel)) @ f
     return complex(rule.tail_vector(tail) @ f)
 
 

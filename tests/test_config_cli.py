@@ -6,9 +6,9 @@ import os
 
 import pytest
 
-from brownian_unicycle import (cli, d2_closed, fourth_moment, general_moments,
-                               low_moments, NoiseParams, QuadratureSettings,
-                               SpeedRatioProfile)
+from brownian_unicycle import (cli, d2_closed, d4_closed, fourth_moment,
+                               general_moments, low_moments, NoiseParams,
+                               QuadratureSettings, SpeedRatioProfile)
 from brownian_unicycle.cli import main
 from brownian_unicycle.config import (config_from_dict, dump_config,
                                       load_config)
@@ -198,17 +198,34 @@ def test_d2_on_a_long_curve_prints_the_closed_form(tmp_path, capsys):
     assert record["err_estimate"] < 1e-6 * want
 
 
-def test_moment_past_the_node_cap_exits_3(tmp_path, capsys):
-    # 1000 rad of turning: constant mu0 = 5, K = 0.01, s = 200.
-    doc = dict(BASE_DOC, sim=dict(BASE_DOC["sim"], s_final=200.0),
+def _curve_config(tmp_path, s):
+    # 5 s rad of turning: constant mu0 = 5, K = 0.01.
+    doc = dict(BASE_DOC, sim=dict(BASE_DOC["sim"], s_final=s),
                noise={"k_r": 0.01, "k_theta": 0.01}, quadrature={})
-    doc["profile"] = dict(BASE_DOC["profile"], s_max=200.0)
-    path = tmp_path / "longer.json"
+    doc["profile"] = dict(BASE_DOC["profile"], s_max=s)
+    path = tmp_path / "curve.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["--config", str(path), "moment", "2", "2", "0"]) == 3
+    return str(path)
+
+
+def test_moment_past_the_old_node_cap_exits_0(tmp_path, capsys):
+    # 1000 rad of turning at s = 200, which the dense operators refused:
+    # the O(n) carry resolves <u^2 w^2> = <D^4>.
+    assert main(["--config", _curve_config(tmp_path, 200.0),
+                 "moment", "2", "2", "0"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    want = d4_closed(5.0, NoiseParams(0.01, 0.01), 200.0)
+    assert abs(record["value_re"] - want) <= 1e-11 * want
+
+
+def test_moment_past_the_node_budget_exits_3(tmp_path, capsys):
+    # <u^4 w^4 theta~^4> at s = 2000: its node values would pass the budget.
+    assert main(["--config", _curve_config(tmp_path, 2000.0),
+                 "moment", "4", "4", "4"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("refused:") and err.count("\n") == 1
+    assert "budget" in err
 
 
 @pytest.mark.parametrize("command", ["d2", "d4"])

@@ -27,7 +27,7 @@ from brownian_unicycle import general_moments, quadrature
 from brownian_unicycle.constant_ratio import _kernel_chain
 from brownian_unicycle.general_moments import double_factorial
 from brownian_unicycle.quadrature import integrate_chains
-from tensor_oracle import chain, two_call_rule
+from tensor_oracle import chain, gap_starts, operator, two_call_rule
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
@@ -316,10 +316,11 @@ def _sampled_factors(rule, profile, kt):
     dt))^(g-2a)``; one array per argument triple. The roots are taken in
     complex arithmetic: inside a panel the rule reads a factor at negative
     gaps, where it continues analytically."""
+    u = gap_starts(rule)
     th_t = mean_heading(profile, rule.t)
-    th_u = mean_heading(profile, rule.u)
+    th_u = mean_heading(profile, u)
     gaps = ((th_t - profile.theta0, rule.t),
-            (th_t[:, None] - th_u, rule.t[:, None] - rule.u))
+            (th_t[:, None] - th_u, rule.t[:, None] - u))
 
     @functools.lru_cache(maxsize=None)
     def factor(w, g, inner):
@@ -334,11 +335,12 @@ def _sampled_factors(rule, profile, kt):
     return factor
 
 
-def _rule_chain(rule, factor, weights, gamma):
-    """One term's nested integral on ``rule``."""
+def _rule_chain(rule, factor, weights, gamma, build=None):
+    """One term's nested integral on ``rule``, through the oracle's dense
+    operators (``build``, as for :func:`tensor_oracle.chain`)."""
     return chain(rule, factor(weights[0], gamma[0], False),
                  [factor(w, g, True) for w, g in zip(weights[1:], gamma[1:-1])],
-                 (rule.s - rule.u[-1]) ** (gamma[-1] // 2))
+                 (rule.s - rule.t) ** (gamma[-1] // 2), build)
 
 
 def _gap_chain(profile, params, s, weights, gamma, settings=QuadratureSettings()):
@@ -530,17 +532,31 @@ def test_long_curves_match_closed_forms(s):
         assert abs(value - exact) <= 1e-12 * exact
 
 
-def test_curve_past_the_node_cap_is_refused():
-    # 1000 rad of turning at mu0 = 5 takes 160 panels: the first pair of
-    # <D^2> and <D^4> passes the node cap, which the heading's turn over s
-    # drives.
+@pytest.mark.parametrize("s", [200.0, 1000.0])
+def test_curves_past_the_old_node_cap_converge(s):
+    # 1000 and 5000 rad of turning at mu0 = 5: 160 and 800 panels, which
+    # the dense operators refused past 1600 nodes. The prefix carry costs
+    # O(n) memory, so the rule keeps its panels and converges.
     params = NoiseParams(0.01, 0.01)
-    profile = SpeedRatioProfile.constant(5.0, s_max=200.0)
-    for p in (1, 2):
-        with pytest.raises(EnvelopeRefusal, match="driven by s"):
-            displacement_moment(p, p, profile, params, 200.0)
+    profile = SpeedRatioProfile.constant(5.0, s_max=s)
+    d4 = d4_closed(5.0, params, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        pairs = ((displacement_moment(2, 2, profile, params, s).value, d4),
+                 (d4_moment(profile, params, s), d4),
+                 (displacement_moment(1, 1, profile, params, s).value,
+                  d2_closed(5.0, params, s)))
+    for value, exact in pairs:
+        assert abs(value - exact) <= 1e-11 * exact
+
+
+def test_node_values_past_the_budget_are_refused():
+    # <u^4 w^4 theta~^4> holds 5.8 kB of node values a node; at mu0 = 5 and
+    # s = 2000 its first pair would need 0.3 GB of them.
+    profile = SpeedRatioProfile.constant(5.0, s_max=2000.0)
     with pytest.raises(EnvelopeRefusal, match="driven by s"):
-        d4_moment(profile, params, 200.0)
+        displacement_heading_moment(4, 4, 4, profile, NoiseParams(0.01, 0.01),
+                                    2000.0)
 
 
 @pytest.mark.parametrize("k", [1e50, 1e100, 1e300])
@@ -548,20 +564,11 @@ def test_huge_heading_noise_is_right_or_refused(k):
     # The heading decorrelates at once: <u^2> tends to k_r s / 2 = 0.5 at
     # k_r = k_theta = k, within O(1 / k), and <D^4> to its constant class
     # 2 k_r^2 s^2 at k_r = 1. The decay grading that resolves the layer
-    # near 0 takes log2(k) panels, past the node cap: refused, never a
-    # value outside its estimate.
-    try:
-        res = displacement_moment(2, 0, CONST, NoiseParams(k, k), 1.0)
-    except EnvelopeRefusal as exc:
-        assert "k_theta" in str(exc)
-    else:
-        assert abs(res.value - 0.5) <= res.err_estimate
-    try:
-        d4 = d4_moment(CONST, NoiseParams(1.0, k), 1.0)
-    except EnvelopeRefusal as exc:
-        assert "k_theta" in str(exc)
-    else:
-        assert abs(d4 - 2.0) <= 1e-9 * 2.0
+    # near 0 takes log2(k) panels, and the O(n) carry keeps them all: a
+    # refusal fails, like a value outside its estimate.
+    res = displacement_moment(2, 0, CONST, NoiseParams(k, k), 1.0)
+    assert abs(res.value - 0.5) <= res.err_estimate
+    assert abs(d4_moment(CONST, NoiseParams(1.0, k), 1.0) - 2.0) <= 1e-9 * 2.0
 
 
 @pytest.mark.parametrize("p,q", [(8, 0), (6, 0), (5, 3)])
@@ -599,23 +606,28 @@ def test_smooth_profiles_meet_rel_tol_without_warning(profile):
 
 def test_one_operator_per_gap_factor_and_rule(monkeypatch):
     builds = {}
-    operator = quadrature.ChainRule.operator
+    carry = quadrature.PrefixCarry
 
-    def spy(rule, kernel, decay=0.0):
-        builds[rule.t.size] = builds.get(rule.t.size, 0) + 1
-        return operator(rule, kernel, decay)
+    def spy(width, m, rate):
+        key = (width.size * m, rate)
+        builds[key] = builds.get(key, 0) + 1
+        return carry(width, m, rate)
 
-    monkeypatch.setattr(quadrature.ChainRule, "operator", spy)
+    monkeypatch.setattr(quadrature, "PrefixCarry", spy)
     displacement_moment(4, 4, RAMP, NoiseParams(1.0, 1.0), 1.0)
-    # Every gap after the first is an operator; with r = 0 its (w, g) is (w, 0).
-    inner = {w for key in term_keys(4, 4) for c in phase_step_vectors(key)
+    # Every gap after the first applies the prefix integral of its decay
+    # w^2 k_theta / 2: one weight build per rule and |w|.
+    inner = {abs(w) for key in term_keys(4, 4) for c in phase_step_vectors(key)
              for w in _phase_weights(4, 4, c)[1:]}
     # The first pair of the builder's panels converges.
     walk = general_moments._plan(4, 4, 0).walk
     at = quadrature.panels(RAMP, 1.0, 1.0, walk.largest_weight, walk.dimension)
-    assert sorted(builds) == [at.width.size * m for m in
-                              (at.m, at.m + quadrature.ESTIMATE_STEP)]
-    assert max(builds.values()) <= len(inner)
+    assert set(builds.values()) == {1}
+    assert sorted({n for n, _ in builds}) == [
+        at.width.size * m for m in (at.m, at.m + quadrature.ESTIMATE_STEP)]
+    for n in {n for n, _ in builds}:
+        assert sorted(rate for size, rate in builds if size == n) == sorted(
+            0.5 * w * w for w in inner)
 
 
 @pytest.mark.parametrize("profile", [RAMP, TABLE], ids=["ramp", "table"])
@@ -636,57 +648,26 @@ def test_heading_sampled_at_nodes_only(monkeypatch, profile):
     assert all(len(shape) == 1 for shape in shapes), shapes
 
 
-def test_memory_of_a_capped_moment_stays_within_the_budget(monkeypatch):
-    # At mu0 = 40 the weight-8 phases of <u^8 theta~^4> turn by 320 rad.
-    # With a third of the nodes per unit of phase the first pair disagrees,
-    # and the budget fits the first pair but not the halved panels: the
-    # rule stops at the cap and warns. The n x n arrays that evaluation
-    # holds at once are counted by _Walk.operators; beside them it holds
-    # O(n) arrays, above all the walk's node values (r + 1 per state),
-    # allowed for four times over. One node fewer under the cap refuses the
-    # moment before any rule is built.
+def test_memory_grows_linearly_with_the_nodes():
+    # <u^2 w^2> on constant mu0 = 5 at K = 0.01: the panels, and so the
+    # nodes, grow in proportion to s. Every array an evaluation holds is
+    # O(n) (node values, panel weights, the carry), so four times the
+    # curve may take about four times the memory; n x n operators would
+    # take 16 times.
     import tracemalloc
 
-    monkeypatch.setattr(quadrature, "NODES_PER_RATE",
-                        quadrature.NODES_PER_RATE / 3)
-    profile = SpeedRatioProfile.constant(40.0, s_max=1.0)
-    params = NoiseParams(1.0, 1.0)
-    walk = general_moments._plan(8, 0, 4).walk
-    at = quadrature.panels(profile, 1.0, 1.0, walk.largest_weight,
-                           walk.dimension)
-    first = (at.m + quadrature.ESTIMATE_STEP) * at.width.size
-    nodes = []
-    rule = quadrature.ChainRule
-
-    def spy(start, width, m):
-        out = rule(start, width, m)
-        nodes.append(out.t.size)
-        return out
-
-    monkeypatch.setattr(quadrature, "ChainRule", spy)
-    monkeypatch.setattr(quadrature, "CHAIN_MAX_BYTES",
-                        8 * walk.operators * (first - 1) ** 2)
-    with pytest.raises(EnvelopeRefusal, match=f"{first} nodes"):
-        displacement_heading_moment(8, 0, 4, profile, params, 1.0)
-    assert nodes == []
-    budget = 8 * walk.operators * first ** 2
-    monkeypatch.setattr(quadrature, "CHAIN_MAX_BYTES", budget)
-    with pytest.warns(AccuracyWarning):
-        displacement_heading_moment(8, 0, 4, profile, params, 1.0)
-    nodes.clear()
-    tracemalloc.start()
-    try:
-        with pytest.warns(AccuracyWarning):
-            displacement_heading_moment(8, 0, 4, profile, params, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    n = max(nodes)
-    assert n == first
-    assert 8 * walk.operators * (2 * n) ** 2 > budget
-    allowance = 4 * 16 * n * (walk._r + 1) * (walk._size + 1)
-    assert peak <= 8 * walk.operators * n * n + allowance
-    assert peak <= budget + allowance
+    params = NoiseParams(0.01, 0.01)
+    peaks = []
+    for s in (250.0, 1000.0):
+        profile = SpeedRatioProfile.constant(5.0, s_max=s)
+        displacement_heading_moment(2, 2, 0, profile, params, s)
+        tracemalloc.start()
+        try:
+            displacement_heading_moment(2, 2, 0, profile, params, s)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 5 * peaks[0]
 
 
 def test_repeated_calls_bit_identical():
@@ -717,8 +698,8 @@ def test_terms_evaluated_counts_the_enumeration(p):
 
 def _chain_by_chain(p, q, r, profile, params, s):
     """``<u^p w^q theta~^r>`` with every enumerated chain summed on its own
-    through the rule's operators, its factors sampled directly, on the
-    panels the walk uses."""
+    through the oracle's dense operators, its factors sampled directly, on
+    the panels the walk uses."""
     kr, kt = params.k_r, params.k_theta
     phase0 = cmath.exp(1j * (p - q) * profile.theta0)
     total, scales, chains = 0j, [], []
@@ -737,15 +718,15 @@ def _chain_by_chain(p, q, r, profile, params, s):
     def evaluate(rule):
         # One operator per sampled kernel, shared by the chains that read it.
         factor = _sampled_factors(rule, profile, kt)
-        build, built = rule.operator, {}
+        built = {}
 
-        def operator(kernel):
+        def build(kernel):
             if id(kernel) not in built:
-                built[id(kernel)] = build(kernel)
+                built[id(kernel)] = operator(rule, kernel)
             return built[id(kernel)]
 
-        rule.operator = operator
-        return np.array([_rule_chain(rule, factor, *chain) for chain in chains])
+        return np.array([_rule_chain(rule, factor, *chain, build)
+                         for chain in chains])
 
     walk = general_moments._plan(p, q, r).walk
     at = quadrature.panels(profile, s, kt, walk.largest_weight, walk.dimension)
@@ -777,9 +758,10 @@ def test_envelope_corners_meet_rel_tol(p, q, r, profile):
 #: ``(profile, K, (p, q, r), value, err_estimate)`` at ``s = 0.95`` with
 #: ``k_r = k_theta = K``: the benchmark's ``moments`` orders on its three
 #: cases, and two envelope corners on the ramp. Recorded from the walk on
-#: heading-free operators; each value is within 4e-14 relative of the one
-#: the dense gap factors recorded before it, and each constant-ratio value
-#: at ``r = 0`` within its estimate of ``_exact_moment_50``.
+#: the prefix carry; each value is within 1e-15 relative of the one the
+#: dense operators recorded before it (the one-panel values at ``r = 0``
+#: are unchanged) and within its estimate of it, and each constant-ratio
+#: value at ``r = 0`` within its estimate of ``_exact_moment_50``.
 PINNED_MOMENTS = [
     ("constant", 0.01, (1, 1, 0),
      (0.08704498017325131+0j), 1.1227030571499381e-14),
@@ -788,9 +770,9 @@ PINNED_MOMENTS = [
     ("constant", 0.01, (2, 2, 0),
      (0.008994621728495822+0j), 7.356164119966015e-15),
     ("constant", 0.01, (3, 1, 1),
-     (7.047503439006162e-05+0.00018992756286815877j), 1.001637394864995e-17),
+     (7.047503439006146e-05+0.00018992756286815874j), 9.947746613283695e-18),
     ("constant", 0.01, (2, 2, 2),
-     (8.92911005865188e-05+0j), 8.329372700924353e-17),
+     (8.929110058651874e-05+0j), 2.8072026075803564e-15),
     ("constant", 0.01, (5, 0, 0),
      (0.0008805315877029918-0.00088048556445354j), 9.644444789934659e-17),
     ("constant", 0.01, (6, 0, 0),
@@ -802,31 +784,31 @@ PINNED_MOMENTS = [
     ("constant", 1.0, (2, 2, 0),
      (2.3668647177787383+0j), 5.392111749654371e-13),
     ("constant", 1.0, (3, 1, 1),
-     (0.10892292531431047-0.06203421990123721j), 6.947155970503709e-15),
+     (0.10892292531431041-0.062034219901237225j), 6.887699408176106e-15),
     ("constant", 1.0, (2, 2, 2),
-     (2.557934654004409+1.1102230246251565e-16j), 1.2304874799326239e-11),
+     (2.557934654004409+0j), 2.312645533094905e-12),
     ("constant", 1.0, (5, 0, 0),
      (-0.0042547576894451595-0.03111915423079386j), 8.872629937014975e-16),
     ("constant", 1.0, (6, 0, 0),
-     (0.005042853696090576-0.015310757343386938j), 7.57102512109146e-16),
+     (0.005042853696090576-0.015310757343386935j), 7.57102512109146e-16),
     ("ramp", 1.0, (1, 1, 0),
-     (1.114516869135723+0j), 3.534706310546153e-14),
+     (1.114516869135723+0j), 3.5402574256692786e-14),
     ("ramp", 1.0, (2, 0, 0),
      (0.18140322584329993+0.229417090932299j), 4.892491755772481e-15),
     ("ramp", 1.0, (2, 2, 0),
-     (2.6401931415338797+0j), 3.438187201962291e-14),
+     (2.6401931415338797+0j), 3.4603916624547945e-14),
     ("ramp", 1.0, (3, 1, 1),
-     (-0.41061124582967523-0.12957455048741706j), 9.50994499875212e-15),
+     (-0.41061124582967523-0.1295745504874171j), 9.457850715021403e-15),
     ("ramp", 1.0, (2, 2, 2),
-     (2.778210269277703+1.1102230246251565e-16j), 4.847697383258205e-14),
+     (2.778210269277703+0j), 4.647830406901052e-14),
     ("ramp", 1.0, (5, 0, 0),
-     (-0.04581832035632899+0.16632987554526477j), 2.859064708888361e-15),
+     (-0.04581832035632898+0.1663298755452648j), 2.836755266340747e-15),
     ("ramp", 1.0, (6, 0, 0),
-     (-0.05306976169888171+0.15470130346607547j), 2.913886165378258e-15),
+     (-0.053069761698881696+0.15470130346607547j), 2.8944139049431635e-15),
     ("ramp", 1.0, (4, 4, 4),
-     (219.6711773037235-4.884981308350689e-15j), 1.3985045796035142e-11),
+     (219.67117730372348-3.3306690738754696e-15j), 1.4009221104303321e-11),
     ("ramp", 1.0, (8, 0, 4),
-     (0.860506557326511+0.2618174569614165j), 3.325817460274096e-14),
+     (0.8605065573265109+0.2618174569614163j), 3.361174271513174e-14),
 ]
 
 

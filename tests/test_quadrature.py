@@ -15,7 +15,7 @@ from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
 from brownian_unicycle import quadrature
 from brownian_unicycle.quadrature import (CHAIN_ROUNDOFF, ChainRule,
                                           integrate_chains)
-from tensor_oracle import chain, one_rule, two_call_rule
+from tensor_oracle import chain, gap_starts, one_rule, two_call_rule
 
 
 def ordered_monomial_integral(powers, s) -> Fraction:
@@ -185,12 +185,13 @@ def test_chain_matches_tensor_rule_on_gap_kernels(profile, beta):
         return out
 
     def evaluate(rule):
+        u = gap_starts(rule)
         th_t = mean_heading(profile, rule.t)
-        th_u = mean_heading(profile, rule.u)
+        th_u = mean_heading(profile, u)
         first = gap(weights[0], th_t - profile.theta0, rule.t)
-        gaps = [gap(w, th_t[:, None] - th_u, rule.t[:, None] - rule.u)
+        gaps = [gap(w, th_t[:, None] - th_u, rule.t[:, None] - u)
                 for w in weights[1:]]
-        return np.array([chain(rule, first, gaps, (s - rule.u[-1]) ** 2)])
+        return np.array([chain(rule, first, gaps, (s - rule.t) ** 2)])
 
     # ref_err is the reference's coarse/fine difference: how far it has
     # converged, without the roundoff floor of its error estimate.
@@ -213,26 +214,24 @@ def _rule(edges, m):
 @pytest.mark.parametrize("edges", [(0.0, 0.7), (0.0, 0.1, 0.25, 0.7)],
                          ids=["one", "three"])
 def test_panel_rule_integrates_polynomials_exactly(edges, m):
-    # Every operator row integrates a polynomial of degree < m from 0 to its
-    # node, across panel edges, and the tail row integrates it over [0, s].
+    # The prefix integral V_0 takes a polynomial of degree < m to its
+    # integral from 0 to each node, across panel edges, and the tail row
+    # integrates it over [0, s]. Applied a + 1 times, V_0 is the gap kernel
+    # (t - u)^a / a!: V_0^(a+1) t^b = t^(a+b+1) b! / (a+b+1)!, exact while
+    # every power it passes through has degree < m.
     rule = _rule(edges, m)
-    n = rule.t.size
-    ones = rule.operator(np.ones((n, n)))
     tail = rule.tail_vector(1.0)
     for k in range(m):
         f = rule.t ** k
-        assert np.abs(ones @ f - rule.t ** (k + 1) / (k + 1)).max() <= 1e-13
+        assert np.abs(rule.prefix(0.0, f) - rule.t ** (k + 1) / (k + 1)).max() <= 1e-13
         assert abs(tail @ f - rule.s ** (k + 1) / (k + 1)) <= 1e-13
-    # A gap kernel (t - u)^a is read at negative gaps inside a panel:
-    # int_0^t (t - u)^a u^b du = t^(a+b+1) a! b! / (a+b+1)!.
-    stack = rule.operator(np.stack([(rule.t[:, None] - rule.u) ** a
-                                    for a in range(m)]))
-    for a in range(m):
-        for b in range(m - a):
-            exact = (rule.t ** (a + b + 1) * math.factorial(a) * math.factorial(b)
+    for b in range(m):
+        f = rule.t ** b
+        for a in range(m - b):
+            f = rule.prefix(0.0, f)
+            exact = (rule.t ** (a + b + 1) * math.factorial(b)
                      / math.factorial(a + b + 1))
-            assert np.abs(stack[a] @ rule.t ** b - exact).max() <= 1e-13
-    assert np.array_equal(rule.u[-1], rule.t)
+            assert np.abs(f - exact).max() <= 1e-13
     assert np.all(np.diff(rule.t) > 0.0)
 
 
@@ -240,15 +239,13 @@ def test_panel_rule_integrates_polynomials_exactly(edges, m):
 @pytest.mark.parametrize("rate", [0.5, 30.0, 3e3, 1e6])
 def test_panel_rule_integrates_decay_exactly(rate, m):
     # The decay e^{-rate (t - u)} is integrated exactly against the panels'
-    # interpolants, however fast: int_0^t e^{-rate (t - u)} u^a du for
-    # a = 0, 1, relative to its scale 1 / rate.
+    # interpolants, however fast: V_rate of u^a for a = 0, 1, relative to
+    # its scale 1 / rate.
     rule = _rule((0.0, 0.1, 0.25, 0.7), m)
-    n = rule.t.size
-    op = rule.operator(np.ones((n, n)), rate)
     t = rule.t
     fall = -np.expm1(-rate * t) / rate
-    assert np.abs(op @ np.ones(n) - fall).max() * rate <= 1e-13
-    assert np.abs(op @ t - (t - fall) / rate).max() * rate <= 1e-13
+    assert np.abs(rule.prefix(rate, np.ones_like(t)) - fall).max() * rate <= 1e-13
+    assert np.abs(rule.prefix(rate, t) - (t - fall) / rate).max() * rate <= 1e-13
 
 
 def test_non_finite_integrand_reports_point():
@@ -420,8 +417,8 @@ def _decay_weights_reference(m, rate):
         part = np.einsum("eq,eqk->ek", (hi - lo)[:, None] * pw * decay, basis)
         out = part if out is None else out + part
     if small:
-        out += np.vstack(_decay_weights_reference(m, 0.0))
-    return out[:-1], out[-1]
+        out += _decay_weights_reference(m, 0.0)
+    return out
 
 
 @pytest.mark.parametrize("m", [20, 24, 26])
