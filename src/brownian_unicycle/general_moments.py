@@ -306,15 +306,12 @@ def _gap_polynomials(r: int, w: int, kt: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _gap_mixing(r: int, w: int, kt: float):
-    """How a gap of weight ``+-w`` takes prefix integrals to heading powers.
-
-    The gap of power ``g`` applies ``sum_e C[g, e] e! V^(e + 1)``
-    (:class:`_GapFactors`) and takes the heading power ``h'`` before it to
-    ``h = h' + g``. Returns the count of powers ``V^(e + 1)`` it reads and
-    the matrices of ``+w`` and ``-w`` that take ``V^(e + 1) F[h']``,
-    stacked by ``e`` and then ``h' <= r - e``, to the powers ``h``:
-    ``(+-1)^g C[g, e] e!`` with ``g = h - h'``, read only.
-    """
+    """How a gap of weight ``+-w`` and power ``g``, which applies ``sum_e
+    C[g, e] e! V^(e + 1)`` (:class:`_GapFactors`), takes the heading power
+    ``h'`` before it to ``h = h' + g``: the count of powers ``V^(e + 1)``
+    it reads, and the matrices of ``+w`` and ``-w`` that take ``V^(e + 1)
+    F[h']``, stacked by ``e`` and then ``h' <= r - e``, to the powers
+    ``h``, ``(+-1)^g C[g, e] e!`` with ``g = h - h'``, read only."""
     coef = _gap_polynomials(r, w, kt) * np.cumprod(
         np.maximum(np.arange(r + 1), 1))
     count = 1 + max(e for e in range(r + 1) if coef[:, e].any())
@@ -355,7 +352,7 @@ class _GapFactors:
                  r: int) -> None:
         self.rule = rule
         self._r = r
-        self._kt = kt
+        self.kt = kt
         self._heading = mean_heading(profile, rule.t) - profile.theta0
         self._tails: dict[int, np.ndarray] = {}
 
@@ -367,20 +364,16 @@ class _GapFactors:
         """Node values of the first gap's factors, ``0 -> t_j``, by ``g``,
         without ``E_w(t_j)`` and ``i^g``: real."""
         t = self.rule.t
-        decay = np.exp((-0.5 * w * w * self._kt) * t)
+        decay = np.exp((-0.5 * w * w * self.kt) * t)
         if not self._r:
             return decay[None]
-        return (_gap_polynomials(self._r, w, self._kt)
+        return (_gap_polynomials(self._r, w, self.kt)
                 @ t ** np.arange(self._r + 1)[:, None]) * decay
-
-    def mixing(self, w: int):
-        """:func:`_gap_mixing` of weight ``w >= 0`` on this moment."""
-        return _gap_mixing(self._r, w, self._kt)
 
     def integrate(self, w: int, f: np.ndarray) -> np.ndarray:
         """``V_c`` of node values ``f`` (node axis first), ``c = w^2 k_theta
         / 2``."""
-        return self.rule.prefix(0.5 * w * w * self._kt, f)
+        return self.rule.prefix(0.5 * w * w * self.kt, f)
 
     def tail(self, power: int) -> np.ndarray:
         out = self._tails.get(power)
@@ -551,7 +544,7 @@ class _Walk:
         for lo, hi, preds, runs, _ in self._levels:
             prev = np.einsum("jhks,js->jhk", f[:, :, preds], steps, order="C")
             for w, a, mid, b in runs:
-                count, mix = factors.mixing(w)
+                count, mix = _gap_mixing(r, w, factors.kt)
                 # V^(e + 1) of the heading powers h' <= r - e before the gap,
                 # stacked, as real values with twice the columns.
                 y, powers = prev[:, :, a - lo:b - lo], []

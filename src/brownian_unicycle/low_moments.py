@@ -73,15 +73,13 @@ def orientation_distribution(profile: SpeedRatioProfile, params: NoiseParams,
 
 class _Rule(NamedTuple):
     """The ``m``-node rule on :class:`~brownian_unicycle.quadrature._Panels`:
-    nodes ``t`` and weights ``wt`` with shape ``(panels, m)``, the distance
-    ``into`` of each node from its panel's start, the heading ``h`` at the
-    nodes and ``local``, its rise ``B x + C x^2`` from the panel's start
-    (zero for a polynomial: see :func:`_rise`)."""
+    nodes ``t`` and weights ``wt`` with shape ``(panels, m)``, the heading
+    ``h`` at the nodes and ``local``, its rise ``B x + C x^2`` from the
+    panel's start (zero for a polynomial: see :func:`_rise`)."""
 
     panels: _Panels
     t: np.ndarray
     wt: np.ndarray
-    into: np.ndarray
     h: np.ndarray
     local: np.ndarray
 
@@ -89,16 +87,16 @@ class _Rule(NamedTuple):
 @lru_cache(maxsize=64)
 def _basis(m: int) -> np.ndarray:
     """The matrices that take the rows of ``_Panels.coef`` to the
-    panels' ``t``, ``into``, ``h``, ``local`` and ``wt`` at the ``m`` Gauss
-    nodes ``x`` of ``[0, 1]``, stacked."""
+    panels' ``t``, ``h``, ``local`` and ``wt`` at the ``m`` Gauss nodes
+    ``x`` of ``[0, 1]``, stacked."""
     x, w = _gauss_unit(m)
-    basis = np.zeros((5, 5, m))
+    basis = np.zeros((4, 5, m))
     basis[0, 0] = 1.0                   # t = p0 + H x
-    basis[0, 1] = basis[1, 1] = x       # into = H x
-    basis[2, 2] = 1.0                   # h = h0 + B x + C x^2
-    basis[2, 3] = basis[3, 3] = x       # local = B x + C x^2
-    basis[2, 4] = basis[3, 4] = x * x
-    basis[4, 1] = w                     # wt = H w
+    basis[0, 1] = x
+    basis[1, 2] = 1.0                   # h = h0 + B x + C x^2
+    basis[1, 3] = basis[2, 3] = x       # local = B x + C x^2
+    basis[1, 4] = basis[2, 4] = x * x
+    basis[3, 1] = w                     # wt = H w
     basis.setflags(write=False)
     return basis
 
@@ -106,10 +104,10 @@ def _basis(m: int) -> np.ndarray:
 def _rule(profile: SpeedRatioProfile, panels: _Panels, m: int) -> _Rule:
     """The ``m``-node rule on ``panels``: one product of their ``coef``
     with :func:`_basis`, and a polynomial's heading at the nodes."""
-    t, into, h, local, wt = panels.coef @ _basis(m)
+    t, h, local, wt = panels.coef @ _basis(m)
     if profile.kind == "polynomial":
         h = polynomial_heading(profile, t)
-    return _Rule(panels, t, wt, into, h, local)
+    return _Rule(panels, t, wt, h, local)
 
 
 def _rise(profile: SpeedRatioProfile, rule: _Rule):

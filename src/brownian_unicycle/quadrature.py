@@ -15,21 +15,17 @@ products of per-gap factors,
 Such an integral is ``beta`` applications of a Volterra operator:
 ``F_1(t) = K_1(0, t)``, ``F_b(t) = int_0^t K_b(u, t) F_{b-1}(u) du``, and
 the result is ``int_0^s F_beta(u) tail(s - u) du``. Each ``F_b`` lives at
-the Gauss points of the panels. Every gap factor of this package is, up
-to node vectors of the heading, ``e^{-c x}`` times a polynomial in the
-gap ``x = t - u``, and ``x^e e^{-c x} / e!`` is the ``(e + 1)``-fold
-convolution of ``e^{-c x}``. So one operator serves every factor: the
-decay prefix integral ``V_c F(t) = int_0^t e^{-c (t - u)} F(u) du``,
-applied ``e + 1`` times for the power ``x^e``. :class:`PrefixCarry`
-applies it panel by panel: each panel integrates ``F`` through its
-interpolant on the panel's nodes, up to each node through the spectral
-integration matrix ``S[i, k] = int_0^{x_i} l_k`` (Greengard, SIAM J.
-Numer. Anal. 28, 1991) with the decay folded in exactly at any rate
-(:func:`_decay_weights`), and one carry ``C = V_c F(p0)`` crosses the
-panel ends, decayed by ``e^{-c H}`` per panel and never divided by it. A
-level costs ``O(n m)`` per column of node values for ``n`` nodes, and
-memory ``O(n)``; the low-order statistics run the same carry on their
-separable kernels, with each panel's turn taken into it.
+the Gauss points of the panels. Every gap factor is, up to node vectors
+of the heading, ``e^{-c x}`` times a polynomial in the gap ``x = t - u``,
+and ``x^e e^{-c x} / e!`` is the ``(e + 1)``-fold convolution of ``e^{-c
+x}``: one operator, the decay prefix integral ``V_c F(t) = int_0^t e^{-c
+(t - u)} F(u) du``, serves every factor. :class:`PrefixCarry` applies it
+panel by panel, each panel through the spectral integration matrix ``S[i,
+k] = int_0^{x_i} l_k`` (Greengard, SIAM J. Numer. Anal. 28, 1991) with the
+decay folded in exactly (:func:`_decay_weights`), and one carry across the
+panel ends that is never divided by a decay: ``O(n m)`` time per column
+of node values and memory linear in ``n``. The low-order statistics run
+the same carry on their separable kernels.
 
 All reductions run in a fixed order; results are bit-stable for a given
 settings object.
@@ -379,18 +375,13 @@ def _runs(rates: list) -> list:
 
 
 def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``C_p`` of ``C_0 = 0``, ``C_{p+1} = a_p C_p + b_p`` for ``b`` and the
-    result of shape ``(panels, columns)``.
-
-    Up to 16 values per doubling step it would take (the one or two
-    columns of the low-order statistics) it runs a Python loop over the
-    panels, one multiply-add per value, which costs less than numpy's
-    calls. Beyond, it doubles: after the step of ``d``, row ``p`` holds the
-    recurrence run from ``p - 2d`` and ``a`` the products that carry it on,
-    in ``log2`` of the panel count steps. Neither divides by the decays,
-    which may underflow to 0.
-    """
-    if b.size <= 16 * len(b).bit_length():
+    """``C_p`` of ``C_0 = 0``, ``C_{p+1} = a_p C_p + b_p``, for ``b`` and the
+    result of shape ``(panels, columns)``. One or two columns (the
+    low-order statistics', a ``d4_moment`` chain) run a Python loop, which
+    costs less than numpy's calls; more double in ``log2(panels)`` steps,
+    row ``p`` holding the recurrence run from ``p - 2d`` after the step of
+    ``d``. Neither divides by the decays, which may underflow to 0."""
+    if b.shape[1] <= 2:
         a, out = a.tolist(), []
         for column in b.T.tolist():
             c, carried = 0j, []
@@ -414,67 +405,44 @@ def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class PrefixCarry:
     """The decay prefix integral ``V_c F(t) = int_0^t e^{-c (t - u)} F(u)
-    du`` at the ``m`` Gauss points of each panel of the widths ``width``,
-    for ``c = rate``.
-
-    On a panel ``[p0, p0 + H]``, with ``C = V_c F(p0)`` carried in from the
-    panels before it,
+    du``, ``c = rate``, at the ``m`` Gauss points of the panels of the
+    widths ``width``. On a panel ``[p0, p0 + H]``, with ``C = V_c F(p0)``
+    carried in from the panels before it,
 
         V_c F(t) = e^{-c (t - p0)} C + H (S F)(t),    C <- e^{-c H} C + H W F,
 
-    where ``S`` and ``W`` are :func:`_decay_weights` at the rate ``c H``:
-    each panel integrates ``F`` through its interpolant on the panel's
-    nodes, with the decay exact at any rate. The rows ``S`` and the end
-    row ``W`` are built once here, shared by a run of panels whose decays
-    ``c H`` lie within ``4 eps`` of its first's (:func:`_runs`), and
-    the carry runs across the panels by :func:`_scan`. Applying them costs
-    ``O(n m)`` per column for ``n`` nodes, and they take ``O(m**2)`` memory
-    per run.
+    ``S`` and ``W`` of :func:`_decay_weights` at the rate ``c H``, built
+    once for a run of panels whose decays lie within ``4 eps``
+    (:func:`_runs`) and scaled by each panel's ``H``; the carry runs by
+    :func:`_scan`.
     """
 
     def __init__(self, width: np.ndarray, m: int, rate: float) -> None:
         x, _ = _gauss_unit(m)
         rates = (rate * width).tolist()
-        widths = width.tolist()
-        self._runs = []
-        for a, b in _runs(rates):
-            # A run of one width takes it into its weights; else each panel
-            # scales its own sums.
-            weights, scale = _decay_weights(m, rates[a]), None
-            if len(set(widths[a:b])) == 1:
-                weights = weights * widths[a]
-            else:
-                scale = width[a:b, None]
-            self._runs.append((a, b, weights[:-1], weights[-1], scale))
+        self._runs = [(a, b, _decay_weights(m, rates[a]) * width[a:b, None, None])
+                      for a, b in _runs(rates)]
         self._across = np.exp(-rate * width)
         self._fall = np.exp(-rate * (width[:, None] * x))
 
     def __call__(self, f: np.ndarray, turn=None) -> np.ndarray:
         """``V_c F`` at the nodes, shape ``(panels, m, columns)``, for node
-        values ``f`` of shape ``(panels, m, ...)``, complex and contiguous.
-
-        With ``turn``, one complex factor per panel, the carry takes it on
-        where it crosses the panel's end: for ``F`` given in panel-local
-        frames, ``turn`` turns the frame of each panel into the next one's.
-        """
+        values ``f`` of shape ``(panels, m, ...)``, complex and contiguous;
+        with ``turn``, a factor per panel that the carry takes on at the
+        panel's end (for ``F`` in panel-local frames)."""
         panels, m = f.shape[:2]
         flat = f.reshape(panels, m, -1).view(float)
         inner = np.empty_like(flat)
-        ends = np.empty((panels, flat.shape[2])) if panels > 1 else None
-        for a, b, own, end, scale in self._runs:
-            np.matmul(own, flat[a:b], out=inner[a:b])
-            if ends is not None:
-                np.matmul(end, flat[a:b], out=ends[a:b])
-            if scale is not None:
-                inner[a:b] *= scale[:, None]
-                if ends is not None:
-                    ends[a:b] *= scale
+        for a, b, weights in self._runs:
+            np.matmul(weights[:, :-1], flat[a:b], out=inner[a:b])
         inner = inner.view(complex)
-        if ends is not None:
-            across, ends = self._across, ends.view(complex)
+        if panels > 1:
+            ends = np.empty((panels, 1, flat.shape[2]))
+            for a, b, weights in self._runs:
+                np.matmul(weights[:, -1:], flat[a:b], out=ends[a:b])
+            across, ends = self._across, ends[:, 0].view(complex)
             if turn is not None:
-                across = turn * across
-                ends *= turn[:, None]
+                across, ends = turn * across, turn[:, None] * ends
             inner += self._fall[..., None] * _scan(across, ends)[:, None]
         return inner
 
@@ -498,9 +466,8 @@ class ChainRule:
         self._carries: dict[float, PrefixCarry] = {}
 
     def prefix(self, rate: float, f: np.ndarray) -> np.ndarray:
-        """``V_c`` of :class:`PrefixCarry` at ``c = rate`` applied to node
-        values ``f`` (node axis first, complex), in the shape of ``f``; the
-        weights are built at the first use of each rate."""
+        """:class:`PrefixCarry` at ``c = rate``, built at the first use of
+        each rate, applied to node values ``f`` (node axis first)."""
         carry = self._carries.get(rate)
         if carry is None:
             carry = self._carries[rate] = PrefixCarry(self.width, self.m, rate)

@@ -248,6 +248,28 @@ def test_panel_rule_integrates_decay_exactly(rate, m):
     assert np.abs(rule.prefix(rate, t) - (t - fall) / rate).max() * rate <= 1e-13
 
 
+def _recurrence(a, b):
+    """``C_0 = 0``, ``C_{p+1} = a_p C_p + b_p``, one panel at a time."""
+    out = np.zeros_like(b)
+    for p in range(len(a) - 1):
+        out[p + 1] = a[p] * out[p] + b[p]
+    return out
+
+
+# Columns on both sides of the scan's switch from its Python loop to
+# doubling, and decays that underflow to 0 within a few panels.
+@pytest.mark.parametrize("panels,columns", [(1, 3), (2, 1), (19, 2), (19, 40),
+                                            (200, 2), (801, 3)])
+@pytest.mark.parametrize("decay", [0.3, 800.0])
+def test_carry_scan_matches_the_recurrence(panels, columns, decay):
+    rng = np.random.default_rng(panels * columns)
+    a = np.exp(1j * rng.uniform(0.0, 7.0, panels) - decay * rng.random(panels))
+    b = rng.normal(size=(panels, columns)) + 1j * rng.normal(size=(panels, columns))
+    want = _recurrence(a, b)
+    assert np.all(np.abs(quadrature._scan(a, b) - want)
+                  <= 8 * panels.bit_length() * EPS * np.abs(b).sum(axis=0))
+
+
 def test_non_finite_integrand_reports_point():
     # mu = 1e306 t: the low-order rule's bound of the heading's turn on
     # [0, 100] is not finite, and the error names the segment's end.
