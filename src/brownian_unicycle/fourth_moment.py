@@ -112,13 +112,15 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
         # E_w for the weights -2..2, by w: every weight and step is in there.
         phase = dict(zip(range(-2, 3), gaps.phases(range(-2, 3)).T))
         tail = gaps.tail(0)
-        out = []
-        for chain in weights:
+        out = np.empty((len(rule.counts), len(weights)), complex)
+        for i, chain in enumerate(weights):
             f = gaps.first(chain[0])[0]
             for w_prev, w in zip(chain, chain[1:]):
                 f = gaps.integrate(w, phase[w_prev - w] * f)
-            out.append(tail @ (phase[chain[-1]] * f))
-        return np.array(out)
+            f = phase[chain[-1]] * f
+            # One row per count of the rule, each closed on its nodes.
+            out[:, i] = [tail[a] @ f[a] for a in rule.slices]
+        return out
 
     # Node values: the five phases, a chain's values and the tail row.
     value, _ = integrate_chains(evaluate, [w for w, _ in chains],

@@ -534,7 +534,8 @@ class _Walk:
 
     def evaluate(self, factors: _GapFactors) -> np.ndarray:
         """The value of every close on the rule of ``factors``, each without
-        its ``i^h``."""
+        its ``i^h``: one row per count of the rule, its nodes walked
+        together and closed count by count."""
         r = self._r
         n = factors.rule.t.size
         phases = factors.phases(self._phase_weights)
@@ -558,8 +559,10 @@ class _Walk:
                 if b > mid:
                     f[:, :, mid:b] += (mix[0] @ y[..., split:]).view(complex)
         ends = f[:, self._close_h, self._close_u] * phases[:, self._close_at]
-        tails = np.array([factors.tail(power) for power in range(r // 2 + 1)])
-        return np.einsum("jc,cj->c", ends, tails[self._close_tail])
+        tails = np.array([factors.tail(power)
+                          for power in range(r // 2 + 1)])[self._close_tail]
+        return np.array([np.einsum("jc,cj->c", ends[a], tails[:, a])
+                         for a in factors.rule.slices])
 
 
 def _check_envelope(spec: MomentSpec) -> None:

@@ -27,6 +27,13 @@ panel ends that is never divided by a decay: ``O(n m)`` time per column
 of node values and memory linear in ``n``. The low-order statistics run
 the same carry on their separable kernels.
 
+An error estimate compares the rules of ``m`` and ``m + ESTIMATE_STEP``
+nodes on the same panels. A :class:`ChainRule` may hold several node
+counts, their nodes stacked on one node axis, so that the node-wise work
+of the pair runs once (:func:`integrate_chains`); each count keeps its
+own panel products and carry, and its sums are bit for bit those of its
+rule alone.
+
 All reductions run in a fixed order; results are bit-stable for a given
 settings object.
 """
@@ -34,6 +41,7 @@ settings object.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,12 +66,17 @@ PANEL_TURN = 2.0 * math.pi
 #: of a panel, for the phase weight ``w``.
 NODES_MIN = 4
 NODES_PER_RATE = 0.6
+#: Decay rate per squared node count above which a panel's decay
+#: weights are their limit (:func:`_decay_weights`).
+HUGE_DECAY = 1e20
 #: Gauss points per panel between the two rules of an error estimate.
 ESTIMATE_STEP = 4
 #: Most panels of one rule.
 MAX_PANELS = 2 ** 15
-#: Memory the node values of one chain evaluation may take, which caps
-#: its node count ``n``: ``(4,4,4)`` holds 5.8 kB a node.
+#: Memory the node values of one chain rule may take, which caps its node
+#: count ``n``: ``(4,4,4)`` holds 5.8 kB a node. The first evaluation of
+#: :func:`integrate_chains` holds both rules of its pair, up to about
+#: twice this.
 MAX_NODE_BYTES = 64 * 2 ** 20
 #: Machine epsilon: decays ``c H`` within ``4 EPS`` share weights.
 EPS = float(np.finfo(float).eps)
@@ -345,8 +358,17 @@ def _decay_weights(m: int, rate: float) -> np.ndarray:
     to ``rate = 1`` there is one piece and its basis values, which do not
     depend on the rate, are built once per ``m``. Below ``rate = 1`` it
     integrates ``expm1(-rate (e - x)) l_k(x)`` and adds the ``rate = 0``
-    weights, so its roundoff vanishes with ``rate``.
+    weights, so its roundoff vanishes with ``rate``. Above ``rate =
+    HUGE_DECAY m^2`` the weights are their limit ``[I; l(1)] / rate``,
+    ``l(1)`` the basis at 1: the next term, ``l_k'(x_i) / rate^2``, is
+    below ``eps`` of it.
     """
+    if rate > HUGE_DECAY * m * m:
+        x, w = _gauss_unit(m)
+        end = (-1.0) ** np.arange(m) * np.sqrt(x * (1.0 - x) * w) / (1.0 - x)
+        out = np.vstack((np.eye(m), end / end.sum())) / rate
+        out.setflags(write=False)
+        return out
     cuts = [0.0, *(2.0 ** j / rate for j in range(7) if 2.0 ** j < rate), 1.0]
     small = 0.0 < rate < 1.0
     out = None
@@ -374,14 +396,16 @@ def _runs(rates: list) -> list:
     return list(zip(firsts, [*firsts[1:], len(rates)]))
 
 
-def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _scan(a: np.ndarray, b: np.ndarray, groups: int = 1) -> np.ndarray:
     """``C_p`` of ``C_0 = 0``, ``C_{p+1} = a_p C_p + b_p``, for ``b`` and the
-    result of shape ``(panels, columns)``. One or two columns (the
-    low-order statistics', a ``d4_moment`` chain) run a Python loop, which
-    costs less than numpy's calls; more double in ``log2(panels)`` steps,
-    row ``p`` holding the recurrence run from ``p - 2d`` after the step of
-    ``d``. Neither divides by the decays, which may underflow to 0."""
-    if b.shape[1] <= 2:
+    result of shape ``(panels, columns)``, the columns in ``groups`` groups
+    of equal width. One or two columns a group (the low-order statistics',
+    a ``d4_moment`` chain) run a Python loop, which costs less than numpy's
+    calls; more double in ``log2(panels)`` steps, row ``p`` holding the
+    recurrence run from ``p - 2d`` after the step of ``d``. Either runs
+    column by column, so a group's result does not depend on the groups
+    beside it. Neither divides by the decays, which may underflow to 0."""
+    if b.shape[1] <= 2 * groups:
         a, out = a.tolist(), []
         for column in b.T.tolist():
             c, carried = 0j, []
@@ -405,64 +429,106 @@ def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class PrefixCarry:
     """The decay prefix integral ``V_c F(t) = int_0^t e^{-c (t - u)} F(u)
-    du``, ``c = rate``, at the ``m`` Gauss points of the panels of the
-    widths ``width``. On a panel ``[p0, p0 + H]``, with ``C = V_c F(p0)``
-    carried in from the panels before it,
+    du``, ``c = rate``, at the Gauss points of the panels of the widths
+    ``width``: ``counts`` per panel, or each count of the tuple ``counts``
+    in turn, their node values stacked count by count on one node axis as
+    in :class:`ChainRule`. On a panel ``[p0, p0 + H]``, with ``C = V_c
+    F(p0)`` carried in from the panels before it,
 
         V_c F(t) = e^{-c (t - p0)} C + H (S F)(t),    C <- e^{-c H} C + H W F,
 
     ``S`` and ``W`` of :func:`_decay_weights` at the rate ``c H``, built
-    once for a run of panels whose decays lie within ``4 eps``
-    (:func:`_runs`) and scaled by each panel's ``H``; the carry runs by
-    :func:`_scan`.
+    once per count for a run of panels whose decays lie within ``4 eps``
+    (:func:`_runs`) and scaled by each panel's ``H`` into one array, which
+    one batched product applies; the carry runs by :func:`_scan`. Each
+    count keeps its own products and carry, so its values do not depend
+    on the counts stacked with it; one panel has no carry.
     """
 
-    def __init__(self, width: np.ndarray, m: int, rate: float) -> None:
-        x, _ = _gauss_unit(m)
+    def __init__(self, width: np.ndarray, counts, rate: float) -> None:
         rates = (rate * width).tolist()
-        self._runs = [(a, b, _decay_weights(m, rates[a]) * width[a:b, None, None])
-                      for a, b in _runs(rates)]
-        self._across = np.exp(-rate * width)
-        self._fall = np.exp(-rate * (width[:, None] * x))
+        runs = _runs(rates)
+        self._panels = panels = width.size
+        if panels > 1:
+            self._across = np.exp(-rate * width)
+        # Per count: its slice of the node axis, m, each panel's weights
+        # and the decay in each panel.
+        self._rules, at = [], 0
+        for m in counts if isinstance(counts, tuple) else (counts,):
+            weights = np.empty((panels, m + 1, m))
+            for a, b in runs:
+                np.multiply(_decay_weights(m, rates[a]), width[a:b, None, None],
+                            out=weights[a:b])
+            fall = (np.exp(-rate * (width[:, None] * _gauss_unit(m)[0]))
+                    if panels > 1 else None)
+            self._rules.append((slice(at, at + panels * m), m, weights, fall))
+            at += panels * m
 
     def __call__(self, f: np.ndarray, turn=None) -> np.ndarray:
-        """``V_c F`` at the nodes, shape ``(panels, m, columns)``, for node
-        values ``f`` of shape ``(panels, m, ...)``, complex and contiguous;
-        with ``turn``, a factor per panel that the carry takes on at the
-        panel's end (for ``F`` in panel-local frames)."""
-        panels, m = f.shape[:2]
-        flat = f.reshape(panels, m, -1).view(float)
-        inner = np.empty_like(flat)
-        for a, b, weights in self._runs:
-            np.matmul(weights[:, :-1], flat[a:b], out=inner[a:b])
-        inner = inner.view(complex)
+        """``V_c F`` at the nodes, in the shape of ``f``, for complex and
+        contiguous node values ``f`` whose leading axes hold the nodes (the
+        stacked node axis, or panels and nodes of one count); with
+        ``turn``, on one count, a factor per panel that the carry takes on
+        at the panel's end (for ``F`` in panel-local frames)."""
+        panels, rules = self._panels, self._rules
+        if len(rules) == 1:
+            # One count: its node values as they are, without the slicing
+            # and the side-by-side carry of a stack.
+            (_, m, weights, fall), = rules
+            flat = f.reshape(panels, m, -1).view(float)
+            inner = (weights[:, :-1] @ flat).view(complex)
+            if panels > 1:
+                across = self._across
+                ends = (weights[:, -1:] @ flat)[:, 0].view(complex)
+                if turn is not None:
+                    across, ends = turn * across, turn[:, None] * ends
+                inner += fall[..., None] * _scan(across, ends)[:, None]
+            return inner.reshape(f.shape)
+        flat = f.reshape(len(f), -1).view(float)
+        out = np.empty_like(flat)
         if panels > 1:
-            ends = np.empty((panels, 1, flat.shape[2]))
-            for a, b, weights in self._runs:
-                np.matmul(weights[:, -1:], flat[a:b], out=ends[a:b])
-            across, ends = self._across, ends[:, 0].view(complex)
-            if turn is not None:
-                across, ends = turn * across, turn[:, None] * ends
-            inner += self._fall[..., None] * _scan(across, ends)[:, None]
-        return inner
+            # Each count's W F side by side: one scan carries them all.
+            ends = np.empty((panels, len(rules), flat.shape[1]))
+        for i, (at, m, weights, _) in enumerate(rules):
+            nodes = flat[at].reshape(panels, m, -1)
+            np.matmul(weights[:, :-1], nodes, out=out[at].reshape(panels, m, -1))
+            if panels > 1:
+                np.matmul(weights[:, -1:], nodes, out=ends[:, i:i + 1])
+        out = out.view(complex)
+        if panels > 1:
+            carried = _scan(self._across, ends.view(complex).reshape(panels, -1),
+                            len(rules)).reshape(panels, len(rules), -1)
+            for i, (at, m, _, fall) in enumerate(rules):
+                inner = out[at].reshape(panels, m, -1)
+                inner += fall[..., None] * carried[:, None, i]
+        return out.reshape(f.shape)
 
 
 class ChainRule:
-    """Volterra chains on ``m`` Gauss-Legendre points ``t`` per panel, the
-    panels starting at the ascending ``start`` with the widths ``width``,
-    from 0 to ``s > 0``.
+    """Volterra chains on the panels starting at the ascending ``start``
+    with the widths ``width``, from 0 to ``s > 0``, on ``m`` Gauss-Legendre
+    points per panel for each node count ``m`` of ``counts`` (one count,
+    or a tuple of them).
 
-    A chain is its first factor's node values, each later gap factor
-    applied in turn through the :class:`PrefixCarry` of its decay rate
-    (:meth:`prefix`), and a :meth:`tail_vector` row.
+    The nodes ``t`` of the counts are stacked count by count on one node
+    axis, count ``i`` at ``slices[i]``: node-wise work runs once for all
+    counts, and a chain's sum on count ``i`` reads that slice. A chain is
+    its first factor's node values, each later gap factor applied in turn
+    through the :class:`PrefixCarry` of its decay rate (:meth:`prefix`),
+    and a :meth:`tail_vector` row.
     """
 
-    def __init__(self, start, width, m: int) -> None:
-        x, w = _gauss_unit(m)
-        self.start, self.width, self.m = start, width, m
+    def __init__(self, start, width, counts) -> None:
+        counts = counts if isinstance(counts, tuple) else (counts,)
+        self.start, self.width, self.counts = start, width, counts
         self.s = float(start[-1] + width[-1])
-        self.t = (start[:, None] + width[:, None] * x).ravel()
-        self._weights = (width[:, None] * w).ravel()
+        rules = [_gauss_unit(m) for m in counts]
+        self.t = np.concatenate([(start[:, None] + width[:, None] * x).ravel()
+                                 for x, _ in rules])
+        self._weights = np.concatenate([(width[:, None] * w).ravel()
+                                        for _, w in rules])
+        ends = list(itertools.accumulate(m * width.size for m in counts))
+        self.slices = tuple(map(slice, [0, *ends], ends))
         self._carries: dict[float, PrefixCarry] = {}
 
     def prefix(self, rate: float, f: np.ndarray) -> np.ndarray:
@@ -470,13 +536,14 @@ class ChainRule:
         each rate, applied to node values ``f`` (node axis first)."""
         carry = self._carries.get(rate)
         if carry is None:
-            carry = self._carries[rate] = PrefixCarry(self.width, self.m, rate)
-        f = np.ascontiguousarray(f, dtype=complex)
-        return carry(f.reshape(self.width.size, self.m, -1)).reshape(f.shape)
+            carry = self._carries[rate] = PrefixCarry(self.width, self.counts,
+                                                      rate)
+        return carry(np.ascontiguousarray(f, dtype=complex))
 
     def tail_vector(self, tail) -> np.ndarray:
-        """Row ``v`` with ``v @ f = int_0^s F(u) tail(s - u) du`` for node
-        values ``f`` of ``F``: the Gauss weights times ``tail``, which holds
+        """Row ``v`` with ``v[a] @ f[a] = int_0^s F(u) tail(s - u) du`` on
+        the count of each slice ``a`` of :attr:`slices`, for node values
+        ``f`` of ``F``: the Gauss weights times ``tail``, which holds
         ``tail(s - t)`` or is a scalar."""
         return self._weights * tail
 
@@ -487,17 +554,19 @@ def integrate_chains(evaluate, scales, panels: _Panels,
     """``sum_i scales[i] * chain_i`` on refined pairs of panel rules.
 
     ``evaluate(rule)`` returns the nested integrals ``chain_i``, products
-    of gap factors of dimension >= 1 or sums of such, on one
-    :class:`ChainRule`, aligned with ``scales``. The sum runs on the
-    ``m``- and ``m + ESTIMATE_STEP``-node rules of ``panels`` (of
-    :func:`panels`), then on the finer count with every panel halved while
-    the last two sums differ by more than ``settings.rel_tol`` relative
-    and the roundoff floor. ``evaluate`` holds ``node_bytes`` of node
-    values per node, which may take ``MAX_NODE_BYTES`` in all. A first
-    pair past that budget raises :class:`EnvelopeRefusal`, naming what
-    drives the node count (``s`` or ``k_theta``); a later rule past it, or
-    past ``MAX_PANELS``, warns (:class:`AccuracyWarning`) and returns the
-    last sum.
+    of gap factors of dimension >= 1 or sums of such, on a
+    :class:`ChainRule`: one row per count of the rule, aligned with
+    ``scales``. The sum runs on the ``m``- and ``m + ESTIMATE_STEP``-node
+    rules of ``panels`` (of :func:`panels`), evaluated as one rule of both
+    counts, then on the finer count with every panel halved, one count a
+    rule, while the last two sums differ by more than ``settings.rel_tol``
+    relative and the roundoff floor. ``evaluate`` holds ``node_bytes`` of
+    node values per node, and one rule may take ``MAX_NODE_BYTES`` in
+    all; the first evaluation holds both rules of its pair. A first pair
+    whose finer rule is past that budget raises :class:`EnvelopeRefusal`,
+    naming what drives the node count (``s`` or ``k_theta``); a later rule
+    past it, or past ``MAX_PANELS``, warns (:class:`AccuracyWarning`) and
+    returns the last sum.
 
     Returns
     -------
@@ -518,20 +587,24 @@ def integrate_chains(evaluate, scales, panels: _Panels,
             f"values each, more than its budget of {MAX_NODE_BYTES} bytes; "
             f"the panel count is driven by {cause}")
 
-    def total(rule):
+    def totals(rule):
+        """The sum on each count of ``rule``, and the sum of its terms'
+        magnitudes on the last."""
         # A non-finite sum raises below; numpy's warnings would only
         # repeat it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             terms = scales * evaluate(rule)
-            value = complex(terms.sum())
-        if not np.isfinite(value):
-            raise IntegrandEvaluationError(
-                f"chain integral is not finite on the {rule.t.size}-node rule")
-        return value, float(np.abs(terms).sum())
+            values = [complex(row.sum()) for row in terms]
+        for m, value in zip(rule.counts, values):
+            if not np.isfinite(value):
+                raise IntegrandEvaluationError(
+                    f"chain integral is not finite on the {m * width.size}-node "
+                    "rule")
+        return values, float(np.abs(terms[-1]).sum())
 
-    coarse, _ = total(ChainRule(start, width, panels.m))
+    (coarse, fine), magnitude = totals(ChainRule(start, width,
+                                                 (panels.m, fine_m)))
     while True:
-        fine, magnitude = total(ChainRule(start, width, fine_m))
         diff = abs(fine - coarse)
         floor = CHAIN_ROUNDOFF * magnitude
         if diff <= max(settings.rel_tol * abs(fine), floor):
@@ -547,3 +620,4 @@ def integrate_chains(evaluate, scales, panels: _Panels,
         width = np.repeat(0.5 * width, 2)
         start = np.column_stack((start, start + width[::2])).ravel()
         coarse = fine
+        (fine,), magnitude = totals(ChainRule(start, width, fine_m))

@@ -14,12 +14,15 @@ rule with the oracles' own engine, the dense Nystrom operators of
 one ``n x n`` weight matrix. The package applies its gap factors through
 the O(n) prefix carry instead; the two share the panels, the nodes and the
 decay weights of each panel, not the way a factor is applied.
+``per_count`` runs such an evaluation once per node count of a chain rule,
+as ``integrate_chains`` reads it.
 """
 
 import numpy as np
 
 from brownian_unicycle import IntegrandEvaluationError
-from brownian_unicycle.quadrature import CHAIN_ROUNDOFF, _decay_weights
+from brownian_unicycle.quadrature import (CHAIN_ROUNDOFF, ChainRule,
+                                          _decay_weights)
 
 
 def gap_starts(rule):
@@ -27,7 +30,8 @@ def gap_starts(rule):
     ``k``, shape ``(n, n)``: ``t[k]`` in earlier panels and in ``t[j]``'s
     own, where a kernel past ``t[j]`` is read at its analytic continuation
     to a negative gap, else ``t[j]``."""
-    panel = np.repeat(np.arange(rule.width.size), rule.m)
+    (m,) = rule.counts
+    panel = np.repeat(np.arange(rule.width.size), m)
     return np.where(panel > panel[:, None], rule.t[:, None], rule.t)
 
 
@@ -43,7 +47,7 @@ def operator(rule, kernel, decay=0.0):
     ``t[j]``'s own panel, ``h S[i, k]``; 0 after (``S`` and ``W`` of
     ``_decay_weights`` at the rate ``decay h``).
     """
-    start, width, m = rule.start, rule.width, rule.m
+    start, width, (m,) = rule.start, rule.width, rule.counts
     panels = width.size
     panel = np.repeat(np.arange(panels), m)
     weights = np.array([_decay_weights(m, float(decay * h)) * h
@@ -65,6 +69,16 @@ def chain(rule, first, kernels, tail=1.0, build=None):
     for kernel in kernels:
         f = (operator(rule, kernel) if build is None else build(kernel)) @ f
     return complex(rule.tail_vector(tail) @ f)
+
+
+def per_count(evaluate):
+    """``evaluate`` of one-count chain rules as ``integrate_chains`` calls
+    it: one row per node count of the rule, each from ``evaluate`` on the
+    ``ChainRule`` of that count alone on the same panels."""
+    def rows(rule):
+        return np.array([evaluate(ChainRule(rule.start, rule.width, m))
+                         for m in rule.counts])
+    return rows
 
 
 def one_rule(f, beta, s, n):

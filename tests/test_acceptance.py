@@ -31,7 +31,7 @@ from brownian_unicycle import (NoiseParams, SimConfig,
                                term_keys,
                                variance_d2, variance_d2_closed)
 from brownian_unicycle.quadrature import integrate_chains, panels
-from tensor_oracle import chain
+from tensor_oracle import chain, per_count
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
@@ -278,7 +278,7 @@ def test_criterion_6_property_suites():
                 n = rule.t.size
                 return np.array([chain(rule, np.ones(n),
                                        [np.ones((n, n))] * (beta - 1))])
-            value, _ = integrate_chains(ones, [1.0],
+            value, _ = integrate_chains(per_count(ones), [1.0],
                                         panels(line, 1.3, 0.0, 0, beta))
         exact = 1.3 ** beta / math.factorial(beta)
         ok_volume &= abs(value.real - exact) <= 1e-12 * exact

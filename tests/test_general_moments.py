@@ -23,11 +23,12 @@ from brownian_unicycle import (AccuracyWarning, EnvelopeRefusal,
                                mean_heading,
                                phase_step_vectors, second_moments, term_keys,
                                theta_power_compositions)
-from brownian_unicycle import general_moments, quadrature
+from brownian_unicycle import fourth_moment, general_moments, quadrature
 from brownian_unicycle.constant_ratio import _kernel_chain
 from brownian_unicycle.general_moments import double_factorial
 from brownian_unicycle.quadrature import integrate_chains
-from tensor_oracle import chain, gap_starts, operator, two_call_rule
+from tensor_oracle import (chain, gap_starts, operator, per_count,
+                           two_call_rule)
 
 CONST = SpeedRatioProfile.constant(5.0, theta0=0.0, s_max=1.0)
 RAMP = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
@@ -351,7 +352,7 @@ def _gap_chain(profile, params, s, weights, gamma, settings=QuadratureSettings()
         return np.array([_rule_chain(rule, factor, weights, gamma)])
     at = quadrature.panels(profile, s, params.k_theta, max(map(abs, weights)),
                            len(weights))
-    return integrate_chains(evaluate, [1.0], at, settings)
+    return integrate_chains(per_count(evaluate), [1.0], at, settings)
 
 
 def _tensor_term(profile, params, s, weights, gamma):
@@ -605,29 +606,26 @@ def test_smooth_profiles_meet_rel_tol_without_warning(profile):
 
 
 def test_one_operator_per_gap_factor_and_rule(monkeypatch):
-    builds = {}
+    builds = []
     carry = quadrature.PrefixCarry
 
     def spy(width, m, rate):
-        key = (width.size * m, rate)
-        builds[key] = builds.get(key, 0) + 1
+        builds.append((width.size, m, rate))
         return carry(width, m, rate)
 
     monkeypatch.setattr(quadrature, "PrefixCarry", spy)
     displacement_moment(4, 4, RAMP, NoiseParams(1.0, 1.0), 1.0)
     # Every gap after the first applies the prefix integral of its decay
-    # w^2 k_theta / 2: one weight build per rule and |w|.
+    # w^2 k_theta / 2: one weight build per |w|, on the one rule that
+    # stacks both node counts of the first pair.
     inner = {abs(w) for key in term_keys(4, 4) for c in phase_step_vectors(key)
              for w in _phase_weights(4, 4, c)[1:]}
     # The first pair of the builder's panels converges.
     walk = general_moments._plan(4, 4, 0).walk
     at = quadrature.panels(RAMP, 1.0, 1.0, walk.largest_weight, walk.dimension)
-    assert set(builds.values()) == {1}
-    assert sorted({n for n, _ in builds}) == [
-        at.width.size * m for m in (at.m, at.m + quadrature.ESTIMATE_STEP)]
-    for n in {n for n, _ in builds}:
-        assert sorted(rate for size, rate in builds if size == n) == sorted(
-            0.5 * w * w for w in inner)
+    counts = (at.m, at.m + quadrature.ESTIMATE_STEP)
+    assert sorted(builds) == sorted((at.width.size, counts, 0.5 * w * w)
+                                    for w in inner)
 
 
 @pytest.mark.parametrize("profile", [RAMP, TABLE], ids=["ramp", "table"])
@@ -730,7 +728,7 @@ def _chain_by_chain(p, q, r, profile, params, s):
 
     walk = general_moments._plan(p, q, r).walk
     at = quadrature.panels(profile, s, kt, walk.largest_weight, walk.dimension)
-    value, _ = integrate_chains(evaluate, scales, at)
+    value, _ = integrate_chains(per_count(evaluate), scales, at)
     return total + value
 
 
@@ -742,6 +740,80 @@ def test_walk_matches_chains_one_by_one(profile, p, q, r):
     res = displacement_heading_moment(p, q, r, profile, params, 0.9)
     ref = _chain_by_chain(p, q, r, profile, params, 0.9)
     assert abs(res.value - ref) <= 1e-13 * abs(ref)
+
+
+def _two_call_loop(evaluate, scales, panels,
+                   settings=quadrature.DEFAULT_SETTINGS, node_bytes=16):
+    """``integrate_chains`` as it ran with ``evaluate`` called once per rule,
+    the coarse rule of the first pair on its own: its value, its estimate
+    and the panel counts of its rules."""
+    scales = np.asarray(scales)
+    cap = quadrature.MAX_NODE_BYTES // node_bytes
+    start, width = panels.start, panels.width
+    fine_m = panels.m + quadrature.ESTIMATE_STEP
+    sizes = []
+
+    def total(rule):
+        sizes.append(rule.width.size)
+        terms = scales * evaluate(rule)[0]
+        return complex(terms.sum()), float(np.abs(terms).sum())
+
+    coarse, _ = total(quadrature.ChainRule(start, width, panels.m))
+    while True:
+        fine, magnitude = total(quadrature.ChainRule(start, width, fine_m))
+        diff = abs(fine - coarse)
+        floor = quadrature.CHAIN_ROUNDOFF * magnitude
+        if diff <= max(settings.rel_tol * abs(fine), floor):
+            return fine, diff + floor, sizes
+        if (2 * fine_m * width.size > cap
+                or 2 * width.size > quadrature.MAX_PANELS):
+            return fine, diff + floor, sizes
+        width = np.repeat(0.5 * width, 2)
+        start = np.column_stack((start, start + width[::2])).ravel()
+        coarse = fine
+
+
+@pytest.mark.parametrize("moment,profile,halves", [
+    *[pytest.param(moment, profile, False, id=f"{name}-{label}")
+      for moment, name in (((2, 2, 2), "222"), ((4, 4, 4), "444"),
+                           ("d4", "d4"))
+      for profile, label in ((CONST, "const"), (RAMP, "ramp"),
+                             (TABLE, "table"))],
+    pytest.param((6, 0, 0), SpeedRatioProfile.constant(40.0, s_max=1.0), True,
+                 id="600-halved")])
+def test_stacked_rule_changes_no_bit(monkeypatch, moment, profile, halves):
+    # Each count of the stacked first pair evaluates to the bits of its own
+    # one-count rule, and integrate_chains returns what the loop that
+    # evaluated one rule at a time returned, also when it halves the panels
+    # (a third of the nodes per unit of phase, as in
+    # test_refinement_error_estimate_fast_rotation).
+    if halves:
+        monkeypatch.setattr(quadrature, "NODES_PER_RATE",
+                            quadrature.NODES_PER_RATE / 3)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return integrate_chains(*args, **kwargs)
+
+    params = NoiseParams(0.5, 0.7)
+    if moment == "d4":
+        monkeypatch.setattr(fourth_moment, "integrate_chains", spy)
+        d4_moment(profile, params, 0.9)
+    else:
+        monkeypatch.setattr(general_moments, "integrate_chains", spy)
+        displacement_heading_moment(*moment, profile, params, 0.9)
+    ((evaluate, scales, at, *rest), kwargs), = calls
+    counts = (at.m, at.m + quadrature.ESTIMATE_STEP)
+    stacked = evaluate(quadrature.ChainRule(at.start, at.width, counts))
+    assert stacked.shape == (2, len(scales))
+    for row, m in zip(stacked, counts):
+        one = evaluate(quadrature.ChainRule(at.start, at.width, m))
+        assert np.array_equal(row, one[0])
+    value, err, sizes = _two_call_loop(evaluate, scales, at, *rest, **kwargs)
+    assert (integrate_chains(evaluate, scales, at, *rest, **kwargs)
+            == (value, err))
+    assert (max(sizes) > min(sizes)) == halves
 
 
 @pytest.mark.parametrize("p,q,r,profile", [

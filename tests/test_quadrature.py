@@ -15,7 +15,8 @@ from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
 from brownian_unicycle import quadrature
 from brownian_unicycle.quadrature import (CHAIN_ROUNDOFF, ChainRule,
                                           integrate_chains)
-from tensor_oracle import chain, gap_starts, one_rule, two_call_rule
+from tensor_oracle import (chain, gap_starts, one_rule, per_count,
+                           two_call_rule)
 
 
 def ordered_monomial_integral(powers, s) -> Fraction:
@@ -33,7 +34,7 @@ def _single_chain(first, gaps, tail=1.0):
         n = rule.t.size
         kernels = [np.broadcast_to(g(rule.t)[:, None], (n, n)) for g in gaps]
         return np.array([chain(rule, first(rule.t), kernels, tail)])
-    return evaluate
+    return per_count(evaluate)
 
 
 def _still(s, dimension):
@@ -196,7 +197,7 @@ def test_chain_matches_tensor_rule_on_gap_kernels(profile, beta):
     # ref_err is the reference's coarse/fine difference: how far it has
     # converged, without the roundoff floor of its error estimate.
     ref, ref_err, _ = two_call_rule(tensor_integrand, beta, s, 24)
-    value, err = integrate_chains(evaluate, [1.0],
+    value, err = integrate_chains(per_count(evaluate), [1.0],
                                   quadrature.panels(profile, s, 0.5, 2, beta))
     assert ref_err <= 1e-13 * abs(ref)
     assert abs(value - ref) <= 1e-12 * abs(ref)
@@ -446,13 +447,18 @@ def _decay_weights_reference(m, rate):
 @pytest.mark.parametrize("m", [20, 24, 26])
 def test_decay_weights_equal_uncached_pieces(m):
     # Up to rate 1 the pieces are built once per m; the weights must not
-    # change by a bit.
+    # change by a bit. Just above HUGE_DECAY m^2 they are their limit
+    # instead of built from pieces, within 4 eps of the pieces.
     rates = [0.0, 1.0, 3.0, 40.0,
              *(10.0 ** np.random.default_rng(m).uniform(-6.0, 0.0, 40)).tolist()]
     for rate in rates:
         for got, want in zip(quadrature._decay_weights(m, rate),
                              _decay_weights_reference(m, rate)):
             assert np.array_equal(got, want), rate
+    huge = 1.01 * quadrature.HUGE_DECAY * m * m
+    for got, want in zip(quadrature._decay_weights(m, huge),
+                         _decay_weights_reference(m, huge)):
+        assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want).max())
 
 
 def test_decay_weights_build_one_piece_at_a_time():
