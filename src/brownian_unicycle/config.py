@@ -15,11 +15,12 @@ Schema (sections ``sim`` and ``quadrature`` are optional):
 
 ``rel_tol`` is the accuracy target of the moment engines' chain rule; the
 low-order statistics run on a panel rule that takes no setting. Loading is
-strict about unknown profile kinds and invalid values, and ignores
-sections and ``quadrature`` keys it does not read (such as the ``output``
-section and the ``nodes_per_level``, ``max_dim_deterministic`` and
-``qmc_samples`` keys of older configs); every failure is reported as
-:class:`ConfigError` so the CLI can map it to its exit code.
+strict about unknown profile kinds, invalid values and sections that are
+not JSON objects, and ignores sections and ``quadrature`` keys it does not
+read (such as the ``output`` section and the ``nodes_per_level``,
+``max_dim_deterministic`` and ``qmc_samples`` keys of older configs); every
+failure is reported as :class:`ConfigError` so the CLI can map it to its
+exit code.
 ``dump_config`` emits a document that loads back to an equivalent
 configuration.
 """
@@ -72,12 +73,24 @@ def _profile_to_dict(p: SpeedRatioProfile) -> dict:
     return out
 
 
+def _section(doc: dict, name: str, required: bool = True) -> dict:
+    """Section ``name`` of ``doc``, empty when an optional one is absent;
+    a section that is not a JSON object is refused."""
+    if not required and name not in doc:
+        return {}
+    section = doc[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, "
+                          f"got {type(section).__name__}")
+    return section
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     try:
-        profile = _profile_from_dict(doc["profile"])
-        noise_doc = doc["noise"]
+        profile = _profile_from_dict(_section(doc, "profile"))
+        noise_doc = _section(doc, "noise")
         noise = NoiseParams(float(noise_doc["k_r"]), float(noise_doc["k_theta"]))
-        sim_doc = dict(_SIM_DEFAULTS, **doc.get("sim", {}))
+        sim_doc = dict(_SIM_DEFAULTS, **_section(doc, "sim", False))
         sim = SimConfig(
             profile=profile,
             params=noise,
@@ -86,12 +99,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             trials=int(sim_doc["trials"]),
             master_seed=int(sim_doc["master_seed"]),
         )
-        quad_doc = doc.get("quadrature", {})
+        quad_doc = _section(doc, "quadrature", False)
         settings = QuadratureSettings(
             rel_tol=float(quad_doc.get("rel_tol", DEFAULT_SETTINGS.rel_tol)))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return ExperimentConfig(profile, noise, sim, settings)
 

@@ -8,7 +8,9 @@ for an integrand of dimension 2 and phase weight 2 (``D`` below), which
 grades them toward 0 when ``2 k_theta s`` passes ``PANEL_DECAY`` and takes
 ``m`` from the largest turn and decay of a panel, and :func:`_rule` on
 them. Each segment's heading is evaluated at its own nodes from its own
-quadratic (a table) or closed form.
+quadratic (a table) or closed form. Consecutive calls at one ``(profile,
+k_theta, s)`` share one build of the panels and rule: a memo keeps the
+read-only rule of the last point only.
 
 The one-dimensional integrals are Gauss sums on the panels: the mean
 position ``Z = int_0^s exp(i h(t) - k_theta t / 2) dt`` (without the decay,
@@ -102,11 +104,15 @@ def _basis(m: int) -> np.ndarray:
 
 
 def _rule(profile: SpeedRatioProfile, panels: _Panels, m: int) -> _Rule:
-    """The ``m``-node rule on ``panels``: one product of their ``coef``
-    with :func:`_basis`, and a polynomial's heading at the nodes."""
-    t, h, local, wt = panels.coef @ _basis(m)
+    """The read-only ``m``-node rule on ``panels``: one product of their
+    ``coef`` with :func:`_basis`, and a polynomial's heading at the
+    nodes."""
+    stack = panels.coef @ _basis(m)
+    stack.setflags(write=False)
+    t, h, local, wt = stack
     if profile.kind == "polynomial":
         h = polynomial_heading(profile, t)
+        h.setflags(write=False)
     return _Rule(panels, t, wt, h, local)
 
 
@@ -123,13 +129,24 @@ def _rise(profile: SpeedRatioProfile, rule: _Rule):
     return h[:-1], rule.h - h[:-1, None], h[1:] - h[:-1]
 
 
-def _rules(profile, kt, s, estimate) -> list:
+def _rules(profile, kt, s, estimate) -> tuple:
     """The rule of ``profile`` and ``kt`` on ``[0, s]``, ``s > 0``, and with
     ``estimate`` the coarse rule of the same panels before it: the panels
-    of an integrand of dimension 2 and phase weight 2 (``D``)."""
+    of an integrand of dimension 2 and phase weight 2 (``D``).
+
+    The statistics at one point share the rules of :func:`_point_rules`,
+    which keeps the last point's; ``kt`` and ``s`` key it as floats, so a
+    0-d array, an ``int`` and an ``np.float64`` find the same entry."""
+    return _point_rules(profile, float(kt), float(s), estimate)
+
+
+@lru_cache(maxsize=1)
+def _point_rules(profile, kt, s, estimate) -> tuple:
+    """:func:`_rules` of the most recent point."""
     at = panels(profile, s, kt, 2, 2)
+    at.coef.setflags(write=False)
     counts = (at.m - ESTIMATE_STEP, at.m) if estimate else (at.m,)
-    return [_rule(profile, at, m) for m in counts]
+    return tuple(_rule(profile, at, m) for m in counts)
 
 
 # -- sums on one rule ----------------------------------------------------------

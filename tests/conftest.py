@@ -14,3 +14,11 @@ def subprocess_env():
     which pytest's ``pythonpath`` setting does not pass on to children."""
     paths = (str(SRC), os.environ.get("PYTHONPATH"))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+@pytest.fixture(autouse=True)
+def fresh_rule_memo():
+    """No test sees a panel rule that an earlier test left in the memo of
+    ``low_moments``, which keeps the last point's rule."""
+    from brownian_unicycle import low_moments
+    low_moments._point_rules.cache_clear()

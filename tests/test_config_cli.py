@@ -77,6 +77,10 @@ def test_config_table_profile():
      "noise": {"k_r": -1, "k_theta": 0}},
     {"profile": {"kind": "constant", "mu0": 1.0, "s_max": 1.0},
      "noise": {"k_r": 0, "k_theta": 0}, "sim": {"steps": 0}},
+    # Sections that are not JSON objects.
+    {"profile": [1], "noise": {"k_r": 0, "k_theta": 0}},
+    {"profile": {"kind": "constant", "mu0": 1.0, "s_max": 1.0},
+     "noise": {"k_r": 0, "k_theta": 0}, "quadrature": [1]},
 ])
 def test_bad_configs_raise(doc):
     with pytest.raises(ConfigError):
@@ -94,7 +98,9 @@ def test_config_ignores_output_section():
 @pytest.mark.parametrize("section,key", [("noise", "k_r"), ("noise", "k_theta"),
                                          ("profile", "mu0"),
                                          ("profile", "theta0"),
-                                         ("profile", "s_max")])
+                                         ("profile", "s_max"),
+                                         ("sim", "steps"), ("sim", "trials"),
+                                         ("sim", "master_seed")])
 def test_non_finite_json_config_exits_2(tmp_path, capsys, section, key, literal):
     # Python's json reads these literals as floats; NaN must not slip
     # through a `< 0` check and come out as a "value": NaN with exit 0.
@@ -106,6 +112,17 @@ def test_non_finite_json_config_exits_2(tmp_path, capsys, section, key, literal)
     for command in (["d2"], ["--closed-form", "d4"], ["moment", "1", "1", "0"]):
         assert main(["--config", str(path), *command]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["profile", "noise", "sim", "quadrature"])
+def test_section_not_an_object_exits_2(tmp_path, capsys, section):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(BASE_DOC, **{section: [1]})),
+                    encoding="utf-8")
+    assert main(["--config", str(path), "d2"]) == 2
+    err = capsys.readouterr().err
+    assert f"config section '{section}' must be a JSON object" in err
+    assert "Traceback" not in err
 
 
 def test_load_config_missing_file(tmp_path):

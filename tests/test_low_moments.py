@@ -356,7 +356,9 @@ def test_calls_evaluate_one_rule_or_the_estimate_pair(monkeypatch):
     # reports an estimate evaluates the rules of m - ESTIMATE_STEP and m
     # nodes on the same panels, those of panels() for dimension 2 and phase
     # weight 2. The heading is not looked up through mean_heading on a
-    # table's knot segments.
+    # table's knot segments. Each call starts without the previous call's
+    # rules, which the statistics at one point share
+    # (test_a_point_builds_one_rule).
     rules, headings = [], []
     rule = low_moments._rule
 
@@ -374,6 +376,7 @@ def test_calls_evaluate_one_rule_or_the_estimate_pair(monkeypatch):
                        (low_moments.mean_squared_distance_with_error, True),
                        (low_order_statistics, True)):
         rules.clear()
+        low_moments._point_rules.cache_clear()
         call(TABLE, params, 0.8)
         panels = quadrature.panels(TABLE, 0.8, params.k_theta, 2, 2)
         counts = [m for _, m in rules]
@@ -382,6 +385,55 @@ def test_calls_evaluate_one_rule_or_the_estimate_pair(monkeypatch):
         assert all(p is rules[0][0] for p, _ in rules)
         assert np.array_equal(rules[0][0].start, panels.start)
     assert headings == []
+
+
+FIVE = (mean_x, mean_y, second_moments, cov_xtheta, cov_ytheta)
+
+
+def _fresh(call, *args):
+    """``call(*args)`` without a rule left by an earlier call."""
+    low_moments._point_rules.cache_clear()
+    return call(*args)
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
+def test_a_point_builds_one_rule(monkeypatch, profile):
+    # The five statistics at one point build one rule between them, and a
+    # new profile, k_theta or s a new one (k_r takes no part in the rule).
+    # Every value is the one of a call on a rule of its own, and s keys
+    # the rule as a float.
+    built = []
+    rule = low_moments._rule
+
+    def counting(*args):
+        built.append(args[2])
+        return rule(*args)
+
+    monkeypatch.setattr(low_moments, "_rule", counting)
+    params, s = NoiseParams(0.2, 0.5), 0.8
+    points = [(profile, params, s), (_shifted(profile, 0.9), params, s),
+              (profile, NoiseParams(0.2, 0.6), s), (profile, params, 0.7)]
+    for point in points:
+        built.clear()
+        values = [call(*point) for call in FIVE]
+        assert len(built) == 1, point
+        assert values == [_fresh(call, *point) for call in FIVE]
+    built.clear()
+    for call in FIVE:
+        call(profile, NoiseParams(0.9, 0.5), 0.7)
+    assert built == []
+    # A shared rule cannot be changed by the call that holds it.
+    for held in low_moments._rules(profile, 0.5, 0.7, True):
+        for array in (held.panels.coef, held.t, held.wt, held.h, held.local):
+            assert not array.flags.writeable
+
+    for same in ((0.8, np.float64(0.8), np.array(0.8)), (1.0, 1)):
+        want = [_fresh(call, profile, params, same[0]) for call in FIVE]
+        for t in same:
+            built.clear()
+            assert [call(profile, params, t) for call in FIVE] == want
+            assert built == []
+            assert [_fresh(call, profile, params, t) for call in FIVE] == want
 
 
 # The one-dimensional heading integrals as separate integrands, each copied
