@@ -69,15 +69,25 @@ def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None
             fh.write(text)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform keeps one (``os.cpu_count()`` counts the host's CPUs under an
+    affinity limit), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Path to the JSON experiment configuration.")
 @click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=None,
               help="Override the master seed from the config.")
 @click.option("--threads", type=click.IntRange(1),
-              default=lambda: os.cpu_count() or 1,
+              default=_usable_cpus,
               help="Worker threads for Monte Carlo trials (default: one per "
-                   "CPU). Results do not depend on it.")
+                   "CPU this process may run on). Results do not depend on "
+                   "it.")
 @click.option("--closed-form", is_flag=True,
               help="Use the constant-ratio closed forms (d2/d4 only).")
 @click.option("--force", is_flag=True,

@@ -9,8 +9,9 @@ grades them toward 0 when ``2 k_theta s`` passes ``PANEL_DECAY`` and takes
 ``m`` from the largest turn and decay of a panel, and :func:`_rule` on
 them. Each segment's heading is evaluated at its own nodes from its own
 quadratic (a table) or closed form. Consecutive calls at one ``(profile,
-k_theta, s)`` share one build of the panels and rule: a memo keeps the
-read-only rule of the last point only.
+k_theta, s)`` share one record of it (:class:`_Point`), which builds the
+panels, each rule and the line sums ``Z`` and ``J`` once there: a memo
+keeps the read-only record of the last point only.
 
 The one-dimensional integrals are Gauss sums on the panels: the mean
 position ``Z = int_0^s exp(i h(t) - k_theta t / 2) dt`` (without the decay,
@@ -53,7 +54,7 @@ a sum that is not finite raises it without one.
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -129,24 +130,41 @@ def _rise(profile: SpeedRatioProfile, rule: _Rule):
     return h[:-1], rule.h - h[:-1, None], h[1:] - h[:-1]
 
 
-def _rules(profile, kt, s, estimate) -> tuple:
-    """The rule of ``profile`` and ``kt`` on ``[0, s]``, ``s > 0``, and with
-    ``estimate`` the coarse rule of the same panels before it: the panels
-    of an integrand of dimension 2 and phase weight 2 (``D``).
+class _Point:
+    """The record of one point ``(profile, kt, s)``, ``s > 0``, that the
+    statistics there share: the panels of an integrand of dimension 2 and
+    phase weight 2 (``D``) and, each built on first need, the rule of ``m``
+    nodes per panel, the coarse rule of ``m - ESTIMATE_STEP`` nodes on the
+    same panels and the line sums ``(Z, J)`` on the rule, unchecked (a
+    caller refuses the one it reads when it is not finite)."""
 
-    The statistics at one point share the rules of :func:`_point_rules`,
-    which keeps the last point's; ``kt`` and ``s`` key it as floats, so a
-    0-d array, an ``int`` and an ``np.float64`` find the same entry."""
-    return _point_rules(profile, float(kt), float(s), estimate)
+    def __init__(self, profile, kt, s):
+        self.profile, self.kt = profile, kt
+        self.panels = panels(profile, s, kt, 2, 2)
+        self.panels.coef.setflags(write=False)
+
+    @cached_property
+    def rule(self) -> _Rule:
+        return _rule(self.profile, self.panels, self.panels.m)
+
+    @cached_property
+    def coarse(self) -> _Rule:
+        return _rule(self.profile, self.panels, self.panels.m - ESTIMATE_STEP)
+
+    @cached_property
+    def lines(self) -> tuple[complex, complex]:
+        return _line_sums(self.rule, self.kt)
 
 
-@lru_cache(maxsize=1)
-def _point_rules(profile, kt, s, estimate) -> tuple:
-    """:func:`_rules` of the most recent point."""
-    at = panels(profile, s, kt, 2, 2)
-    at.coef.setflags(write=False)
-    counts = (at.m - ESTIMATE_STEP, at.m) if estimate else (at.m,)
-    return tuple(_rule(profile, at, m) for m in counts)
+# The record of the most recent point only.
+_point_record = lru_cache(maxsize=1)(_Point)
+
+
+def _point(profile, kt, s) -> _Point:
+    """The record of ``profile``, ``kt`` and ``s``: ``kt`` and ``s`` key it
+    as floats, so a 0-d array, an ``int`` and an ``np.float64`` find the
+    same entry."""
+    return _point_record(profile, float(kt), float(s))
 
 
 # -- sums on one rule ----------------------------------------------------------
@@ -169,21 +187,21 @@ def _trig(rule: _Rule):
     return np.cos(rule.h), np.sin(rule.h)
 
 
-def _line_weights(rule: _Rule, kt: float, power: int = 0) -> np.ndarray:
-    """``t^power exp(-kt t / 2)`` times the weights: the moduli of the terms
-    of ``Z`` (``power = 0``) and ``J`` (``power = 1``)."""
+def _line_sums(rule: _Rule, kt: float, moduli: bool = False):
+    """``Z`` and ``J`` on ``rule``, unchecked, from one :func:`_trig` and one
+    vector of decay times weight, ``J``'s being ``Z``'s times ``t``, and
+    with ``moduli`` the sums of the moduli of their terms as well."""
+    cos, sin = _trig(rule)
     e = np.exp(-0.5 * kt * rule.t)
     e *= rule.wt
-    if power:
-        e *= rule.t
-    return e
-
-
-def _line_sum(trig, weights) -> complex:
-    """``sum weights exp(i h)`` from :func:`_trig`, as two real dot
-    products."""
-    return _finite(complex(np.vdot(trig[0], weights),
-                           np.vdot(trig[1], weights)))
+    # Past s ~ 1e154 the terms of J overflow where Z's do not.
+    with np.errstate(over="ignore"):
+        et = e * rule.t
+    sums = (complex(np.vdot(cos, e), np.vdot(sin, e)),
+            complex(np.vdot(cos, et), np.vdot(sin, et)))
+    if not moduli:
+        return sums
+    return sums, (float(e.sum()), float(et.sum()))
 
 
 def _pair_sums(profile, rule: _Rule, kt: float, second: bool,
@@ -228,8 +246,7 @@ def _mean_integral(profile, kt, s, power=0) -> complex:
     _check_length(profile, s)
     if s == 0.0:
         return 0j
-    rule, = _rules(profile, kt, s, False)
-    return _line_sum(_trig(rule), _line_weights(rule, kt, power))
+    return _finite(_point(profile, kt, s).lines[power])
 
 
 def deterministic_pose(profile: SpeedRatioProfile, s: float):
@@ -298,7 +315,7 @@ def second_moments(profile: SpeedRatioProfile, params: NoiseParams,
     _check_length(profile, s)
     if s == 0.0:
         return _second_moments(params.k_r, s, 0j, 0j, 0j)
-    rule, = _rules(profile, params.k_theta, s, False)
+    rule = _point(profile, params.k_theta, s).rule
     return _second_moments(params.k_r, s,
                            *_pair_sums(profile, rule, params.k_theta, True))
 
@@ -323,18 +340,18 @@ def low_order_statistics(profile: SpeedRatioProfile, params: NoiseParams,
     def integrals(rule, moduli):
         # Z, J, iint E, iint D E and int D, and with moduli the sums of
         # the moduli of their terms.
-        trig = _trig(rule)
-        lines = [_line_weights(rule, kt, power) for power in (0, 1)]
-        sums = [_line_sum(trig, e) for e in lines]
         if not moduli:
-            return sums + _pair_sums(profile, rule, kt, True)
+            return ([_finite(z) for z in _line_sums(rule, kt)]
+                    + _pair_sums(profile, rule, kt, True))
+        lines, line_mods = _line_sums(rule, kt, moduli=True)
         pairs, mods = _pair_sums(profile, rule, kt, True, moduli=True)
-        return sums + pairs, [float(e.sum()) for e in lines] + mods
+        return [_finite(z) for z in lines] + pairs, [*line_mods, *mods]
 
     if s == 0.0:
         sums, estimates = [0j] * 5, [0.0] * 5
     else:
-        coarse_rule, rule = _rules(profile, kt, s, True)
+        point = _point(profile, kt, s)
+        coarse_rule, rule = point.coarse, point.rule
         sums, mods = integrals(rule, True)
         estimates = [_estimate(c, f, mod) for c, f, mod
                      in zip(integrals(coarse_rule, False), sums, mods)]
@@ -373,7 +390,8 @@ def mean_squared_distance_with_error(profile: SpeedRatioProfile,
     if s == 0.0:
         return params.k_r * s, 0.0
     kt = params.k_theta
-    coarse_rule, rule = _rules(profile, kt, s, True)
+    point = _point(profile, kt, s)
+    coarse_rule, rule = point.coarse, point.rule
     (coarse,) = _pair_sums(profile, coarse_rule, kt, False)
     (fine,), (mod,) = _pair_sums(profile, rule, kt, False, moduli=True)
     return params.k_r * s + 2.0 * fine.real, 2.0 * _estimate(coarse, fine, mod)

@@ -92,6 +92,20 @@ class SpeedRatioProfile:
             if len(self.knots_mu) != ks.size:
                 raise ValueError("knots_s and knots_mu must have equal length")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of every field but ``kind``, computed once.
+
+        A string's hash differs from process to process, and a pickled
+        profile carries this value with it; the fields left are numbers,
+        whose hashes do not. Equality still compares ``kind``.
+        """
+        return hash((self.theta0, self.s_max, self.mu0, self.coeffs,
+                     self.knots_s, self.knots_mu, self.knot_heading))
+
     @cached_property
     def _panels(self):
         """Read-only ``(ks, kmu, kh, slope)`` of a table profile: knot

@@ -17,8 +17,9 @@ def subprocess_env():
 
 
 @pytest.fixture(autouse=True)
-def fresh_rule_memo():
-    """No test sees a panel rule that an earlier test left in the memo of
-    ``low_moments``, which keeps the last point's rule."""
+def fresh_point_record():
+    """No test sees a point record (panels, rules and line sums) that an
+    earlier test left in the memo of ``low_moments``, which keeps the last
+    point's."""
     from brownian_unicycle import low_moments
-    low_moments._point_rules.cache_clear()
+    low_moments._point_record.cache_clear()

@@ -159,6 +159,29 @@ def test_exit_code_missing_command():
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--seed", "-1", "d2"], ["--seed", str(2 ** 64), "d2"],
+    ["--threads", "0", "d2"], ["--no-such-option", "d2"],
+    ["d2", "--config", "x"], ["moment", "1", "1"], ["moment", "-1", "0", "0"],
+    ["reproduce", "table3"]], ids=" ".join)
+def test_usage_errors_exit_1_with_one_line(config_path, capsys, args):
+    assert main(["--config", config_path, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), lines
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["moment", "--help"]])
+def test_help_exits_0_with_usage_on_stdout(capsys, args):
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("Usage: ")
+    assert ("P Q R" in captured.out) == (args[0] == "moment")
+    assert captured.err == ""
+
+
 def test_exit_code_config(capsys):
     assert main(["--config", "/does/not/exist.json", "d2"]) == 2
     assert main(["d2"]) == 2
@@ -421,7 +444,10 @@ def test_simulate_out_identical_at_default_threads(config_path, tmp_path,
         return collect(config, threads)
 
     monkeypatch.setattr(cli, "collect_samples", spy)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # Three usable CPUs on a host of 64: the default counts the former.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     one, default = tmp_path / "one.json", tmp_path / "default.json"
     assert main(["--config", config_path, "--threads", "1", "simulate",
                  "--out", str(one)]) == 0
@@ -429,6 +455,14 @@ def test_simulate_out_identical_at_default_threads(config_path, tmp_path,
     capsys.readouterr()
     assert seen == [1, 3]
     assert one.read_bytes() == default.read_bytes()
+
+
+def test_default_threads_without_an_affinity_set(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert cli._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 def test_simulate_seed_override(config_path, capsys):

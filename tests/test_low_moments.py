@@ -6,8 +6,13 @@ each piece, and each ordered pair of pieces, with Gauss-Legendre rules
 (the triangle of a piece on the tensor rule of ``tensor_oracle``).
 """
 
+import copy
 import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -376,7 +381,7 @@ def test_calls_evaluate_one_rule_or_the_estimate_pair(monkeypatch):
                        (low_moments.mean_squared_distance_with_error, True),
                        (low_order_statistics, True)):
         rules.clear()
-        low_moments._point_rules.cache_clear()
+        low_moments._point_record.cache_clear()
         call(TABLE, params, 0.8)
         panels = quadrature.panels(TABLE, 0.8, params.k_theta, 2, 2)
         counts = [m for _, m in rules]
@@ -384,6 +389,12 @@ def test_calls_evaluate_one_rule_or_the_estimate_pair(monkeypatch):
                           if pair else [panels.m])
         assert all(p is rules[0][0] for p, _ in rules)
         assert np.array_equal(rules[0][0].start, panels.start)
+        # The m-node rule is the point's whatever the call that built it,
+        # so a value-only call after an estimate builds none.
+        rules.clear()
+        for value_only in (mean_x, cov_ytheta, second_moments):
+            value_only(TABLE, params, 0.8)
+        assert rules == []
     assert headings == []
 
 
@@ -391,8 +402,8 @@ FIVE = (mean_x, mean_y, second_moments, cov_xtheta, cov_ytheta)
 
 
 def _fresh(call, *args):
-    """``call(*args)`` without a rule left by an earlier call."""
-    low_moments._point_rules.cache_clear()
+    """``call(*args)`` without a record left by an earlier call."""
+    low_moments._point_record.cache_clear()
     return call(*args)
 
 
@@ -400,30 +411,39 @@ def _fresh(call, *args):
 def test_a_point_builds_one_rule(monkeypatch, profile):
     # The five statistics at one point build one rule between them, and a
     # new profile, k_theta or s a new one (k_r takes no part in the rule).
+    # The four one-dimensional ones take the heading's cos and sin once.
     # Every value is the one of a call on a rule of its own, and s keys
     # the rule as a float.
-    built = []
-    rule = low_moments._rule
+    built, trig = [], []
+    rule, cos_sin = low_moments._rule, low_moments._trig
 
     def counting(*args):
         built.append(args[2])
         return rule(*args)
 
+    def counting_trig(*args):
+        trig.append(args)
+        return cos_sin(*args)
+
     monkeypatch.setattr(low_moments, "_rule", counting)
+    monkeypatch.setattr(low_moments, "_trig", counting_trig)
     params, s = NoiseParams(0.2, 0.5), 0.8
     points = [(profile, params, s), (_shifted(profile, 0.9), params, s),
               (profile, NoiseParams(0.2, 0.6), s), (profile, params, 0.7)]
     for point in points:
         built.clear()
+        trig.clear()
         values = [call(*point) for call in FIVE]
         assert len(built) == 1, point
+        assert len(trig) == 1, point
         assert values == [_fresh(call, *point) for call in FIVE]
     built.clear()
     for call in FIVE:
         call(profile, NoiseParams(0.9, 0.5), 0.7)
     assert built == []
     # A shared rule cannot be changed by the call that holds it.
-    for held in low_moments._rules(profile, 0.5, 0.7, True):
+    point = low_moments._point(profile, 0.5, 0.7)
+    for held in (point.coarse, point.rule):
         for array in (held.panels.coef, held.t, held.wt, held.h, held.local):
             assert not array.flags.writeable
 
@@ -434,6 +454,55 @@ def test_a_point_builds_one_rule(monkeypatch, profile):
             assert [call(profile, params, t) for call in FIVE] == want
             assert built == []
             assert [_fresh(call, profile, params, t) for call in FIVE] == want
+
+
+# Rebuilds the profile it reads from stdin, hashes it, and writes the hash
+# of a string (salted per process) and the profile, pickled.
+_HASH_AND_PICKLE = """
+import pickle, sys
+profile = pickle.loads(sys.stdin.buffer.read())
+hash(profile)
+sys.stdout.buffer.write(pickle.dumps((hash("kind"), profile)))
+"""
+
+
+@pytest.mark.parametrize("profile", [CONST, RAMP, TABLE], ids=lambda p: p.kind)
+def test_equal_profiles_hash_alike_and_share_a_record(profile, subprocess_env):
+    # A profile computes its hash once and a pickle carries it, so the hash
+    # takes nothing that Python salts per process: a profile hashed and
+    # pickled under another PYTHONHASHSEED still finds this one's record.
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    env = dict(subprocess_env, PYTHONHASHSEED="2" if seed == "1" else "1")
+    fresh = SpeedRatioProfile(**dataclasses.asdict(profile))
+    proc = subprocess.run([sys.executable, "-c", _HASH_AND_PICKLE],
+                          input=pickle.dumps(fresh), capture_output=True,
+                          env=env, check=True)
+    salted, unpickled = pickle.loads(proc.stdout)
+    assert salted != hash("kind")
+    record = low_moments._point(profile, 0.5, 0.8)
+    others = (SpeedRatioProfile(**dataclasses.asdict(profile)),
+              dataclasses.replace(profile), copy.copy(profile), unpickled)
+    for other in others:
+        assert other == profile
+        assert hash(other) == hash(profile)
+        assert low_moments._point(other, 0.5, 0.8) is record
+
+
+def test_an_overflowing_line_sum_refuses_only_its_statistics():
+    # On a straight line past s ~ 1e154 the terms of J = int t exp(i h)
+    # overflow where those of Z do not: the means keep their values, with
+    # no numpy warning, and the covariances raise, in either order.
+    s = 1e160
+    line, params = SpeedRatioProfile.constant(0.0, s_max=s), NoiseParams(0.0, 0.0)
+    for first in (mean_x, cov_xtheta):
+        low_moments._point_record.cache_clear()
+        for call in (first, mean_x, mean_y, cov_xtheta, cov_ytheta):
+            if call in (mean_x, mean_y):
+                assert call(line, params, s) == pytest.approx(
+                    s if call is mean_x else 0.0, rel=1e-14)
+            else:
+                with pytest.raises(IntegrandEvaluationError):
+                    call(line, params, s)
 
 
 # The one-dimensional heading integrals as separate integrands, each copied
