@@ -19,12 +19,17 @@ Execution: each worker of :func:`collect_samples` owns one
 :class:`_Workspace`, allocated once: a Philox generator that it re-keys to
 ``(master_seed, trial_index)`` at counter 0 before each trial, which
 reproduces a fresh generator's stream (:func:`_trial_generator`) without
-seeding one, and buffers for ``_CHUNK_TRIALS`` trials,
-``5 * 8 * _CHUNK_TRIALS * steps`` bytes per worker. Every chunk runs
-through one kernel, :func:`_chunk`, in place in those buffers; it sums the
-position increments into final states or, for :func:`simulate_trial`'s
-paths, takes their cumulative sums. Per-trial results land in
-preallocated arrays, so the reduction order is fixed.
+seeding one, and buffers for one chunk of trials at 40 bytes per
+trial-step. A chunk holds as many trials as fit in ``_WORKSPACE_BYTES``
+(2 MiB, about one core's L2 cache), at most ``_CHUNK_TRIALS``, and at
+least one: a trial longer than the budget gets a one-trial workspace of
+``40 * steps`` bytes. Every chunk runs through one kernel,
+:func:`_chunk`, in place in those buffers; it sums the position
+increments into final states or, for :func:`simulate_trial`'s paths,
+takes their cumulative sums. No trial's arithmetic depends on which chunk
+holds it, and per-trial results land in preallocated arrays, so the
+reduction order is fixed and results depend on neither the budget nor
+the chunk size.
 """
 
 from __future__ import annotations
@@ -39,7 +44,11 @@ from .exceptions import IntegrandEvaluationError
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
 _OBSERVABLES = ("x", "y", "theta", "d2", "d4")
+# A worker's chunk buffers stay within _WORKSPACE_BYTES, about one core's
+# L2 cache, so the kernel's successive passes over a chunk stay in cache
+# and memory does not grow with threads x steps x _CHUNK_TRIALS.
 _CHUNK_TRIALS = 32
+_WORKSPACE_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -101,9 +110,12 @@ def _trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
 class _Workspace:
     """One worker's generator and chunk buffers, allocated once.
 
-    ``capacity`` trials of ``steps`` steps take ``5 * 8 * capacity * steps``
+    ``capacity`` trials of ``steps`` steps take ``40 * capacity * steps``
     bytes: the draws ``(capacity, steps, 2)`` plus ``theta``, ``lengths``
     and one trig buffer of ``(capacity, steps)`` each.
+    :func:`collect_samples` sizes ``capacity`` by :func:`_chunk_trials`,
+    which keeps these buffers within ``_WORKSPACE_BYTES`` unless one trial
+    alone is larger; the results do not depend on ``capacity``.
     """
 
     def __init__(self, steps: int, capacity: int) -> None:
@@ -201,25 +213,36 @@ def simulate_trial(config: SimConfig, trial_index: int, return_path: bool = Fals
     return path
 
 
+def _chunk_trials(steps: int) -> int:
+    """Trials per chunk: as many as fit in ``_WORKSPACE_BYTES``, at most
+    ``_CHUNK_TRIALS`` and at least one."""
+    return max(1, min(_CHUNK_TRIALS, _WORKSPACE_BYTES // (40 * steps)))
+
+
 def collect_samples(config: SimConfig, threads: int = 1) -> dict[str, np.ndarray]:
     """Final-state observables for every trial, indexed by trial.
 
     Returns arrays of length ``trials`` for x, y, theta, d2 and d4.
     Worker count affects scheduling only, never values. Each worker takes
-    at least one chunk's worth of trials and holds one :class:`_Workspace`.
+    at least one chunk's worth of trials and holds one :class:`_Workspace`
+    of at most ``max(_WORKSPACE_BYTES, 40 * steps)`` bytes: a chunk is as
+    many trials as fit in the 2 MiB budget (up to ``_CHUNK_TRIALS``), or
+    one trial when a single trial exceeds it. Neither the budget nor the
+    chunk size changes any value.
     """
     grid = _heading_grid(config)
     out = {name: np.empty(config.trials) for name in ("x", "y", "theta")}
+    chunk = _chunk_trials(config.steps)
 
     def work(lo, hi):
-        ws = _Workspace(config.steps, min(_CHUNK_TRIALS, hi - lo))
-        for start in range(lo, hi, _CHUNK_TRIALS):
-            stop = min(start + _CHUNK_TRIALS, hi)
+        ws = _Workspace(config.steps, min(chunk, hi - lo))
+        for start in range(lo, hi, chunk):
+            stop = min(start + chunk, hi)
             theta = _chunk(ws, config, grid, start, stop,
                            out["x"][start:stop], out["y"][start:stop])
             out["theta"][start:stop] = theta[:, -1]
 
-    workers = min(threads, config.trials // _CHUNK_TRIALS)
+    workers = min(threads, config.trials // chunk)
     if workers <= 1:
         work(0, config.trials)
     else:

@@ -95,6 +95,16 @@ class SpeedRatioProfile:
     def __hash__(self) -> int:
         return self._hash
 
+    def __getstate__(self) -> dict:
+        """The instance state without the cached ``_panels``.
+
+        The copy rebuilds them, read-only, on first use. ``_hash`` stays:
+        it hashes numbers only, so it is valid in any process.
+        """
+        state = self.__dict__.copy()
+        state.pop("_panels", None)
+        return state
+
     @cached_property
     def _hash(self) -> int:
         """The hash of every field but ``kind``, computed once.

@@ -85,11 +85,27 @@ def test_batch_matches_out_of_place_heading_formula():
         assert np.array_equal(samples[name], want[name])
 
 
-@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
-def test_batch_matches_fresh_generators_at_extreme_seeds(seed):
+def _chunk_cases(values):
+    """Each value with chunks of ``_CHUNK_TRIALS`` trials, under the value's
+    own id, then with chunks of 1 and of 3 trials."""
+    for value in values:
+        yield pytest.param(value, montecarlo._CHUNK_TRIALS, id=str(value))
+        for chunk in (1, 3):
+            yield pytest.param(value, chunk, id=f"{value}-chunk{chunk}")
+
+
+def _set_chunk(monkeypatch, steps, chunk):
+    """Shrink the workspace budget so that a chunk holds ``chunk`` trials."""
+    monkeypatch.setattr(montecarlo, "_WORKSPACE_BYTES", 40 * steps * chunk)
+    assert montecarlo._chunk_trials(steps) == chunk
+
+
+@pytest.mark.parametrize("seed,chunk", _chunk_cases([0, 2 ** 64 - 1]))
+def test_batch_matches_fresh_generators_at_extreme_seeds(seed, chunk, monkeypatch):
     cfg = _config(trials=3 * montecarlo._CHUNK_TRIALS + 5, steps=31, seed=seed)
+    _set_chunk(monkeypatch, cfg.steps, chunk)
     want = _reference_samples(cfg)
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         got = collect_samples(cfg, threads=threads)
         for name in want:
             assert np.array_equal(got[name], want[name])
@@ -109,10 +125,14 @@ def test_rekeyed_workspace_reproduces_trial_streams():
             gen.integers(0, 7, size=3, dtype=np.uint32)
 
 
-@pytest.mark.parametrize("chunks", [0.5, 1.5, 3.25])
-def test_thread_count_does_not_change_partial_chunks(chunks):
+@pytest.mark.parametrize("chunks,chunk", _chunk_cases([0.5, 1.5, 3.25]))
+def test_thread_count_does_not_change_partial_chunks(chunks, chunk, monkeypatch):
     cfg = _config(trials=int(chunks * montecarlo._CHUNK_TRIALS), steps=50)
+    _set_chunk(monkeypatch, cfg.steps, chunk)
+    want = _reference_samples(cfg)
     one = collect_samples(cfg, threads=1)
+    for name in want:
+        assert np.array_equal(one[name], want[name])
     for threads in (2, 3):
         many = collect_samples(cfg, threads=threads)
         for name in one:
@@ -127,13 +147,16 @@ def test_path_matches_out_of_place_formula():
                                   _reference_path(cfg, trial))
 
 
-def test_collection_memory_is_bounded_by_worker_workspaces():
+@pytest.mark.parametrize("steps,trials", [(10_000, 256), (100_000, 64)],
+                         ids=["10000", "100000"])
+def test_collection_memory_is_bounded_by_worker_workspaces(steps, trials):
     # Two workers, each holding one chunk workspace of five
-    # (chunk, steps) float arrays; the allowance covers the heading grid
-    # and its temporaries. Fresh buffers per chunk, or out-of-place
-    # temporaries in the kernel, exceed it at the same chunk size.
-    cfg = _config(steps=10_000, trials=256)
-    workspace = 5 * 8 * montecarlo._CHUNK_TRIALS * cfg.steps
+    # (chunk, steps) float arrays, within the byte budget or one trial
+    # when a trial alone exceeds it; the allowance covers the heading grid
+    # and its temporaries. Workspaces of _CHUNK_TRIALS trials exceed it.
+    cfg = _config(steps=steps, trials=trials)
+    workspace = 40 * montecarlo._chunk_trials(steps) * steps
+    assert workspace <= max(montecarlo._WORKSPACE_BYTES, 40 * steps)
     bound = 2 * workspace + 32 * 8 * cfg.steps
     tracemalloc.start()
     try:

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -260,3 +261,20 @@ def test_table_panels_are_read_only_and_outside_equality():
     assert hash(prof) == hash(twin)
     assert {prof: 1}[twin] == 1
     assert prof != _sine_table(theta0=0.1)
+
+
+def test_pickled_table_leaves_its_panels_behind():
+    # The cached panels stay out of the pickle; the copy rebuilds them
+    # read-only, and keeps the hash.
+    used, fresh = _sine_table(), _sine_table()
+    mean_heading(used, np.linspace(0.0, 1.0, 5))
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    hash(used)
+    copy = pickle.loads(pickle.dumps(used))
+    assert "_panels" not in vars(copy)
+    assert copy == used
+    assert hash(copy) == hash(used)
+    assert np.array_equal(mean_heading(copy, 0.37), mean_heading(used, 0.37))
+    for built, cached in zip(copy._panels, used._panels):
+        assert not built.flags.writeable
+        assert np.array_equal(built, cached)
