@@ -27,14 +27,13 @@ from .low_moments import (cov_xtheta, cov_ytheta, deterministic_pose,
 from .montecarlo import (SimConfig, TrialStatistics, collect_samples,
                          run_experiment, simulate_trial,
                          statistics_from_samples)
-from .quadrature import QuadratureSettings
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading, ratio
 
 __all__ = [
     "AccuracyWarning", "BrownianUnicycleError", "ConfigError", "EnvelopeRefusal",
     "EnvelopeWarning", "ExpPolySum", "IntegrandEvaluationError",
     "MomentResult", "MomentSpec", "NoiseParams", "NumericalConsistencyError",
-    "ProfileDomainError", "QuadratureSettings", "SimConfig",
+    "ProfileDomainError", "SimConfig",
     "SpeedRatioProfile", "TermKey", "TermKeyError", "TrialStatistics",
     "cartesian_moment", "coefficient", "collect_samples", "complex_rate",
     "count_phase_step_vectors", "cov_xtheta", "cov_ytheta", "d2_closed",

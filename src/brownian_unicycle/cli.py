@@ -2,7 +2,7 @@
 
 Subcommands: ``moment``, ``d2``, ``d4``, ``simulate``, ``reproduce``,
 ``traj``. One JSON config document (see :mod:`config`) supplies the
-profile, noise, simulation and quadrature sections for every command.
+profile, noise and simulation sections for every command.
 
 Exit codes: 0 success, 1 usage, 2 config, 3 envelope/cost refusal,
 4 internal numerical-consistency failure (also a ``<D^2>`` or a ``moment``
@@ -132,7 +132,7 @@ def moment(ctx, p, q, r, out_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EnvelopeWarning)
         res = general_moments.displacement_heading_moment(
-            p, q, r, cfg.profile, cfg.noise, cfg.sim.s_final, cfg.settings)
+            p, q, r, cfg.profile, cfg.noise, cfg.sim.s_final)
     if res.err_estimate > abs(res.value):
         raise NumericalConsistencyError(
             f"<u^{p} w^{q} theta~^{r}> = {res.value:.6g} has no correct digit: "
@@ -189,7 +189,7 @@ def d4(ctx, out_path):
     else:
         d2_value, _ = low_moments.checked_mean_squared_distance(
             cfg.profile, cfg.noise, s)
-        value = fourth_moment.d4_moment(cfg.profile, cfg.noise, s, cfg.settings)
+        value = fourth_moment.d4_moment(cfg.profile, cfg.noise, s)
         method = "quadrature"
     variance = fourth_moment.variance_from_moments(value, d2_value)
     record = {"quantity": "d4", "s": s, "value": value,
@@ -230,7 +230,7 @@ def _reproduce_profile(table: str) -> SpeedRatioProfile:
     return SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
 
 
-def _reproduce_analytic(table: str, params: NoiseParams, settings):
+def _reproduce_analytic(table: str, params: NoiseParams):
     if table == "table1":
         mean = constant_ratio.d2_closed(5.0, params, 1.0)
         var = constant_ratio.variance_d2_closed(5.0, params, 1.0)
@@ -238,7 +238,7 @@ def _reproduce_analytic(table: str, params: NoiseParams, settings):
     profile = _reproduce_profile(table)
     mean = low_moments.mean_squared_distance(profile, params, 1.0)
     var = fourth_moment.variance_from_moments(
-        fourth_moment.d4_moment(profile, params, 1.0, settings), mean)
+        fourth_moment.d4_moment(profile, params, 1.0), mean)
     return mean, var
 
 
@@ -253,8 +253,7 @@ def reproduce(ctx, table, trials_spec, out_path):
 
     TABLE selects the motion: table1 is the constant ratio 5, table2 the
     linearly growing ratio 10*s, both over unit curve length with noise
-    levels 0.01 and 1. The config contributes steps, seed and quadrature
-    settings only.
+    levels 0.01 and 1. The config contributes steps and seed only.
     """
     cfg = _require_config(ctx)
     try:
@@ -269,8 +268,7 @@ def reproduce(ctx, table, trials_spec, out_path):
     rows = []
     for level in _REPRODUCE_NOISE_GRID:
         params = NoiseParams(level, level)
-        analytic_mean, analytic_var = _reproduce_analytic(table, params,
-                                                          cfg.settings)
+        analytic_mean, analytic_var = _reproduce_analytic(table, params)
         sim = SimConfig(profile=profile, params=params, s_final=1.0,
                         steps=cfg.sim.steps, trials=max(trial_counts),
                         master_seed=cfg.sim.master_seed)

@@ -1,6 +1,6 @@
 """Experiment configuration: one JSON document drives every command.
 
-Schema (sections ``sim`` and ``quadrature`` are optional):
+Schema (section ``sim`` is optional):
 
     {
       "profile":    {"kind": "constant" | "polynomial" | "table",
@@ -9,13 +9,16 @@ Schema (sections ``sim`` and ``quadrature`` are optional):
                      "theta0": 0.0, "s_max": 1.0},
       "noise":      {"k_r": 0.01, "k_theta": 0.01},
       "sim":        {"s_final": 1.0, "steps": 10000,
-                     "trials": 100000, "master_seed": 0},
-      "quadrature": {"rel_tol": 1e-9}
+                     "trials": 100000, "master_seed": 0}
     }
 
-``rel_tol`` is the accuracy target of the moment engines' chain rule; the
-low-order statistics run on a panel rule that takes no setting. Loading is
-strict about unknown profile kinds, invalid values and sections that are
+The moment engines' chain rule runs to the fixed accuracy target
+:data:`~brownian_unicycle.quadrature.REL_TOL`. A ``quadrature`` section,
+written by older versions, must be a JSON object whose ``rel_tol``, if
+present, equals that target; any other ``rel_tol`` is refused rather than
+silently ignored. Loading is strict about unknown profile kinds, invalid
+values (a fractional or boolean ``steps``, ``trials`` or ``master_seed``,
+``coeffs`` or ``samples`` that are not JSON arrays) and sections that are
 not JSON objects, and ignores sections and ``quadrature`` keys it does not
 read (such as the ``output`` section and the ``nodes_per_level``,
 ``max_dim_deterministic`` and ``qmc_samples`` keys of older configs); every
@@ -33,7 +36,7 @@ from pathlib import Path
 
 from .exceptions import ConfigError
 from .montecarlo import SimConfig
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
+from .quadrature import REL_TOL
 from .trajectory import NoiseParams, SpeedRatioProfile
 
 _SIM_DEFAULTS = {"steps": 10000, "trials": 100000, "master_seed": 0}
@@ -44,7 +47,24 @@ class ExperimentConfig:
     profile: SpeedRatioProfile
     noise: NoiseParams
     sim: SimConfig
-    settings: QuadratureSettings
+
+
+def _array(value, name: str) -> list:
+    """``value`` if it is a JSON array; anything else is refused."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON array, "
+                          f"got {type(value).__name__}")
+    return value
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as an int if it is a JSON number without a fraction, such
+    as ``10000`` or ``1e5``; anything else is refused."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _profile_from_dict(d: dict) -> SpeedRatioProfile:
@@ -54,10 +74,12 @@ def _profile_from_dict(d: dict) -> SpeedRatioProfile:
         return SpeedRatioProfile.constant(float(d["mu0"]), theta0,
                                           float(d["s_max"]))
     if kind == "polynomial":
-        return SpeedRatioProfile.polynomial([float(c) for c in d["coeffs"]],
-                                            theta0, float(d["s_max"]))
+        coeffs = [float(c) for c in _array(d["coeffs"], "coeffs")]
+        return SpeedRatioProfile.polynomial(coeffs, theta0, float(d["s_max"]))
     if kind == "table":
-        return SpeedRatioProfile.table([(float(s), float(mu)) for s, mu in d["samples"]],
+        rows = [_array(row, "a samples row")
+                for row in _array(d["samples"], "samples")]
+        return SpeedRatioProfile.table([(float(s), float(mu)) for s, mu in rows],
                                        theta0, float(d.get("s_max")) if "s_max" in d else None)
     raise ConfigError(f"unknown profile kind {kind!r}")
 
@@ -95,18 +117,21 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             profile=profile,
             params=noise,
             s_final=float(sim_doc.get("s_final", profile.s_max)),
-            steps=int(sim_doc["steps"]),
-            trials=int(sim_doc["trials"]),
-            master_seed=int(sim_doc["master_seed"]),
+            steps=_whole(sim_doc["steps"], "steps"),
+            trials=_whole(sim_doc["trials"], "trials"),
+            master_seed=_whole(sim_doc["master_seed"], "master_seed"),
         )
         quad_doc = _section(doc, "quadrature", False)
-        settings = QuadratureSettings(
-            rel_tol=float(quad_doc.get("rel_tol", DEFAULT_SETTINGS.rel_tol)))
+        rel_tol = float(quad_doc.get("rel_tol", REL_TOL))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    return ExperimentConfig(profile, noise, sim, settings)
+    if rel_tol != REL_TOL:
+        raise ConfigError(
+            f"quadrature.rel_tol = {rel_tol:g} is not supported: the chain "
+            f"rule's accuracy target is fixed at {REL_TOL:g}")
+    return ExperimentConfig(profile, noise, sim)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -132,5 +157,4 @@ def dump_config(cfg: ExperimentConfig) -> dict:
             "trials": cfg.sim.trials,
             "master_seed": cfg.sim.master_seed,
         },
-        "quadrature": {"rel_tol": cfg.settings.rel_tol},
     }

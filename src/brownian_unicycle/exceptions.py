@@ -41,4 +41,5 @@ class EnvelopeWarning(UserWarning):
 
 
 class AccuracyWarning(UserWarning):
-    """A result's error estimate stayed above the requested ``rel_tol``."""
+    """A chain integral's error estimate stayed above the accuracy target
+    ``quadrature.REL_TOL``."""

@@ -32,8 +32,7 @@ import numpy as np
 from .exceptions import IntegrandEvaluationError, NumericalConsistencyError
 from .general_moments import _GapFactors
 from .low_moments import checked_mean_squared_distance
-from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings, _check_length,
-                         integrate_chains, panels)
+from .quadrature import _check_length, integrate_chains, panels
 from .trajectory import NoiseParams, SpeedRatioProfile
 
 DISTANCE4_KERNELS = (
@@ -84,8 +83,8 @@ def _d4_chains(params: NoiseParams, s: float):
     return constant, chains
 
 
-def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
-              settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def d4_moment(profile: SpeedRatioProfile, params: NoiseParams,
+              s: float) -> float:
     """Mean fourth power of the distance from the start point.
 
     Each kernel is the real part of one chain in gap form: the gap
@@ -125,12 +124,12 @@ def d4_moment(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     # Node values: the five phases, a chain's values and the tail row.
     value, _ = integrate_chains(evaluate, [w for w, _ in chains],
                                 panels(profile, s, params.k_theta, 2, 4),
-                                settings, node_bytes=16 * 7)
+                                node_bytes=16 * 7)
     return constant + value.real
 
 
-def variance_d2(profile: SpeedRatioProfile, params: NoiseParams, s: float,
-                settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def variance_d2(profile: SpeedRatioProfile, params: NoiseParams,
+                s: float) -> float:
     """Variance of the squared distance, ``<D^4> - <D^2>^2``.
 
     Raises :class:`NumericalConsistencyError` when ``<D^2>`` has no
@@ -140,7 +139,7 @@ def variance_d2(profile: SpeedRatioProfile, params: NoiseParams, s: float,
     of clamping silently.
     """
     d2, _ = checked_mean_squared_distance(profile, params, s)
-    return variance_from_moments(d4_moment(profile, params, s, settings), d2)
+    return variance_from_moments(d4_moment(profile, params, s), d2)
 
 
 def variance_from_moments(d4: float, d2: float) -> float:

@@ -46,8 +46,7 @@ import numpy as np
 
 from .exceptions import (EnvelopeWarning, IntegrandEvaluationError,
                          NumericalConsistencyError, TermKeyError)
-from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings, _check_length,
-                         integrate_chains, panels)
+from .quadrature import _check_length, integrate_chains, panels
 from .trajectory import NoiseParams, SpeedRatioProfile, mean_heading
 
 #: Guaranteed cost envelope; larger requests work but warn.
@@ -636,8 +635,7 @@ def _plan(p: int, q: int, r: int) -> _Plan:
 
 def displacement_heading_moment(p: int, q: int, r: int,
                                 profile: SpeedRatioProfile,
-                                params: NoiseParams, s: float,
-                                settings: QuadratureSettings = DEFAULT_SETTINGS
+                                params: NoiseParams, s: float
                                 ) -> MomentResult:
     """Compute ``<u^p w^q theta_tilde^r>`` from the term expansion.
 
@@ -679,7 +677,7 @@ def displacement_heading_moment(p: int, q: int, r: int,
     value, err = integrate_chains(
         evaluate, scales,
         panels(profile, s, kt, walk.largest_weight, walk.dimension),
-        settings, walk.node_bytes)
+        walk.node_bytes)
     # A rotating chain sum can cancel far below the moduli of its closes,
     # while the roundoff of its sampled phases scales with the integral of
     # the integrand's modulus.
@@ -688,16 +686,13 @@ def displacement_heading_moment(p: int, q: int, r: int,
 
 
 def displacement_moment(p: int, q: int, profile: SpeedRatioProfile,
-                        params: NoiseParams, s: float,
-                        settings: QuadratureSettings = DEFAULT_SETTINGS
-                        ) -> MomentResult:
+                        params: NoiseParams, s: float) -> MomentResult:
     """Compute ``<u^p w^q>`` (heading power zero)."""
-    return displacement_heading_moment(p, q, 0, profile, params, s, settings)
+    return displacement_heading_moment(p, q, 0, profile, params, s)
 
 
 def cartesian_moment(i: int, j: int, k: int, profile: SpeedRatioProfile,
-                     params: NoiseParams, s: float,
-                     settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+                     params: NoiseParams, s: float) -> float:
     """Compute ``<x^i y^j theta_tilde^k>`` by binomial expansion.
 
     ``x = (u + w)/2`` and ``y = (u - w)/(2i)`` turn the request into a
@@ -714,7 +709,7 @@ def cartesian_moment(i: int, j: int, k: int, profile: SpeedRatioProfile,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EnvelopeWarning)
         moments = {p: displacement_heading_moment(p, power - p, k, profile,
-                                                  params, s, settings)
+                                                  params, s)
                    for p in range((power + 1) // 2, power + 1)}
     pref = 0.5 ** (i + j) * (-1j) ** j
     total = 0.0 + 0.0j

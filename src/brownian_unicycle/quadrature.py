@@ -34,8 +34,7 @@ of the pair runs once (:func:`integrate_chains`); each count keeps its
 own panel products and carry, and its sums are bit for bit those of its
 rule alone.
 
-All reductions run in a fixed order; results are bit-stable for a given
-settings object.
+All reductions run in a fixed order; results are bit-stable.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import bisect
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -82,31 +80,10 @@ MAX_NODE_BYTES = 64 * 2 ** 20
 EPS = float(np.finfo(float).eps)
 #: Roundoff of a chain sum relative to the sum of its terms' magnitudes.
 CHAIN_ROUNDOFF = 64 * float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Knobs for the nested quadrature engines.
-
-    Parameters
-    ----------
-    rel_tol : float
-        Relative accuracy target of the chain rule: the moment engines
-        (:func:`~brownian_unicycle.displacement_heading_moment`,
-        :func:`~brownian_unicycle.d4_moment`) halve their panels until
-        the last two results agree to ``rel_tol``, or warn when the next
-        rule would pass the node-value budget of :func:`integrate_chains`
-        or ``MAX_PANELS``.
-    """
-
-    rel_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise ValueError("rel_tol must be positive")
-
-
-DEFAULT_SETTINGS = QuadratureSettings()
+#: Relative accuracy target of the chain rule: :func:`integrate_chains`
+#: halves its panels until the last two sums agree to ``REL_TOL``, or warns
+#: when the next rule would pass the node-value budget or ``MAX_PANELS``.
+REL_TOL = 1e-9
 
 
 def _legendre(n: int, x: np.ndarray):
@@ -549,7 +526,6 @@ class ChainRule:
 
 
 def integrate_chains(evaluate, scales, panels: _Panels,
-                     settings: QuadratureSettings = DEFAULT_SETTINGS,
                      node_bytes: int = 16):
     """``sum_i scales[i] * chain_i`` on refined pairs of panel rules.
 
@@ -559,7 +535,7 @@ def integrate_chains(evaluate, scales, panels: _Panels,
     ``scales``. The sum runs on the ``m``- and ``m + ESTIMATE_STEP``-node
     rules of ``panels`` (of :func:`panels`), evaluated as one rule of both
     counts, then on the finer count with every panel halved, one count a
-    rule, while the last two sums differ by more than ``settings.rel_tol``
+    rule, while the last two sums differ by more than ``REL_TOL``
     relative and the roundoff floor. ``evaluate`` holds ``node_bytes`` of
     node values per node, and one rule may take ``MAX_NODE_BYTES`` in
     all; the first evaluation holds both rules of its pair. A first pair
@@ -607,13 +583,13 @@ def integrate_chains(evaluate, scales, panels: _Panels,
     while True:
         diff = abs(fine - coarse)
         floor = CHAIN_ROUNDOFF * magnitude
-        if diff <= max(settings.rel_tol * abs(fine), floor):
+        if diff <= max(REL_TOL * abs(fine), floor):
             return fine, diff + floor
         if 2 * fine_m * width.size > cap or 2 * width.size > MAX_PANELS:
             warnings.warn(
                 f"chain refinement stopped at {fine_m * width.size} nodes "
-                f"with the error estimate {diff + floor:.3e} above rel_tol = "
-                f"{settings.rel_tol:.1e} times the chain sum {abs(fine):.3e}",
+                f"with the error estimate {diff + floor:.3e} above REL_TOL = "
+                f"{REL_TOL:.1e} times the chain sum {abs(fine):.3e}",
                 AccuracyWarning, stacklevel=3)
             return fine, diff + floor
         # Every panel halved.

@@ -8,7 +8,7 @@ import pytest
 
 from brownian_unicycle import (cli, d2_closed, d4_closed, fourth_moment,
                                general_moments, low_moments, NoiseParams,
-                               QuadratureSettings, SpeedRatioProfile)
+                               SpeedRatioProfile)
 from brownian_unicycle.cli import main
 from brownian_unicycle.config import (config_from_dict, dump_config,
                                       load_config)
@@ -45,8 +45,9 @@ def ramp_config_path(tmp_path):
 
 def test_config_round_trip(config_path):
     cfg = load_config(config_path)
-    again = config_from_dict(dump_config(cfg))
-    assert again == cfg
+    doc = dump_config(cfg)
+    assert "quadrature" not in doc
+    assert config_from_dict(doc) == cfg
 
 
 def test_config_defaults():
@@ -57,7 +58,7 @@ def test_config_defaults():
     assert cfg.sim.steps == 10000
     assert cfg.sim.trials == 100000
     assert cfg.sim.s_final == 2.0
-    assert cfg.settings == QuadratureSettings()
+    assert cfg.sim.master_seed == 0
 
 
 def test_config_table_profile():
@@ -81,10 +82,52 @@ def test_config_table_profile():
     {"profile": [1], "noise": {"k_r": 0, "k_theta": 0}},
     {"profile": {"kind": "constant", "mu0": 1.0, "s_max": 1.0},
      "noise": {"k_r": 0, "k_theta": 0}, "quadrature": [1]},
+    # Whole numbers that are not whole, and arrays that are not arrays.
+    *[{"profile": {"kind": "constant", "mu0": 1.0, "s_max": 1.0},
+       "noise": {"k_r": 0, "k_theta": 0}, "sim": {key: value}}
+      for key, value in (("steps", 2.5), ("trials", 10.9),
+                         ("master_seed", 3.7), ("steps", True))],
+    *[{"profile": {"kind": "polynomial", "coeffs": coeffs, "s_max": 1.0},
+       "noise": {"k_r": 0, "k_theta": 0}}
+      for coeffs in ("12", {"3": 1, "7": 2})],
+    *[{"profile": {"kind": "table", "samples": samples},
+       "noise": {"k_r": 0, "k_theta": 0}}
+      for samples in ({"01": 1, "23": 2}, ["01", "23"])],
 ])
 def test_bad_configs_raise(doc):
     with pytest.raises(ConfigError):
         config_from_dict(doc)
+
+
+def test_config_accepts_integral_float_counts():
+    sim = dict(BASE_DOC["sim"], steps=200.0, trials=1e5)
+    cfg = config_from_dict(dict(BASE_DOC, sim=sim))
+    assert (cfg.sim.steps, cfg.sim.trials) == (200, 100000)
+    assert isinstance(cfg.sim.trials, int)
+
+
+@pytest.mark.parametrize("quadrature", [{"rel_tol": 1e-9},
+                                        {"nodes_per_level": 16}, None])
+def test_quadrature_section_at_the_fixed_target_loads(quadrature):
+    # Files written by older versions carry the target itself, or only
+    # keys that are no longer read; neither changes the configuration.
+    doc = {k: v for k, v in BASE_DOC.items() if k != "quadrature"}
+    if quadrature is not None:
+        doc["quadrature"] = quadrature
+    assert config_from_dict(doc) == config_from_dict(BASE_DOC)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-6])
+def test_other_rel_tol_exits_2(tmp_path, capsys, rel_tol):
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(dict(BASE_DOC, quadrature={"rel_tol": rel_tol})),
+                    encoding="utf-8")
+    assert main(["--config", str(path), "moment", "2", "2", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "quadrature.rel_tol" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_config_ignores_output_section():
@@ -528,12 +571,11 @@ def test_reproduce_csv_schema_and_determinism(config_path, tmp_path, capsys):
 def test_reproduce_analytic_columns_compute_d2_once(config_path, capsys,
                                                    monkeypatch):
     ramp = SpeedRatioProfile.polynomial((0.0, 10.0), theta0=0.0, s_max=1.0)
-    settings = load_config(config_path).settings
     want = {}
     for level in (0.01, 1.0):
         params = NoiseParams(level, level)
         want[level] = (low_moments.mean_squared_distance(ramp, params, 1.0),
-                       fourth_moment.variance_d2(ramp, params, 1.0, settings))
+                       fourth_moment.variance_d2(ramp, params, 1.0))
     calls = []
     checked = low_moments.checked_mean_squared_distance
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from brownian_unicycle import (AccuracyWarning, EnvelopeRefusal,
                                EnvelopeWarning, NoiseParams,
-                               QuadratureSettings, SpeedRatioProfile, TermKey,
-                               TermKeyError, cartesian_moment, coefficient,
+                               SpeedRatioProfile, TermKey, TermKeyError,
+                               cartesian_moment, coefficient,
                                count_phase_step_vectors, cov_xtheta,
                                cov_ytheta, d2_closed, d4_closed, d4_moment,
                                deterministic_pose,
@@ -344,7 +344,7 @@ def _rule_chain(rule, factor, weights, gamma, build=None):
                  (rule.s - rule.t) ** (gamma[-1] // 2), build)
 
 
-def _gap_chain(profile, params, s, weights, gamma, settings=QuadratureSettings()):
+def _gap_chain(profile, params, s, weights, gamma):
     """One term's nested integral on the refined chain rule, on the panels
     of its largest phase weight and its dimension."""
     def evaluate(rule):
@@ -352,7 +352,7 @@ def _gap_chain(profile, params, s, weights, gamma, settings=QuadratureSettings()
         return np.array([_rule_chain(rule, factor, weights, gamma)])
     at = quadrature.panels(profile, s, params.k_theta, max(map(abs, weights)),
                            len(weights))
-    return integrate_chains(per_count(evaluate), [1.0], at, settings)
+    return integrate_chains(per_count(evaluate), [1.0], at)
 
 
 def _tensor_term(profile, params, s, weights, gamma):
@@ -742,8 +742,7 @@ def test_walk_matches_chains_one_by_one(profile, p, q, r):
     assert abs(res.value - ref) <= 1e-13 * abs(ref)
 
 
-def _two_call_loop(evaluate, scales, panels,
-                   settings=quadrature.DEFAULT_SETTINGS, node_bytes=16):
+def _two_call_loop(evaluate, scales, panels, node_bytes=16):
     """``integrate_chains`` as it ran with ``evaluate`` called once per rule,
     the coarse rule of the first pair on its own: its value, its estimate
     and the panel counts of its rules."""
@@ -763,7 +762,7 @@ def _two_call_loop(evaluate, scales, panels,
         fine, magnitude = total(quadrature.ChainRule(start, width, fine_m))
         diff = abs(fine - coarse)
         floor = quadrature.CHAIN_ROUNDOFF * magnitude
-        if diff <= max(settings.rel_tol * abs(fine), floor):
+        if diff <= max(quadrature.REL_TOL * abs(fine), floor):
             return fine, diff + floor, sizes
         if (2 * fine_m * width.size > cap
                 or 2 * width.size > quadrature.MAX_PANELS):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brownian_unicycle import (IntegrandEvaluationError, NoiseParams,
-                               QuadratureSettings, SpeedRatioProfile,
-                               d4_moment, displacement_moment, mean_heading,
+                               SpeedRatioProfile, d4_moment,
+                               displacement_moment, mean_heading,
                                mean_squared_distance, mean_x, mean_y)
 from brownian_unicycle import quadrature
 from brownian_unicycle.quadrature import (CHAIN_ROUNDOFF, ChainRule,
@@ -44,10 +44,10 @@ def _still(s, dimension):
                              0, dimension)
 
 
-def _point_product(factors, s, settings_=QuadratureSettings()):
+def _point_product(factors, s):
     """Ordered integral of ``prod_b factors[b](t_b)`` on the chain rule."""
     return integrate_chains(_single_chain(factors[0], factors[1:]), [1.0],
-                            _still(s, len(factors)), settings_)
+                            _still(s, len(factors)))
 
 
 def test_zero_length_domain():
@@ -287,8 +287,6 @@ def test_invalid_arguments():
         displacement_moment(1, 1, profile, params, -1.0)
     with pytest.raises(ValueError):
         d4_moment(profile, params, -1.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(rel_tol=0.0)
 
 
 # -- the tensor-rule oracle on its own terms --------------------------------------
